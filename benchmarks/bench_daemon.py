@@ -19,8 +19,9 @@ batch-verify path.  This bench holds the daemon to two claims:
    relaying provider (timing violations), a corrupting provider (MAC
    failures with culprit segments) -- the daemon's verdicts must be
    *request-for-request identical* to a twin session driven through
-   the scalar ``tpa.audit`` anchor.  The gate is 1.0: one diverging
-   verdict fails CI.
+   the scalar reference audit (``tpa.make_request``, then
+   ``VerifierDevice.run_audit``, then ``verify_transcript``).  The gate
+   is 1.0: one diverging verdict fails CI.
 
 Runs standalone (no pytest needed) and doubles as the CI smoke bench::
 
@@ -55,6 +56,7 @@ from repro.analysis.reporting import format_table  # noqa: E402
 from repro.cloud.adversary import CorruptionAttack, RelayAttack  # noqa: E402
 from repro.cloud.provider import DataCentre  # noqa: E402
 from repro.core.session import GeoProofSession  # noqa: E402
+from repro.core.verification import verify_transcript  # noqa: E402
 from repro.crypto.rng import DeterministicRNG  # noqa: E402
 from repro.crypto.schnorr import SchnorrKeyPair, _generate_group  # noqa: E402
 from repro.geo.coords import GeoPoint  # noqa: E402
@@ -279,15 +281,25 @@ def _relay_scenario(seed: str, n_orders: int):
 def measure_equivalence(scenario_name: str, build) -> dict:
     """Daemon verdicts vs the scalar anchor on one twin-session pair."""
     scalar_session, plan = build()
-    scalar = [
-        scalar_session.tpa.audit(
-            file_id,
-            scalar_session.verifier,
-            scalar_session.provider,
-            k=k,
-        ).verdict
-        for file_id, k in plan
-    ]
+    tpa = scalar_session.tpa
+    verifier = scalar_session.verifier
+    scalar = []
+    for file_id, k in plan:
+        # The scalar reference audit, one step at a time.
+        record = tpa.record(file_id)
+        request = tpa.make_request(file_id, k)
+        transcript = verifier.run_audit(request, scalar_session.provider)
+        scalar.append(
+            verify_transcript(
+                transcript,
+                request,
+                verifier_public_key=verifier.public_key,
+                mac_key=record.mac_key,
+                params=record.params,
+                region=record.sla.region,
+                rtt_max_ms=record.sla.rtt_max_ms,
+            )
+        )
 
     daemon_session, _ = build()
     daemon = AuditDaemon(

@@ -6,22 +6,27 @@ knows the secret key used to verify the MAC tags associated to the
 data."
 
 The TPA issues :class:`~repro.core.messages.AuditRequest`s to the
-verifier device, verifies the signed transcripts it gets back
-(:func:`~repro.core.verification.verify_transcript`), and keeps an
-audit log for compliance reporting.
+verifier device, verifies the signed transcripts it gets back, and
+keeps an audit log for compliance reporting.
 
-Two verification modes:
+Every audit, whatever its entry point, runs through one protocol body
+and one verdict body:
 
-* :meth:`ThirdPartyAuditor.audit` -- run the protocol and verify the
-  transcript immediately (one scalar ``verify_transcript``).
-* :meth:`ThirdPartyAuditor.audit_deferred` +
-  :meth:`ThirdPartyAuditor.flush_verdicts` -- run the protocol now,
-  collect the transcript, and verify every pending transcript in one
-  :func:`~repro.core.verification.verify_transcripts` batch (shared
-  MAC key schedules, one Schnorr random-linear-combination check per
-  verifier key).  :meth:`ThirdPartyAuditor.audit_many` wraps the pair
-  for the common collect-then-flush case.  Verdicts are byte-identical
-  between the modes; only the grouping of the arithmetic changes.
+* :meth:`ThirdPartyAuditor._run_protocols` draws a fresh-nonce request
+  per file and runs the timed phases through one
+  :meth:`~repro.cloud.verifier.VerifierDevice.run_audits` call;
+* :meth:`ThirdPartyAuditor._settle` verifies the transcripts in one
+  :func:`~repro.core.verification.verify_transcripts` batch (shared MAC
+  key schedules, one Schnorr random-linear-combination check per
+  verifier key), logs each outcome and updates the obs series.
+
+:meth:`ThirdPartyAuditor.audit` is a batch of one, settled at once.
+:meth:`ThirdPartyAuditor.audit_deferred` and
+:meth:`ThirdPartyAuditor.audit_deferred_many` queue their runs for the
+next :meth:`ThirdPartyAuditor.flush_verdicts`.  Grouping changes only
+when the arithmetic happens: verdicts are byte-identical to the scalar
+reference oracles (``VerifierDevice.run_audit`` followed by
+:func:`~repro.core.verification.verify_transcript`), pinned by test.
 """
 
 from __future__ import annotations
@@ -37,7 +42,9 @@ from repro.core.messages import AuditRequest, SignedTranscript
 from repro.core.verification import (
     GeoProofVerdict,
     TranscriptVerification,
-    verify_transcript,
+    # Unused here, but perfbench/tracing.py patches it by name on this
+    # module, so it must stay importable from repro.cloud.tpa.
+    verify_transcript,  # noqa: F401
     verify_transcripts,
 )
 from repro.crypto.rng import DeterministicRNG
@@ -76,7 +83,7 @@ class FileRecord:
 
 @dataclass(frozen=True, slots=True)
 class _PendingAudit:
-    """A protocol run awaiting its verdict (deferred-verify mode)."""
+    """A protocol run awaiting its verdict."""
 
     job: TranscriptVerification
     started_ms: float
@@ -182,7 +189,7 @@ class ThirdPartyAuditor:
         region=None,
         clock=None,
     ) -> AuditOutcome:
-        """Run one full audit and log the outcome.
+        """Run one full audit and log the outcome: a batch of one.
 
         ``rtt_max_ms`` overrides the SLA-calibrated budget (used by the
         threshold-sweep benches) and ``region`` overrides the SLA's
@@ -192,62 +199,11 @@ class ThirdPartyAuditor:
         passes a per-datacentre lane clock); default is the verifier
         device's own clock.
         """
-        pending = self._run_protocol(
-            file_id,
-            verifier,
-            provider,
-            k=k,
-            rtt_max_ms=rtt_max_ms,
-            region=region,
-            clock=clock,
-        )
-        verdict = verify_transcript(
-            pending.job.transcript,
-            pending.job.request,
-            verifier_public_key=pending.job.verifier_public_key,
-            mac_key=pending.job.mac_key,
-            params=pending.job.params,
-            region=pending.job.region,
-            rtt_max_ms=pending.job.rtt_max_ms,
-        )
-        outcome = AuditOutcome(
-            request=pending.job.request,
-            transcript=pending.job.transcript,
-            verdict=verdict,
-            started_ms=pending.started_ms,
-            finished_ms=pending.finished_ms,
-        )
-        self._log_outcome(outcome)
+        (outcome,) = self._settle(self._run_protocols(
+            [file_id], verifier, provider,
+            k=k, rtt_max_ms=rtt_max_ms, region=region, clock=clock,
+        ))
         return outcome
-
-    def _run_protocol(
-        self,
-        file_id: bytes,
-        verifier: VerifierDevice,
-        provider: CloudProvider,
-        *,
-        k: int | None = None,
-        rtt_max_ms: float | None = None,
-        region=None,
-        clock=None,
-    ) -> _PendingAudit:
-        """Run the timed protocol phase; package everything a verdict needs."""
-        record = self.record(file_id)
-        request = self.make_request(file_id, k)
-        timing_clock = clock if clock is not None else verifier.clock
-        started = timing_clock.now_ms()
-        transcript = verifier.run_audit(request, provider, clock=clock)
-        finished = timing_clock.now_ms()
-        job = TranscriptVerification(
-            transcript=transcript,
-            request=request,
-            verifier_public_key=verifier.public_key,
-            mac_key=record.mac_key,
-            params=record.params,
-            region=region if region is not None else record.sla.region,
-            rtt_max_ms=rtt_max_ms if rtt_max_ms is not None else record.sla.rtt_max_ms,
-        )
-        return _PendingAudit(job=job, started_ms=started, finished_ms=finished)
 
     def audit_deferred(
         self,
@@ -267,17 +223,10 @@ class ThirdPartyAuditor:
         the provider observes.  Verdicts arrive at the next
         :meth:`flush_verdicts` in submission order.
         """
-        self._pending.append(
-            self._run_protocol(
-                file_id,
-                verifier,
-                provider,
-                k=k,
-                rtt_max_ms=rtt_max_ms,
-                region=region,
-                clock=clock,
-            )
-        )
+        self._pending.extend(self._run_protocols(
+            [file_id], verifier, provider,
+            k=k, rtt_max_ms=rtt_max_ms, region=region, clock=clock,
+        ))
 
     def audit_deferred_many(
         self,
@@ -295,39 +244,14 @@ class ThirdPartyAuditor:
         Equivalent to calling :meth:`audit_deferred` once per file id
         (pinned by test): the nonce stream advances in file-id order and
         all timed rounds run back to back on the shared clock.  The
-        batch path exists for throughput -- the verifier amortizes
-        challenge derivation, LAN arithmetic and signing across the
-        whole batch via :meth:`~repro.cloud.verifier.VerifierDevice.run_audits`.
+        verifier amortizes challenge derivation, LAN arithmetic and
+        signing across the whole batch.  Nothing is queued unless every
+        protocol phase in the batch succeeds.
         """
-        if not file_ids:
-            return
-        requests: list[AuditRequest] = []
-        records = []
-        for file_id in file_ids:
-            record = self.record(file_id)
-            records.append(record)
-            requests.append(self.make_request(file_id, k))
-        runs = verifier.run_audits(requests, provider, clock=clock)
-        public_key = verifier.public_key
-        for record, request, run in zip(records, requests, runs):
-            job = TranscriptVerification(
-                transcript=run.transcript,
-                request=request,
-                verifier_public_key=public_key,
-                mac_key=record.mac_key,
-                params=record.params,
-                region=region if region is not None else record.sla.region,
-                rtt_max_ms=(
-                    rtt_max_ms if rtt_max_ms is not None else record.sla.rtt_max_ms
-                ),
-            )
-            self._pending.append(
-                _PendingAudit(
-                    job=job,
-                    started_ms=run.started_ms,
-                    finished_ms=run.finished_ms,
-                )
-            )
+        self._pending.extend(self._run_protocols(
+            file_ids, verifier, provider,
+            k=k, rtt_max_ms=rtt_max_ms, region=region, clock=clock,
+        ))
 
     @property
     def pending_count(self) -> int:
@@ -337,14 +261,65 @@ class ThirdPartyAuditor:
     def flush_verdicts(self) -> list[AuditOutcome]:
         """Verify every pending transcript in one batch; log and return.
 
-        Outcomes come back in :meth:`audit_deferred` submission order
-        and are byte-identical to what :meth:`audit` would have logged
-        for the same protocol runs (pinned by test) -- the batch plane
-        only regroups the MAC and Schnorr arithmetic.
+        Outcomes come back in submission order and are byte-identical
+        to what :meth:`audit` would have logged for the same protocol
+        runs (pinned by test) -- the grouping only changes how the MAC
+        and Schnorr arithmetic is batched.
         """
         if not self._pending:
             return []
         pending, self._pending = self._pending, []
+        return self._settle(pending)
+
+    # -- the protocol and verdict bodies -------------------------------------
+
+    def _run_protocols(
+        self,
+        file_ids: list[bytes],
+        verifier: VerifierDevice,
+        provider: CloudProvider,
+        *,
+        k: int | None,
+        rtt_max_ms: float | None,
+        region,
+        clock,
+    ) -> list[_PendingAudit]:
+        """Run the timed protocol phases; package what each verdict needs.
+
+        Draws one fresh-nonce request per file id, in order, then runs
+        every timed phase through one
+        :meth:`~repro.cloud.verifier.VerifierDevice.run_audits` call.
+        """
+        records: list[FileRecord] = []
+        requests: list[AuditRequest] = []
+        for file_id in file_ids:
+            records.append(self.record(file_id))
+            requests.append(self.make_request(file_id, k))
+        runs = verifier.run_audits(requests, provider, clock=clock)
+        public_key = verifier.public_key
+        return [
+            _PendingAudit(
+                job=TranscriptVerification(
+                    transcript=run.transcript,
+                    request=request,
+                    verifier_public_key=public_key,
+                    mac_key=record.mac_key,
+                    params=record.params,
+                    region=region if region is not None else record.sla.region,
+                    rtt_max_ms=(
+                        rtt_max_ms
+                        if rtt_max_ms is not None
+                        else record.sla.rtt_max_ms
+                    ),
+                ),
+                started_ms=run.started_ms,
+                finished_ms=run.finished_ms,
+            )
+            for record, request, run in zip(records, requests, runs)
+        ]
+
+    def _settle(self, pending: list[_PendingAudit]) -> list[AuditOutcome]:
+        """Verify protocol runs in one batch; log and count each outcome."""
         with obs.tracer().wall_span(f"tpa.flush:{self.name}"):
             verdicts = verify_transcripts([entry.job for entry in pending])
         self._obs_flush_size.observe(len(pending))
@@ -358,49 +333,22 @@ class ThirdPartyAuditor:
                 started_ms=entry.started_ms,
                 finished_ms=entry.finished_ms,
             )
-            self._log_outcome(outcome)
-            n_accepted += outcome.verdict.accepted
+            self.audit_log.append(outcome)
+            n_accepted += verdict.accepted
+            for reason in verdict.failure_reasons:
+                self._failure_counts[reason] = (
+                    self._failure_counts.get(reason, 0) + 1
+                )
             outcomes.append(outcome)
+        self._n_logged += len(outcomes)
+        self._n_accepted += n_accepted
         if n_accepted:
             self._obs_accepted.inc(n_accepted)
         if len(outcomes) - n_accepted:
             self._obs_rejected.inc(len(outcomes) - n_accepted)
         return outcomes
 
-    def audit_many(
-        self,
-        file_ids: list[bytes],
-        verifier: VerifierDevice,
-        provider: CloudProvider,
-        *,
-        k: int | None = None,
-        rtt_max_ms: float | None = None,
-        region=None,
-        clock=None,
-    ) -> list[AuditOutcome]:
-        """Audit several files, verifying all transcripts in one batch."""
-        for file_id in file_ids:
-            self.audit_deferred(
-                file_id,
-                verifier,
-                provider,
-                k=k,
-                rtt_max_ms=rtt_max_ms,
-                region=region,
-                clock=clock,
-            )
-        return self.flush_verdicts()
-
     # -- reporting ------------------------------------------------------------
-
-    def _log_outcome(self, outcome: AuditOutcome) -> None:
-        """Append to the (possibly ring-buffered) log; update counters."""
-        self.audit_log.append(outcome)
-        self._n_logged += 1
-        if outcome.verdict.accepted:
-            self._n_accepted += 1
-        for reason in outcome.verdict.failure_reasons:
-            self._failure_counts[reason] = self._failure_counts.get(reason, 0) + 1
 
     def acceptance_rate(self) -> float:
         """Fraction of all logged audits that were accepted.

@@ -19,6 +19,12 @@ The device:
 The device does *not* know the MAC key and cannot judge segment
 correctness -- that separation is deliberate in the paper (the TPA
 verifies content; the device only attests timing and position).
+
+:meth:`VerifierDevice.run_audits` is the protocol body every audit
+runs through (the TPA sends a one-element batch for a single audit).
+:meth:`VerifierDevice.run_audit` is the scalar reference oracle: one
+audit, step by step as Fig. 4 draws it.  No production path calls it;
+the equivalence tests and benches pin ``run_audits`` against it.
 """
 
 from __future__ import annotations
@@ -52,10 +58,10 @@ from repro.util.serialization import (
 class AuditRun:
     """One audit's transcript plus its timed-phase boundaries.
 
-    :meth:`VerifierDevice.run_audits` returns these so a batch caller
-    (the TPA's deferred plane, the service dispatcher) can log the same
-    started/finished timestamps the scalar path reads off the clock
-    around each :meth:`VerifierDevice.run_audit` call.
+    :meth:`VerifierDevice.run_audits` returns these so the TPA can log
+    the same started/finished timestamps a caller of the scalar
+    :meth:`VerifierDevice.run_audit` oracle reads off the clock around
+    each call.
     """
 
     transcript: SignedTranscript
@@ -118,10 +124,11 @@ class VerifierDevice:
     ) -> SignedTranscript:
         """Run the timed phase and return the signed transcript R.
 
-        Per round j: send index ``c_j`` over the LAN, the provider
-        produces the segment (disk and/or relay time), the response
-        crosses the LAN back; ``Delta-t_j`` is the whole round trip as
-        seen by the device clock.
+        The scalar reference oracle for :meth:`run_audits`.  Per round
+        j: send index ``c_j`` over the LAN, the provider produces the
+        segment (disk and/or relay time), the response crosses the LAN
+        back; ``Delta-t_j`` is the whole round trip as seen by the
+        device clock.
 
         ``clock`` injects the clock the timed rounds run on.  It
         defaults to the device's own clock (the single-session shape);
@@ -191,9 +198,9 @@ class VerifierDevice:
     ) -> list[AuditRun]:
         """Run a batch of audits; byte-identical to a :meth:`run_audit` loop.
 
-        The pipelined service plane's protocol phase.  Semantics are
-        exactly ``[run_audit(request) for request in requests]`` run
-        back to back on the shared clock (pinned by test) -- transcripts,
+        The protocol phase of every TPA audit.  Semantics are exactly
+        ``[run_audit(request) for request in requests]`` run back to
+        back on the shared clock (pinned by test) -- transcripts,
         timings and every RNG draw match the scalar loop -- but the
         per-audit setup is amortized:
 

@@ -30,15 +30,21 @@ the report).  Batching still amortises the per-dispatch overhead: one
 batch pays ``dispatch_overhead_ms`` once where unbatched auditing
 would pay it per file.
 
-Two engines share all of that machinery:
+Two engines run that batch body (:meth:`AuditFleet._execute_batch`:
+stage every audit, flush the verdicts once, record events, charge the
+lane, record the span) and differ only in who decides when and where
+a batch runs:
 
 * ``engine="event"`` -- the concurrent lane model above.
-* ``engine="slot"`` -- the legacy serial loop: one batch per slot
-  *fleet-wide*, every audit on the single global clock.  Kept both as
-  the baseline the concurrency speedup is measured against
-  (``benchmarks/bench_fleet.py``) and as the semantics anchor: with a
-  single data centre the two engines produce identical audit streams
-  (pinned by test).
+* ``engine="slot"`` -- the serial loop: one batch per slot
+  *fleet-wide*, every audit on the single global clock.  It is not the
+  event engine with one fleet-wide lane: it serialises sites (an
+  overrunning batch delays the next one everywhere) and never sheds
+  load, so on a multi-site fleet the two engines produce different
+  streams (pinned by test).  It stays as the baseline the concurrency
+  speedup is measured against (``benchmarks/bench_fleet.py``) and as
+  the semantics anchor: with a single data centre the two engines
+  produce identical audit streams (pinned by test).
 
 Shared spindles and replicated placement
 ----------------------------------------
@@ -415,6 +421,14 @@ class AuditFleet:
             deployment, datacentre, replicas, replica_datacentres
         )
         k = k_rounds if k_rounds is not None else self.default_k_rounds
+        # Refuse a round count the encoded file cannot serve here,
+        # before anything is uploaded, not mid-run.
+        n_segments = self.params.segments_for(len(data))
+        if not 0 < k <= n_segments:
+            raise ConfigurationError(
+                f"k_rounds must be in 1..{n_segments} for a "
+                f"{len(data)}-byte file, got {k}"
+            )
         sla = SLAPolicy(
             region=region
             or CircularRegion(centre=site.location, radius_km=self.region_radius_km),
@@ -642,19 +656,20 @@ class AuditFleet:
 
     # -- auditing --------------------------------------------------------
 
-    def audit_once(
+    def _stage_audit(
         self,
         task: AuditTask,
-        *,
-        clock: SimClock | None = None,
-        at_site: str | None = None,
-        defer: bool = False,
-    ) -> AuditOutcome | None:
-        """Run one audit of a task through a contracted verifier.
+        clock: SimClock,
+        at_site: str | None,
+    ) -> None:
+        """Run one task's timed protocol phase; defer its verdict.
 
         ``clock`` is the clock the timed phase runs on -- the fleet
         clock in the slot engine, the executing lane's clock in the
         event engine (injected down through the TPA and verifier).
+        The verdict waits for the provider TPA's next
+        :meth:`~repro.cloud.tpa.ThirdPartyAuditor.flush_verdicts`,
+        which :meth:`_execute_batch` issues once per batch.
 
         ``at_site`` runs the audit at one of the task's *replica*
         sites instead of its home (a work-stealing migration): that
@@ -665,15 +680,7 @@ class AuditFleet:
         copy nearest the auditing verifier
         (:class:`~repro.cloud.replication.NearestCopyStrategy`) -- an
         installed adversary strategy is never overridden.
-
-        ``defer=True`` runs the timed protocol phase now but leaves
-        the verdict to the TPA's next
-        :meth:`~repro.cloud.tpa.ThirdPartyAuditor.flush_verdicts`
-        batch (returns ``None``); the run engines defer every audit in
-        a batch and flush once per batch, which is where the batch
-        verification plane's speedup lands at fleet scale.
         """
-        clock = clock if clock is not None else self.clock
         deployment = self.deployment(task.provider_name)
         site_name = task.datacentre if at_site is None else at_site
         verifier = deployment.verifier_for(site_name)
@@ -694,28 +701,15 @@ class AuditFleet:
         if serve_local:
             provider.set_strategy(NearestCopyStrategy(verifier.location))
         try:
-            outcome: AuditOutcome | None
-            if defer:
-                deployment.tpa.audit_deferred(
-                    task.file_id,
-                    verifier,
-                    provider,
-                    k=task.k_rounds,
-                    rtt_max_ms=rtt_max_ms,
-                    region=region,
-                    clock=clock,
-                )
-                outcome = None
-            else:
-                outcome = deployment.tpa.audit(
-                    task.file_id,
-                    verifier,
-                    provider,
-                    k=task.k_rounds,
-                    rtt_max_ms=rtt_max_ms,
-                    region=region,
-                    clock=clock,
-                )
+            deployment.tpa.audit_deferred(
+                task.file_id,
+                verifier,
+                provider,
+                k=task.k_rounds,
+                rtt_max_ms=rtt_max_ms,
+                region=region,
+                clock=clock,
+            )
         finally:
             if serve_local:
                 provider.set_strategy(None)
@@ -723,35 +717,91 @@ class AuditFleet:
         task.audits += 1
         if site_name != task.datacentre:
             task.stolen_audits += 1
-        return outcome
 
-    def _flush_batch_verdicts(
-        self, batch: list[AuditTask]
-    ) -> list[AuditOutcome]:
-        """Flush one batch's deferred verdicts, back in task order.
+    def _execute_batch(
+        self,
+        accounting: _LaneAccounting,
+        site: tuple[str, str],
+        batch: list[AuditTask],
+        clock: SimClock,
+        *,
+        slot: int,
+        start_ms: float,
+        horizon_ms: float,
+    ) -> list[AuditEvent]:
+        """Run one dispatched batch at ``site`` on ``clock``.
 
-        One :meth:`~repro.cloud.tpa.ThirdPartyAuditor.flush_verdicts`
-        per distinct provider in the batch (first-appearance order);
-        each TPA returns its outcomes in submission order, which is
-        the batch's own task order restricted to that provider.
+        The batch body both engines share: stage every audit, flush
+        the verdicts once, turn the outcomes into events, charge the
+        lane and record the batch span.  A task whose home is not
+        ``site`` is a work-stealing migration and runs at the
+        replica there.  ``slot`` labels the events (global in the
+        slot engine, lane-local in the event engine).
         """
-        by_provider: dict[str, list[int]] = {}
-        for position, task in enumerate(batch):
-            by_provider.setdefault(task.provider_name, []).append(position)
-        outcomes: list[AuditOutcome | None] = [None] * len(batch)
-        for provider_name, positions in by_provider.items():
-            flushed = self.deployment(provider_name).tpa.flush_verdicts()
-            if len(flushed) != len(positions):
-                # Audits deferred outside the run loop would misalign
-                # the outcome/task mapping; refuse rather than mislabel.
-                raise ConfigurationError(
-                    f"provider {provider_name!r} flushed {len(flushed)} "
-                    f"verdicts for a batch of {len(positions)}; do not mix "
-                    "manual audit_deferred() calls with fleet runs"
+        batch_start = clock.now_ms()
+        # One dispatch pays for the whole batch: the TPA wakes the
+        # site's verifier appliance once and streams every request.
+        clock.advance(self.dispatch_overhead_ms)
+        n_stolen = 0
+        spindle_waits: list[float] = []
+        with accounting.service_context(site, clock), \
+                accounting.site_window(site) as window:
+            for task in batch:
+                stolen = task.site != site
+                n_stolen += stolen
+                wait_mark = accounting.provider_wait_ms(site[0])
+                self._stage_audit(
+                    task, clock, at_site=site[1] if stolen else None
                 )
-            for position, outcome in zip(positions, flushed):
-                outcomes[position] = outcome
-        return [outcome for outcome in outcomes if outcome is not None]
+                spindle_waits.append(
+                    accounting.provider_wait_ms(site[0]) - wait_mark
+                )
+        # One batched verdict flush per batch.  A batch only holds its
+        # lane's provider (the slot engine fills it from one site, and
+        # work stealing stays inside a provider), so one TPA settles
+        # it.  The wall time it takes is the verify-phase cost the lane
+        # accounting attributes; simulated time is untouched.
+        verify_start = wall_seconds()
+        outcomes = self.deployment(site[0]).tpa.flush_verdicts()
+        verify_seconds = wall_seconds() - verify_start
+        if len(outcomes) != len(batch):
+            # Audits deferred outside the run loop would misalign the
+            # outcome/task mapping; refuse rather than mislabel.
+            raise ConfigurationError(
+                f"provider {site[0]!r} flushed {len(outcomes)} verdicts "
+                f"for a batch of {len(batch)}; do not mix manual "
+                "audit_deferred() calls with fleet runs"
+            )
+        events = [
+            self._event_for(
+                slot, task, outcome, start_ms, horizon_ms,
+                executed_at=site[1],
+                spindle_wait_ms=spindle_wait_ms,
+            )
+            for task, outcome, spindle_wait_ms in zip(
+                batch, outcomes, spindle_waits
+            )
+        ]
+        accounting.charge(
+            site,
+            n_audits=len(batch),
+            busy_ms=clock.now_ms() - batch_start,
+            disk_ms=window.disk_ms,
+            wait_ms=window.wait_ms,
+            n_stolen=n_stolen,
+            verify_seconds=verify_seconds,
+        )
+        tracer = obs.tracer()
+        if tracer.enabled:
+            # Sim-domain span: both endpoints come off the injected
+            # clock, so the span stream replays from the seed.
+            tracer.record(Span(
+                f"fleet.batch:{site[0]}/{site[1]}",
+                "sim",
+                batch_start,
+                clock.now_ms(),
+            ))
+        return events
 
     def next_batch(
         self,
@@ -820,7 +870,6 @@ class AuditFleet:
         horizon_ms = start_ms + hours * MS_PER_HOUR
         events: list[AuditEvent] = []
         accounting = _LaneAccounting(self)
-        tracer = obs.tracer()
         slot = 0
         while True:
             slot_start = start_ms + slot * slot_ms
@@ -831,53 +880,10 @@ class AuditFleet:
             if slot_start > self.clock.now_ms():
                 self.clock.advance_to(slot_start)
             batch = self.next_batch(self.clock.now_ms(), strategy=active)
-            site = batch[0].site
-            batch_start = self.clock.now_ms()
-            # One dispatch pays for the whole batch: the TPA wakes the
-            # site's verifier appliance once and streams every request.
-            self.clock.advance(self.dispatch_overhead_ms)
-            staged: list[tuple[AuditTask, float]] = []
-            with accounting.service_context(site, self.clock), \
-                    accounting.site_window(site) as window:
-                for task in batch:
-                    wait_mark = accounting.provider_wait_ms(site[0])
-                    self.audit_once(task, defer=True)
-                    staged.append((
-                        task,
-                        accounting.provider_wait_ms(site[0]) - wait_mark,
-                    ))
-            # One batched verdict flush per (slot, site) batch; the
-            # wall time it takes is the verify-phase cost the lane
-            # accounting attributes (simulated time is untouched --
-            # verdicts are instantaneous on the audit timeline).
-            verify_start = wall_seconds()
-            outcomes = self._flush_batch_verdicts(batch)
-            verify_seconds = wall_seconds() - verify_start
-            for (task, spindle_wait_ms), outcome in zip(staged, outcomes):
-                events.append(
-                    self._event_for(
-                        slot, task, outcome, start_ms, horizon_ms,
-                        executed_at=task.datacentre,
-                        spindle_wait_ms=spindle_wait_ms,
-                    )
-                )
-            accounting.charge(
-                site,
-                n_audits=len(batch),
-                busy_ms=self.clock.now_ms() - batch_start,
-                disk_ms=window.disk_ms,
-                wait_ms=window.wait_ms,
-                verify_seconds=verify_seconds,
-            )
-            if tracer.enabled:
-                # Sim-domain span: both endpoints come off the injected
-                # clock, so the span stream replays from the seed.
-                tracer.record(Span(
-                    f"fleet.batch:{site[0]}/{site[1]}",
-                    "sim",
-                    batch_start,
-                    self.clock.now_ms(),
-                ))
+            events.extend(self._execute_batch(
+                accounting, batch[0].site, batch, self.clock,
+                slot=slot, start_ms=start_ms, horizon_ms=horizon_ms,
+            ))
             slot += 1
         return self._build_report(
             strategy_name=active.name,
@@ -924,77 +930,19 @@ class AuditFleet:
                 # never start at/past it -- the slot engine's rule.
                 if lane_clock.now_ms() >= horizon_ms:
                     return
-                lane_tasks = accounting.tasks_at(site)
                 batch = active.rank_lane(
-                    lane_tasks,
+                    accounting.tasks_at(site),
                     lane_clock.now_ms(),
                     accounting.lane_load(site, lanes),
                     accounting.fleet_view(lanes),
-                )
-                batch = batch[: self.batch_size]
+                )[: self.batch_size]
                 if not batch:
                     return
-                slot_index = accounting.n_batches_at(site)
-                batch_start = lane_clock.now_ms()
-                lane_clock.advance(self.dispatch_overhead_ms)
-                n_stolen = 0
-                staged: list[tuple[AuditTask, float]] = []
-                with accounting.service_context(site, lane_clock), \
-                        accounting.site_window(site) as window:
-                    for task in batch:
-                        stolen = task.site != site
-                        n_stolen += stolen
-                        wait_mark = accounting.provider_wait_ms(site[0])
-                        self.audit_once(
-                            task,
-                            clock=lane_clock,
-                            at_site=site[1] if stolen else None,
-                            defer=True,
-                        )
-                        staged.append((
-                            task,
-                            accounting.provider_wait_ms(site[0])
-                            - wait_mark,
-                        ))
-                # Per-lane batched verdict flush, mirroring the slot
-                # engine; the lane clock additionally keeps the real
-                # verify cost so per-lane attribution survives into
-                # LaneStats.
-                verify_start = wall_seconds()
-                outcomes = self._flush_batch_verdicts(batch)
-                verify_seconds = wall_seconds() - verify_start
-                lane_clock.record_verify_seconds(verify_seconds)
-                for (task, spindle_wait_ms), outcome in zip(
-                    staged, outcomes
-                ):
-                    recorded.append(
-                        self._event_for(
-                            slot_index, task, outcome, start_ms,
-                            horizon_ms,
-                            executed_at=site[1],
-                            spindle_wait_ms=spindle_wait_ms,
-                        )
-                    )
-                accounting.charge(
-                    site,
-                    n_audits=len(batch),
-                    busy_ms=0.0,  # the LaneClock tracks busy time itself
-                    disk_ms=window.disk_ms,
-                    wait_ms=window.wait_ms,
-                    n_stolen=n_stolen,
-                    verify_seconds=verify_seconds,
-                )
-                tracer = obs.tracer()
-                if tracer.enabled:
-                    # Sim-domain span on this lane's own clock; the
-                    # scheduler's deterministic dispatch order makes
-                    # the merged span stream replay from the seed too.
-                    tracer.record(Span(
-                        f"fleet.batch:{site[0]}/{site[1]}",
-                        "sim",
-                        batch_start,
-                        lane_clock.now_ms(),
-                    ))
+                recorded.extend(self._execute_batch(
+                    accounting, site, batch, lane_clock,
+                    slot=accounting.n_batches_at(site),
+                    start_ms=start_ms, horizon_ms=horizon_ms,
+                ))
             return dispatch
 
         def make_tick(site: tuple[str, str]):
@@ -1394,10 +1342,11 @@ class _LaneAccounting:
     ) -> tuple[LaneStats, ...]:
         """Freeze the accounting into report rows.
 
-        With ``lanes`` (event engine) busy time, wait classification
-        and queue stats come from each :class:`Lane`; without (slot
-        engine) busy time is the accumulated batch spans and queue
-        depth is zero by construction.
+        Batch counts, busy time (the accumulated batch spans) and
+        verify cost come from the charges in both engines.  With
+        ``lanes`` (event engine) wait classification and queue stats
+        come from each :class:`Lane`; without (slot engine) the wait
+        is the site windows' and queue depth is zero by construction.
         """
         rows = []
         for site in self.sites:
@@ -1407,14 +1356,8 @@ class _LaneAccounting:
                 # Shed work only becomes known at freeze time: the
                 # Lane counts dropped ticks itself.
                 self._obs_shed.labels(*site).inc(lane.dropped)
-            busy_ms = lane.clock.busy_ms if lane is not None else acc["busy_ms"]
             wait_ms = (
                 lane.clock.waiting_ms if lane is not None else acc["wait_ms"]
-            )
-            verify_seconds = (
-                lane.clock.verify_seconds
-                if lane is not None
-                else acc["verify_s"]
             )
             rows.append(
                 LaneStats(
@@ -1422,16 +1365,18 @@ class _LaneAccounting:
                     datacentre=site[1],
                     n_batches=int(acc["batches"]),
                     n_audits=int(acc["audits"]),
-                    busy_ms=busy_ms,
+                    busy_ms=acc["busy_ms"],
                     disk_busy_ms=acc["disk_ms"],
-                    utilization=busy_ms / span_ms if span_ms > 0 else 0.0,
+                    utilization=(
+                        acc["busy_ms"] / span_ms if span_ms > 0 else 0.0
+                    ),
                     peak_queue_depth=(
                         lane.peak_queue_depth if lane is not None else 0
                     ),
                     dropped_slots=lane.dropped if lane is not None else 0,
                     spindle_wait_ms=wait_ms,
                     stolen_audits=int(acc["stolen"]),
-                    verify_seconds=verify_seconds,
+                    verify_seconds=acc["verify_s"],
                 )
             )
         return tuple(rows)

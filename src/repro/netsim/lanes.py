@@ -57,14 +57,6 @@ class LaneClock(SimClock):
         self.busy_ms = 0.0
         #: Share of busy time spent queued on shared resources.
         self.waiting_ms = 0.0
-        #: Real (wall-clock) seconds this lane's TPA spent computing
-        #: verdicts in batch verification flushes.  Unlike every other
-        #: counter on this clock it measures *process* time, not
-        #: simulated time -- verification consumes no simulated time at
-        #: all -- so it never feeds the event timeline; it exists so
-        #: fleet reports can attribute the real verify-phase cost per
-        #: lane (tracked by bench_verify/bench_fleet).
-        self.verify_seconds = 0.0
         self._busy_since: float | None = None
 
     @property
@@ -102,20 +94,6 @@ class LaneClock(SimClock):
                 f"lane {self.name!r}: wait must be >= 0, got {wait_ms}"
             )
         self.waiting_ms += wait_ms
-
-    def record_verify_seconds(self, seconds: float) -> None:
-        """Attribute real verdict-computation seconds to this lane.
-
-        Called by the fleet engines around each batch verification
-        flush.  Pure accounting: the simulated clock is untouched
-        (verdicts are instantaneous in simulated time).
-        """
-        if seconds < 0:
-            raise SimulationError(
-                f"lane {self.name!r}: verify seconds must be >= 0, "
-                f"got {seconds}"
-            )
-        self.verify_seconds += seconds
 
     def end_busy(self) -> float:
         """Close the open busy interval; returns its duration in ms."""

@@ -7,17 +7,21 @@ collects them into a batch and flushes when either trigger fires:
 * **deadline** -- ``flush_ms`` of wall time passed since the batch
   opened (a lone order is never parked indefinitely).
 
-One flush is two amortized sweeps: the whole batch's protocol phases
-run through :meth:`~repro.cloud.tpa.ThirdPartyAuditor.audit_deferred_many`
-(one ``fork_many`` derives every challenge/jitter stream, one batched
+One flush is two amortized sweeps through the TPA's one protocol body
+and one verdict body -- the same bodies a one-shot
+:meth:`~repro.cloud.tpa.ThirdPartyAuditor.audit` runs as a batch of
+one.  Each contiguous same-``k`` run of orders goes through
+:meth:`~repro.cloud.tpa.ThirdPartyAuditor.audit_deferred_many` (one
+``fork_many`` derives every challenge/jitter stream, one batched
 Schnorr signing pass), then one
 :meth:`~repro.cloud.tpa.ThirdPartyAuditor.flush_verdicts` settles every
 verdict (one MAC sweep per key group, one Schnorr batch verify per
-device key).  Orders are processed in strict submission order -- the
-TPA's nonce stream advances exactly as the scalar one-call-one-audit
-anchor would, which is what makes daemon and anchor verdicts
-request-for-request identical (pinned by test and CI-gated by
-``benchmarks/bench_daemon.py``).
+device key).  Orders are processed in strict submission order -- the TPA's
+nonce stream advances exactly as the scalar reference audit
+(``make_request``, ``VerifierDevice.run_audit``,
+``verify_transcript``, one order at a time) would advance it, which is
+what makes daemon and reference verdicts request-for-request identical
+(pinned by test and CI-gated by ``benchmarks/bench_daemon.py``).
 
 :meth:`AuditDispatcher.process_batch` is the synchronous core (tests
 and the benchmark drive it directly); :meth:`AuditDispatcher.run` is

@@ -17,8 +17,9 @@ from repro.cloud.provider import DataCentre
 from repro.core.messages import AuditRequest
 from repro.crypto.rng import DeterministicRNG
 from repro.geo.coords import GeoPoint
+from repro.geo.regions import CircularRegion
 from repro.netsim.latency import LANModel
-from tests.conftest import build_session
+from tests.conftest import build_session, scalar_audit
 
 # Full POR setup per session: slow lane.
 pytestmark = pytest.mark.slow
@@ -196,7 +197,7 @@ class TestAuditDeferredMany:
         )
 
     def test_mixed_population_verdicts_match_scalar_audit(self):
-        """Honest + corrupted + strict-SLA verdicts pin to audit()."""
+        """Corrupted verdicts pin to the scalar reference audit."""
         scalar_session, file_id, _ = build_session("many-mixed")
         batch_session, _, _ = build_session("many-mixed")
         scalar_session.provider.set_strategy(
@@ -206,8 +207,12 @@ class TestAuditDeferredMany:
             CorruptionAttack("home", 1.0, DeterministicRNG("mix"))
         )
         scalar = [
-            scalar_session.tpa.audit(
-                file_id, scalar_session.verifier, scalar_session.provider, k=5
+            scalar_audit(
+                scalar_session.tpa,
+                file_id,
+                scalar_session.verifier,
+                scalar_session.provider,
+                k=5,
             )
             for _ in range(4)
         ]
@@ -231,6 +236,54 @@ class TestAuditDeferredMany:
         outcomes = session.tpa.flush_verdicts()
         assert all(not o.verdict.accepted for o in outcomes)
         assert all(not o.verdict.timing_ok for o in outcomes)
+
+    def test_region_override_matches_scalar(self):
+        """Replica-site audits pass the site's region; pin it both ways.
+
+        A region around the verifier's own site accepts, a region on
+        another continent fails the position check -- batched, one-shot
+        and scalar reference audits agree on both.
+        """
+        scalar_session, file_id, _ = build_session("many-region")
+        batch_session, _, _ = build_session("many-region")
+        here = CircularRegion(
+            centre=GeoPoint(-27.4698, 153.0251), radius_km=50.0
+        )
+        away = CircularRegion(
+            centre=GeoPoint(1.3521, 103.8198, "Singapore"), radius_km=50.0
+        )
+        scalar = [
+            scalar_audit(
+                scalar_session.tpa,
+                file_id,
+                scalar_session.verifier,
+                scalar_session.provider,
+                k=5,
+                region=region,
+            )
+            for region in (away, away, here)
+        ]
+        batch_session.tpa.audit_deferred_many(
+            [file_id] * 2,
+            batch_session.verifier,
+            batch_session.provider,
+            k=5,
+            region=away,
+        )
+        batch = batch_session.tpa.flush_verdicts()
+        batch.append(
+            batch_session.tpa.audit(
+                file_id,
+                batch_session.verifier,
+                batch_session.provider,
+                k=5,
+                region=here,
+            )
+        )
+        assert batch == scalar
+        assert [o.verdict.failure_reasons for o in batch] == [
+            ["gps"], ["gps"], []
+        ]
 
     def test_empty_file_list_is_noop(self):
         session, _, _ = build_session("many-empty")

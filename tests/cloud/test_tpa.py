@@ -5,7 +5,7 @@ import pytest
 from repro.cloud.tpa import ThirdPartyAuditor
 from repro.crypto.rng import DeterministicRNG
 from repro.errors import ConfigurationError
-from tests.conftest import build_session
+from tests.conftest import build_session, scalar_audit
 
 
 # Every test here pays a full POR setup in its fixtures: slow lane.
@@ -58,9 +58,20 @@ class TestAuditing:
 
 class TestDeferredVerification:
     def test_deferred_outcomes_equal_immediate(self):
-        """Same seed, both modes: the outcome lists must be ``==``."""
-        immediate_session, file_id, _ = build_session("tpa-defer")
+        """Same seed, both modes and the scalar oracle: all ``==``."""
+        oracle_session, file_id, _ = build_session("tpa-defer")
+        immediate_session, _, _ = build_session("tpa-defer")
         deferred_session, _, _ = build_session("tpa-defer")
+        oracle = [
+            scalar_audit(
+                oracle_session.tpa,
+                file_id,
+                oracle_session.verifier,
+                oracle_session.provider,
+                k=5,
+            )
+            for _ in range(4)
+        ]
         immediate = [
             immediate_session.tpa.audit(
                 file_id,
@@ -79,28 +90,16 @@ class TestDeferredVerification:
             )
         assert deferred_session.tpa.pending_count == 4
         flushed = deferred_session.tpa.flush_verdicts()
-        assert flushed == immediate
+        assert immediate == oracle
+        assert flushed == oracle
         assert deferred_session.tpa.pending_count == 0
-        assert list(deferred_session.tpa.audit_log) == list(
-            immediate_session.tpa.audit_log
-        )
+        assert list(immediate_session.tpa.audit_log) == oracle
+        assert list(deferred_session.tpa.audit_log) == oracle
 
     def test_flush_empty_is_noop(self):
         session, _, _ = build_session("tpa-noflush")
         assert session.tpa.flush_verdicts() == []
         assert session.tpa.audit_log == []
-
-    def test_audit_many_wraps_collect_then_flush(self):
-        session, file_id, _ = build_session("tpa-many")
-        outcomes = session.tpa.audit_many(
-            [file_id, file_id, file_id],
-            session.verifier,
-            session.provider,
-            k=5,
-        )
-        assert len(outcomes) == 3
-        assert all(outcome.verdict.accepted for outcome in outcomes)
-        assert list(session.tpa.audit_log) == outcomes
 
     def test_deferred_counts_failures(self):
         session, file_id, _ = build_session("tpa-defer-fail")

@@ -62,3 +62,53 @@ def build_session(seed: str = "session", file_bytes: int = 20_000):
     data = DeterministicRNG(f"{seed}-data").random_bytes(file_bytes)
     session.outsource(b"test-file", data)
     return session, b"test-file", data
+
+
+def scalar_audit(
+    tpa,
+    file_id: bytes,
+    verifier,
+    provider,
+    *,
+    k: int | None = None,
+    rtt_max_ms: float | None = None,
+    region=None,
+    clock=None,
+):
+    """The scalar reference audit the TPA's batch path is pinned to.
+
+    Composes the three steps of Fig. 4 one at a time:
+    ``tpa.make_request`` draws the fresh nonce,
+    ``VerifierDevice.run_audit`` runs the timed rounds and signs, and
+    ``verify_transcript`` checks MACs, signature, position and timing
+    against the registered SLA (or the ``region`` / ``rtt_max_ms``
+    overrides).  Nothing is logged on ``tpa``; only its nonce stream
+    advances, exactly as one ``tpa.audit`` call would advance it.
+    """
+    from repro.cloud.tpa import AuditOutcome
+    from repro.core.verification import verify_transcript
+
+    record = tpa.record(file_id)
+    request = tpa.make_request(file_id, k)
+    timing_clock = clock if clock is not None else verifier.clock
+    started_ms = timing_clock.now_ms()
+    transcript = verifier.run_audit(request, provider, clock=clock)
+    finished_ms = timing_clock.now_ms()
+    verdict = verify_transcript(
+        transcript,
+        request,
+        verifier_public_key=verifier.public_key,
+        mac_key=record.mac_key,
+        params=record.params,
+        region=region if region is not None else record.sla.region,
+        rtt_max_ms=(
+            rtt_max_ms if rtt_max_ms is not None else record.sla.rtt_max_ms
+        ),
+    )
+    return AuditOutcome(
+        request=request,
+        transcript=transcript,
+        verdict=verdict,
+        started_ms=started_ms,
+        finished_ms=finished_ms,
+    )

@@ -325,6 +325,34 @@ class TestRegistration:
                 data=b"x" * 500,
             )
 
+    def test_unservable_round_count_rejected_before_upload(self):
+        """k_rounds past the file's segment count fails at register.
+
+        Before, registration succeeded and ``run()`` aborted the whole
+        campaign on the first audit of the file.
+        """
+        fleet = AuditFleet(seed="too-many-rounds")
+        fleet.add_provider("p", [("bne", city("brisbane"))])
+        data = DeterministicRNG("rounds-data").random_bytes(2_000)
+        n_segments = fleet.params.segments_for(len(data))
+        for k_rounds in (0, n_segments + 1, 10_000):
+            with pytest.raises(ConfigurationError, match="k_rounds"):
+                fleet.register(
+                    tenant="t", provider="p", datacentre="bne",
+                    file_id=b"f", data=data, k_rounds=k_rounds,
+                )
+        assert fleet.n_files == 0
+        store = fleet.provider("p").datacentre("bne").server.store
+        assert not store.has_file(b"f")
+        # The largest servable round count registers and runs.
+        record = fleet.register(
+            tenant="t", provider="p", datacentre="bne",
+            file_id=b"f", data=data, k_rounds=n_segments,
+        )
+        assert record.n_segments == n_segments
+        report = fleet.run(hours=1.0)
+        assert report.n_audits > 0
+
     def test_tenant_file_count_spans_providers(self):
         """The same file id on two providers is two files for the tenant."""
         fleet = AuditFleet(seed="span")

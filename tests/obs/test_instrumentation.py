@@ -1,6 +1,6 @@
 """Observability does not perturb: fleets replay identically with it on.
 
-Three pins:
+Four pins:
 
 * the metrics snapshot and the sim-domain span stream are a pure
   function of the seed (two identical runs, identical bytes);
@@ -9,7 +9,9 @@ Three pins:
 * a fully-instrumented run emits the *same report* as an
   uninstrumented one -- tracing reads injected clocks, never advances
   them, so the determinism anchors (slot-vs-event, same-seed replay)
-  hold with the plane enabled.
+  hold with the plane enabled;
+* the TPA's verdict counters count every verdict, one-shot audits
+  included, and agree with the TPA's own log.
 """
 
 import json
@@ -18,6 +20,7 @@ from repro import obs
 from repro.fleet.strategies import RoundRobinStrategy
 from repro.fleet.demo import build_demo_fleet
 from repro.obs import MetricsRegistry, Tracer
+from tests.conftest import build_session
 
 
 def run_demo(*, engine="event", enabled=True, seed="obs-fleet"):
@@ -44,6 +47,17 @@ def family_total(registry, name):
         if family["name"] == name:
             return sum(series["value"] for series in family["series"])
     return 0.0
+
+
+def family_series(registry, name):
+    """A family's series out of the JSON snapshot, keyed by label values."""
+    for family in registry.snapshot()["families"]:
+        if family["name"] == name:
+            return {
+                tuple(series["labels"].values()): series["value"]
+                for series in family["series"]
+            }
+    return {}
 
 
 def sim_snapshot(registry):
@@ -114,3 +128,26 @@ class TestNoPerturbation:
         run_demo()
         assert not obs.metrics().enabled
         assert not obs.tracer().enabled
+
+
+class TestTPAVerdictCounters:
+    def test_one_shot_audits_are_counted(self):
+        """A one-shot audit is a settle of size 1: counted like a flush."""
+        registry = MetricsRegistry(enabled=True)
+        with obs.use_registry(registry):
+            session, file_id, _ = build_session("obs-tpa", file_bytes=4000)
+            for _ in range(3):
+                session.audit(file_id, k=5)
+            session.audit(file_id, k=5, rtt_max_ms=0.001)  # forced reject
+        tpa = session.tpa
+        n_logged = len(tpa.audit_log)
+        n_accepted = sum(outcome.verdict.accepted for outcome in tpa.audit_log)
+        assert (n_logged, n_accepted) == (4, 3)
+        assert tpa.acceptance_rate() == n_accepted / n_logged
+        assert family_series(registry, "repro_tpa_verdicts_total") == {
+            (tpa.name, "accepted"): n_accepted,
+            (tpa.name, "rejected"): n_logged - n_accepted,
+        }
+        flush_sizes = family_series(registry, "repro_tpa_flush_size")
+        assert flush_sizes[(tpa.name,)]["count"] == n_logged
+        assert flush_sizes[(tpa.name,)]["sum"] == n_logged

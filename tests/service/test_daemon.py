@@ -23,6 +23,7 @@ from repro.service import (
     run_audit_client,
 )
 from repro.service.wire import AuditOrder, ErrorReply, decode_reply
+from tests.conftest import scalar_audit
 
 
 def build_session(seed="daemon", n_files=3):
@@ -80,8 +81,12 @@ class TestRoundTrip:
         scalar_session, file_ids = build_session()
         plan = [(file_ids[i % 3], 3 + (i % 2)) for i in range(30)]
         scalar = [
-            scalar_session.tpa.audit(
-                f, scalar_session.verifier, scalar_session.provider, k=k
+            scalar_audit(
+                scalar_session.tpa,
+                f,
+                scalar_session.verifier,
+                scalar_session.provider,
+                k=k,
             ).verdict
             for f, k in plan
         ]

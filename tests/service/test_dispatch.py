@@ -1,7 +1,8 @@
-"""The dispatcher's batched audit plane vs the scalar anchor.
+"""The dispatcher's batched audit plane vs the scalar reference audit.
 
 The load-bearing pin: for the same seed and the same order stream, the
-daemon's batched path and the scalar one-call-one-audit anchor produce
+daemon's batched path and the scalar one-call-one-audit oracle
+(``tests.conftest.scalar_audit``) produce
 *identical* verdicts -- bad orders answered before any nonce is drawn,
 contiguous same-k runs batched, submission order preserved.
 """
@@ -15,6 +16,7 @@ from repro.geo.coords import GeoPoint
 from repro.por.parameters import TEST_PARAMS
 from repro.service import AuditOrder, ErrorReply, VerdictReply
 from repro.service.dispatch import AuditDispatcher
+from tests.conftest import scalar_audit
 
 
 def build_session(seed="dispatch", n_files=3, min_rounds=4):
@@ -47,7 +49,8 @@ class TestScalarEquivalence:
         scalar_session, file_ids = build_session()
         plan = [(file_ids[i % 3], 3 + (i % 2)) for i in range(24)]
         scalar = [
-            scalar_session.tpa.audit(
+            scalar_audit(
+                scalar_session.tpa,
                 file_id,
                 scalar_session.verifier,
                 scalar_session.provider,
@@ -69,7 +72,8 @@ class TestScalarEquivalence:
     def test_invalid_orders_do_not_perturb_neighbours(self):
         scalar_session, file_ids = build_session()
         scalar = [
-            scalar_session.tpa.audit(
+            scalar_audit(
+                scalar_session.tpa,
                 file_id,
                 scalar_session.verifier,
                 scalar_session.provider,
@@ -97,8 +101,11 @@ class TestScalarEquivalence:
 
     def test_k_zero_means_sla_min_rounds(self):
         scalar_session, file_ids = build_session(min_rounds=5)
-        scalar = scalar_session.tpa.audit(
-            file_ids[0], scalar_session.verifier, scalar_session.provider
+        scalar = scalar_audit(
+            scalar_session.tpa,
+            file_ids[0],
+            scalar_session.verifier,
+            scalar_session.provider,
         ).verdict
 
         batch_session, _ = build_session(min_rounds=5)
