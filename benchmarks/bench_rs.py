@@ -1,13 +1,16 @@
-"""Scalar vs vectorized Reed-Solomon data plane (the outsourcing hot path).
+"""Scalar vs vectorized outsourcing data plane: RS encode and AES-CTR.
 
 ROADMAP's vectorized-data-plane item: after the batch Feistel engine
-(PR 2) the one stage of the Juels-Kaliski setup still running scalar
-pure-Python loops was the GF(256)/RS encode -- one byte-column at a
-time through polynomial division.  The vectorized engine
-(:mod:`repro.gf.gf256_vec` + :class:`repro.erasure.striping.BlockStriper`)
-computes the parity of all 16 interleaved byte-columns of every chunk
-of a file as one GF(256) matrix product against the precomputed
-systematic parity matrix.
+the GF(256)/RS encode still ran scalar pure-Python loops -- one
+byte-column at a time through polynomial division.  The vectorized
+engine (:mod:`repro.gf.gf256_vec` +
+:class:`repro.erasure.striping.BlockStriper`) computes the parity of
+all 16 interleaved byte-columns of every chunk of a file as one
+GF(256) matrix product against the precomputed systematic parity
+matrix.  Setup step 3's AES-CTR encryption then remained a per-block
+scalar loop, and the traced onboarding ledger showed it as the largest
+stage; :func:`repro.crypto.aes.aes_ctr_encrypt` now runs every counter
+block of a file through the cipher rounds as one numpy batch.
 
 Runs standalone (no pytest needed) and doubles as the CI smoke bench::
 
@@ -15,12 +18,14 @@ Runs standalone (no pytest needed) and doubles as the CI smoke bench::
 
 It measures blocks/sec for the scalar column-at-a-time path (on a
 sample of chunks; the full 1M-block file would take minutes) against
-the vectorized batch encode of a full million-block file, runs a
-byte-identical equivalence sweep (encode, decode with errors+erasures,
-MAC tags), asserts the >= 10x acceptance bar, and writes the numbers
-plus the gate table as JSON so CI archives a machine-readable record.
-The ``ProcessPoolExecutor`` sharding row is informational: it reports
-real multicore speedup only when the runner has more than one core.
+the vectorized batch encode of a full million-block file, and bytes/sec
+for the scalar CTR block loop (on a 32 kB sample) against the
+vectorized kernel on 1 MB.  It runs a byte-identical equivalence sweep
+(encode, decode with errors+erasures, MAC tags, AES-CTR), asserts the
+>= 10x RS and >= 20x CTR bars, and writes the numbers plus the gate
+table as JSON so CI archives a machine-readable record.  The
+``ProcessPoolExecutor`` sharding row is informational: it reports real
+multicore speedup only when the runner has more than one core.
 """
 
 from __future__ import annotations
@@ -38,9 +43,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from _gates import Gate, enforce_gates  # noqa: E402
 
 from repro.analysis.reporting import format_table  # noqa: E402
+from repro.crypto.aes import AES, _ctr_keystream, aes_ctr_encrypt  # noqa: E402
 from repro.crypto.mac import mac_tag, mac_tag_many  # noqa: E402
 from repro.erasure.striping import BlockStriper, StripeLayout  # noqa: E402
 from repro.gf import HAS_NUMPY  # noqa: E402
+from repro.util.bitops import xor_bytes  # noqa: E402
 
 #: Encoded file sizes in 16-byte blocks; --quick keeps only the gated
 #: million-block row.
@@ -52,6 +59,18 @@ MIN_SPEEDUP_1M = 10.0
 
 #: Chunks the scalar path encodes to estimate its per-block rate.
 SCALAR_SAMPLE_CHUNKS = 3
+
+#: Gated CTR row: the vectorized kernel on a 1 MB plaintext must beat
+#: the scalar block loop, timed on a 32 kB sample, by at least this
+#: factor (measured ~60-115x: host speed drifts up to ~2x between the
+#: two timings).
+MIN_CTR_SPEEDUP = 20.0
+CTR_SCALAR_SAMPLE_BYTES = 32_000
+CTR_VECTOR_BYTES = 1_000_000
+
+#: Initial counter whose low half is 2^64 - 2: the third block carries
+#: into the high half.
+CARRY_NONCE = bytes(8) + ((1 << 64) - 2).to_bytes(8, "big")
 
 PAPER_LAYOUT = StripeLayout()  # RS(255, 223), 16-byte blocks
 SMALL_LAYOUT = StripeLayout(block_bytes=4, data_blocks=11, total_blocks=15)
@@ -111,8 +130,24 @@ def mac_rates(n_segments: int, segment_bytes: int) -> tuple[float, float]:
     return n_segments / scalar_s, n_segments / batch_s
 
 
+def scalar_ctr(key: bytes, nonce: bytes, data: bytes) -> bytes:
+    """AES-CTR through the scalar block loop, whatever HAS_NUMPY says."""
+    return xor_bytes(data, _ctr_keystream(AES(key), nonce, len(data)))
+
+
+def ctr_rates() -> tuple[float, float]:
+    """(scalar, vectorized) bytes/sec of AES-CTR encryption."""
+    rnd = random.Random("ctr")
+    key = rnd.randbytes(16)
+    sample = rnd.randbytes(CTR_SCALAR_SAMPLE_BYTES)
+    full = rnd.randbytes(CTR_VECTOR_BYTES)
+    scalar_s = _time(lambda: scalar_ctr(key, CARRY_NONCE, sample))
+    vector_s = _time(lambda: aes_ctr_encrypt(key, CARRY_NONCE, full))
+    return len(sample) / scalar_s, len(full) / vector_s
+
+
 def equivalence_sweep() -> bool:
-    """Byte-identical scalar/vectorized sweep: encode, decode, MAC."""
+    """Byte-identical scalar/vectorized sweep: encode, decode, CTR, MAC."""
     rnd = random.Random("equivalence")
     for layout in (SMALL_LAYOUT, PAPER_LAYOUT):
         scalar = BlockStriper(layout, vectorized=False)
@@ -135,6 +170,14 @@ def equivalence_sweep() -> bool:
         out_v = vector.decode_chunk(corrupted, erasures=erasures)
         if not (out_s == out_v == chunk_blocks):
             return False
+    for key_bytes in (16, 24, 32):
+        key = rnd.randbytes(key_bytes)
+        for nonce in (rnd.randbytes(16), CARRY_NONCE, b"\xff" * 16):
+            plaintext = rnd.randbytes(1000 + key_bytes)  # ends mid-block
+            if aes_ctr_encrypt(key, nonce, plaintext) != scalar_ctr(
+                key, nonce, plaintext
+            ):
+                return False
     payloads = [rnd.randbytes(52) for _ in range(64)]
     batch = mac_tag_many(b"key", payloads, b"fid")
     scalar_tags = [
@@ -227,6 +270,15 @@ def main(argv: list[str] | None = None) -> int:
         f"({mac_batch / mac_scalar:.2f}x)"
     )
 
+    ctr_scalar, ctr_vector = ctr_rates()
+    ctr_speedup = ctr_vector / ctr_scalar
+    print(
+        f"aes-ctr: {ctr_scalar / 1e3:,.1f} kB/s scalar "
+        f"({CTR_SCALAR_SAMPLE_BYTES // 1000} kB) -> "
+        f"{ctr_vector / 1e3:,.1f} kB/s vectorized "
+        f"({CTR_VECTOR_BYTES // 1000} kB) ({ctr_speedup:.1f}x)"
+    )
+
     equivalent = equivalence_sweep()
 
     row_1m = next(r for r in rows if r["blocks"] == 1_000_000)
@@ -238,10 +290,16 @@ def main(argv: list[str] | None = None) -> int:
             detail="vectorized vs scalar blk/s, 1M-block file",
         ),
         Gate(
+            name="aes_ctr_speedup",
+            measured=ctr_speedup,
+            required=MIN_CTR_SPEEDUP,
+            detail="vectorized (1 MB) vs scalar (32 kB sample) bytes/s",
+        ),
+        Gate(
             name="scalar_vec_equivalence",
             measured=1.0 if equivalent else 0.0,
             required=1.0,
-            detail="encode + decode(errors,erasures) + MAC byte-identical",
+            detail="encode + decode(errors,erasures) + CTR + MAC byte-identical",
         ),
     ]
 
@@ -249,11 +307,20 @@ def main(argv: list[str] | None = None) -> int:
         "bench": "rs",
         "unit": "blocks/sec",
         "min_speedup_1m": MIN_SPEEDUP_1M,
+        "min_ctr_speedup": MIN_CTR_SPEEDUP,
         "scalar_sample_chunks": SCALAR_SAMPLE_CHUNKS,
         "n_cores": n_cores,
         "rows": rows,
         "workers": workers_row,
         "mac_tags_per_sec": {"scalar": mac_scalar, "batch": mac_batch},
+        "aes_ctr": {
+            "unit": "bytes/sec",
+            "scalar_sample_bytes": CTR_SCALAR_SAMPLE_BYTES,
+            "vectorized_bytes": CTR_VECTOR_BYTES,
+            "scalar_bytes_per_sec": ctr_scalar,
+            "vectorized_bytes_per_sec": ctr_vector,
+            "speedup": ctr_speedup,
+        },
         "gates": [gate.as_dict() for gate in gates],
     }
     args.out.write_text(json.dumps(record, indent=2) + "\n")

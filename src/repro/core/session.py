@@ -46,8 +46,11 @@ class OutsourcedFile:
     original_bytes: int
     stored_bytes: int
     #: Wall time the Juels-Kaliski setup pipeline took, in seconds.
-    #: Benchmarks aggregate this to track the outsourcing hot path
-    #: (dominated by the batch Feistel permutation; see crypto.prp).
+    #: Benchmarks aggregate this to track the outsourcing hot path.  No
+    #: one stage dominates it: in perfbench's traced onboarding ledger
+    #: for 16 kB files the block permutation (crypto.prp) and the RS
+    #: encode (erasure.striping) lead, ahead of AES-CTR and MAC
+    #: tagging; on small files the permutation leads alone.
     setup_seconds: float = 0.0
 
 

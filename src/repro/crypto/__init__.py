@@ -5,7 +5,8 @@ block size is 128 bits as it is the size of an AES block").  No external
 crypto packages are available offline, so everything here is built from
 scratch on top of :mod:`hashlib`'s SHA-256:
 
-* :mod:`repro.crypto.aes` -- FIPS-197 AES-128/192/256 and CTR mode.
+* :mod:`repro.crypto.aes` -- FIPS-197 AES-128/192/256 and CTR mode;
+  with numpy, CTR encrypts all counter blocks of a call as one batch.
 * :mod:`repro.crypto.prf` -- HMAC-SHA256 pseudorandom function.
 * :mod:`repro.crypto.kdf` -- HKDF (extract-and-expand) key derivation.
 * :mod:`repro.crypto.mac` -- truncated HMAC tags (the paper uses 20-bit
@@ -15,7 +16,8 @@ scratch on top of :mod:`hashlib`'s SHA-256:
   permutation over an arbitrary domain ``[0, n)`` via cycle-walking,
   used to shuffle file blocks in the POR setup phase; the batch
   engine (``forward_many`` / ``permutation_table``) evaluates whole
-  permutations round-major and is the setup hot path.
+  permutations round-major and is the largest setup stage on small
+  files.
 * :mod:`repro.crypto.schnorr` -- Schnorr signatures over a Schnorr
   group; the verifier device signs its protocol transcripts.
 * :mod:`repro.crypto.rng` -- a deterministic HMAC-DRBG used wherever the

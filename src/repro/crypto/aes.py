@@ -1,4 +1,4 @@
-"""Pure-Python AES (FIPS-197) with CTR mode.
+"""AES (FIPS-197) with CTR mode, scalar and numpy-batched.
 
 The POR setup phase encrypts the error-corrected file with a symmetric
 cipher; the paper fixes the block size to 128 bits "as it is the size of
@@ -6,17 +6,29 @@ an AES block".  This is a from-scratch implementation of the AES block
 cipher for 128/192/256-bit keys plus counter mode, which is what a real
 deployment would use for bulk file encryption (no padding, seekable).
 
-Performance note: this is a table-driven byte-oriented implementation.
-It is *not* constant time and is not meant to resist side channels --
-the reproduction needs functional correctness (verified against FIPS-197
-and SP 800-38A test vectors in the test suite), not production speed.
-For bulk work the tests keep plaintexts small; the POR pipeline
-encrypts per 16-byte block.
+CTR mode has two paths that produce the same bytes:
+
+* **Scalar** -- :func:`_ctr_keystream` runs :meth:`AES.encrypt_block`,
+  a table-driven byte-oriented round loop, once per 16-byte counter
+  block.  It is the fallback when numpy is absent and the reference
+  the test suite pins to the FIPS-197 and SP 800-38A vectors.
+* **Vectorized** -- :func:`_ctr_xor_vec` builds every counter block of
+  one call as a ``(n_blocks, 16)`` uint8 array and runs each round as a
+  few whole-array gathers and XORs.  :func:`aes_ctr_encrypt` takes it
+  whenever :data:`repro.gf.gf256_vec.HAS_NUMPY` is set, so the setup
+  pipeline's step 3 and :func:`~repro.por.setup.extract_file`'s decrypt
+  encrypt a whole file in one batch.
+
+Neither path is constant time or meant to resist side channels; the
+reproduction needs functional correctness, not a hardened cipher.
 """
 
 from __future__ import annotations
 
+from typing import Any
+
 from repro.errors import InvalidKeyError
+from repro.gf import gf256_vec
 from repro.util.bitops import xor_bytes
 
 # ---------------------------------------------------------------------------
@@ -227,16 +239,60 @@ def _ctr_keystream(aes: AES, nonce: bytes, n_bytes: int) -> bytes:
     return bytes(out[:n_bytes])
 
 
+#: ShiftRows as a column permutation of the flat column-major state:
+#: output byte ``4c + r`` comes from input byte ``4((c + r) % 4) + r``.
+_SHIFT_ROWS = [4 * ((c + r) % 4) + r for c in range(4) for r in range(4)]
+
+
+def _ctr_xor_vec(aes: AES, nonce: bytes, plaintext: bytes) -> bytes:
+    """CTR-encrypt ``plaintext`` with every counter block in one numpy batch.
+
+    The same rounds as :meth:`AES.encrypt_block`, each lifted to a
+    ``(n_blocks, 16)`` uint8 state: SubBytes is one S-box gather,
+    ShiftRows one column permutation, MixColumns the xtime identity
+    ``a_i ^ t ^ 2(a_i ^ a_{i+1})`` with ``t`` the column's XOR, and
+    AddRoundKey a broadcast XOR.
+    """
+    import numpy as np
+
+    n_blocks = -(-len(plaintext) // 16)
+    # The 128-bit counter as two big-endian uint64 halves: the low half
+    # wraps mod 2^64 and carries into the high half, which wraps too.
+    lo0 = np.uint64(int.from_bytes(nonce[8:], "big"))
+    lo = lo0 + np.arange(n_blocks, dtype=np.uint64)
+    counters = np.empty((n_blocks, 2), dtype=">u8")
+    counters[:, 0] = np.uint64(int.from_bytes(nonce[:8], "big")) + (lo < lo0)
+    counters[:, 1] = lo
+    round_keys = np.array(aes._round_keys, dtype=np.uint8)
+    state: Any = counters.view(np.uint8) ^ round_keys[0]
+    sbox = np.frombuffer(_SBOX, dtype=np.uint8)
+    mul2 = np.frombuffer(_MUL2, dtype=np.uint8)
+    for r in range(1, aes._rounds + 1):
+        state = sbox[state][:, _SHIFT_ROWS]
+        if r < aes._rounds:
+            cols = state.reshape(n_blocks, 4, 4)
+            t = np.bitwise_xor.reduce(cols, axis=2, keepdims=True)
+            cols = cols ^ t ^ mul2[cols ^ np.roll(cols, -1, axis=2)]
+            state = cols.reshape(n_blocks, 16)
+        state = state ^ round_keys[r]
+    keystream = state.reshape(-1)[: len(plaintext)]
+    return (keystream ^ np.frombuffer(plaintext, dtype=np.uint8)).tobytes()
+
+
 def aes_ctr_encrypt(key: bytes, nonce: bytes, plaintext: bytes) -> bytes:
     """Encrypt ``plaintext`` with AES-CTR.
 
     ``nonce`` is the 16-byte initial counter block (SP 800-38A style).
     CTR mode needs no padding and is length-preserving, which keeps the
-    POR block accounting exact.
+    POR block accounting exact.  Runs the numpy batch kernel when
+    :data:`repro.gf.gf256_vec.HAS_NUMPY` is set (read per call), else
+    the scalar block loop; both produce the same bytes.
     """
     if len(nonce) != 16:
         raise InvalidKeyError(f"CTR nonce must be 16 bytes, got {len(nonce)}")
     aes = AES(key)
+    if gf256_vec.HAS_NUMPY:
+        return _ctr_xor_vec(aes, nonce, plaintext)
     return xor_bytes(plaintext, _ctr_keystream(aes, nonce, len(plaintext)))
 
 

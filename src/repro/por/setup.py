@@ -97,9 +97,10 @@ def setup_file(
 ) -> EncodedFile:
     """Run the full five-step setup, producing the uploadable ``F~``.
 
-    ``workers`` > 1 shards the Reed-Solomon encode (step 2, the data
-    plane's widest stage) across a process pool; the output is
-    byte-identical to the serial setup.
+    ``workers`` > 1 shards the Reed-Solomon encode (step 2, which with
+    step 4's permutation is one of the two largest stages on files of
+    tens of kB) across a process pool; the output is byte-identical to
+    the serial setup.
     """
     params = params or PORParams()
     block_bytes = params.block_bytes
@@ -116,7 +117,8 @@ def setup_file(
 
     # Step 3: encryption -> F''.  CTR keystream positions are indexed by
     # the block's pre-permutation position so decryption after
-    # un-permuting lines up.
+    # un-permuting lines up.  With numpy, aes_ctr_encrypt runs every
+    # counter block of the file through the rounds as one batch.
     nonce = _ctr_nonce(file_id)
     flat = b"".join(encoded_blocks)
     encrypted = aes_ctr_encrypt(keys.encryption_key, nonce, flat)

@@ -33,6 +33,7 @@ can run directly against a registry-selected backend.
 
 from __future__ import annotations
 
+import contextlib
 import os
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -195,9 +196,11 @@ class OnDiskStorage(StorageProvider):
     """Containers persisted to a real directory; served from RAM after load.
 
     One ``<file_id.hex()>.gpf`` file per container, written with
-    :meth:`~repro.por.file_format.EncodedFile.to_bytes`.  A second
-    process (or a restarted daemon) pointed at the same root sees the
-    same files.  An unreadable root or a corrupt container surfaces as
+    :meth:`~repro.por.file_format.EncodedFile.to_bytes` to a
+    ``.partial`` name and renamed into place, so a failed write leaves
+    no container behind.  A second process (or a restarted daemon)
+    pointed at the same root sees the same files.  An unreadable root
+    or a corrupt container surfaces as
     :class:`~repro.errors.StorageUnavailableError`, which the registry
     counts towards the backend's health.
     """
@@ -261,10 +264,15 @@ class OnDiskStorage(StorageProvider):
         path = self._path(file_id)
         if os.path.exists(path):
             raise ConfigurationError(f"file {file_id!r} already stored")
+        payload = encoded.to_bytes()
+        partial = path + ".partial"  # not a .gpf: file_ids() skips it
         try:
-            with open(path, "wb") as handle:
-                handle.write(encoded.to_bytes())
+            with open(partial, "wb") as handle:
+                handle.write(payload)
+            os.replace(partial, path)
         except OSError as exc:
+            with contextlib.suppress(OSError):
+                os.remove(partial)
             raise StorageUnavailableError(
                 f"backend {self.name!r} cannot write {path}: {exc}"
             ) from exc

@@ -3,8 +3,35 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.aes import AES, aes_ctr_decrypt, aes_ctr_encrypt
+from repro.crypto.aes import AES, _ctr_keystream, aes_ctr_decrypt, aes_ctr_encrypt
 from repro.errors import InvalidKeyError
+from repro.gf import gf256_vec
+from repro.util.bitops import xor_bytes
+
+#: The counter blocks of a three-block call that starts at all-ones: the
+#: 128-bit counter wraps to zero after the first block.
+WRAP_COUNTERS = [b"\xff" * 16, bytes(16), bytes(15) + b"\x01"]
+
+
+def _scalar_ctr(key: bytes, nonce: bytes, data: bytes) -> bytes:
+    """The scalar block loop, bypassing the HAS_NUMPY dispatch."""
+    return xor_bytes(data, _ctr_keystream(AES(key), nonce, len(data)))
+
+
+def _explicit_ctr(key: bytes, counters: list[bytes], data: bytes) -> bytes:
+    """CTR spelled out: ``data`` XOR ``E_K`` of each listed counter block."""
+    cipher = AES(key)
+    keystream = b"".join(cipher.encrypt_block(block) for block in counters)
+    return xor_bytes(data, keystream[: len(data)])
+
+
+@pytest.fixture(params=["scalar", "vector"])
+def ctr_path(request, monkeypatch):
+    """Run a test once per CTR path by setting the capability flag."""
+    if request.param == "vector" and not gf256_vec.HAS_NUMPY:
+        pytest.skip("vectorized CTR needs numpy")
+    monkeypatch.setattr(gf256_vec, "HAS_NUMPY", request.param == "vector")
+    return request.param
 
 
 class TestFIPSVectors:
@@ -75,6 +102,40 @@ class TestSP80038ACTR:
             == self.CIPHERTEXT[:10]
         )
 
+    def test_ctr_encrypt_vector_scalar_path(self, monkeypatch):
+        # The numpy lane takes the vectorized kernel above; pin the
+        # scalar fallback to the same vector too.
+        monkeypatch.setattr(gf256_vec, "HAS_NUMPY", False)
+        assert (
+            aes_ctr_encrypt(self.KEY, self.COUNTER, self.PLAINTEXT)
+            == self.CIPHERTEXT
+        )
+
+
+class TestCounterBoundaries:
+    """Known answers where the counter carries or wraps inside one call."""
+
+    KEY = bytes(range(16))
+
+    def test_low_half_carries_into_high_half(self, ctr_path):
+        high = bytes.fromhex("0123456789abcdef")
+        counters = [
+            high + ((1 << 64) - 2).to_bytes(8, "big"),
+            high + ((1 << 64) - 1).to_bytes(8, "big"),
+            bytes.fromhex("0123456789abcdf0") + bytes(8),
+            bytes.fromhex("0123456789abcdf0") + (1).to_bytes(8, "big"),
+        ]
+        data = bytes(range(56))  # 3.5 blocks: the last one is partial
+        assert aes_ctr_encrypt(self.KEY, counters[0], data) == _explicit_ctr(
+            self.KEY, counters, data
+        )
+
+    def test_all_ones_wraps_to_zero(self, ctr_path):
+        data = b"wrap" * 12
+        assert aes_ctr_encrypt(self.KEY, WRAP_COUNTERS[0], data) == _explicit_ctr(
+            self.KEY, WRAP_COUNTERS, data
+        )
+
 
 class TestValidation:
     def test_rejects_bad_key_length(self):
@@ -104,11 +165,25 @@ class TestProperties:
         assert aes_ctr_decrypt(key, nonce, aes_ctr_encrypt(key, nonce, data)) == data
 
     def test_ctr_counter_wraps(self):
-        # Near-max counter: incrementing must wrap modulo 2^128, not raise.
-        nonce = b"\xff" * 16
+        # Near-max counter: incrementing must wrap modulo 2^128, not raise,
+        # and the blocks after the wrap must be E(0), E(1).
+        nonce = WRAP_COUNTERS[0]
         data = b"x" * 48  # forces two increments past the wrap
         out = aes_ctr_encrypt(b"k" * 16, nonce, data)
+        assert out == _explicit_ctr(b"k" * 16, WRAP_COUNTERS, data)
         assert aes_ctr_decrypt(b"k" * 16, nonce, out) == data
+
+    @pytest.mark.skipif(not gf256_vec.HAS_NUMPY, reason="needs numpy")
+    @given(
+        st.sampled_from([16, 24, 32]).flatmap(
+            lambda n: st.binary(min_size=n, max_size=n)
+        ),
+        st.binary(min_size=16, max_size=16),
+        st.binary(max_size=1000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_vectorized_ctr_matches_scalar(self, key, nonce, data):
+        assert aes_ctr_encrypt(key, nonce, data) == _scalar_ctr(key, nonce, data)
 
     def test_different_keys_differ(self):
         block = b"\x00" * 16

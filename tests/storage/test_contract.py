@@ -1,5 +1,8 @@
 """StorageProvider contract: validate / exists / lookup across backends."""
 
+import errno
+import os
+
 import pytest
 
 from repro.errors import (
@@ -10,6 +13,7 @@ from repro.errors import (
 from repro.por.file_format import Segment
 from repro.por.parameters import TEST_PARAMS
 from repro.por.setup import setup_file
+from repro.storage import contract
 from repro.storage.contract import (
     InMemoryStorage,
     MAX_FILE_ID_BYTES,
@@ -161,6 +165,38 @@ class TestOnDiskStorage:
         (root / "README.txt").write_text("not a container")
         (root / "zz.gpf").write_bytes(b"")  # non-hex stem
         assert backend.file_ids() == [encoded.file_id]
+
+    def test_failed_write_leaves_nothing_behind(
+        self, encoded, tmp_path, monkeypatch
+    ):
+        class FullDisk:
+            """A writable handle on a disk that is out of space."""
+
+            def __init__(self, path, mode):
+                self._handle = open(path, mode)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self._handle.close()
+
+            def write(self, data):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        root = tmp_path / "full"
+        backend = OnDiskStorage("disk", str(root))
+        monkeypatch.setattr(contract, "open", FullDisk, raising=False)
+        with pytest.raises(StorageUnavailableError):
+            backend.put_file(encoded)
+        monkeypatch.undo()
+        assert os.listdir(root) == []
+        assert not OnDiskStorage("fresh", str(root)).exists(encoded.file_id)
+        backend.put_file(encoded)  # the retry is not "already stored"
+        reader = OnDiskStorage("reader", str(root))
+        assert reader.file_ids() == [encoded.file_id]
+        for segment in encoded.segments:
+            assert reader.lookup(encoded.file_id, segment.index).segment == segment
 
 
 class TestSimulatedHDDStorage:
