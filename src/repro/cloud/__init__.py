@@ -5,8 +5,9 @@ This package models the deployment of Fig. 4:
 * :mod:`repro.cloud.sla` -- the SLA's geographic clause and the timing
   budget derived from it.
 * :mod:`repro.cloud.provider` -- the cloud provider with one or more
-  data centres, each a located storage server on a LAN; honest
-  providers serve locally, dishonest ones relay (Fig. 6) or corrupt.
+  data centres, each a located simulated-HDD storage backend on a LAN;
+  honest providers serve locally, dishonest ones relay (Fig. 6) or
+  corrupt.
 * :mod:`repro.cloud.verifier` -- the tamper-proof, GPS-enabled
   verifier device on the provider's LAN; it runs the timed phase and
   signs transcripts.

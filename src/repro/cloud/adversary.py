@@ -1,8 +1,8 @@
 """Provider misbehaviour strategies.
 
-Each strategy implements ``handle_request(provider, file_id, index) ->
-ServeResult`` and is installed with
-:meth:`~repro.cloud.provider.CloudProvider.set_strategy`.  The elapsed
+Each strategy implements ``handle_request(provider, file_id, index)``,
+returns a :class:`~repro.storage.contract.ServeResult`, and is installed
+with :meth:`~repro.cloud.provider.CloudProvider.set_strategy`.  The elapsed
 time a strategy reports is what the verifier's clock will observe
 provider-side, so the physics of each attack lives here:
 
@@ -21,12 +21,13 @@ provider-side, so the physics of each attack lives here:
 
 from __future__ import annotations
 
-from repro.cloud.provider import CloudProvider, DataCentre, ServeResult
+from repro.cloud.provider import CloudProvider
 from repro.crypto.rng import DeterministicRNG
 from repro.errors import ConfigurationError
 from repro.geo.coords import haversine_km
 from repro.por.file_format import Segment
 from repro.storage.cache import LRUCache
+from repro.storage.contract import ServeResult
 from repro.util.validation import check_probability
 
 
@@ -73,7 +74,7 @@ class RelayAttack:
         remote = provider.datacentre(self.remote_name)
         distance_km = haversine_km(front.location, remote.location)
         flight_ms = provider.internet.rtt_ms(distance_km, rng=self._rng)
-        remote_result = remote.serve(file_id, index)
+        remote_result = remote.lookup(file_id, index)
         self.relayed_bytes += len(remote_result.segment.wire_bytes())
         return ServeResult(
             segment=remote_result.segment,
@@ -297,7 +298,7 @@ class CorruptionAttack:
     ) -> ServeResult:
         """Serve locally, corrupting payloads of the chosen index set."""
         datacentre = provider.datacentre(self.datacentre_name)
-        result = datacentre.serve(file_id, index)
+        result = datacentre.lookup(file_id, index)
         if index in self.corrupted_indices(provider, file_id):
             payload = bytearray(result.segment.payload)
             payload[0] ^= 0xFF  # single-byte rot: small but tag-fatal
@@ -351,12 +352,12 @@ class DeletionAttack:
         datacentre = provider.datacentre(self.datacentre_name)
         deleted = self.deleted_indices(provider, file_id)
         if index not in deleted:
-            return datacentre.serve(file_id, index)
+            return datacentre.lookup(file_id, index)
         n = datacentre.server.store.n_segments(file_id)
         substitute_index = next(
             i for i in range(n) if i not in deleted
         )
-        result = datacentre.serve(file_id, substitute_index)
+        result = datacentre.lookup(file_id, substitute_index)
         forged = Segment(
             index=index,
             payload=result.segment.payload,

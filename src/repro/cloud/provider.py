@@ -1,6 +1,8 @@
 """The cloud provider and its data centres.
 
-A :class:`DataCentre` is a located storage server.  A
+A :class:`DataCentre` is a located storage backend: a
+:class:`~repro.storage.contract.SimulatedHDDStorage` (the one storage
+contract, on a simulated disk) with a position on the globe.  A
 :class:`CloudProvider` owns one or more data centres and a *serving
 policy*: which data centre actually answers a segment request for a
 given file.  An honest provider serves from the data centre named in
@@ -8,41 +10,34 @@ the SLA; a dishonest one installs an
 :mod:`~repro.cloud.adversary` strategy that relays to a remote site,
 serves corrupted data, etc.
 
-Requests are answered with server-side *elapsed time* so the verifier's
-channel can convert them into observed RTTs on the shared simulated
-clock.
+Requests are answered with a :class:`~repro.storage.contract.ServeResult`
+carrying the server-side *elapsed time*, so the verifier's channel can
+convert them into observed RTTs on the shared simulated clock.
+Simulation code serves a data centre through
+:meth:`~repro.storage.contract.StorageProvider.lookup`; the provider's
+own :meth:`CloudProvider.handle_request` is the audit loop's entry.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.crypto.rng import DeterministicRNG
 from repro.errors import BlockNotFoundError, ConfigurationError
 from repro.geo.coords import GeoPoint, haversine_km
 from repro.netsim.latency import InternetModel
-from repro.por.file_format import EncodedFile, Segment
+from repro.por.file_format import EncodedFile
+from repro.storage.contract import ServeResult, SimulatedHDDStorage
 from repro.storage.hdd import HDDSpec, WD_2500JD
 from repro.storage.server import StorageServer
 
 
-@dataclass
-class ServeResult:
-    """A segment plus the provider-side time spent producing it."""
-
-    segment: Segment
-    elapsed_ms: float
-    served_by: str  # data centre name, for experiment accounting
-
-
-class DataCentre:
+class DataCentre(SimulatedHDDStorage):
     """A located storage site.
 
-    Each site normally gets its own private :class:`StorageServer`;
-    pass ``server`` to back several sites with one *shared* storage
-    array instead (the contended-spindle deployments the fleet's
-    ``spindles=`` option builds -- lookups from every attached site
-    then queue on the one spindle).
+    Each site normally gets its own private :class:`StorageServer`
+    with the given ``disk``; pass ``server`` to back several sites with
+    one *shared* storage array instead (the contended-spindle
+    deployments the fleet's ``spindles=`` option builds -- lookups from
+    every attached site then queue on the one spindle).
     """
 
     def __init__(
@@ -51,32 +46,12 @@ class DataCentre:
         location: GeoPoint,
         *,
         disk: HDDSpec = WD_2500JD,
-        cache_bytes: int = 0,
-        deterministic_disk: bool = True,
-        rng: DeterministicRNG | None = None,
         server: StorageServer | None = None,
     ) -> None:
-        self.name = name
+        super().__init__(
+            name, server=server if server is not None else StorageServer(disk)
+        )
         self.location = location
-        self.server = server if server is not None else StorageServer(
-            disk,
-            cache_bytes=cache_bytes,
-            deterministic=deterministic_disk,
-            rng=rng,
-        )
-
-    def store(self, encoded: EncodedFile) -> None:
-        """Ingest a file."""
-        self.server.store.put_file(encoded)
-
-    def serve(self, file_id: bytes, index: int) -> ServeResult:
-        """Look up a segment, charging disk time."""
-        result = self.server.lookup(file_id, index)
-        return ServeResult(
-            segment=result.segment,
-            elapsed_ms=result.elapsed_ms,
-            served_by=self.name,
-        )
 
 
 class CloudProvider:
@@ -125,7 +100,7 @@ class CloudProvider:
 
     def upload(self, encoded: EncodedFile, home_datacentre: str) -> None:
         """Store a file at its contractual home site."""
-        self.datacentre(home_datacentre).store(encoded)
+        self.datacentre(home_datacentre).put_file(encoded)
         self._home[encoded.file_id] = home_datacentre
 
     def home_of(self, file_id: bytes) -> DataCentre:
@@ -145,23 +120,8 @@ class CloudProvider:
         are forwarded to the new site.
         """
         source = self.home_of(file_id)
-        destination_dc = self.datacentre(destination)
-        encoded_segments = []
-        n = source.server.store.n_segments(file_id)
-        for index in range(n):
-            encoded_segments.append(source.server.store.get_segment(file_id, index))
-        # Rebuild the container at the destination with current segments.
-        meta = source.server.store.file_meta(file_id)
-        destination_dc.server.store.put_file(
-            EncodedFile(
-                file_id=file_id,
-                params=meta.params,
-                segments=encoded_segments,
-                original_length=meta.original_length,
-                n_data_blocks=meta.n_data_blocks,
-            )
-        )
-        source.server.store.delete_file(file_id)
+        self._copy(file_id, source, self.datacentre(destination))
+        source.delete_file(file_id)
         self._home[file_id] = destination
 
     def replicate_to(self, file_id: bytes, destination: str) -> None:
@@ -172,18 +132,30 @@ class CloudProvider:
         """
         source = self.home_of(file_id)
         destination_dc = self.datacentre(destination)
-        if destination_dc.server.store.has_file(file_id):
+        if destination_dc.exists(file_id):
             raise ConfigurationError(
                 f"{destination!r} already holds {file_id!r}"
             )
-        meta = source.server.store.file_meta(file_id)
-        n = source.server.store.n_segments(file_id)
-        destination_dc.server.store.put_file(
+        self._copy(file_id, source, destination_dc)
+
+    @staticmethod
+    def _copy(
+        file_id: bytes, source: DataCentre, destination: DataCentre
+    ) -> None:
+        """Rebuild a file's container at ``destination``.
+
+        The copy carries the source's *current* segments, so in-place
+        mutations (corruption, repair) travel with the data.
+        """
+        store = source.server.store
+        meta = store.file_meta(file_id)
+        destination.put_file(
             EncodedFile(
                 file_id=file_id,
                 params=meta.params,
                 segments=[
-                    source.server.store.get_segment(file_id, i) for i in range(n)
+                    store.get_segment(file_id, index)
+                    for index in range(store.n_segments(file_id))
                 ],
                 original_length=meta.original_length,
                 n_data_blocks=meta.n_data_blocks,
@@ -210,7 +182,7 @@ class CloudProvider:
         """
         if self._strategy is not None:
             return self._strategy.handle_request(self, file_id, index)
-        return self.home_of(file_id).serve(file_id, index)
+        return self.home_of(file_id).lookup(file_id, index)
 
     def internet_rtt_ms(self, a: DataCentre, b: DataCentre) -> float:
         """Provider-internal Internet RTT between two sites."""

@@ -18,7 +18,7 @@ only credited to site pairs farther apart than that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.cloud.provider import CloudProvider
 from repro.cloud.sla import SLAPolicy
@@ -85,7 +85,7 @@ class NearestCopyStrategy:
         holders = [
             provider.datacentre(name)
             for name in provider.datacentre_names()
-            if provider.datacentre(name).server.store.has_file(file_id)
+            if provider.datacentre(name).exists(file_id)
         ]
         if not holders:
             raise ConfigurationError(f"no data centre holds {file_id!r}")
@@ -93,13 +93,11 @@ class NearestCopyStrategy:
             holders,
             key=lambda dc: haversine_km(dc.location, self.requester_location),
         )
-        result = nearest.serve(file_id, index)
+        result = nearest.lookup(file_id, index)
         flight_km = haversine_km(nearest.location, self.requester_location)
         if flight_km > 1.0:
             # Serving from a remote copy pays Internet flight time on
             # top of the remote disk.
-            from dataclasses import replace
-
             result = replace(
                 result,
                 elapsed_ms=result.elapsed_ms

@@ -221,7 +221,7 @@ def rot_at_rest(
     seen_stores: set[int] = set()
     for name in provider.datacentre_names():
         server = provider.datacentre(name).server
-        if id(server) in seen_stores or not server.store.has_file(file_id):
+        if id(server) in seen_stores or not server.store.exists(file_id):
             continue
         seen_stores.add(id(server))
         n = server.store.n_segments(file_id)

@@ -113,8 +113,6 @@ from repro.obs.tracing import Span
 from repro.netsim.lanes import Lane
 from repro.netsim.resources import SpindleQueue
 from repro.por.parameters import PORParams, TEST_PARAMS
-from repro.service.registry import ProviderRegistry
-from repro.storage.contract import SimulatedHDDStorage
 from repro.storage.hdd import HDDSpec, WD_2500JD
 from repro.storage.server import StorageServer
 from repro.util.validation import check_positive
@@ -323,50 +321,6 @@ class AuditFleet:
         """All registered providers, in registration order."""
         return list(self._deployments)
 
-    def storage_registry(
-        self,
-        *,
-        unhealthy_after: int = 3,
-        probe_delay_ms: float = 1_000.0,
-        now_fn=None,
-    ) -> ProviderRegistry:
-        """Expose the fleet's storage plane as an elastic registry.
-
-        One :class:`~repro.storage.contract.SimulatedHDDStorage`
-        backend per (provider, site), named ``provider/site`` and
-        adopting that data centre's existing
-        :class:`~repro.storage.server.StorageServer` -- registry reads
-        hit the same segments (and the same shared spindles) the
-        simulation owns.  Each site's fallback chain is its provider's
-        *other* sites in registration order, so a sick site fails over
-        inside its provider and never across a trust boundary.
-
-        The circuit-breaker knobs pass straight through to
-        :class:`~repro.service.registry.ProviderRegistry`; tests pin
-        the health schedule by injecting ``now_fn``.
-        """
-        registry = ProviderRegistry(
-            unhealthy_after=unhealthy_after,
-            probe_delay_ms=probe_delay_ms,
-            now_fn=now_fn,
-        )
-        for provider_name, deployment in self._deployments.items():
-            sites = deployment.provider.datacentre_names()
-            for site in sites:
-                datacentre = deployment.provider.datacentre(site)
-                registry.add(
-                    SimulatedHDDStorage(
-                        f"{provider_name}/{site}",
-                        server=datacentre.server,
-                    ),
-                    fallbacks=tuple(
-                        f"{provider_name}/{other}"
-                        for other in sites
-                        if other != site
-                    ),
-                )
-        return registry
-
     # -- registration ----------------------------------------------------
 
     def register(
@@ -524,7 +478,7 @@ class AuditFleet:
             # Sites sharing one storage array already hold the bytes;
             # the replica record (verifier + site SLA) is still what
             # makes the copy *auditable* at that site.
-            if not destination.server.store.has_file(file_id):
+            if not destination.exists(file_id):
                 provider.replicate_to(file_id, name)
             sites[name] = ReplicaSite(
                 name=name,

@@ -152,28 +152,6 @@ class SpindleQueue:
             service_ms=service_ms,
         )
 
-    def acquire_batch(
-        self, arrival_ms: float, service_times_ms: list[float]
-    ) -> list[ServiceGrant]:
-        """Grant a group of lookups as one queue entry.
-
-        Batched challenge lookups from a single dispatch join the queue
-        *once*: the group waits behind the frontier together, then its
-        lookups are serviced back to back (only the first grant carries
-        a non-zero wait).  This is the batch-aware counterpart of
-        per-round :meth:`acquire` -- one head-of-line wait amortised
-        over the whole group.
-        """
-        grants: list[ServiceGrant] = []
-        at = arrival_ms
-        for service_ms in service_times_ms:
-            grant = self.acquire(at, service_ms)
-            grants.append(grant)
-            # Follow-on lookups of the group arrive exactly at the
-            # previous grant's completion: zero wait by construction.
-            at = grant.done_ms
-        return grants
-
     def utilization(self, span_ms: float) -> float:
         """Fraction of ``span_ms`` the spindle spent in service."""
         return self.busy_ms / span_ms if span_ms > 0 else 0.0

@@ -39,7 +39,7 @@ from repro.errors import (
     ConfigurationError,
     StorageUnavailableError,
 )
-from repro.storage.contract import ProviderLookup, StorageProvider
+from repro.storage.contract import ServeResult, StorageProvider
 
 #: Health states a backend moves through.
 HEALTHY = "healthy"
@@ -233,7 +233,7 @@ class ProviderRegistry:
 
     def serve_via(
         self, name: str, file_id: bytes, index: int
-    ) -> ProviderLookup:
+    ) -> ServeResult:
         """Serve one segment along ``name``'s failover chain.
 
         Tries each admitted backend in chain order.  Unavailability
@@ -268,7 +268,7 @@ class ProviderRegistry:
             f"segment {index} of {file_id!r}: " + "; ".join(reasons)
         )
 
-    def handle_request(self, file_id: bytes, index: int) -> ProviderLookup:
+    def handle_request(self, file_id: bytes, index: int) -> ServeResult:
         """Provider-shaped serve via the primary chain.
 
         This is what makes the registry itself usable as the

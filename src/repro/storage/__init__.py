@@ -7,15 +7,16 @@ fixes how far away the data can physically be.
 
 * :mod:`repro.storage.hdd` -- the three-term look-up latency model
   (seek + rotation + transfer) with the paper's Table I disk catalogue.
-* :mod:`repro.storage.cache` -- a RAM cache in front of the disk (the
-  adversarial prefetching ablation).
-* :mod:`repro.storage.backend` -- an object store holding encoded
-  files on a simulated disk.
-* :mod:`repro.storage.server` -- the storage server: lookup requests
-  advance the simulated clock by disk + queue time.
+* :mod:`repro.storage.cache` -- a byte-budgeted LRU cache: the
+  relaying adversary's front cache and the reference the economics
+  model's closed-form hit rates are checked against.
+* :mod:`repro.storage.contract` -- the one storage contract
+  (:class:`~repro.storage.contract.StorageProvider`) and its three
+  media: in RAM, on a real disk, and on a simulated spindle.
+* :mod:`repro.storage.server` -- the storage server: lookups cost
+  disk + queue time on an in-RAM segment store.
 """
 
-from repro.storage.backend import ObjectStore
 from repro.storage.cache import LRUCache
 from repro.storage.hdd import (
     DISK_CATALOGUE,
@@ -38,7 +39,6 @@ __all__ = [
     "WD_2500JD",
     "IBM_40GNX",
     "HITACHI_DK23DA",
-    "ObjectStore",
     "LRUCache",
     "StorageServer",
 ]

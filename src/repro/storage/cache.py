@@ -1,11 +1,12 @@
 """A byte-budgeted LRU cache.
 
-Used by the storage server to model RAM caching in front of the disk.
-Cache hits skip the seek+rotate cost entirely, which matters for the
-adversarial-prefetch ablation: a relaying provider could keep hot
-segments in RAM to beat the disk-latency term -- but the verifier draws
-challenge indices uniformly, so the hit rate is bounded by
-(cache size / file size), which the bench quantifies.
+The relaying adversary's front cache
+(:class:`~repro.cloud.adversary.PrefetchRelayAttack`): a hit is served
+from RAM at the front site and skips both the relay flight and the
+remote disk.  The verifier draws challenge indices uniformly, so the hit
+rate is bounded by (cache size / file size); the economics model's
+closed-form hit rates are checked against this cache
+(:func:`~repro.economics.cache_model.simulate_hit_rate`).
 """
 
 from __future__ import annotations

@@ -1,34 +1,39 @@
-"""The abstract storage-provider contract the service plane schedules over.
+"""The one storage contract every segment medium implements.
 
-The daemon does not care *where* segments live -- it needs three
-capabilities from a backend (the familiar cloud-provider shape:
-validate a path, answer existence queries, serve reads):
+The daemon's registry and the simulation's data centres serve segments
+through the same small interface (the familiar cloud-provider shape: a
+few abstract methods, defaults for the rest):
 
-* :meth:`StorageProvider.validate` -- check/normalise a file id before
-  it touches backend state;
-* :meth:`StorageProvider.exists` -- does a file (or one segment of it)
-  exist here;
-* :meth:`StorageProvider.lookup` -- serve one segment, reporting the
-  simulated time the read took.
+* :meth:`StorageProvider.validate` -- check a file id before it
+  touches backend state (concrete; fails closed);
+* ``exists``, ``lookup``, ``put_file``, ``delete_file`` and
+  ``file_ids`` -- the abstract media operations;
+* :meth:`StorageProvider.handle_request` -- the audit loop's serve
+  (``validate`` then ``lookup``), a default every backend inherits.
 
-Three implementations span the deployment spectrum:
+Every served segment comes back as a :class:`ServeResult`: the segment
+plus the simulated time the read took.  Errors split the way a
+failover chain needs them: a :class:`~repro.errors.BlockNotFoundError`
+is a data miss (surfaced, no health penalty), a
+:class:`~repro.errors.StorageUnavailableError` means the medium cannot
+serve right now (retried elsewhere, counted against its health).
 
-* :class:`InMemoryStorage` -- everything in RAM, zero simulated
-  latency.  The daemon benchmark's backend: it isolates protocol and
-  verification cost from media cost.
+Three media implement the contract:
+
+* :class:`InMemoryStorage` -- segments in RAM, zero simulated latency.
+  It is the daemon benchmark's backend, the segment store inside every
+  :class:`~repro.storage.server.StorageServer` and :class:`OnDiskStorage`,
+  and the one medium adversaries mutate
+  (:meth:`InMemoryStorage.overwrite_segment`).
 * :class:`OnDiskStorage` -- containers persisted to a real directory
   (one ``.gpf`` file per :class:`~repro.por.file_format.EncodedFile`),
   loaded lazily and served from memory afterwards.  Survives process
   restarts.
-* :class:`SimulatedHDDStorage` -- wraps the existing
-  :class:`~repro.storage.server.StorageServer` so lookups cost
-  seek + rotate + transfer exactly like a
-  :class:`~repro.cloud.provider.DataCentre` serve.
-
-Every provider also exposes ``handle_request(file_id, index)`` with the
-:class:`~repro.cloud.provider.CloudProvider` serve signature, so the
-verifier's audit loop (:meth:`~repro.cloud.verifier.VerifierDevice.run_audits`)
-can run directly against a registry-selected backend.
+* :class:`SimulatedHDDStorage` -- a named view over a
+  :class:`~repro.storage.server.StorageServer`, so lookups cost
+  seek + rotate + transfer (plus any shared-spindle queue wait).  A
+  :class:`~repro.cloud.provider.DataCentre` is this view with a
+  location.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ import contextlib
 import os
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.errors import (
     BlockNotFoundError,
@@ -44,8 +50,9 @@ from repro.errors import (
     StorageUnavailableError,
 )
 from repro.por.file_format import EncodedFile, Segment
-from repro.storage.hdd import HDDSpec, WD_2500JD
-from repro.storage.server import StorageServer
+
+if TYPE_CHECKING:
+    from repro.storage.server import StorageServer
 
 #: File ids longer than this are rejected by :meth:`StorageProvider.validate`
 #: (a service-facing bound: ids travel inside length-prefixed frames).
@@ -53,12 +60,8 @@ MAX_FILE_ID_BYTES = 256
 
 
 @dataclass(frozen=True, slots=True)
-class ProviderLookup:
-    """One served segment plus the simulated cost of serving it.
-
-    Duck-compatible with :class:`~repro.cloud.provider.ServeResult`
-    where the audit loop is concerned (``segment`` + ``elapsed_ms``).
-    """
+class ServeResult:
+    """One served segment plus the simulated cost of serving it."""
 
     segment: Segment
     elapsed_ms: float
@@ -100,7 +103,7 @@ class StorageProvider(ABC):
         """Is the file stored here (or, with ``index``, that segment)?"""
 
     @abstractmethod
-    def lookup(self, file_id: bytes, index: int) -> ProviderLookup:
+    def lookup(self, file_id: bytes, index: int) -> ServeResult:
         """Serve one segment; raises a ``StorageError`` on failure."""
 
     @abstractmethod
@@ -115,25 +118,34 @@ class StorageProvider(ABC):
     def file_ids(self) -> list[bytes]:
         """All file ids stored on this backend."""
 
-    # -- audit-loop compatibility ------------------------------------------
+    # -- audit-loop serve ------------------------------------------------------
 
-    def handle_request(self, file_id: bytes, index: int) -> ProviderLookup:
-        """:class:`~repro.cloud.provider.CloudProvider`-shaped serve."""
+    def handle_request(self, file_id: bytes, index: int) -> ServeResult:
+        """The verifier's serve: validate the id, then look it up."""
         return self.lookup(self.validate(file_id), index)
 
 
 class InMemoryStorage(StorageProvider):
     """All segments in RAM; lookups are free in simulated time.
 
-    The daemon benchmark backend.  Lookup results are memoized per
-    ``(file_id, index)`` -- segments are immutable, so the hot audit
-    path pays one dict probe per round.
+    Lookup results are memoized per ``(file_id, index)``, so the hot
+    audit path pays one dict probe per round; :meth:`overwrite_segment`
+    and :meth:`delete_file` drop the stale entries.  Readers that
+    charge their own time (the storage server) read through
+    :meth:`get_segment` and build no memo.
     """
 
     def __init__(self, name: str = "memory") -> None:
         super().__init__(name)
         self._files: dict[bytes, dict[int, Segment]] = {}
-        self._memo: dict[tuple[bytes, int], ProviderLookup] = {}
+        self._meta: dict[bytes, EncodedFile] = {}
+        self._memo: dict[tuple[bytes, int], ServeResult] = {}
+
+    def _require(self, file_id: bytes) -> dict[int, Segment]:
+        segments = self._files.get(file_id)
+        if segments is None:
+            raise BlockNotFoundError(f"no such file: {file_id!r}")
+        return segments
 
     def exists(self, file_id: bytes, index: int | None = None) -> bool:
         segments = self._files.get(file_id)
@@ -141,25 +153,40 @@ class InMemoryStorage(StorageProvider):
             return False
         return index is None or index in segments
 
-    def lookup(self, file_id: bytes, index: int) -> ProviderLookup:
-        memo = self._memo.get((file_id, index))
-        if memo is not None:
-            self.n_lookups += 1
-            return memo
-        segments = self._files.get(file_id)
-        if segments is None:
-            raise BlockNotFoundError(f"no such file: {file_id!r}")
-        segment = segments.get(index)
+    def get_segment(self, file_id: bytes, index: int) -> Segment:
+        """The stored segment; raises if the file or segment is missing."""
+        segment = self._require(file_id).get(index)
         if segment is None:
             raise BlockNotFoundError(
                 f"segment {index} of file {file_id!r} not stored"
             )
-        result = ProviderLookup(
-            segment=segment, elapsed_ms=0.0, served_by=self.name
-        )
-        self._memo[(file_id, index)] = result
+        return segment
+
+    def lookup(self, file_id: bytes, index: int) -> ServeResult:
+        result = self._memo.get((file_id, index))
+        if result is None:
+            result = ServeResult(
+                segment=self.get_segment(file_id, index),
+                elapsed_ms=0.0,
+                served_by=self.name,
+            )
+            self._memo[(file_id, index)] = result
         self.n_lookups += 1
         return result
+
+    def n_segments(self, file_id: bytes) -> int:
+        """Segment count of a stored file."""
+        return len(self._require(file_id))
+
+    def file_meta(self, file_id: bytes) -> EncodedFile:
+        """The :class:`EncodedFile` container a file was ingested with.
+
+        The container reflects upload-time contents; per-segment
+        mutations live in the segment map, so read :meth:`get_segment`
+        for current data.
+        """
+        self._require(file_id)
+        return self._meta[file_id]
 
     def put_file(self, encoded: EncodedFile) -> None:
         file_id = self.validate(encoded.file_id)
@@ -168,20 +195,21 @@ class InMemoryStorage(StorageProvider):
         self._files[file_id] = {
             segment.index: segment for segment in encoded.segments
         }
+        self._meta[file_id] = encoded
 
     def delete_file(self, file_id: bytes) -> None:
-        if file_id not in self._files:
-            raise BlockNotFoundError(f"no such file: {file_id!r}")
+        self._require(file_id)
         del self._files[file_id]
+        del self._meta[file_id]
         self._memo = {
             key: value for key, value in self._memo.items()
             if key[0] != file_id
         }
 
     def overwrite_segment(self, file_id: bytes, segment: Segment) -> None:
-        """Replace a segment in place (adversary/repair hook)."""
-        segments = self._files.get(file_id)
-        if segments is None or segment.index not in segments:
+        """Replace a stored segment in place (adversary/repair hook)."""
+        segments = self._require(file_id)
+        if segment.index not in segments:
             raise BlockNotFoundError(
                 f"segment {segment.index} of file {file_id!r} not stored"
             )
@@ -199,25 +227,23 @@ class OnDiskStorage(StorageProvider):
     :meth:`~repro.por.file_format.EncodedFile.to_bytes` to a
     ``.partial`` name and renamed into place, so a failed write leaves
     no container behind.  A second process (or a restarted daemon)
-    pointed at the same root sees the same files.  An unreadable root
-    or a corrupt container surfaces as
-    :class:`~repro.errors.StorageUnavailableError`, which the registry
-    counts towards the backend's health.
+    pointed at the same root sees the same files.  An unreadable root,
+    a corrupt container or a container filed under another file's name
+    surfaces as :class:`~repro.errors.StorageUnavailableError`, which
+    the registry counts towards the backend's health.
     """
 
     def __init__(self, name: str, root: str) -> None:
         super().__init__(name)
         self.root = root
         os.makedirs(root, exist_ok=True)
-        self._loaded: dict[bytes, dict[int, Segment]] = {}
+        self._loaded = InMemoryStorage(name)
 
     def _path(self, file_id: bytes) -> str:
         return os.path.join(self.root, file_id.hex() + ".gpf")
 
-    def _segments(self, file_id: bytes) -> dict[int, Segment]:
-        segments = self._loaded.get(file_id)
-        if segments is not None:
-            return segments
+    def _load(self, file_id: bytes) -> None:
+        """Parse a file's container into the RAM store."""
         path = self._path(file_id)
         if not os.path.exists(path):
             raise BlockNotFoundError(f"no such file: {file_id!r}")
@@ -232,37 +258,33 @@ class OnDiskStorage(StorageProvider):
             raise StorageUnavailableError(
                 f"backend {self.name!r} has a corrupt container at {path}"
             ) from exc
-        segments = {segment.index: segment for segment in encoded.segments}
-        self._loaded[file_id] = segments
-        return segments
+        if encoded.file_id != file_id:
+            raise StorageUnavailableError(
+                f"backend {self.name!r} has a corrupt container at {path}: "
+                f"it holds file {encoded.file_id!r}"
+            )
+        self._loaded.put_file(encoded)
 
     def exists(self, file_id: bytes, index: int | None = None) -> bool:
-        if file_id in self._loaded:
-            segments = self._loaded[file_id]
-        elif os.path.exists(self._path(file_id)):
+        if not self._loaded.exists(file_id):
+            if not os.path.exists(self._path(file_id)):
+                return False
             if index is None:
                 return True
-            segments = self._segments(file_id)
-        else:
-            return False
-        return index is None or index in segments
+            self._load(file_id)
+        return self._loaded.exists(file_id, index)
 
-    def lookup(self, file_id: bytes, index: int) -> ProviderLookup:
-        segments = self._segments(file_id)
-        segment = segments.get(index)
-        if segment is None:
-            raise BlockNotFoundError(
-                f"segment {index} of file {file_id!r} not stored"
-            )
+    def lookup(self, file_id: bytes, index: int) -> ServeResult:
+        if not self._loaded.exists(file_id):
+            self._load(file_id)
+        result = self._loaded.lookup(file_id, index)
         self.n_lookups += 1
-        return ProviderLookup(
-            segment=segment, elapsed_ms=0.0, served_by=self.name
-        )
+        return result
 
     def put_file(self, encoded: EncodedFile) -> None:
         file_id = self.validate(encoded.file_id)
         path = self._path(file_id)
-        if os.path.exists(path):
+        if self._loaded.exists(file_id) or os.path.exists(path):
             raise ConfigurationError(f"file {file_id!r} already stored")
         payload = encoded.to_bytes()
         partial = path + ".partial"  # not a .gpf: file_ids() skips it
@@ -276,13 +298,12 @@ class OnDiskStorage(StorageProvider):
             raise StorageUnavailableError(
                 f"backend {self.name!r} cannot write {path}: {exc}"
             ) from exc
-        self._loaded[file_id] = {
-            segment.index: segment for segment in encoded.segments
-        }
+        self._loaded.put_file(encoded)
 
     def delete_file(self, file_id: bytes) -> None:
+        if self._loaded.exists(file_id):
+            self._loaded.delete_file(file_id)
         path = self._path(file_id)
-        self._loaded.pop(file_id, None)
         if not os.path.exists(path):
             raise BlockNotFoundError(f"no such file: {file_id!r}")
         os.remove(path)
@@ -290,65 +311,46 @@ class OnDiskStorage(StorageProvider):
     def file_ids(self) -> list[bytes]:
         ids: list[bytes] = []
         for entry in sorted(os.listdir(self.root)):
-            if entry.endswith(".gpf"):
-                try:
-                    ids.append(bytes.fromhex(entry[: -len(".gpf")]))
-                except ValueError:
-                    continue  # foreign file in the root; not ours
+            if not entry.endswith(".gpf"):
+                continue
+            try:
+                file_id = bytes.fromhex(entry[: -len(".gpf")])
+            except ValueError:
+                continue  # foreign file in the root; not ours
+            # Only names _path() itself writes: ``bytes.fromhex`` also
+            # accepts upper case and spaces, which no id maps back to.
+            if file_id and file_id.hex() + ".gpf" == entry:
+                ids.append(file_id)
         return ids
 
 
 class SimulatedHDDStorage(StorageProvider):
-    """Lookups cost seek + rotate + transfer on a simulated spindle.
+    """A named view over a simulated disk: lookups cost disk time.
 
-    Thin adapter over :class:`~repro.storage.server.StorageServer`, so
-    the reported times match what a
-    :class:`~repro.cloud.provider.DataCentre` with the same disk spec
-    would report -- the registry can mix this with the RAM backends and
-    verdict timing stays honest.
+    Each lookup pays what the
+    :class:`~repro.storage.server.StorageServer` charges: seek +
+    rotate + transfer, plus the queue wait on a shared spindle.
+    Several views may share one server; they then serve the very
+    segments, and pay the very spindle, that the simulation owns.
     """
 
-    def __init__(
-        self,
-        name: str,
-        *,
-        disk: HDDSpec = WD_2500JD,
-        cache_bytes: int = 0,
-        server: StorageServer | None = None,
-    ) -> None:
+    def __init__(self, name: str, *, server: StorageServer) -> None:
         super().__init__(name)
-        # An existing server (e.g. a fleet data centre's) can be
-        # adopted so the registry serves the very segments -- and pays
-        # the very spindle -- that the simulation already owns.
-        self.server = (
-            server
-            if server is not None
-            else StorageServer(disk, cache_bytes=cache_bytes)
-        )
+        self.server = server
 
     def exists(self, file_id: bytes, index: int | None = None) -> bool:
-        store = self.server.store
-        if not store.has_file(file_id):
-            return False
-        if index is None:
-            return True
-        try:
-            store.get_segment(file_id, index)
-        except BlockNotFoundError:
-            return False
-        return True
+        return self.server.store.exists(file_id, index)
 
-    def lookup(self, file_id: bytes, index: int) -> ProviderLookup:
+    def lookup(self, file_id: bytes, index: int) -> ServeResult:
         result = self.server.lookup(file_id, index)
         self.n_lookups += 1
-        return ProviderLookup(
+        return ServeResult(
             segment=result.segment,
             elapsed_ms=result.elapsed_ms,
             served_by=self.name,
         )
 
     def put_file(self, encoded: EncodedFile) -> None:
-        self.validate(encoded.file_id)
         self.server.store.put_file(encoded)
 
     def delete_file(self, file_id: bytes) -> None:

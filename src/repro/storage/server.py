@@ -1,9 +1,11 @@
 """The storage server: lookups cost simulated disk time.
 
-A :class:`StorageServer` owns an :class:`~repro.storage.backend.ObjectStore`,
-an :class:`~repro.storage.hdd.HDDModel`, and an optional RAM cache.
-``lookup()`` returns both the segment and the *time the lookup took* --
-the Delta-t_L component of GeoProof's round-trip budget.
+A :class:`StorageServer` owns an
+:class:`~repro.storage.contract.InMemoryStorage` segment store and an
+:class:`~repro.storage.hdd.HDDModel`.  ``lookup()`` returns both the
+segment and the *time the lookup took* -- the Delta-t_L component of
+GeoProof's round-trip budget.  Every lookup costs exactly the
+datasheet seek + rotate + transfer (the paper's arithmetic).
 
 Design note: the server has two timing modes.
 
@@ -11,21 +13,19 @@ Design note: the server has two timing modes.
   advancing any clock, so the same server can sit behind different
   channels (LAN in the honest case, LAN + Internet relay in the attack
   case) whose protocol engines do their own time accounting.  This is
-  the single-session shape and the paper's arithmetic: every lookup
-  costs exactly seek + rotate + transfer.
+  the single-session shape.
 * **Shared/queued**: with a :class:`~repro.netsim.resources.SpindleQueue`
-  attached (:meth:`attach_spindle`) *and* a requester clock bound for
-  the duration of a batch (:meth:`timed_with`), the server becomes a
-  shared resource: each lookup presents its arrival time (read off the
-  bound clock) to the spindle queue and pays ``queue wait + seek +
-  rotate + transfer``.  Several audit lanes hitting one spindle then
-  contend realistically -- the wait is reported in the
-  :class:`LookupResult`, split out by :class:`ServeWindow`, and
-  classified on the requesting lane's clock
-  (:meth:`~repro.netsim.lanes.LaneClock.record_wait`).  With a
-  dedicated spindle (one requester) the wait is identically zero and
-  the two modes report the same numbers, which is what keeps the
-  fleet's slot-vs-event equivalence anchor intact.
+  passed as ``spindle`` *and* a requester clock bound for the duration
+  of a batch (:meth:`timed_with`), the server becomes a shared
+  resource: each lookup presents its arrival time (read off the bound
+  clock) to the spindle queue and pays ``queue wait + seek + rotate +
+  transfer``.  Several audit lanes hitting one spindle then contend
+  realistically -- the wait is reported in the :class:`LookupResult`,
+  split out by :class:`ServeWindow`, and classified on the requesting
+  lane's clock (:meth:`~repro.netsim.lanes.LaneClock.record_wait`).
+  With a dedicated spindle (one requester) the wait is identically
+  zero and the two modes report the same numbers, which is what keeps
+  the fleet's slot-vs-event equivalence anchor intact.
 """
 
 from __future__ import annotations
@@ -33,12 +33,9 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-from repro.crypto.rng import DeterministicRNG
-from repro.errors import BlockNotFoundError
 from repro.netsim.resources import SpindleQueue
 from repro.por.file_format import Segment
-from repro.storage.backend import ObjectStore
-from repro.storage.cache import LRUCache
+from repro.storage.contract import InMemoryStorage
 from repro.storage.hdd import HDDModel, HDDSpec, WD_2500JD
 
 
@@ -48,9 +45,8 @@ class LookupResult:
 
     segment: Segment
     elapsed_ms: float
-    cache_hit: bool
     #: Queue wait paid on a shared spindle (0 when the spindle is
-    #: dedicated, the lookup hit RAM, or the server is unqueued).
+    #: dedicated or the server is unqueued).
     wait_ms: float = 0.0
 
 
@@ -61,53 +57,26 @@ class StorageServer:
     ----------
     disk:
         The HDD spec (defaults to the paper's "average" WD 2500JD).
-    cache_bytes:
-        RAM cache capacity; 0 disables caching.
-    deterministic:
-        With True (default) every lookup costs exactly the datasheet
-        average (the paper's arithmetic); with False lookups are
-        sampled stochastically via ``rng``.
-    rng:
-        Randomness for stochastic lookups and queueing.
-    queue_delay_ms:
-        Fixed request-handling overhead per lookup (OS + controller).
     spindle:
         Optional :class:`~repro.netsim.resources.SpindleQueue` turning
         the server into a shared, queued resource (see the module
         docstring); share one queue between several servers' *sites*
-        by passing the same instance, or attach later with
-        :meth:`attach_spindle`.
+        by passing the same instance.
     """
 
     def __init__(
         self,
         disk: HDDSpec = WD_2500JD,
         *,
-        cache_bytes: int = 0,
-        deterministic: bool = True,
-        rng: DeterministicRNG | None = None,
-        queue_delay_ms: float = 0.0,
         spindle: SpindleQueue | None = None,
     ) -> None:
-        self.store = ObjectStore()
+        self.store = InMemoryStorage()
         self.disk = HDDModel(disk)
-        self.cache = LRUCache(cache_bytes) if cache_bytes > 0 else None
-        self.deterministic = deterministic
-        self._rng = rng
-        self.queue_delay_ms = queue_delay_ms
         self.spindle = spindle
         self._service_clock = None
         self.n_lookups = 0
         self.total_disk_ms = 0.0
-        self.total_serve_ms = 0.0
         self.total_wait_ms = 0.0
-
-    # -- shared-spindle mode --------------------------------------------
-
-    def attach_spindle(self, spindle: SpindleQueue) -> SpindleQueue:
-        """Put the server in shared/queued mode (see module docstring)."""
-        self.spindle = spindle
-        return spindle
 
     @contextmanager
     def timed_with(self, clock):
@@ -144,126 +113,17 @@ class StorageServer:
                 record(grant.wait_ms)
         return grant.wait_ms
 
-    # -- lookups ---------------------------------------------------------
-
-    def _cached_result(self, file_id: bytes, index: int) -> LookupResult | None:
-        """Answer from RAM (accounted), or ``None`` on a miss."""
-        if self.cache is None:
-            return None
-        cached = self.cache.get((file_id, index))
-        if cached is None:
-            return None
-        self.n_lookups += 1
-        self.total_serve_ms += self.queue_delay_ms
-        return LookupResult(
-            segment=Segment.from_wire(cached)[0],
-            elapsed_ms=self.queue_delay_ms,
-            cache_hit=True,
-        )
-
-    def _disk_ms(self, n_bytes: int) -> float:
-        """The seek + rotate + transfer cost of one media read."""
-        if self.deterministic or self._rng is None:
-            return self.disk.lookup_ms(n_bytes)
-        return self.disk.sample_lookup_ms(self._rng, n_bytes)
-
-    def _miss_result(
-        self, file_id: bytes, segment: Segment, disk_ms: float, wait_ms: float
-    ) -> LookupResult:
-        """Account one media read (plus any queue wait) and wrap it."""
+    def lookup(self, file_id: bytes, index: int) -> LookupResult:
+        """Fetch a segment, charging disk time plus any queue wait."""
+        segment = self.store.get_segment(file_id, index)
+        disk_ms = self.disk.lookup_ms(segment.size_bytes)
+        wait_ms = self._spindle_wait_ms(disk_ms)
         self.n_lookups += 1
         self.total_disk_ms += disk_ms
         self.total_wait_ms += wait_ms
-        self.total_serve_ms += self.queue_delay_ms + wait_ms + disk_ms
-        if self.cache is not None:
-            self.cache.put((file_id, segment.index), segment.wire_bytes())
         return LookupResult(
-            segment=segment,
-            elapsed_ms=self.queue_delay_ms + wait_ms + disk_ms,
-            cache_hit=False,
-            wait_ms=wait_ms,
+            segment=segment, elapsed_ms=wait_ms + disk_ms, wait_ms=wait_ms
         )
-
-    def lookup(self, file_id: bytes, index: int) -> LookupResult:
-        """Fetch a segment, accounting for disk, queue, or cache time."""
-        hit = self._cached_result(file_id, index)
-        if hit is not None:
-            return hit
-        segment = self.store.get_segment(file_id, index)
-        disk_ms = self._disk_ms(segment.size_bytes)
-        return self._miss_result(
-            file_id, segment, disk_ms, self._spindle_wait_ms(disk_ms)
-        )
-
-    def lookup_batch(
-        self, file_id: bytes, indices: list[int]
-    ) -> list[LookupResult]:
-        """Serve a group of lookups as one spindle queue entry.
-
-        Batch-aware service for *grouped* reads -- bulk staging,
-        repair or replication traffic metered outside the per-round
-        audit path (the timed challenge phase itself stays one
-        :meth:`lookup` per round, because the protocol times each
-        round individually): in shared/queued mode the whole group
-        joins the queue *once*, so the first miss pays the
-        head-of-line wait and the rest are serviced back to back
-        (:meth:`~repro.netsim.resources.SpindleQueue.acquire_batch`).
-        Unqueued, this degenerates to the per-lookup loop.  Cache hits
-        are answered from RAM before the group is sized, exactly as
-        :meth:`lookup` would.
-        """
-        if self.spindle is None or self._service_clock is None:
-            return [self.lookup(file_id, index) for index in indices]
-        results: list[LookupResult | None] = []
-        misses: list[tuple[int, Segment, float]] = []
-        for index in indices:
-            hit = self._cached_result(file_id, index)
-            if hit is not None:
-                results.append(hit)
-                continue
-            segment = self.store.get_segment(file_id, index)
-            results.append(None)
-            misses.append(
-                (len(results) - 1, segment, self._disk_ms(segment.size_bytes))
-            )
-        if misses:
-            grants = self.spindle.acquire_batch(
-                self._service_clock.now_ms(),
-                [disk_ms for _, _, disk_ms in misses],
-            )
-            record = getattr(self._service_clock, "record_wait", None)
-            for (slot, segment, disk_ms), grant in zip(misses, grants):
-                if grant.wait_ms > 0.0 and record is not None:
-                    record(grant.wait_ms)
-                results[slot] = self._miss_result(
-                    file_id, segment, disk_ms, grant.wait_ms
-                )
-        return results  # type: ignore[return-value]
-
-    def prefetch(self, file_id: bytes, indices: list[int]) -> int:
-        """Pull segments into RAM ahead of time (adversary tactic).
-
-        Returns how many segments ended up cached.  No time is charged:
-        the attack model lets the adversary warm its cache between
-        audits for free.
-        """
-        if self.cache is None:
-            return 0
-        cached = 0
-        for index in indices:
-            try:
-                segment = self.store.get_segment(file_id, index)
-            except BlockNotFoundError:
-                continue
-            self.cache.put((file_id, index), segment.wire_bytes())
-            cached += 1
-        return cached
-
-    @property
-    def mean_disk_ms(self) -> float:
-        """Average disk time per (non-cached) lookup so far."""
-        misses = self.n_lookups if self.cache is None else self.cache.misses
-        return self.total_disk_ms / misses if misses else 0.0
 
     def serve_window(self) -> "ServeWindow":
         """Meter the spindle across a block of lookups::
@@ -275,37 +135,27 @@ class StorageServer:
 
         The deltas separate pure disk time (seek + rotate + transfer,
         the part that serialises on one spindle) from queue wait (time
-        parked behind other lanes' service on a shared spindle) and
-        from total serve time (disk plus wait plus request overhead),
-        so a scheduling lane can tell how much of its busy interval
-        was spindle work, how much was contention, and how much was
-        LAN time.
+        parked behind other lanes' service on a shared spindle), so a
+        scheduling lane can tell how much of its busy interval was
+        spindle work, how much was contention, and how much was LAN
+        time.
         """
         return ServeWindow(self)
 
 
 class ServeWindow:
-    """Context manager capturing one server's serve-time deltas."""
+    """Context manager capturing one server's disk and wait deltas."""
 
     def __init__(self, server: StorageServer) -> None:
         self._server = server
-        self.lookups = 0
         self.disk_ms = 0.0
-        self.serve_ms = 0.0
         self.wait_ms = 0.0
 
     def __enter__(self) -> "ServeWindow":
-        self._mark = (
-            self._server.n_lookups,
-            self._server.total_disk_ms,
-            self._server.total_serve_ms,
-            self._server.total_wait_ms,
-        )
+        self._mark = (self._server.total_disk_ms, self._server.total_wait_ms)
         return self
 
     def __exit__(self, *exc_info) -> None:
-        n, disk, serve, wait = self._mark
-        self.lookups = self._server.n_lookups - n
+        disk, wait = self._mark
         self.disk_ms = self._server.total_disk_ms - disk
-        self.serve_ms = self._server.total_serve_ms - serve
         self.wait_ms = self._server.total_wait_ms - wait

@@ -55,8 +55,8 @@ class TestPlacement:
     def test_relocation_moves_data(self, provider):
         provider.relocate(b"prov-file", "syd")
         assert provider.home_of(b"prov-file").name == "syd"
-        assert not provider.datacentre("bne").server.store.has_file(b"prov-file")
-        assert provider.datacentre("syd").server.store.has_file(b"prov-file")
+        assert not provider.datacentre("bne").exists(b"prov-file")
+        assert provider.datacentre("syd").exists(b"prov-file")
 
     def test_relocated_file_serves_identically(self, provider):
         before = provider.handle_request(b"prov-file", 3).segment
@@ -79,7 +79,7 @@ class TestStrategy:
     def test_strategy_intercepts(self, provider):
         class Echo:
             def handle_request(self, prov, file_id, index):
-                from repro.cloud.provider import ServeResult
+                from repro.storage.contract import ServeResult
                 from repro.por.file_format import Segment
 
                 return ServeResult(

@@ -27,8 +27,8 @@ class TestReplicateTo:
         provider, encoded = two_site_provider
         provider.replicate_to(b"repl-file", "per")
         assert provider.home_of(b"repl-file").name == "syd"
-        assert provider.datacentre("per").server.store.has_file(b"repl-file")
-        assert provider.datacentre("syd").server.store.has_file(b"repl-file")
+        assert provider.datacentre("per").exists(b"repl-file")
+        assert provider.datacentre("syd").exists(b"repl-file")
 
     def test_copies_identical(self, two_site_provider):
         provider, encoded = two_site_provider

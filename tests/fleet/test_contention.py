@@ -53,7 +53,7 @@ class TestReplicatedPlacement:
         provider = fleet.provider("acme")
         for i in range(3):
             file_id = f"f-{i}".encode()
-            assert provider.datacentre("per").server.store.has_file(file_id)
+            assert provider.datacentre("per").exists(file_id)
             task = next(t for t in fleet.tasks() if t.file_id == file_id)
             assert task.replica_datacentres == ("per",)
 

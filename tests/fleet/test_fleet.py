@@ -343,7 +343,7 @@ class TestRegistration:
                 )
         assert fleet.n_files == 0
         store = fleet.provider("p").datacentre("bne").server.store
-        assert not store.has_file(b"f")
+        assert not store.exists(b"f")
         # The largest servable round count registers and runs.
         record = fleet.register(
             tenant="t", provider="p", datacentre="bne",

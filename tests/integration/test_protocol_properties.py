@@ -149,7 +149,7 @@ class TestTimingSoundness:
                 self.extra_ms = extra_ms
 
             def handle_request(self, provider, file_id, index):
-                result = provider.home_of(file_id).serve(file_id, index)
+                result = provider.home_of(file_id).lookup(file_id, index)
                 return dataclasses.replace(
                     result, elapsed_ms=result.elapsed_ms + self.extra_ms
                 )
@@ -169,7 +169,7 @@ class TestTimingSoundness:
 
         class DelayStrategy:
             def handle_request(self, provider, file_id, index):
-                result = provider.home_of(file_id).serve(file_id, index)
+                result = provider.home_of(file_id).lookup(file_id, index)
                 return dataclasses.replace(
                     result, elapsed_ms=result.elapsed_ms + delay_ms
                 )

@@ -83,21 +83,3 @@ class TestAccounting:
         spindle.acquire(0.0, 25.0)
         assert spindle.utilization(100.0) == 0.25
         assert spindle.utilization(0.0) == 0.0
-
-
-class TestAcquireBatch:
-    def test_single_head_of_line_wait(self):
-        """A grouped dispatch joins the queue once, then streams."""
-        spindle = SpindleQueue("s0")
-        spindle.acquire(0.0, 30.0)  # someone else holds the spindle
-        grants = spindle.acquire_batch(10.0, [5.0, 5.0, 5.0])
-        assert [g.wait_ms for g in grants] == [20.0, 0.0, 0.0]
-        assert [g.start_ms for g in grants] == [30.0, 35.0, 40.0]
-        assert spindle.free_at_ms == 45.0
-        # Only the head request counts as having waited.
-        assert spindle.n_waited == 1
-
-    def test_empty_batch_is_a_noop(self):
-        spindle = SpindleQueue("s0")
-        assert spindle.acquire_batch(5.0, []) == []
-        assert spindle.n_requests == 0

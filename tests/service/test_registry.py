@@ -16,7 +16,7 @@ from repro.errors import (
 )
 from repro.por.file_format import Segment
 from repro.service import HEALTHY, UNHEALTHY, ProviderRegistry
-from repro.storage.contract import ProviderLookup, StorageProvider
+from repro.storage.contract import ServeResult, StorageProvider
 
 FILE = b"file-a"
 
@@ -48,7 +48,7 @@ class ScriptedBackend(StorageProvider):
         if file_id not in self._files:
             raise BlockNotFoundError(f"{self.name} does not hold {file_id!r}")
         segment = Segment(index=index, payload=b"\x00" * 4, tag=b"\x00" * 2)
-        return ProviderLookup(
+        return ServeResult(
             segment=segment, elapsed_ms=0.0, served_by=self.name
         )
 

@@ -1,18 +1,23 @@
-"""StorageProvider contract: validate / exists / lookup across backends."""
+"""StorageProvider contract: one suite run against every medium."""
 
 import errno
 import os
+import shutil
 
 import pytest
 
+from repro.cloud.provider import DataCentre
+from repro.crypto.rng import DeterministicRNG
 from repro.errors import (
     BlockNotFoundError,
     ConfigurationError,
     StorageUnavailableError,
 )
-from repro.por.file_format import Segment
+from repro.geo.coords import GeoPoint
+from repro.por.file_format import EncodedFile, Segment
 from repro.por.parameters import TEST_PARAMS
-from repro.por.setup import setup_file
+from repro.por.setup import PORKeys, setup_file
+from repro.service import ProviderRegistry
 from repro.storage import contract
 from repro.storage.contract import (
     InMemoryStorage,
@@ -21,23 +26,45 @@ from repro.storage.contract import (
     SimulatedHDDStorage,
     StorageProvider,
 )
+from repro.storage.hdd import HDDModel, IBM_36Z15
 from repro.storage.server import StorageServer
 
-# Every test here pays a full POR setup in its fixtures: slow lane.
-pytestmark = pytest.mark.slow
+BRISBANE = GeoPoint(-27.4698, 153.0251, "Brisbane")
 
 
-@pytest.fixture
-def encoded(keys, sample_data):
-    return setup_file(sample_data, keys, b"contract-file", TEST_PARAMS)
+@pytest.fixture(scope="module")
+def encoded():
+    """One encoded container, built once: tests never mutate it."""
+    keys = PORKeys.derive(b"master-key-0123456789abcdef-fixture")
+    data = DeterministicRNG("contract-data").random_bytes(20_000)
+    return setup_file(data, keys, b"contract-file", TEST_PARAMS)
 
 
-def all_backends(tmp_path, name="backend"):
-    return [
-        InMemoryStorage(name),
-        OnDiskStorage(name, str(tmp_path / name)),
-        SimulatedHDDStorage(name),
-    ]
+def relabel(encoded, file_id):
+    """The same segments filed under another id."""
+    return EncodedFile(
+        file_id=file_id,
+        params=encoded.params,
+        segments=encoded.segments,
+        original_length=encoded.original_length,
+        n_data_blocks=encoded.n_data_blocks,
+    )
+
+
+MEDIA = {
+    "memory": lambda name, root: InMemoryStorage(name),
+    "disk": lambda name, root: OnDiskStorage(name, str(root / name)),
+    "hdd": lambda name, root: SimulatedHDDStorage(
+        name, server=StorageServer()
+    ),
+    "datacentre": lambda name, root: DataCentre(name, BRISBANE),
+}
+
+
+@pytest.fixture(params=sorted(MEDIA))
+def backend(request, tmp_path):
+    """A fresh, empty backend of each medium (its own test id)."""
+    return MEDIA[request.param]("backend", tmp_path)
 
 
 class TestValidate:
@@ -59,57 +86,62 @@ class TestValidate:
 
 
 class TestContractAcrossBackends:
-    def test_exists_and_lookup(self, encoded, tmp_path):
-        for backend in all_backends(tmp_path):
-            assert not backend.exists(encoded.file_id)
-            backend.put_file(encoded)
-            assert backend.exists(encoded.file_id)
-            assert backend.exists(encoded.file_id, 0)
-            assert not backend.exists(encoded.file_id, encoded.n_segments)
-            assert not backend.exists(b"ghost")
-            result = backend.lookup(encoded.file_id, 3)
-            assert result.segment == encoded.segments[3]
-            assert result.served_by == backend.name
-            assert result.elapsed_ms >= 0.0
-            assert backend.n_lookups == 1
+    def test_exists_and_lookup(self, backend, encoded):
+        assert not backend.exists(encoded.file_id)
+        backend.put_file(encoded)
+        assert backend.exists(encoded.file_id)
+        assert backend.exists(encoded.file_id, 0)
+        assert not backend.exists(encoded.file_id, encoded.n_segments)
+        assert not backend.exists(b"ghost")
+        result = backend.lookup(encoded.file_id, 3)
+        assert result.segment == encoded.segments[3]
+        assert result.served_by == backend.name
+        assert result.elapsed_ms >= 0.0
+        assert backend.n_lookups == 1
 
-    def test_missing_file_and_segment_raise(self, encoded, tmp_path):
-        for backend in all_backends(tmp_path):
-            backend.put_file(encoded)
-            with pytest.raises(BlockNotFoundError):
-                backend.lookup(b"ghost", 0)
-            with pytest.raises(BlockNotFoundError):
-                backend.lookup(encoded.file_id, encoded.n_segments)
+    def test_missing_file_and_segment_raise(self, backend, encoded):
+        backend.put_file(encoded)
+        with pytest.raises(BlockNotFoundError):
+            backend.lookup(b"ghost", 0)
+        with pytest.raises(BlockNotFoundError):
+            backend.lookup(encoded.file_id, encoded.n_segments)
+        assert backend.n_lookups == 0
 
-    def test_duplicate_put_rejected(self, encoded, tmp_path):
-        for backend in all_backends(tmp_path):
+    def test_duplicate_put_rejected(self, backend, encoded):
+        backend.put_file(encoded)
+        with pytest.raises(ConfigurationError):
             backend.put_file(encoded)
-            with pytest.raises(ConfigurationError):
-                backend.put_file(encoded)
 
-    def test_delete_file(self, encoded, tmp_path):
-        for backend in all_backends(tmp_path):
-            backend.put_file(encoded)
+    @pytest.mark.parametrize(
+        "bad", [b"", b"x" * (MAX_FILE_ID_BYTES + 1)], ids=["empty", "oversized"]
+    )
+    def test_put_validates_the_file_id(self, backend, encoded, bad):
+        with pytest.raises(ConfigurationError):
+            backend.put_file(relabel(encoded, bad))
+        assert backend.file_ids() == []
+
+    def test_delete_file(self, backend, encoded):
+        backend.put_file(encoded)
+        backend.delete_file(encoded.file_id)
+        assert not backend.exists(encoded.file_id)
+        assert backend.file_ids() == []
+        with pytest.raises(BlockNotFoundError):
+            backend.lookup(encoded.file_id, 0)
+        with pytest.raises(BlockNotFoundError):
             backend.delete_file(encoded.file_id)
-            assert not backend.exists(encoded.file_id)
-            assert backend.file_ids() == []
-            with pytest.raises(BlockNotFoundError):
-                backend.delete_file(encoded.file_id)
 
-    def test_file_ids(self, encoded, tmp_path):
-        for backend in all_backends(tmp_path):
-            backend.put_file(encoded)
-            assert backend.file_ids() == [encoded.file_id]
+    def test_file_ids(self, backend, encoded):
+        backend.put_file(encoded)
+        assert backend.file_ids() == [encoded.file_id]
 
-    def test_handle_request_serve_shape(self, encoded, tmp_path):
-        """The CloudProvider duck type the audit loop relies on."""
-        for backend in all_backends(tmp_path):
-            backend.put_file(encoded)
-            serve = backend.handle_request(encoded.file_id, 1)
-            assert serve.segment == encoded.segments[1]
-            assert serve.elapsed_ms >= 0.0
-            with pytest.raises(ConfigurationError):
-                backend.handle_request("not-bytes", 0)
+    def test_handle_request_serve_shape(self, backend, encoded):
+        """The CloudProvider serve shape the audit loop relies on."""
+        backend.put_file(encoded)
+        serve = backend.handle_request(encoded.file_id, 1)
+        assert serve.segment == encoded.segments[1]
+        assert serve.elapsed_ms >= 0.0
+        with pytest.raises(ConfigurationError):
+            backend.handle_request("not-bytes", 0)
 
 
 class TestInMemoryStorage:
@@ -158,12 +190,44 @@ class TestOnDiskStorage:
         with pytest.raises(StorageUnavailableError):
             fresh.lookup(encoded.file_id, 0)
 
+    def test_container_under_another_name_fails_over(self, encoded, tmp_path):
+        """A container filed under another file's name is corrupt.
+
+        Serving it would hand file-a's segments to a file-b audit, and
+        the verdict would blame the provider; refusing it as
+        unavailable lets the registry fail over instead.
+        """
+        root = tmp_path / "mislabeled"
+        OnDiskStorage("writer", str(root)).put_file(encoded)
+        other = relabel(encoded, b"file-b")
+        shutil.copy(
+            root / (encoded.file_id.hex() + ".gpf"),
+            root / (other.file_id.hex() + ".gpf"),
+        )
+        backend = OnDiskStorage("disk", str(root))
+        for _ in range(2):  # a retry must not get past the check either
+            with pytest.raises(StorageUnavailableError):
+                backend.lookup(other.file_id, 0)
+
+        registry = ProviderRegistry()
+        registry.add(OnDiskStorage("disk", str(root)), fallbacks=("ram",))
+        ram = InMemoryStorage("ram")
+        ram.put_file(other)
+        registry.add(ram)
+        result = registry.handle_request(other.file_id, 0)
+        assert result.served_by == "ram"
+        assert result.segment == other.segments[0]
+        assert registry.status("disk").n_failures == 1
+
     def test_foreign_files_ignored(self, encoded, tmp_path):
         root = tmp_path / "mixed"
         backend = OnDiskStorage("disk", str(root))
         backend.put_file(encoded)
         (root / "README.txt").write_text("not a container")
         (root / "zz.gpf").write_bytes(b"")  # non-hex stem
+        # Stems bytes.fromhex accepts but no file id maps back to.
+        for name in (".gpf", "AB.gpf", "ab cd.gpf"):
+            (root / name).write_bytes(b"")
         assert backend.file_ids() == [encoded.file_id]
 
     def test_failed_write_leaves_nothing_behind(
@@ -201,7 +265,7 @@ class TestOnDiskStorage:
 
 class TestSimulatedHDDStorage:
     def test_charges_server_disk_time(self, encoded):
-        backend = SimulatedHDDStorage("hdd")
+        backend = SimulatedHDDStorage("hdd", server=StorageServer())
         backend.put_file(encoded)
         reference = StorageServer()
         reference.store.put_file(encoded)
@@ -209,6 +273,27 @@ class TestSimulatedHDDStorage:
         result = backend.lookup(encoded.file_id, 0)
         assert result.elapsed_ms == expected.elapsed_ms
         assert result.elapsed_ms > 0.0
+
+    def test_views_share_one_server(self, encoded):
+        server = StorageServer()
+        first = SimulatedHDDStorage("first", server=server)
+        second = SimulatedHDDStorage("second", server=server)
+        first.put_file(encoded)
+        assert second.exists(encoded.file_id)
+        assert second.lookup(encoded.file_id, 0).served_by == "second"
+        assert server.n_lookups == 1
+
+
+class TestDataCentre:
+    def test_lookup_charges_site_disk_and_names_the_site(self, encoded):
+        site = DataCentre("syd", BRISBANE, disk=IBM_36Z15)
+        site.put_file(encoded)
+        result = site.lookup(encoded.file_id, 0)
+        assert result.served_by == "syd"
+        assert result.elapsed_ms == HDDModel(IBM_36Z15).lookup_ms(
+            result.segment.size_bytes
+        )
+        assert site.server.total_disk_ms == result.elapsed_ms
 
 
 class TestAuditOverContract:

@@ -1,8 +1,7 @@
-"""Storage server: lookup timing and caching."""
+"""Storage server: lookup timing, shared spindles and serve windows."""
 
 import pytest
 
-from repro.crypto.rng import DeterministicRNG
 from repro.por.parameters import TEST_PARAMS
 from repro.por.setup import setup_file
 from repro.storage.hdd import HDDModel, IBM_36Z15, WD_2500JD
@@ -26,7 +25,6 @@ class TestDeterministicLookup:
         result = server.lookup(b"srv", 0)
         expected = HDDModel(WD_2500JD).lookup_ms(result.segment.size_bytes)
         assert result.elapsed_ms == pytest.approx(expected)
-        assert not result.cache_hit
 
     def test_fast_disk_is_faster(self, keys, sample_data):
         slow = StorageServer(WD_2500JD)
@@ -36,69 +34,12 @@ class TestDeterministicLookup:
         fast.store.put_file(encoded)
         assert fast.lookup(b"srv", 0).elapsed_ms < slow.lookup(b"srv", 0).elapsed_ms
 
-    def test_queue_delay_added(self, keys, sample_data):
-        server = StorageServer(WD_2500JD, queue_delay_ms=1.5)
-        encoded = setup_file(sample_data, keys, b"srv", TEST_PARAMS)
-        server.store.put_file(encoded)
-        base = HDDModel(WD_2500JD).lookup_ms(
-            encoded.segments[0].size_bytes
-        )
-        assert server.lookup(b"srv", 0).elapsed_ms == pytest.approx(base + 1.5)
-
     def test_statistics(self, loaded_server):
         server, _ = loaded_server
         for i in range(5):
             server.lookup(b"srv", i)
         assert server.n_lookups == 5
-        assert server.mean_disk_ms > 0
-
-
-class TestStochasticLookup:
-    def test_varies_and_averages_out(self, keys, sample_data):
-        server = StorageServer(
-            WD_2500JD, deterministic=False, rng=DeterministicRNG("disk")
-        )
-        encoded = setup_file(sample_data, keys, b"srv", TEST_PARAMS)
-        server.store.put_file(encoded)
-        samples = [server.lookup(b"srv", i % encoded.n_segments).elapsed_ms for i in range(300)]
-        assert len(set(samples)) > 10
-        mean = sum(samples) / len(samples)
-        expected = HDDModel(WD_2500JD).lookup_ms(encoded.segments[0].size_bytes)
-        assert mean == pytest.approx(expected, rel=0.15)
-
-
-class TestCaching:
-    def test_cache_hit_skips_disk(self, keys, sample_data):
-        server = StorageServer(WD_2500JD, cache_bytes=10**6)
-        encoded = setup_file(sample_data, keys, b"srv", TEST_PARAMS)
-        server.store.put_file(encoded)
-        first = server.lookup(b"srv", 0)
-        second = server.lookup(b"srv", 0)
-        assert not first.cache_hit
-        assert second.cache_hit
-        assert second.elapsed_ms < first.elapsed_ms
-        assert second.segment == first.segment
-
-    def test_prefetch(self, keys, sample_data):
-        server = StorageServer(WD_2500JD, cache_bytes=10**6)
-        encoded = setup_file(sample_data, keys, b"srv", TEST_PARAMS)
-        server.store.put_file(encoded)
-        warmed = server.prefetch(b"srv", [0, 1, 2, 999999])
-        assert warmed == 3
-        assert server.lookup(b"srv", 1).cache_hit
-
-    def test_small_cache_bounded_hit_rate(self, keys, sample_data):
-        # Cache a tenth of the file; uniform random lookups should hit
-        # roughly a tenth of the time.
-        encoded = setup_file(sample_data, keys, b"srv", TEST_PARAMS)
-        segment_bytes = encoded.segments[0].wire_bytes()
-        cache_bytes = len(segment_bytes) * (encoded.n_segments // 10)
-        server = StorageServer(WD_2500JD, cache_bytes=cache_bytes)
-        server.store.put_file(encoded)
-        rng = DeterministicRNG("load")
-        for _ in range(2000):
-            server.lookup(b"srv", rng.randrange(encoded.n_segments))
-        assert server.cache.hit_rate < 0.2
+        assert server.total_disk_ms > 0
 
 
 class TestSharedSpindleMode:
@@ -172,44 +113,9 @@ class TestSharedSpindleMode:
         spindle.acquire(0.0, 50.0)
         clock = SimClock()
         with b.timed_with(clock), b.serve_window() as window:
-            b.lookup(b"f1", 0)
-        assert window.lookups == 1
+            result = b.lookup(b"f1", 0)
         assert window.wait_ms == pytest.approx(50.0)
-        assert window.disk_ms > 0
-        assert window.serve_ms == pytest.approx(window.wait_ms + window.disk_ms)
-
-    def test_lookup_batch_pays_one_head_of_line_wait(self, keys, sample_data):
-        from repro.netsim.clock import SimClock
-
-        spindle, (a, b) = self.make_shared(keys, sample_data)
-        spindle.acquire(0.0, 40.0)
-        clock = SimClock()
-        with b.timed_with(clock):
-            results = b.lookup_batch(b"f1", [0, 1, 2])
-        assert [r.wait_ms for r in results] == pytest.approx([40.0, 0.0, 0.0])
-        assert all(not r.cache_hit for r in results)
-        assert [r.segment.index for r in results] == [0, 1, 2]
-
-    def test_lookup_batch_unqueued_falls_back_to_loop(self, keys, sample_data):
-        server = StorageServer(WD_2500JD)
-        encoded = setup_file(sample_data, keys, b"srv", TEST_PARAMS)
-        server.store.put_file(encoded)
-        results = server.lookup_batch(b"srv", [0, 1])
-        assert len(results) == 2
-        assert all(r.wait_ms == 0.0 for r in results)
-
-    def test_lookup_batch_answers_cache_hits_from_ram(self, keys, sample_data):
-        from repro.netsim.clock import SimClock
-        from repro.netsim.resources import SpindleQueue
-
-        server = StorageServer(
-            WD_2500JD, cache_bytes=10**6, spindle=SpindleQueue("s")
+        assert window.disk_ms == HDDModel(WD_2500JD).lookup_ms(
+            result.segment.size_bytes
         )
-        encoded = setup_file(sample_data, keys, b"srv", TEST_PARAMS)
-        server.store.put_file(encoded)
-        clock = SimClock()
-        with server.timed_with(clock):
-            server.lookup(b"srv", 0)
-            results = server.lookup_batch(b"srv", [0, 1])
-        assert results[0].cache_hit and results[0].wait_ms == 0.0
-        assert not results[1].cache_hit
+        assert result.elapsed_ms == window.wait_ms + window.disk_ms
