@@ -1,4 +1,4 @@
-"""Design-choice ablations from DESIGN.md Section 6.
+"""Design-choice ablations and substrate costs.
 
 * max-RTT vs quantile-RTT verdicts under honest LAN jitter;
 * adversarial cache prefetching vs cache size;

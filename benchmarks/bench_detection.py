@@ -5,7 +5,7 @@ Paper (Section V-C): with 1,000,000 segments, 0.5 % corrupted and
 and irretrievability is < 1/200,000.  The exact formula gives 99.3 %
 at q = 1000 (71.3 % corresponds to q ~ 249); the bench reports the
 formula family, cross-checks it against live protocol simulation, and
-sweeps k (the rounds ablation from DESIGN.md).
+sweeps k (the number of audit rounds: detection vs audit duration).
 """
 
 import pytest

@@ -1,5 +1,5 @@
-"""Setuptools shim for environments whose pip/setuptools predate PEP 660
-editable installs.  All metadata lives in pyproject.toml."""
+"""Setuptools packaging for the repro package.  All metadata lives in
+this file; there is no pyproject.toml."""
 
 from setuptools import find_packages, setup
 
@@ -9,10 +9,14 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    # The core package is stdlib-only; numpy unlocks the vectorized
-    # GF(256)/Reed-Solomon data plane (repro.gf.gf256_vec).  Absence is
-    # detected at import (repro.gf.HAS_NUMPY) and every caller falls
-    # back to the byte-identical scalar path.
+    # networkx backs repro.netsim.topology (traceroute and the
+    # geolocation baselines).  It is imported on the first topology
+    # build, so the daemon, fleet and audit paths never load it.
+    install_requires=["networkx"],
+    # numpy unlocks the vectorized GF(256)/Reed-Solomon data plane
+    # (repro.gf.gf256_vec).  Absence is detected at import
+    # (repro.gf.HAS_NUMPY) and every caller falls back to the
+    # byte-identical scalar path.
     # The dev extra pulls the static-analysis toolchain the CI
     # static-analysis lane runs (repro lint itself is stdlib-only).
     extras_require={"fast": ["numpy"], "dev": ["mypy", "pytest"]},

@@ -20,7 +20,7 @@ Quickstart::
     outcome = session.audit(b"backup-2026")
     assert outcome.verdict.accepted
 
-Package layout (see DESIGN.md for the full inventory):
+Package layout (README.md's package map has the full inventory):
 
 * :mod:`repro.core` -- the GeoProof protocol: messages, timing
   calibration, TPA verification, session orchestration.

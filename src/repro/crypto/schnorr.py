@@ -185,7 +185,11 @@ def _generate_group(p_bits: int, q_bits: int, seed: int) -> SchnorrGroup:
     """Deterministically generate a (p, q, g) triple (DSA-style).
 
     Not FIPS 186 verifiable generation -- just a reproducible search for
-    a prime q, then a prime p = q*m + 1, then g = h^((p-1)/q).
+    a prime q, then a prime p = q*m + 1, then g = h^((p-1)/q), with
+    40-round Miller-Rabin on both primes.  Nothing runs it at import:
+    it is the reference the embedded ``TEST_GROUP``/``DEFAULT_GROUP``
+    literals are tested against, and benchmarks call it for groups of
+    other sizes.
     """
 
     def is_probable_prime(n: int, rounds: int = 40) -> bool:
@@ -251,14 +255,51 @@ def _generate_group(p_bits: int, q_bits: int, seed: int) -> SchnorrGroup:
     return group
 
 
+# The two groups are domain parameters: generated once, embedded as
+# literals, and only structurally validated at import (primality was
+# decided by the search that produced them).
+# tests/crypto/test_schnorr.py::TestGroupParameters pins each literal
+# to the ``_generate_group`` call it reproduces.
+
 # A small (insecure!) group for unit tests -- fast key generation and
-# signing.  Generated deterministically so tests are reproducible.
-TEST_GROUP = _generate_group(p_bits=512, q_bits=160, seed=0x47656F)
+# signing.  ``_generate_group(p_bits=512, q_bits=160, seed=0x47656F)``.
+TEST_GROUP = SchnorrGroup(
+    p=int(
+        "8000000000000000000000000000000000000000000000000000000000000000"
+        "000000000000000000000022827E25C9C08D4E30F328CC90E1206263F12565F9",
+        16,
+    ),
+    q=0x99B977BCEB6A86DD14B02F22A145BEE28FF9B475,
+    g=int(
+        "32615C3859592CFA626DA671DE2D78A431778A05F4365C2F516F1289B6995C83"
+        "4147B8341AB0BEC78FBF98F4502FA170DD325174A5408E3A95FDD96C9B8FF551",
+        16,
+    ),
+)
+TEST_GROUP.validate()
 
 # Default group for examples/benchmarks: moderate size keeps pure-Python
 # modexp affordable while being structurally identical to production
 # parameters.
-DEFAULT_GROUP = _generate_group(p_bits=1024, q_bits=256, seed=0x47656F50726F6F66)
+# ``_generate_group(p_bits=1024, q_bits=256, seed=0x47656F50726F6F66)``.
+DEFAULT_GROUP = SchnorrGroup(
+    p=int(
+        "8000000000000000000000000000000000000000000000000000000000000000"
+        "0000000000000000000000000000000000000000000000000000000000000000"
+        "000000000000000000000000000000000000000000000000000000000000018A"
+        "7A111D6142B79E9CA1709FF1FF57DEC08A13E5C3C6006B79FBAFB56E0395A78D",
+        16,
+    ),
+    q=0xAF05A099CEF60B770E90CA5B46BCC9DBA938C3355DE83CC62CCCC38860792F51,
+    g=int(
+        "46C895C0422145A60D67653CB3F9AFA3F755CF5BFC22007C48385675D111D413"
+        "EB97EBD6DBAC83BAF52AC6298A42CDAA6ECC92FDC14E35766F85315D8DB061A6"
+        "37F422B2AC11ABC34EC413485EEACDFAEA0BF422B43EC804353C56BB6EB1C99F"
+        "6248D7811B244E51F969374115D1D0C4C1A62E6C346E59591A21D6ADA956D859",
+        16,
+    ),
+)
+DEFAULT_GROUP.validate()
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,15 @@ targets *through* routers, and path latency is a sum of link latencies,
 not a straight-line formula.  :class:`NetworkTopology` wraps a
 :mod:`networkx` graph whose nodes carry geographic positions and whose
 edges carry latency models.
+
+networkx is imported on the first topology build, not with this
+module: the daemon, fleet and audit paths import :mod:`repro.netsim`
+but never build a topology, so they never pay for loading it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import networkx as nx
 
 from repro.crypto.rng import DeterministicRNG
 from repro.errors import ConfigurationError, SimulationError
@@ -52,6 +54,8 @@ class NetworkTopology:
     """A latency-weighted network graph."""
 
     def __init__(self) -> None:
+        import networkx as nx
+
         self._graph = nx.Graph()
         self._nodes: dict[str, Node] = {}
 
@@ -112,6 +116,8 @@ class NetworkTopology:
 
     def shortest_path(self, source: str, destination: str) -> list[str]:
         """Minimum-latency path (Dijkstra on link latencies)."""
+        import networkx as nx
+
         for name in (source, destination):
             if name not in self._nodes:
                 raise ConfigurationError(f"unknown node {name!r}")

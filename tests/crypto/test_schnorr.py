@@ -3,9 +3,11 @@
 import pytest
 
 from repro.crypto.schnorr import (
+    DEFAULT_GROUP,
     SchnorrGroup,
     SchnorrKeyPair,
     TEST_GROUP,
+    _generate_group,
     require_valid_signature,
     schnorr_sign,
     schnorr_verify,
@@ -20,7 +22,24 @@ def keypair():
 
 class TestGroupParameters:
     def test_test_group_valid(self):
-        TEST_GROUP.validate()
+        for group in (TEST_GROUP, DEFAULT_GROUP):
+            group.validate()
+
+    @pytest.mark.parametrize(
+        "group, p_bits, q_bits, seed",
+        [
+            pytest.param(TEST_GROUP, 512, 160, 0x47656F, id="TEST_GROUP"),
+            pytest.param(
+                DEFAULT_GROUP, 1024, 256, 0x47656F50726F6F66, id="DEFAULT_GROUP"
+            ),
+        ],
+    )
+    def test_embedded_group_is_generator_output(self, group, p_bits, q_bits, seed):
+        # Import only checks the literals' structure; their primality
+        # is decided here, by the generator's 40-round Miller-Rabin.
+        assert _generate_group(p_bits, q_bits, seed) == group
+        assert group.p.bit_length() == p_bits
+        assert group.q.bit_length() == q_bits
 
     def test_generator_has_order_q(self):
         assert pow(TEST_GROUP.g, TEST_GROUP.q, TEST_GROUP.p) == 1

@@ -56,7 +56,8 @@ class TestPaperArithmetic:
         two_gb = 2 * 2**30
         encoded = PAPER_PARAMS.encoded_blocks_jk(two_gb)
         # ceil(2^27 * 255/223) = 153,477,672; the paper prints
-        # 153,008,209 (see DESIGN.md note) -- within 0.4 % of it.
+        # 153,008,209, which its RS(255, 223) rate does not yield
+        # exactly -- within 0.4 % of it.
         assert encoded == 153_477_672
         assert abs(encoded - 153_008_209) / encoded < 0.005
 

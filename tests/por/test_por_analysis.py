@@ -36,7 +36,7 @@ class TestDetectionProbability:
         assert abs(hyper - binom) < 0.01
 
     def test_paper_figures(self):
-        """The paper's 71.3 % claim (see DESIGN.md note)."""
+        """The paper's 71.3 % claim fits no single reading of its numbers."""
         # Reading 1: eps = 0.5 %, q = 1000 -> 99.3 %, not 71.3 %.
         q1000 = detection_probability_binomial(0.005, 1000)
         assert 0.99 < q1000 < 0.995

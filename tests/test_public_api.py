@@ -1,7 +1,12 @@
-"""Public-API hygiene: exports resolve, everything public is documented."""
+"""Public-API hygiene: exports resolve, everything public is documented,
+and a cold import pays only for what the process runs."""
 
 import importlib
 import inspect
+import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -82,3 +87,55 @@ class TestDocumentation:
 
     def test_version_string(self):
         assert repro.__version__ == "1.0.0"
+
+
+# Run in a fresh interpreter: counts calls of the Schnorr group search
+# while importing the daemon and fleet entry points, then checks that
+# networkx arrives only with the first topology build.
+_COLD_IMPORT_PROBE = """
+import json
+import sys
+
+group_searches = 0
+
+
+def count_group_searches(frame, event, arg):
+    global group_searches
+    if event == "call" and frame.f_code.co_name == "_generate_group":
+        group_searches += 1
+
+
+sys.setprofile(count_group_searches)
+import repro
+import repro.fleet.demo
+import repro.service
+sys.setprofile(None)
+networkx_after_import = "networkx" in sys.modules
+
+from repro.netsim.topology import NetworkTopology
+
+NetworkTopology()
+print(json.dumps({
+    "group_searches": group_searches,
+    "networkx_after_import": networkx_after_import,
+    "networkx_after_topology": "networkx" in sys.modules,
+}))
+"""
+
+
+class TestColdImport:
+    def test_import_searches_no_group_and_loads_no_networkx(self):
+        src_dir = os.path.dirname(os.path.dirname(repro.__file__))
+        completed = subprocess.run(
+            [sys.executable, "-c", _COLD_IMPORT_PROBE],
+            env=dict(os.environ, PYTHONPATH=src_dir),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert json.loads(completed.stdout) == {
+            "group_searches": 0,
+            "networkx_after_import": False,
+            "networkx_after_topology": True,
+        }
