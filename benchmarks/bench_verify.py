@@ -1,12 +1,13 @@
 """Batch verification plane: throughput and equivalence CI gates.
 
 The TPA's verdict loop is the fleet's real-compute bottleneck: every
-audit costs a Schnorr verification (two modular exponentiations done
-naively) plus ``k`` HMAC tag checks.  The batch plane
+audit costs a path check and a Schnorr verification of its batch root
+plus ``k`` HMAC tag checks.  The batch plane
 (:func:`~repro.core.verification.verify_transcripts`) amortizes both --
-one random-linear-combination Schnorr check per verifier key on
-precomputed fixed-base tables, one HMAC key schedule per (key, file)
-group -- and this bench holds it to the two claims it ships under:
+each distinct root signature checked once, all of a verifier key's
+roots in one random-linear-combination check on precomputed
+fixed-base tables, one HMAC key schedule per (key, file) group -- and
+this bench holds it to the two claims it ships under:
 
 1. **Throughput.**  On an honest ``N_AUDITS``-audit population the
    batch plane must produce verdicts at least ``MIN_SPEEDUP`` times
@@ -15,7 +16,15 @@ group -- and this bench holds it to the two claims it ships under:
    population the batch verdict list must equal the scalar list
    *field for field* (including ``bad_mac_indices`` -- the exact
    culprit segments), with every tampered position identified.  The
-   equivalence gate is 1.0: a single diverging verdict fails CI.
+   equivalence gate is 1.0: a single diverging verdict fails CI.  The
+   population ends with one ``run_audits`` call's transcripts, all
+   under one signed root, some of them tampered.
+
+The honest population comes from the scalar ``run_audit`` oracle, one
+signed root per transcript, so the combined check still has one
+signature per audit to amortize.  The scalar loop's exact checks run
+through the same fixed-base tables, so the speedup sits well below
+what it was against the old square-and-multiply single verify.
 
 Runs standalone (no pytest needed) and doubles as the CI smoke bench::
 
@@ -77,6 +86,10 @@ REQUIRED_EQUIVALENCE = 1.0
 MIXED_POPULATION = 400
 MIXED_POPULATION_QUICK = 120
 
+#: Transcripts from one ``run_audits`` call appended to the mixed
+#: population: they share one signed root, and some are tampered.
+SHARED_ROOT_SLICE = 64
+
 BRISBANE = GeoPoint(-27.4698, 153.0251)
 
 #: Small segments: the bench measures verification arithmetic, not
@@ -97,24 +110,93 @@ def build_bench_session(seed: str) -> tuple:
     return session, b"bench-verify-file"
 
 
-def collect_jobs(session, file_id, n_audits: int) -> list:
-    """Run ``n_audits`` real protocol rounds; return verification jobs."""
+def _job(session, file_id, request, transcript) -> TranscriptVerification:
     record = session.tpa.record(file_id)
+    return TranscriptVerification(
+        transcript=transcript,
+        request=request,
+        verifier_public_key=session.verifier.public_key,
+        mac_key=record.mac_key,
+        params=record.params,
+        region=session.sla.region,
+        rtt_max_ms=session.sla.rtt_max_ms,
+    )
+
+
+def collect_jobs(session, file_id, n_audits: int) -> list:
+    """Run ``n_audits`` scalar protocol rounds, one signed root each."""
     jobs = []
     for _ in range(n_audits):
         request = session.tpa.make_request(file_id, K_ROUNDS)
         transcript = session.verifier.run_audit(request, session.provider)
-        jobs.append(
-            TranscriptVerification(
-                transcript=transcript,
-                request=request,
-                verifier_public_key=session.verifier.public_key,
-                mac_key=record.mac_key,
-                params=record.params,
-                region=session.sla.region,
-                rtt_max_ms=session.sla.rtt_max_ms,
+        jobs.append(_job(session, file_id, request, transcript))
+    return jobs
+
+
+def collect_shared_root_jobs(session, file_id, n_audits: int) -> list:
+    """One ``run_audits`` call: ``n_audits`` transcripts, one signed root."""
+    requests = [
+        session.tpa.make_request(file_id, K_ROUNDS) for _ in range(n_audits)
+    ]
+    runs = session.verifier.run_audits(requests, session.provider)
+    return [
+        _job(session, file_id, request, run.transcript)
+        for request, run in zip(requests, runs)
+    ]
+
+
+def _tamper_transcript(job, **changes):
+    return dataclasses.replace(
+        job, transcript=dataclasses.replace(job.transcript, **changes)
+    )
+
+
+def _tamper_proof(job, **changes):
+    proof = dataclasses.replace(job.transcript.proof, **changes)
+    return _tamper_transcript(job, proof=proof)
+
+
+def tamper_shared_root(jobs: list) -> list:
+    """Tamper every 8th transcript of a shared-root slice, in four shapes.
+
+    Each shape must fail only the transcripts it touches: a round's
+    timing, a segment byte, two swapped leaf positions, and the tree
+    size the root signature covers.
+    """
+    jobs = list(jobs)
+    for position in range(3, len(jobs) - 1, 8):
+        shape = (position // 8) % 4
+        job = jobs[position]
+        transcript = job.transcript
+        first = transcript.rounds[0]
+        if shape == 0:  # a faster round than was measured
+            faster = dataclasses.replace(first, rtt_ms=first.rtt_ms / 2)
+            jobs[position] = _tamper_transcript(
+                job, rounds=(faster,) + transcript.rounds[1:]
             )
-        )
+        elif shape == 1:  # one segment byte flipped
+            segment = first.segment
+            flipped = dataclasses.replace(
+                segment,
+                payload=bytes([segment.payload[0] ^ 1]) + segment.payload[1:],
+            )
+            jobs[position] = _tamper_transcript(
+                job,
+                rounds=(dataclasses.replace(first, segment=flipped),)
+                + transcript.rounds[1:],
+            )
+        elif shape == 2:  # two transcripts' leaf positions swapped
+            mine, theirs = transcript.proof, jobs[position + 1].transcript.proof
+            jobs[position] = _tamper_proof(
+                job, leaf_index=theirs.leaf_index, path=theirs.path
+            )
+            jobs[position + 1] = _tamper_proof(
+                jobs[position + 1], leaf_index=mine.leaf_index, path=mine.path
+            )
+        else:  # the root signature read against another tree size
+            jobs[position] = _tamper_proof(
+                job, n_leaves=transcript.proof.n_leaves + 1
+            )
     return jobs
 
 
@@ -197,7 +279,10 @@ def build_mixed_population(seed: str, n_jobs: int) -> list:
             jobs[position] = corrupted[(position // 10) % len(corrupted)]
         else:  # timing violation
             jobs[position] = dataclasses.replace(job, rtt_max_ms=1e-6)
-    return jobs
+    session.provider.set_strategy(None)
+    return jobs + tamper_shared_root(
+        collect_shared_root_jobs(session, file_id, SHARED_ROOT_SLICE)
+    )
 
 
 def measure_equivalence(jobs: list) -> dict:

@@ -7,7 +7,8 @@ data."
 
 The TPA issues :class:`~repro.core.messages.AuditRequest`s to the
 verifier device, verifies the signed transcripts it gets back, and
-keeps an audit log for compliance reporting.
+keeps a bounded log of recent outcomes plus exact counters for
+compliance reporting.
 
 Every audit, whatever its entry point, runs through one protocol body
 and one verdict body:
@@ -17,8 +18,8 @@ and one verdict body:
   :meth:`~repro.cloud.verifier.VerifierDevice.run_audits` call;
 * :meth:`ThirdPartyAuditor._settle` verifies the transcripts in one
   :func:`~repro.core.verification.verify_transcripts` batch (shared MAC
-  key schedules, one Schnorr random-linear-combination check per
-  verifier key), logs each outcome and updates the obs series.
+  key schedules, one Schnorr check per distinct batch root), logs each
+  outcome and updates the obs series.
 
 :meth:`ThirdPartyAuditor.audit` is a batch of one, settled at once.
 :meth:`ThirdPartyAuditor.audit_deferred` and
@@ -50,6 +51,11 @@ from repro.core.verification import (
 from repro.crypto.rng import DeterministicRNG
 from repro.errors import ConfigurationError
 from repro.por.parameters import PORParams
+
+#: Outcomes :attr:`ThirdPartyAuditor.audit_log` keeps by default.  The
+#: log is always a ring: a daemon that audits for days holds the most
+#: recent outcomes, never its whole history.
+AUDIT_LOG_LIMIT = 1024
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,27 +99,25 @@ class _PendingAudit:
 class ThirdPartyAuditor:
     """Drives GeoProof audits on behalf of data owners.
 
-    ``max_log`` bounds :attr:`audit_log` to a ring buffer of the most
-    recent outcomes (month-long fleet campaigns would otherwise hold
-    every transcript in RAM).  The aggregate reports --
+    :attr:`audit_log` is a ring buffer of the ``max_log`` most recent
+    outcomes (default :data:`AUDIT_LOG_LIMIT`); a daemon or a
+    month-long fleet campaign would otherwise hold every transcript in
+    RAM.  There is no unbounded mode.  The aggregate reports --
     :meth:`acceptance_rate` and :meth:`failures_by_reason` -- are
     computed from exact streaming counters updated as outcomes are
     logged, so they cover the *full* audit history even after the ring
-    has evicted the underlying outcomes.  With the default
-    ``max_log=None`` the log is a plain unbounded list.
+    has evicted the underlying outcomes.
     """
 
     def __init__(
-        self, name: str, rng: DeterministicRNG, *, max_log: int | None = None
+        self, name: str, rng: DeterministicRNG, *, max_log: int = AUDIT_LOG_LIMIT
     ) -> None:
-        if max_log is not None and max_log < 1:
+        if max_log is None or max_log < 1:
             raise ConfigurationError(f"max_log must be >= 1, got {max_log}")
         self.name = name
         self._rng = rng
         self._files: dict[bytes, FileRecord] = {}
-        self.audit_log: list[AuditOutcome] | deque[AuditOutcome] = (
-            [] if max_log is None else deque(maxlen=max_log)
-        )
+        self.audit_log: deque[AuditOutcome] = deque(maxlen=max_log)
         self._pending: list[_PendingAudit] = []
         self._n_logged = 0
         self._n_accepted = 0
@@ -354,7 +358,7 @@ class ThirdPartyAuditor:
         """Fraction of all logged audits that were accepted.
 
         Counted over the full audit history (exact even after ring
-        eviction under ``max_log``).  By convention an empty log is
+        eviction).  By convention an empty log is
         ``0.0`` -- a TPA that has never audited has proven nothing, so
         reports must not read as a perfect record.
         """

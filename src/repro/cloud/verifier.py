@@ -16,6 +16,14 @@ The device:
 * reads its GPS fix and signs ``R = (Delta-t*, c, segments, N, Pos_V)``
   with its private key.
 
+Signing is per batch, not per transcript: the payloads of one
+:meth:`VerifierDevice.run_audits` call become the leaves of one
+:class:`~repro.por.merkle.MerkleTree`, the device signs
+:func:`~repro.core.messages.batch_root_message` over its root once,
+and each transcript carries that signature plus its own
+:class:`~repro.core.messages.BatchProof`.  A tree never spans two
+calls, so the device only ever signs bytes it measured itself.
+
 The device does *not* know the MAC key and cannot judge segment
 correctness -- that separation is deliberate in the paper (the TPA
 verifies content; the device only attests timing and position).
@@ -30,23 +38,33 @@ the equivalence tests and benches pin ``run_audits`` against it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from repro.cloud.provider import CloudProvider
-from repro.core.messages import AuditRequest, SignedTranscript, TimedRound
+from repro.core.messages import (
+    TRANSCRIPT_MAGIC,
+    AuditRequest,
+    BatchProof,
+    SignedTranscript,
+    TimedRound,
+    batch_root_message,
+)
 from repro.crypto.rng import DeterministicRNG
 from repro.crypto.schnorr import (
     SchnorrKeyPair,
     SchnorrPublicKey,
     schnorr_sign,
-    schnorr_sign_many,
+    # Unused here, but perfbench/tracing.py patches it by name on this
+    # module, so it must stay importable from repro.cloud.verifier.
+    schnorr_sign_many,  # noqa: F401
 )
 from repro.errors import ConfigurationError
 from repro.geo.coords import GeoPoint
 from repro.geo.gps import GPSReceiver
 from repro.netsim.clock import SimClock
 from repro.netsim.latency import LANModel
+from repro.por.merkle import MerkleTree
 from repro.util.serialization import (
     encode_float,
     encode_length_prefixed,
@@ -102,6 +120,25 @@ class VerifierDevice:
         """The key the TPA uses to verify transcripts."""
         return self.keypair.public
 
+    def _sign_batch(
+        self, payloads: list[bytes]
+    ) -> tuple[list[BatchProof], tuple[int, int]]:
+        """One signature over a tree of ``payloads``; one proof per leaf.
+
+        Signs with the key held at call time (a caller may swap
+        ``keypair`` after the device is built).
+        """
+        tree = MerkleTree(payloads)
+        root, n_leaves = tree.root, len(payloads)
+        signature = schnorr_sign(
+            self.keypair.private, batch_root_message(root, n_leaves)
+        )
+        proofs = [
+            BatchProof(root, n_leaves, index, tuple(tree.proof(index)))
+            for index in range(n_leaves)
+        ]
+        return proofs, signature
+
     # -- the GeoProof protocol, verifier side ------------------------------
 
     def generate_challenge(
@@ -124,7 +161,8 @@ class VerifierDevice:
     ) -> SignedTranscript:
         """Run the timed phase and return the signed transcript R.
 
-        The scalar reference oracle for :meth:`run_audits`.  Per round
+        The scalar reference oracle for :meth:`run_audits`, signed as a
+        batch of one.  Per round
         j: send index ``c_j`` over the LAN, the provider produces the
         segment (disk and/or relay time), the response crosses the LAN
         back; ``Delta-t_j`` is the whole round trip as seen by the
@@ -170,23 +208,17 @@ class VerifierDevice:
                 )
             )
         fix = self.gps.read_fix()
-        transcript = SignedTranscript(
+        unsigned = SignedTranscript(
             device_id=self.device_id,
             file_id=request.file_id,
             nonce=request.nonce,
             rounds=tuple(rounds),
             position=fix.position,
-            signature=(0, 0),  # placeholder until signed below
+            proof=BatchProof(b"", 0, 0, ()),  # placeholders until signed below
+            signature=(0, 0),
         )
-        signature = schnorr_sign(self.keypair.private, transcript.signed_payload())
-        return SignedTranscript(
-            device_id=transcript.device_id,
-            file_id=transcript.file_id,
-            nonce=transcript.nonce,
-            rounds=transcript.rounds,
-            position=transcript.position,
-            signature=signature,
-        )
+        (proof,), signature = self._sign_batch([unsigned.signed_payload()])
+        return replace(unsigned, proof=proof, signature=signature)
 
     def run_audits(
         self,
@@ -210,9 +242,13 @@ class VerifierDevice:
           derivation is exact);
         * LAN delay terms that do not depend on the draw (propagation,
           switching, serialisation) are precomputed per payload size;
-        * signed payloads are encoded once, inline, and every signature
-          comes from one :func:`~repro.crypto.schnorr.schnorr_sign_many`
-          call over the amortized fixed-base table.
+        * signed payloads are encoded once, inline, and the whole call
+          is signed once: the payloads are the leaves of one hash tree
+          and the device signs its root (see :meth:`_sign_batch`).
+
+        Payloads, clocks and verdicts match the scalar loop; only the
+        proof and the signature differ, because a batch of n is one
+        tree of n leaves where the loop signs n trees of one.
 
         Returns one :class:`AuditRun` per request with the same
         started/finished clock readings the scalar protocol loop
@@ -220,6 +256,8 @@ class VerifierDevice:
         not advance the clock, exactly like the scalar path where
         signing is TPA-invisible arithmetic).
         """
+        if not requests:
+            return []
         clock = clock if clock is not None else self.clock
         shared_rng = rng or self._rng
         if shared_rng is not None:
@@ -265,9 +303,7 @@ class VerifierDevice:
         handle_request = provider.handle_request
         now_ms = clock.now_ms
         advance = clock.advance
-        device_prefix = b"geoproof-transcript-v1" + encode_length_prefixed(
-            self.device_id
-        )
+        device_prefix = TRANSCRIPT_MAGIC + encode_length_prefixed(self.device_id)
         file_prefix: dict[bytes, bytes] = {}
 
         runs: list[AuditRun] = []
@@ -351,9 +387,9 @@ class VerifierDevice:
                 (request, tuple(rounds), fix.position, started_ms, finished_ms)
             )
 
-        signatures = schnorr_sign_many(self.keypair.private, payloads)
-        for (request, rounds_tuple, position_fix, started_ms, finished_ms), payload, signature in zip(
-            partial, payloads, signatures
+        proofs, signature = self._sign_batch(payloads)
+        for (request, rounds_tuple, position_fix, started_ms, finished_ms), payload, proof in zip(
+            partial, payloads, proofs
         ):
             transcript = SignedTranscript(
                 device_id=self.device_id,
@@ -361,6 +397,7 @@ class VerifierDevice:
                 nonce=request.nonce,
                 rounds=rounds_tuple,
                 position=position_fix,
+                proof=proof,
                 signature=signature,
             )
             # Seed the payload memo: the TPA's verify plane and the

@@ -10,9 +10,16 @@ Three message types cross the wire:
 3. :class:`SignedTranscript` -- V -> TPA: the paper's
    ``R = Sign_SK(Delta-t*, c, {S_cj}, N, Pos_V)``.
 
-Everything that is signed has a canonical byte encoding
-(:meth:`SignedTranscript.signed_payload`); the TPA recomputes it and
-verifies the Schnorr signature over exactly those bytes.
+Every transcript has a canonical byte encoding
+(:meth:`SignedTranscript.signed_payload`).  The device does not sign
+each payload on its own: the payloads of one protocol batch are the
+leaves of a :class:`~repro.por.merkle.MerkleTree`, and the device signs
+:func:`batch_root_message` -- a domain tag, the tree size and the root
+-- once per batch.  Each transcript carries that signature plus its
+:class:`BatchProof` (root, size, leaf index, authentication path).
+The TPA recomputes the payload, walks the path to the root and
+verifies the root signature, so a signature and a collision-resistant
+path together authenticate exactly the bytes the device measured.
 """
 
 from __future__ import annotations
@@ -36,7 +43,12 @@ from repro.util.serialization import (
 _M = TypeVar("_M")
 
 #: Leading magic of every signed transcript payload (and wire encoding).
-TRANSCRIPT_MAGIC = b"geoproof-transcript-v1"
+TRANSCRIPT_MAGIC = b"geoproof-transcript-v2"
+
+#: Domain tag of the one message a verifier device signs per batch.
+BATCH_ROOT_TAG = b"geoproof-batch-root-v1"
+
+_DIGEST_BYTES = 32  # SHA-256: every Merkle root and sibling
 
 
 def decode_exact(
@@ -71,6 +83,81 @@ def _decode_sigint(data: bytes, offset: int) -> tuple[int, int]:
     if not raw or (len(raw) > 1 and raw[0] == 0):
         raise ProtocolError("non-canonical signature int on the wire")
     return int.from_bytes(raw, "big"), offset
+
+
+def batch_root_message(root: bytes, n_leaves: int) -> bytes:
+    """The bytes a verifier device signs for one batch of transcripts.
+
+    The domain tag, the tree size as 8 big-endian bytes, then the
+    root.  Binding the size keeps a proof from one tree shape from
+    being read against another of the same root.
+    """
+    return BATCH_ROOT_TAG + n_leaves.to_bytes(8, "big") + root
+
+
+@dataclass(frozen=True, slots=True)
+class BatchProof:
+    """Where one transcript sits in its batch's signed hash tree.
+
+    ``path`` is the ``(sibling, sibling_is_right)`` sequence that
+    :meth:`~repro.por.merkle.MerkleTree.proof` returns for
+    ``leaf_index``.  The leaf hash binds the index, so a path verifies
+    only at the position it was issued for.
+    """
+
+    root: bytes
+    n_leaves: int
+    leaf_index: int
+    path: tuple[tuple[bytes, bool], ...]
+
+    def wire_bytes(self) -> bytes:
+        """Canonical encoding: root, size, index, then the path."""
+        parts = [
+            encode_length_prefixed(self.root),
+            encode_uint(self.n_leaves),
+            encode_uint(self.leaf_index),
+            encode_uint(len(self.path)),
+        ]
+        for sibling, sibling_is_right in self.path:
+            parts.append(encode_length_prefixed(sibling))
+            parts.append(b"\x01" if sibling_is_right else b"\x00")
+        return b"".join(parts)
+
+    @classmethod
+    def from_wire(cls, data: bytes, offset: int = 0) -> tuple["BatchProof", int]:
+        """Parse a proof; every shape no tree can issue fails closed."""
+        root, offset = decode_length_prefixed(data, offset)
+        if len(root) != _DIGEST_BYTES:
+            raise ProtocolError(f"batch root must be 32 bytes, got {len(root)}")
+        n_leaves, offset = decode_uint(data, offset)
+        if n_leaves == 0:
+            raise ProtocolError("batch proof for an empty tree")
+        leaf_index, offset = decode_uint(data, offset)
+        if leaf_index >= n_leaves:
+            raise ProtocolError(
+                f"leaf index {leaf_index} outside a {n_leaves}-leaf tree"
+            )
+        n_steps, offset = decode_uint(data, offset)
+        # A tree of n leaves has ceil(log2 n) levels below its root.
+        if n_steps > (n_leaves - 1).bit_length():
+            raise ProtocolError(
+                f"{n_steps}-step path for a {n_leaves}-leaf tree"
+            )
+        path: list[tuple[bytes, bool]] = []
+        for _ in range(n_steps):
+            sibling, offset = decode_length_prefixed(data, offset)
+            if len(sibling) != _DIGEST_BYTES:
+                raise ProtocolError(
+                    f"path sibling must be 32 bytes, got {len(sibling)}"
+                )
+            if offset >= len(data):
+                raise ProtocolError("truncated path direction")
+            direction = data[offset]
+            if direction > 1:
+                raise ProtocolError(f"bad path direction byte {direction}")
+            path.append((sibling, direction == 1))
+            offset += 1
+        return cls(root, n_leaves, leaf_index, tuple(path)), offset
 
 
 @dataclass(frozen=True, slots=True)
@@ -160,8 +247,10 @@ class SignedTranscript:
 
     Contains the challenge (implicit in the round indices), all
     returned segments with embedded tags, all timings, the TPA's nonce
-    and the device's GPS position, plus the Schnorr signature over the
-    canonical encoding of all of it.
+    and the device's GPS position.  ``proof`` places the canonical
+    encoding of all of it in its batch's hash tree, and ``signature``
+    is the device's Schnorr signature over that tree's
+    :func:`batch_root_message`.
     """
 
     device_id: bytes
@@ -169,6 +258,7 @@ class SignedTranscript:
     nonce: bytes
     rounds: tuple[TimedRound, ...]
     position: GeoPoint
+    proof: BatchProof
     signature: tuple[int, int]
 
     @property
@@ -195,11 +285,13 @@ class SignedTranscript:
         return [round_.index for round_ in self.rounds]
 
     def signed_payload(self) -> bytes:
-        """The canonical bytes the device signs (and the TPA checks).
+        """The canonical bytes the device attests (and the TPA checks).
 
         Covers device id, file id, nonce, every round (index, segment
         payload+tag, timing) and the GPS position -- altering any of
-        them invalidates the signature.
+        them breaks the transcript's path to its signed root.  This is
+        the transcript's leaf in the batch tree; the proof and the
+        signature are not part of it.
 
         The encoding is memoized on the (frozen) instance: the device
         encodes it to sign, the TPA re-encodes the same instance to
@@ -228,14 +320,19 @@ class SignedTranscript:
         return payload
 
     def to_wire(self) -> bytes:
-        """Wire encoding: the signed payload, then the signature.
+        """Wire encoding: the signed payload, the proof, the signature.
 
-        The TPA side of the wire verifies the Schnorr signature over
-        exactly the payload bytes it received, so the encoding *is* the
-        canonical signed payload followed by the two signature ints.
+        The TPA side of the wire checks the path from exactly the
+        payload bytes it received, so the encoding *is* the canonical
+        payload followed by the batch proof and the two signature ints.
         """
-        e, s = self.signature
-        return self.signed_payload() + _encode_sigint(e) + _encode_sigint(s)
+        commitment, s = self.signature
+        return (
+            self.signed_payload()
+            + self.proof.wire_bytes()
+            + _encode_sigint(commitment)
+            + _encode_sigint(s)
+        )
 
     @classmethod
     def from_wire(
@@ -246,8 +343,9 @@ class SignedTranscript:
         The decoded instance's payload cache is seeded with the exact
         bytes consumed -- the fixed-width/length-prefixed encoding is
         canonical (each value has exactly one accepted encoding), so
-        those bytes equal a re-encode, and signature verification runs
-        over precisely what crossed the wire.
+        those bytes equal a re-encode, and the path check runs over
+        precisely what crossed the wire.  Any other magic, the previous
+        version's included, fails closed.
         """
         start = offset
         magic_end = offset + len(TRANSCRIPT_MAGIC)
@@ -265,8 +363,9 @@ class SignedTranscript:
         latitude, offset = decode_float(data, offset)
         longitude, offset = decode_float(data, offset)
         payload_end = offset
-        sig_e, offset = _decode_sigint(data, offset)
-        sig_s, offset = _decode_sigint(data, offset)
+        proof, offset = BatchProof.from_wire(data, offset)
+        commitment, offset = _decode_sigint(data, offset)
+        s, offset = _decode_sigint(data, offset)
         try:
             position = GeoPoint(latitude, longitude)
         except ConfigurationError as exc:
@@ -277,7 +376,8 @@ class SignedTranscript:
             nonce=nonce,
             rounds=tuple(rounds),
             position=position,
-            signature=(sig_e, sig_s),
+            proof=proof,
+            signature=(commitment, s),
         )
         object.__setattr__(
             transcript, "_signed_payload", bytes(data[start:payload_end])

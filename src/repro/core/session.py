@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from repro.cloud.provider import CloudProvider, DataCentre
 from repro.cloud.sla import SLAPolicy
-from repro.cloud.tpa import AuditOutcome, ThirdPartyAuditor
+from repro.cloud.tpa import AUDIT_LOG_LIMIT, AuditOutcome, ThirdPartyAuditor
 from repro.cloud.verifier import VerifierDevice
 from repro.crypto.rng import DeterministicRNG
 from repro.errors import ConfigurationError
@@ -140,16 +140,15 @@ class GeoProofSession:
         margin_ms: float = 0.0,
         min_rounds: int = 50,
         seed: str = "geoproof-session",
-        tpa_max_log: int | None = None,
+        tpa_max_log: int = AUDIT_LOG_LIMIT,
     ) -> "GeoProofSession":
         """Build the standard single-site deployment.
 
         The SLA region defaults to a 100 km circle around the data
         centre; the segment-size term of the timing budget is taken
-        from ``params``.  ``tpa_max_log`` bounds the TPA's audit log
-        to a ring buffer -- long-running deployments (the audit
-        daemon, sustained benchmarks) should set it so memory stays
-        flat across millions of audits.
+        from ``params``.  ``tpa_max_log`` sizes the TPA's audit-log
+        ring (default :data:`~repro.cloud.tpa.AUDIT_LOG_LIMIT`), so
+        memory stays flat across millions of audits.
         """
         params = params or PORParams()
         rng = DeterministicRNG(seed)

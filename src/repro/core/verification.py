@@ -15,12 +15,20 @@ a boolean, because the failure *mode* is the experimental observable
 (timing failures indicate relays, MAC failures indicate corruption,
 GPS failures indicate device relocation).
 
+Step 1 has two parts, because the device signs one hash-tree root per
+protocol batch rather than each transcript: the transcript's payload
+must lead through its :class:`~repro.core.messages.BatchProof` path to
+the claimed root, and the device's signature must hold over
+:func:`~repro.core.messages.batch_root_message` for that root and
+tree size.  A tampered transcript fails its own path and nothing else.
+
 :func:`verify_transcripts` is the batch plane over the same semantics:
 it groups every round of every transcript into one
 :func:`~repro.crypto.mac.mac_verify_many` call per (key, file, tag
-width) and one :func:`~repro.crypto.schnorr.schnorr_verify_many` batch
-per verifier key, then reassembles per-transcript verdicts that are
-byte-identical to running the scalar loop job by job.  The scalar
+width), checks each distinct root signature once through one
+:func:`~repro.crypto.schnorr.schnorr_verify_many` call per verifier
+key, then reassembles per-transcript verdicts that are byte-identical
+to running the scalar loop job by job.  The scalar
 :func:`verify_transcript` stays as the semantics anchor, same pattern
 as slot-vs-event and vec-vs-scalar RS.
 """
@@ -32,10 +40,11 @@ from typing import Sequence
 
 import math
 
-from repro.core.messages import AuditRequest, SignedTranscript
+from repro.core.messages import AuditRequest, SignedTranscript, batch_root_message
 from repro.crypto.mac import mac_verify, mac_verify_many
 from repro.crypto.schnorr import SchnorrPublicKey, schnorr_verify, schnorr_verify_many
 from repro.errors import ProtocolError, VerificationError
+from repro.por.merkle import MerkleTree
 from repro.util.serialization import (
     decode_float,
     decode_uint,
@@ -138,6 +147,37 @@ class GeoProofVerdict:
         )
 
 
+def _signed_root(transcript: SignedTranscript) -> tuple[bytes, tuple[int, int]] | None:
+    """The (root message, signature) that must verify for this transcript.
+
+    ``None`` when the transcript's payload does not lead through its
+    path to its claimed root, or when the proof or signature is
+    malformed -- never an exception, so a malformed transcript is just
+    ``signature_ok=False``.  The pair is hashable: the batch plane
+    groups transcripts on it.
+    """
+    proof = transcript.proof
+    try:
+        if not (
+            0 <= proof.leaf_index < proof.n_leaves
+            and MerkleTree.verify_proof(
+                proof.root,
+                transcript.signed_payload(),
+                proof.leaf_index,
+                proof.path,
+            )
+        ):
+            return None
+        signed = (
+            batch_root_message(proof.root, proof.n_leaves),
+            transcript.signature,
+        )
+        hash(signed)
+    except (AttributeError, TypeError, ValueError, OverflowError):
+        return None
+    return signed
+
+
 def verify_transcript(
     transcript: SignedTranscript,
     request: AuditRequest,
@@ -156,9 +196,11 @@ def verify_transcript(
     provider could replay an old transcript or answer fewer/different
     indices than challenged.
     """
-    # Step 1: signature over the canonical payload.
-    signature_ok = schnorr_verify(
-        verifier_public_key, transcript.signed_payload(), transcript.signature
+    # Step 1: the payload's path to its batch root, and the device's
+    # signature over that root.
+    signed = _signed_root(transcript)
+    signature_ok = signed is not None and schnorr_verify(
+        verifier_public_key, *signed
     )
 
     # Step 2: GPS position within the SLA region.
@@ -241,27 +283,37 @@ def verify_transcripts(
     * all rounds sharing a (mac_key, file_id, tag_bits) triple are
       recomputed through one :func:`mac_verify_many` call (one HMAC
       key schedule per group instead of one per round);
-    * all signatures sharing a verifier key go through one
-      :func:`schnorr_verify_many` random-linear-combination batch
-      (culprit transcripts isolated by bisection on failure).
+    * each transcript's path is checked on its own, and each distinct
+      (root message, signature) pair is verified once: all pairs
+      sharing a verifier key go through one :func:`schnorr_verify_many`
+      call (culprits isolated by bisection on failure).  A job's
+      ``signature_ok`` is its own path check and its pair's verdict.
 
     Rounds whose echoed segment index contradicts the round index are
     marked bad without touching the MAC batch, exactly like the scalar
     path's short-circuiting ``and``.
     """
-    # --- Schnorr: one batch per verifier key, first-appearance order.
+    # --- Schnorr: paths per job, then one batch per verifier key over
+    # its distinct signed roots, first-appearance order throughout.
     signature_oks = [False] * len(jobs)
-    by_key: dict[SchnorrPublicKey, list[int]] = {}
+    by_key: dict[
+        SchnorrPublicKey, dict[tuple[bytes, tuple[int, int]], list[int]]
+    ] = {}
     for position, job in enumerate(jobs):
-        by_key.setdefault(job.verifier_public_key, []).append(position)
-    for public_key, positions in by_key.items():
+        signed = _signed_root(job.transcript)
+        if signed is not None:
+            by_key.setdefault(job.verifier_public_key, {}).setdefault(
+                signed, []
+            ).append(position)
+    for public_key, by_root in by_key.items():
         verdicts = schnorr_verify_many(
             public_key,
-            [jobs[position].transcript.signed_payload() for position in positions],
-            [jobs[position].transcript.signature for position in positions],
+            [message for message, _ in by_root],
+            [signature for _, signature in by_root],
         )
-        for position, ok in zip(positions, verdicts):
-            signature_oks[position] = ok
+        for positions, ok in zip(by_root.values(), verdicts):
+            for position in positions:
+                signature_oks[position] = ok
 
     # --- MACs: flatten every round into one batch per key/file/width.
     # round_oks[j] holds job j's per-round tag verdicts in round order;

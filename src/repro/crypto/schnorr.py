@@ -21,25 +21,24 @@ an invalid signature survives the combined check with probability
 ~2^-64; on failure the batch bisects to identify the exact culprits
 (see ``schnorr_verify_many``).
 
-Three precomputation strategies back the hot paths:
+Two precomputation strategies back the hot paths:
 
 * **fixed-base windowed tables** (cached per group for ``g`` and per
   public key for ``y``): ``base^(d * 2^(w*i))`` for every window
   digit, so an exponentiation is ~q_bits/w modular multiplies and
   zero squarings.  The per-group generator table uses 8-bit windows
   (the group is a process-wide singleton, so the bigger build
-  amortizes); per-key tables stay at 4 bits.  Used by
-  ``schnorr_sign``/``schnorr_sign_many`` and for the two aggregated
-  exponents of a batch.
-* **Shamir simultaneous double-exponentiation** (16-entry joint table
-  ``g^a * y^b``, cached per public key): single verifies evaluate
-  ``g^s * y^(q-e)`` in one pass with shared squarings instead of two
-  independent modexps.
+  amortizes); per-key tables stay at 4 bits.  Signing uses the ``g``
+  table, and every *exact* check ``g^s * y^(q-e) == R`` -- a single
+  verify, a bisection leaf, any batch of at most
+  ``_EXACT_BATCH_MAX`` -- goes through both tables (~96 multiplies on
+  ``DEFAULT_GROUP``).  The two aggregated exponents of a larger batch
+  use them too.
 * **digit-bucketed multi-exponentiation** for the ``prod R_i^(z_i)``
-  term: bases are bucketed by digit of their exponent, so the
-  per-signature cost is a handful of multiplies regardless of batch
-  size (4-bit digits normally, 8-bit once the batch is large enough
-  to amortize the bigger bucket combine).
+  term of a batch: bases are bucketed by digit of their exponent, so
+  the per-signature cost is a handful of multiplies regardless of
+  batch size (4-bit digits normally, 8-bit once the batch is large
+  enough to amortize the bigger bucket combine).
 
 The default parameters are a 1024-bit prime with a 256-bit subgroup,
 generated once and embedded below (DSA-style (p, q, g) triple).  A
@@ -81,6 +80,13 @@ _MULTI_EXP_WIDE_THRESHOLD = 512
 # randomizers MUST be unpredictable to the signer -- OS entropy, never
 # a seeded simulation stream (see docs/INVARIANTS.md, CRY002).
 _RANDOMIZER_BITS = 64
+
+# Largest batch that skips the random-linear-combination check and
+# verifies signature by signature through the fixed-base tables.  On
+# DEFAULT_GROUP (2-vCPU Xeon host) 4 signatures cost ~450-525 us each
+# through the tables against ~575 us each for the combined check; from
+# 5 up the combined check is cheaper.
+_EXACT_BATCH_MAX = 4
 
 
 class _FixedBaseTable:
@@ -319,15 +325,6 @@ class SchnorrPublicKey:
         group = self.group
         return _FixedBaseTable(self.y, group.p, group.q.bit_length())
 
-    @cached_property
-    def _joint_table(self) -> list[list[int]]:
-        # Shamir table: _joint_table[a][b] == g^a * y^b mod p for
-        # a, b in 0..3 (2-bit joint windows).
-        p, g, y = self.group.p, self.group.g, self.y
-        g_pows = [1, g, g * g % p, g * g % p * g % p]
-        y_pows = [1, y, y * y % p, y * y % p * y % p]
-        return [[ga * yb % p for yb in y_pows] for ga in g_pows]
-
 
 @dataclass(frozen=True)
 class SchnorrPrivateKey:
@@ -432,24 +429,20 @@ def schnorr_sign_many(
     return out
 
 
-def _shamir_double_exp(public: SchnorrPublicKey, exp_g: int, exp_y: int) -> int:
-    """``g^exp_g * y^exp_y mod p`` via 2-bit joint windows (Shamir's trick).
+def _holds_exactly(
+    public: SchnorrPublicKey, commitment: int, s: int, e: int
+) -> bool:
+    """The exact check ``g^s * y^(q-e) == R`` through the cached tables.
 
-    One shared squaring chain for both exponents, one table multiply
-    per joint window -- about half the work of two independent modexps.
+    ``g^s * y^(-e) = g^(k + xe) * g^(-xe) = g^k = R`` for a valid
+    signature.  Both powers come from fixed-base tables (no squarings),
+    so the first check under a key also builds that key's ``y`` table.
     """
-    p = public.group.p
-    table = public._joint_table
-    bits = max(exp_g.bit_length(), exp_y.bit_length())
-    bits += bits & 1  # round up to a whole 2-bit window
-    acc = 1
-    for shift in range(bits - 2, -2, -2):
-        acc = acc * acc % p
-        acc = acc * acc % p
-        t = table[(exp_g >> shift) & 3][(exp_y >> shift) & 3]
-        if t != 1:
-            acc = acc * t % p
-    return acc
+    group = public.group
+    return (
+        group._g_table.pow(s) * public._y_table.pow(group.q - e) % group.p
+        == commitment
+    )
 
 
 def _structurally_valid(group: SchnorrGroup, signature: tuple[int, int]) -> bool:
@@ -472,8 +465,7 @@ def schnorr_verify(
     commitment, s = signature
     group = public.group
     e = _challenge_hash(group, commitment, message)
-    # g^s * y^(-e) = g^(k + xe) * g^(-xe) = g^k = R
-    return _shamir_double_exp(public, s, group.q - e) == commitment
+    return _holds_exactly(public, commitment, s, e)
 
 
 def _multi_exp(p: int, bases: Sequence[int], exponents: Sequence[int]) -> int:
@@ -561,12 +553,15 @@ def _verify_bisect(
     items: Sequence[tuple[int, int, int, int]],
     results: list[bool],
 ) -> None:
-    """Recursively isolate invalid signatures; exact check at the leaves."""
-    if len(items) == 1:
-        index, commitment, s, e = items[0]
-        results[index] = (
-            _shamir_double_exp(public, s, public.group.q - e) == commitment
-        )
+    """Recursively isolate invalid signatures; exact checks at the leaves.
+
+    A leaf is any run of at most ``_EXACT_BATCH_MAX`` items: each one
+    is checked exactly, since that is cheaper than a combined check
+    over so few.
+    """
+    if len(items) <= _EXACT_BATCH_MAX:
+        for index, commitment, s, e in items:
+            results[index] = _holds_exactly(public, commitment, s, e)
         return
     if _batch_holds(public, items):
         for index, _, _, _ in items:
@@ -585,12 +580,14 @@ def schnorr_verify_many(
     """Batch-verify signatures; returns one verdict per input position.
 
     Semantics are exactly those of calling :func:`schnorr_verify` per
-    pair: malformed or out-of-range signatures are False, and when the
-    combined random-linear-combination check fails, bisection narrows
-    down to the exact culprits (checked individually at the leaves).
-    The only difference is probabilistic: an *invalid* signature can
-    survive the combined check with probability ~2^-64 per randomizer
-    draw.  Valid signatures are never rejected.
+    pair: malformed or out-of-range signatures are False.  A batch of
+    at most ``_EXACT_BATCH_MAX`` is checked signature by signature;
+    a larger one runs the combined random-linear-combination check,
+    and when that fails, bisection narrows down to the exact culprits
+    (checked individually at the leaves).  The only difference is
+    probabilistic: an *invalid* signature can survive the combined
+    check with probability ~2^-64 per randomizer draw.  Valid
+    signatures are never rejected.
     """
     if len(messages) != len(signatures):
         raise ConfigurationError(

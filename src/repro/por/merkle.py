@@ -17,6 +17,7 @@ attacks).
 from __future__ import annotations
 
 import hashlib
+from typing import Sequence
 
 from repro.errors import ConfigurationError, VerificationError
 
@@ -108,7 +109,7 @@ class MerkleTree:
 
     @staticmethod
     def verify_proof(
-        root: bytes, leaf: bytes, index: int, path: list[tuple[bytes, bool]]
+        root: bytes, leaf: bytes, index: int, path: Sequence[tuple[bytes, bool]]
     ) -> bool:
         """Check an authentication path against a trusted root.
 
@@ -125,7 +126,7 @@ class MerkleTree:
 
     @staticmethod
     def require_valid_proof(
-        root: bytes, leaf: bytes, index: int, path: list[tuple[bytes, bool]]
+        root: bytes, leaf: bytes, index: int, path: Sequence[tuple[bytes, bool]]
     ) -> None:
         """Raise :class:`VerificationError` if the path does not verify."""
         if not MerkleTree.verify_proof(root, leaf, index, path):

@@ -1,10 +1,12 @@
 """Batch protocol plane: run_audits / audit_deferred_many pins.
 
 The daemon's throughput path (one ``fork_many`` sweep, inlined LAN
-arithmetic, one ``schnorr_sign_many`` call) must be *request-for-request
-identical* to the scalar protocol loop -- same transcripts, same
-signatures, same clock readings, same verdicts.  These tests pin that
-equivalence, including under adversarial providers and with the
+arithmetic, one signed hash-tree root per call) must be
+*request-for-request identical* to the scalar protocol loop -- same
+payloads, same clock readings, same verdicts.  Only the batch proof
+and the signature differ (one tree of n leaves against n trees of
+one), and every transcript on both sides must verify.  These tests pin
+that equivalence, including under adversarial providers and with the
 non-default code paths (no device RNG, custom LAN subclass).
 """
 
@@ -19,7 +21,11 @@ from repro.crypto.rng import DeterministicRNG
 from repro.geo.coords import GeoPoint
 from repro.geo.regions import CircularRegion
 from repro.netsim.latency import LANModel
-from tests.conftest import build_session, scalar_audit
+from tests.conftest import (
+    assert_equal_apart_from_proof,
+    build_session,
+    scalar_audit,
+)
 
 # Full POR setup per session: slow lane.
 pytestmark = pytest.mark.slow
@@ -54,10 +60,12 @@ def assert_runs_match_scalar(scalar_session, batch_session, requests):
     runs = batch_session.verifier.run_audits(requests, batch_session.provider)
 
     assert len(runs) == len(scalar)
+    assert_equal_apart_from_proof(
+        [run.transcript for run in runs],
+        [transcript for transcript, _, _ in scalar],
+        batch_session.verifier.public_key,
+    )
     for run, (transcript, started, finished) in zip(runs, scalar):
-        assert run.transcript == transcript
-        assert run.transcript.signed_payload() == transcript.signed_payload()
-        assert run.transcript.signature == transcript.signature
         assert run.started_ms == started
         assert run.finished_ms == finished
     assert (
@@ -160,7 +168,11 @@ class TestRunAuditsEquivalence:
         runs = batch_session.verifier.run_audits(
             requests, batch_session.provider, rng=DeterministicRNG("override")
         )
-        assert [run.transcript for run in runs] == scalar
+        assert_equal_apart_from_proof(
+            [run.transcript for run in runs],
+            scalar,
+            batch_session.verifier.public_key,
+        )
 
     def test_empty_batch(self):
         session, _, _ = build_session("batch-empty")
@@ -191,9 +203,10 @@ class TestAuditDeferredMany:
             [file_id] * 6, batch_session.verifier, batch_session.provider, k=5
         )
         assert batch_session.tpa.pending_count == 6
-        assert (
-            batch_session.tpa.flush_verdicts()
-            == loop_session.tpa.flush_verdicts()
+        assert_equal_apart_from_proof(
+            batch_session.tpa.flush_verdicts(),
+            loop_session.tpa.flush_verdicts(),
+            batch_session.verifier.public_key,
         )
 
     def test_mixed_population_verdicts_match_scalar_audit(self):
@@ -220,7 +233,9 @@ class TestAuditDeferredMany:
             [file_id] * 4, batch_session.verifier, batch_session.provider, k=5
         )
         batch = batch_session.tpa.flush_verdicts()
-        assert batch == scalar
+        assert_equal_apart_from_proof(
+            batch, scalar, batch_session.verifier.public_key
+        )
         assert all(not outcome.verdict.accepted for outcome in batch)
         assert all(not outcome.verdict.macs_ok for outcome in batch)
 
@@ -280,7 +295,9 @@ class TestAuditDeferredMany:
                 region=here,
             )
         )
-        assert batch == scalar
+        assert_equal_apart_from_proof(
+            batch, scalar, batch_session.verifier.public_key
+        )
         assert [o.verdict.failure_reasons for o in batch] == [
             ["gps"], ["gps"], []
         ]
@@ -310,7 +327,8 @@ class TestAuditDeferredMany:
         mixed_session.tpa.audit_deferred(
             file_id, mixed_session.verifier, mixed_session.provider, k=5
         )
-        assert (
-            mixed_session.tpa.flush_verdicts()
-            == loop_session.tpa.flush_verdicts()
+        assert_equal_apart_from_proof(
+            mixed_session.tpa.flush_verdicts(),
+            loop_session.tpa.flush_verdicts(),
+            mixed_session.verifier.public_key,
         )

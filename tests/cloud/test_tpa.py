@@ -1,10 +1,15 @@
 """The third-party auditor: registration, audits, reporting."""
 
+from collections import Counter, deque
+
 import pytest
 
-from repro.cloud.tpa import ThirdPartyAuditor
+from repro.cloud.tpa import AUDIT_LOG_LIMIT, ThirdPartyAuditor
+from repro.core.session import GeoProofSession
 from repro.crypto.rng import DeterministicRNG
 from repro.errors import ConfigurationError
+from repro.geo.datasets import city
+from repro.por.parameters import TEST_PARAMS
 from tests.conftest import build_session, scalar_audit
 
 
@@ -35,7 +40,7 @@ class TestAuditing:
         session, file_id, _ = build_session("tpa-honest")
         outcome = session.audit(file_id, k=10)
         assert outcome.verdict.accepted
-        assert session.tpa.audit_log == [outcome]
+        assert list(session.tpa.audit_log) == [outcome]
         assert outcome.duration_ms > 0
 
     def test_default_k_from_sla(self):
@@ -99,7 +104,7 @@ class TestDeferredVerification:
     def test_flush_empty_is_noop(self):
         session, _, _ = build_session("tpa-noflush")
         assert session.tpa.flush_verdicts() == []
-        assert session.tpa.audit_log == []
+        assert list(session.tpa.audit_log) == []
 
     def test_deferred_counts_failures(self):
         session, file_id, _ = build_session("tpa-defer-fail")
@@ -168,6 +173,49 @@ class TestBoundedAuditLog:
     def test_invalid_bound_rejected(self):
         with pytest.raises(ConfigurationError):
             ThirdPartyAuditor("bad", DeterministicRNG("bad"), max_log=0)
+
+    def test_unbounded_log_rejected(self):
+        with pytest.raises(ConfigurationError):
+            ThirdPartyAuditor("bad", DeterministicRNG("bad"), max_log=None)
+
+    def test_serve_session_log_is_bounded_by_default(self):
+        """A session built the way ``repro serve`` builds it (no log
+        bound passed) keeps only the newest AUDIT_LOG_LIMIT outcomes,
+        while the reports still count every audit it settled."""
+        session = GeoProofSession.build(
+            datacentre_location=city("brisbane"),
+            params=TEST_PARAMS,
+            min_rounds=10,
+            seed="serve",
+        )
+        data = DeterministicRNG("serve-data").fork("0").random_bytes(4_000)
+        session.outsource(b"file-0", data)
+        tpa = session.tpa
+        n_forced_rejects = 50
+        tpa.audit_deferred_many(
+            [b"file-0"] * AUDIT_LOG_LIMIT, session.verifier, session.provider
+        )
+        tpa.audit_deferred_many(
+            [b"file-0"] * n_forced_rejects,
+            session.verifier,
+            session.provider,
+            rtt_max_ms=0.001,
+        )
+        outcomes = tpa.flush_verdicts()
+        assert len(outcomes) == AUDIT_LOG_LIMIT + n_forced_rejects
+        assert isinstance(tpa.audit_log, deque)
+        assert len(tpa.audit_log) == AUDIT_LOG_LIMIT
+        assert list(tpa.audit_log) == outcomes[-AUDIT_LOG_LIMIT:]
+        n_accepted = sum(outcome.verdict.accepted for outcome in outcomes)
+        assert tpa.acceptance_rate() == n_accepted / len(outcomes)
+        assert tpa.failures_by_reason() == dict(
+            Counter(
+                reason
+                for outcome in outcomes
+                for reason in outcome.verdict.failure_reasons
+            )
+        )
+        assert tpa.failures_by_reason()["timing"] >= n_forced_rejects
 
 
 class TestReporting:

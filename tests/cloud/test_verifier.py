@@ -4,14 +4,16 @@ import pytest
 
 from repro.cloud.provider import CloudProvider, DataCentre
 from repro.cloud.verifier import VerifierDevice
-from repro.core.messages import AuditRequest
+from repro.core.messages import AuditRequest, batch_root_message
 from repro.crypto.rng import DeterministicRNG
 from repro.crypto.schnorr import schnorr_verify
 from repro.errors import ConfigurationError
 from repro.geo.gps import GPSSpoofer
 from repro.geo.coords import GeoPoint
+from repro.por.merkle import MerkleTree
 from repro.por.parameters import TEST_PARAMS
 from repro.por.setup import setup_file
+from tests.conftest import transcript_verifies
 
 
 # Every test here pays a full POR setup in its fixtures: slow lane.
@@ -71,11 +73,28 @@ class TestRunAudit:
         assert all(12.0 < r.rtt_ms < 16.0 for r in transcript.rounds)
 
     def test_signature_verifies(self, deployment):
+        """A scalar audit is a tree of one: its root signature and its
+        (empty) path verify, and a tampered payload leaves the path."""
+        import dataclasses
+
         provider, verifier, request, _ = deployment
         transcript = verifier.run_audit(request, provider)
+        proof = transcript.proof
+        assert (proof.n_leaves, proof.leaf_index, proof.path) == (1, 0, ())
         assert schnorr_verify(
-            verifier.public_key, transcript.signed_payload(), transcript.signature
+            verifier.public_key,
+            batch_root_message(proof.root, proof.n_leaves),
+            transcript.signature,
         )
+        assert MerkleTree.verify_proof(
+            proof.root, transcript.signed_payload(), 0, proof.path
+        )
+        assert transcript_verifies(transcript, verifier.public_key)
+        tampered = dataclasses.replace(transcript, nonce=b"x" * 16)
+        assert not MerkleTree.verify_proof(
+            proof.root, tampered.signed_payload(), 0, proof.path
+        )
+        assert not transcript_verifies(tampered, verifier.public_key)
 
     def test_signature_breaks_on_tamper(self, deployment):
         import dataclasses

@@ -8,6 +8,8 @@ handful of dedicated tests and the benchmarks.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.crypto.rng import DeterministicRNG
@@ -112,3 +114,54 @@ def scalar_audit(
         started_ms=started_ms,
         finished_ms=finished_ms,
     )
+
+
+def transcript_verifies(transcript, public_key) -> bool:
+    """Step 1 by hand: the payload's path to its root, then the root signature."""
+    from repro.core.messages import batch_root_message
+    from repro.crypto.schnorr import schnorr_verify
+    from repro.por.merkle import MerkleTree
+
+    proof = transcript.proof
+    return MerkleTree.verify_proof(
+        proof.root, transcript.signed_payload(), proof.leaf_index, proof.path
+    ) and schnorr_verify(
+        public_key,
+        batch_root_message(proof.root, proof.n_leaves),
+        transcript.signature,
+    )
+
+
+def assert_equal_apart_from_proof(actual, expected, public_key) -> None:
+    """Pin transcripts or outcomes that differ only in how they were signed.
+
+    The device signs one hash tree per ``run_audits`` call, so a batch
+    of n audits carries one root signature where the scalar loop signs
+    n trees of one: only the batch proof and the signature may differ.
+    Everything else -- payload bytes, verdict, clock readings, request
+    and nonce -- must be exactly equal, and every transcript on both
+    sides must verify under ``public_key``.
+    """
+    from repro.cloud.tpa import AuditOutcome
+
+    def transcript_of(item):
+        return item.transcript if isinstance(item, AuditOutcome) else item
+
+    def unsigned(item):
+        transcript = dataclasses.replace(
+            transcript_of(item), proof=None, signature=None
+        )
+        if isinstance(item, AuditOutcome):
+            return dataclasses.replace(item, transcript=transcript)
+        return transcript
+
+    actual, expected = list(actual), list(expected)
+    assert len(actual) == len(expected)
+    for got, want in zip(actual, expected):
+        for item in (got, want):
+            assert transcript_verifies(transcript_of(item), public_key)
+        assert (
+            transcript_of(got).signed_payload()
+            == transcript_of(want).signed_payload()
+        )
+        assert unsigned(got) == unsigned(want)

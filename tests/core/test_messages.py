@@ -4,7 +4,12 @@ import dataclasses
 
 import pytest
 
-from repro.core.messages import AuditRequest, SignedTranscript, TimedRound
+from repro.core.messages import (
+    AuditRequest,
+    BatchProof,
+    SignedTranscript,
+    TimedRound,
+)
 from repro.errors import ConfigurationError
 from repro.geo.coords import GeoPoint
 from repro.por.file_format import Segment
@@ -25,6 +30,7 @@ def make_transcript(n_rounds=3):
         nonce=b"nonce-16-bytes!!",
         rounds=rounds,
         position=GeoPoint(-27.47, 153.03),
+        proof=BatchProof(root=b"r" * 32, n_leaves=1, leaf_index=0, path=()),
         signature=(1, 2),
     )
 
@@ -96,7 +102,12 @@ class TestSignedTranscript:
         assert forged.signed_payload() != base.signed_payload()
 
     def test_payload_excludes_signature(self):
-        # The signature is over the payload, not part of it.
+        # The payload is the transcript's leaf in its batch tree: the
+        # proof and the root signature are not part of it.
         base = make_transcript()
-        resigned = dataclasses.replace(base, signature=(9, 9))
+        resigned = dataclasses.replace(
+            base,
+            proof=BatchProof(b"s" * 32, 2, 1, ((b"t" * 32, False),)),
+            signature=(9, 9),
+        )
         assert resigned.signed_payload() == base.signed_payload()

@@ -23,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.messages import (
     AuditRequest,
+    BatchProof,
     SignedTranscript,
     TimedRound,
     decode_exact,
@@ -69,6 +70,25 @@ positions = st.builds(
     longitude=st.floats(-180.0, 180.0, allow_nan=False, width=64),
 )
 
+digests = st.binary(min_size=32, max_size=32)
+
+
+@st.composite
+def batch_proofs(draw):
+    """Any proof shape a tree of ``n_leaves`` could issue."""
+    n_leaves = draw(st.integers(1, 2**64 - 1))
+    depth = (n_leaves - 1).bit_length()
+    path = draw(
+        st.lists(st.tuples(digests, st.booleans()), max_size=min(depth, 4))
+    )
+    return BatchProof(
+        root=draw(digests),
+        n_leaves=n_leaves,
+        leaf_index=draw(st.integers(0, n_leaves - 1)),
+        path=tuple(path),
+    )
+
+
 transcripts = st.builds(
     SignedTranscript,
     device_id=st.binary(max_size=16),
@@ -76,6 +96,7 @@ transcripts = st.builds(
     nonce=st.binary(max_size=24),
     rounds=st.tuples() | st.lists(rounds, max_size=4).map(tuple),
     position=positions,
+    proof=batch_proofs(),
     signature=st.tuples(
         st.integers(0, 2**256), st.integers(0, 2**256)
     ),
@@ -245,7 +266,7 @@ class TestFailClosedShapes:
 
     def test_transcript_padded_signature_int_fails_closed(self):
         transcript = _transcript()
-        payload = transcript.signed_payload()
+        payload = transcript.signed_payload() + transcript.proof.wire_bytes()
         e, s = transcript.signature
         padded = (
             payload
@@ -306,5 +327,6 @@ def _transcript() -> SignedTranscript:
             ),
         ),
         position=GeoPoint(10.5, 20.25),
+        proof=BatchProof(b"r" * 32, 2, 1, ((b"s" * 32, False),)),
         signature=(12345, 67890),
     )

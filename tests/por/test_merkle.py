@@ -81,6 +81,44 @@ class TestProofs:
         assert not MerkleTree.verify_proof(tree.root, b"same", 0, tree.proof(2))
 
 
+class TestBatchTreeProofs:
+    """The tree the verifier device signs once per batch of transcripts."""
+
+    @given(st.integers(1, 70))
+    @settings(max_examples=40, deadline=None)
+    def test_every_leaf_verifies(self, n):
+        leaves = [f"payload-{i}".encode() * (i % 5 + 1) for i in range(n)]
+        tree = MerkleTree(leaves)
+        for index, leaf in enumerate(leaves):
+            path = tree.proof(index)
+            assert len(path) <= (n - 1).bit_length()
+            assert MerkleTree.verify_proof(tree.root, leaf, index, path)
+
+    @given(st.integers(1, 70), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_flipping_any_byte_fails(self, n, data):
+        leaves = [f"payload-{i}".encode() for i in range(n)]
+        tree = MerkleTree(leaves)
+        index = data.draw(st.integers(0, n - 1))
+        path = tree.proof(index)
+        leaf = bytearray(leaves[index])
+        at = data.draw(st.integers(0, len(leaf) - 1))
+        leaf[at] ^= data.draw(st.integers(1, 255))
+        assert not MerkleTree.verify_proof(tree.root, bytes(leaf), index, path)
+        if path:
+            step = data.draw(st.integers(0, len(path) - 1))
+            sibling, is_right = path[step]
+            flipped = bytearray(sibling)
+            flipped[data.draw(st.integers(0, 31))] ^= data.draw(
+                st.integers(1, 255)
+            )
+            forged = list(path)
+            forged[step] = (bytes(flipped), is_right)
+            assert not MerkleTree.verify_proof(
+                tree.root, leaves[index], index, forged
+            )
+
+
 class TestUpdates:
     @given(st.integers(2, 33), st.data())
     @settings(max_examples=30, deadline=None)
