@@ -145,7 +145,9 @@ class PrefetchRelayAttack(RelayAttack):
         warmed = 0
         moved = 0
         for index in indices:
-            wire = remote.server.lookup(file_id, index).segment.wire_bytes()
+            wire = remote.server.lookup(
+                file_id, index, remote.name
+            ).segment.wire_bytes()
             self.cache.put((file_id, index), wire)
             moved += len(wire)
             warmed += 1

@@ -14,19 +14,27 @@ Every audit, whatever its entry point, runs through one protocol body
 and one verdict body:
 
 * :meth:`ThirdPartyAuditor._run_protocols` draws a fresh-nonce request
-  per file and runs the timed phases through one
+  per admitted order and runs the timed phases through one
   :meth:`~repro.cloud.verifier.VerifierDevice.run_audits` call;
 * :meth:`ThirdPartyAuditor._settle` verifies the transcripts in one
   :func:`~repro.core.verification.verify_transcripts` batch (shared MAC
   key schedules, one Schnorr check per distinct batch root), logs each
   outcome and updates the obs series.
 
-:meth:`ThirdPartyAuditor.audit` is a batch of one, settled at once.
-:meth:`ThirdPartyAuditor.audit_deferred` and
-:meth:`ThirdPartyAuditor.audit_deferred_many` queue their runs for the
-next :meth:`ThirdPartyAuditor.flush_verdicts`.  Grouping changes only
-when the arithmetic happens: verdicts are byte-identical to the scalar
-reference oracles (``VerifierDevice.run_audit`` followed by
+:meth:`ThirdPartyAuditor.audit_deferred_many` runs a batch of
+``(file_id, k)`` orders and returns one entry per order: the
+:class:`PendingAudit` it started, or the
+:class:`~repro.errors.ReproError` it failed with.  Orders fail alone.
+The TPA refuses an unregistered file or an out-of-range ``k`` before
+it draws a nonce, and the device fails a request whose rounds raise
+without touching its neighbours.  The caller holds its pending runs
+and passes them to :meth:`ThirdPartyAuditor.flush_verdicts`, which
+settles exactly those.  :meth:`ThirdPartyAuditor.audit_deferred` is a
+batch of one that raises its error, and
+:meth:`ThirdPartyAuditor.audit` is that batch of one settled at once.
+Grouping changes only when the arithmetic happens: verdicts are
+byte-identical to the scalar reference oracles (``make_request``,
+``VerifierDevice.run_audit``, then
 :func:`~repro.core.verification.verify_transcript`), pinned by test.
 """
 
@@ -34,6 +42,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro import obs
 from repro.cloud.provider import CloudProvider
@@ -49,7 +58,7 @@ from repro.core.verification import (
     verify_transcripts,
 )
 from repro.crypto.rng import DeterministicRNG
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
 from repro.por.parameters import PORParams
 
 #: Outcomes :attr:`ThirdPartyAuditor.audit_log` keeps by default.  The
@@ -88,8 +97,12 @@ class FileRecord:
 
 
 @dataclass(frozen=True, slots=True)
-class _PendingAudit:
-    """A protocol run awaiting its verdict."""
+class PendingAudit:
+    """A protocol run awaiting its verdict.
+
+    The deferred entry points return these; the caller holds them until
+    it passes them to :meth:`ThirdPartyAuditor.flush_verdicts`.
+    """
 
     job: TranscriptVerification
     started_ms: float
@@ -118,7 +131,6 @@ class ThirdPartyAuditor:
         self._rng = rng
         self._files: dict[bytes, FileRecord] = {}
         self.audit_log: deque[AuditOutcome] = deque(maxlen=max_log)
-        self._pending: list[_PendingAudit] = []
         self._n_logged = 0
         self._n_accepted = 0
         self._failure_counts: dict[str, int] = {}
@@ -172,9 +184,18 @@ class ThirdPartyAuditor:
     # -- auditing -----------------------------------------------------------
 
     def make_request(self, file_id: bytes, k: int | None = None) -> AuditRequest:
-        """Build a fresh audit request (fresh nonce every time)."""
+        """Build a fresh audit request (fresh nonce every time).
+
+        ``k=None`` means the SLA's minimum round count.  An unregistered
+        file or an out-of-range ``k`` is refused before the nonce is
+        drawn, so a refused request never moves the nonce stream.
+        """
         record = self.record(file_id)
         rounds = k if k is not None else record.sla.min_rounds
+        if not 0 < rounds <= record.n_segments:
+            raise ConfigurationError(
+                f"k must be in 1..{record.n_segments}, got {rounds}"
+            )
         return AuditRequest(
             file_id=file_id,
             n_segments=record.n_segments,
@@ -201,12 +222,12 @@ class ThirdPartyAuditor:
         which has its own region); both default to the registered SLA.
         ``clock`` injects the clock the timed phase runs on (the fleet
         passes a per-datacentre lane clock); default is the verifier
-        device's own clock.
+        device's own clock.  Raises the order's error if it fails.
         """
-        (outcome,) = self._settle(self._run_protocols(
-            [file_id], verifier, provider,
+        (outcome,) = self._settle([self.audit_deferred(
+            file_id, verifier, provider,
             k=k, rtt_max_ms=rtt_max_ms, region=region, clock=clock,
-        ))
+        )])
         return outcome
 
     def audit_deferred(
@@ -219,90 +240,106 @@ class ThirdPartyAuditor:
         rtt_max_ms: float | None = None,
         region=None,
         clock=None,
-    ) -> None:
-        """Run the protocol now; queue the transcript for a batched verdict.
+    ) -> PendingAudit:
+        """Run the protocol now; return the run for a batched verdict.
 
         The timed phase happens immediately on the injected clock --
         deferral changes *when the TPA does its arithmetic*, never what
-        the provider observes.  Verdicts arrive at the next
-        :meth:`flush_verdicts` in submission order.
+        the provider observes.  Pass the returned run to
+        :meth:`flush_verdicts`.  Raises the order's error if it fails.
         """
-        self._pending.extend(self._run_protocols(
-            [file_id], verifier, provider,
-            k=k, rtt_max_ms=rtt_max_ms, region=region, clock=clock,
-        ))
+        (entry,) = self._run_protocols(
+            [(file_id, k)], verifier, provider,
+            rtt_max_ms=rtt_max_ms, region=region, clock=clock,
+        )
+        if isinstance(entry, ReproError):
+            raise entry
+        return entry
 
     def audit_deferred_many(
         self,
-        file_ids: list[bytes],
+        orders: Sequence[tuple[bytes, int | None]],
         verifier: VerifierDevice,
         provider: CloudProvider,
         *,
-        k: int | None = None,
         rtt_max_ms: float | None = None,
         region=None,
         clock=None,
-    ) -> None:
-        """Run a batch of protocol phases; queue every transcript.
+    ) -> list[PendingAudit | ReproError]:
+        """Run a batch of ``(file_id, k)`` orders; one entry per order.
 
-        Equivalent to calling :meth:`audit_deferred` once per file id
-        (pinned by test): the nonce stream advances in file-id order and
+        ``k=None`` means the SLA minimum.  Each entry is the order's
+        :class:`PendingAudit`, or the :class:`~repro.errors.ReproError`
+        it failed with, and an order fails alone.  A refused order (see
+        :meth:`make_request`) draws no nonce and never reaches the
+        device.  Equivalent to calling :meth:`audit_deferred` once per
+        order (pinned by test): the nonce stream advances in order and
         all timed rounds run back to back on the shared clock.  The
         verifier amortizes challenge derivation, LAN arithmetic and
-        signing across the whole batch.  Nothing is queued unless every
-        protocol phase in the batch succeeds.
+        signing across the whole batch.
         """
-        self._pending.extend(self._run_protocols(
-            file_ids, verifier, provider,
-            k=k, rtt_max_ms=rtt_max_ms, region=region, clock=clock,
-        ))
+        return self._run_protocols(
+            orders, verifier, provider,
+            rtt_max_ms=rtt_max_ms, region=region, clock=clock,
+        )
 
-    @property
-    def pending_count(self) -> int:
-        """Number of protocol runs awaiting a verdict flush."""
-        return len(self._pending)
+    def flush_verdicts(self, pending: Sequence[PendingAudit]) -> list[AuditOutcome]:
+        """Verify these runs in one batch; log them and return their outcomes.
 
-    def flush_verdicts(self) -> list[AuditOutcome]:
-        """Verify every pending transcript in one batch; log and return.
-
-        Outcomes come back in submission order and are byte-identical
-        to what :meth:`audit` would have logged for the same protocol
-        runs (pinned by test) -- the grouping only changes how the MAC
-        and Schnorr arithmetic is batched.
+        Outcomes come back in the order of ``pending`` and are
+        byte-identical to what :meth:`audit` would have logged for the
+        same protocol runs (pinned by test) -- the grouping only changes
+        how the MAC and Schnorr arithmetic is batched.
         """
-        if not self._pending:
+        if not pending:
             return []
-        pending, self._pending = self._pending, []
         return self._settle(pending)
 
     # -- the protocol and verdict bodies -------------------------------------
 
     def _run_protocols(
         self,
-        file_ids: list[bytes],
+        orders: Sequence[tuple[bytes, int | None]],
         verifier: VerifierDevice,
         provider: CloudProvider,
         *,
-        k: int | None,
         rtt_max_ms: float | None,
         region,
         clock,
-    ) -> list[_PendingAudit]:
+    ) -> list[PendingAudit | ReproError]:
         """Run the timed protocol phases; package what each verdict needs.
 
-        Draws one fresh-nonce request per file id, in order, then runs
-        every timed phase through one
+        Draws one fresh-nonce request per admitted order, in order, then
+        runs every timed phase through one
         :meth:`~repro.cloud.verifier.VerifierDevice.run_audits` call.
+        An order refused here, or failed by the device, keeps its error
+        in its place.
         """
-        records: list[FileRecord] = []
+        # Per order: the error that refused it, or its file record.
+        admitted: list[FileRecord | ReproError] = []
         requests: list[AuditRequest] = []
-        for file_id in file_ids:
-            records.append(self.record(file_id))
-            requests.append(self.make_request(file_id, k))
-        runs = verifier.run_audits(requests, provider, clock=clock)
+        for file_id, k in orders:
+            try:
+                request = self.make_request(file_id, k)
+            except ReproError as exc:
+                admitted.append(exc)
+                continue
+            admitted.append(self._files[file_id])
+            requests.append(request)
+        runs = iter(zip(
+            requests, verifier.run_audits(requests, provider, clock=clock)
+        ))
         public_key = verifier.public_key
-        return [
-            _PendingAudit(
+        entries: list[PendingAudit | ReproError] = []
+        for record in admitted:
+            if isinstance(record, ReproError):
+                entries.append(record)
+                continue
+            request, run = next(runs)
+            if isinstance(run, ReproError):
+                entries.append(run)
+                continue
+            entries.append(PendingAudit(
                 job=TranscriptVerification(
                     transcript=run.transcript,
                     request=request,
@@ -318,11 +355,10 @@ class ThirdPartyAuditor:
                 ),
                 started_ms=run.started_ms,
                 finished_ms=run.finished_ms,
-            )
-            for record, request, run in zip(records, requests, runs)
-        ]
+            ))
+        return entries
 
-    def _settle(self, pending: list[_PendingAudit]) -> list[AuditOutcome]:
+    def _settle(self, pending: Sequence[PendingAudit]) -> list[AuditOutcome]:
         """Verify protocol runs in one batch; log and count each outcome."""
         with obs.tracer().wall_span(f"tpa.flush:{self.name}"):
             verdicts = verify_transcripts([entry.job for entry in pending])

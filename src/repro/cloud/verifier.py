@@ -30,6 +30,10 @@ verifies content; the device only attests timing and position).
 
 :meth:`VerifierDevice.run_audits` is the protocol body every audit
 runs through (the TPA sends a one-element batch for a single audit).
+Each request in it fails alone: a :class:`~repro.errors.ReproError`
+raised while drawing its challenge or running its rounds (a backend
+that cannot serve, say) comes back in that request's place, and the
+tree is signed over the runs that completed.
 :meth:`VerifierDevice.run_audit` is the scalar reference oracle: one
 audit, step by step as Fig. 4 draws it.  No production path calls it;
 the equivalence tests and benches pin ``run_audits`` against it.
@@ -59,7 +63,7 @@ from repro.crypto.schnorr import (
     # module, so it must stay importable from repro.cloud.verifier.
     schnorr_sign_many,  # noqa: F401
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
 from repro.geo.coords import GeoPoint
 from repro.geo.gps import GPSReceiver
 from repro.netsim.clock import SimClock
@@ -95,24 +99,17 @@ class VerifierDevice:
         device_id: bytes,
         location: GeoPoint,
         *,
-        keypair: SchnorrKeyPair | None = None,
-        gps: GPSReceiver | None = None,
-        lan: LANModel | None = None,
         clock: SimClock | None = None,
-        lan_distance_km: float = 0.05,
         rng: DeterministicRNG | None = None,
     ) -> None:
-        if lan_distance_km < 0:
-            raise ConfigurationError(
-                f"lan_distance_km must be >= 0, got {lan_distance_km}"
-            )
         self.device_id = device_id
         self.location = location
-        self.keypair = keypair or SchnorrKeyPair.generate(seed=device_id)
-        self.gps = gps or GPSReceiver(location)
-        self.lan = lan or LANModel()
+        self.keypair = SchnorrKeyPair.generate(seed=device_id)
+        self.gps = GPSReceiver(location)
+        self.lan = LANModel()
         self.clock = clock or SimClock()
-        self.lan_distance_km = lan_distance_km
+        #: Cable run between the device and the data centre's servers.
+        self.lan_distance_km = 0.05
         self._rng = rng
 
     @property
@@ -227,7 +224,7 @@ class VerifierDevice:
         *,
         rng: DeterministicRNG | None = None,
         clock: SimClock | None = None,
-    ) -> list[AuditRun]:
+    ) -> list[AuditRun | ReproError]:
         """Run a batch of audits; byte-identical to a :meth:`run_audit` loop.
 
         The protocol phase of every TPA audit.  Semantics are exactly
@@ -250,11 +247,16 @@ class VerifierDevice:
         proof and the signature differ, because a batch of n is one
         tree of n leaves where the loop signs n trees of one.
 
-        Returns one :class:`AuditRun` per request with the same
-        started/finished clock readings the scalar protocol loop
+        Returns one entry per request, in order: an :class:`AuditRun`
+        with the same started/finished clock readings the scalar loop
         observes (signing happens after the last timed phase and does
-        not advance the clock, exactly like the scalar path where
-        signing is TPA-invisible arithmetic).
+        not advance the clock), or the
+        :class:`~repro.errors.ReproError` raised while drawing that
+        request's challenge or running its timed rounds.  A failed
+        request fails alone, as a raising ``run_audit`` call does in the
+        loop: the rounds it ran stay on the clock, the next request
+        starts from there, and it gets no leaf in the signed tree.  Any
+        other exception propagates.
         """
         if not requests:
             return []
@@ -306,64 +308,75 @@ class VerifierDevice:
         device_prefix = TRANSCRIPT_MAGIC + encode_length_prefixed(self.device_id)
         file_prefix: dict[bytes, bytes] = {}
 
-        runs: list[AuditRun] = []
+        # One entry per request: the error it raised, or what its
+        # transcript needs once the batch is signed.
+        entries: list[
+            ReproError | tuple[AuditRequest, tuple[TimedRound, ...], GeoPoint, float, float]
+        ] = []
         payloads: list[bytes] = []
-        partial: list[tuple[AuditRequest, tuple[TimedRound, ...], GeoPoint, float, float]] = []
         from_bytes = int.from_bytes
         for position, request in enumerate(requests):
             started_ms = now_ms()
-            challenge = self.generate_challenge(request, challenge_rngs[position])
-            jitter_rng = jitter_rngs[position]
-            if inline_lan and jitter_rate is not None:
-                # Two 53-bit draws (7 bytes each) per round; pulling the
-                # whole audit's jitter bytes in one stream read is
-                # byte-identical to per-draw randbits(53) calls.
-                jitter_bytes = jitter_rng.random_bytes(14 * len(challenge))
-                joff = 0
             rounds: list[TimedRound] = []
             file_id = request.file_id
-            for index in challenge:
-                start_ms = now_ms()
-                if inline_lan:
-                    if jitter_rate is not None:
-                        u = (
-                            from_bytes(jitter_bytes[joff : joff + 7], "big")
-                            >> 3
-                        ) / 9007199254740992  # 2**53
-                        joff += 7
-                        advance(base_request + (-log(1.0 - u) / jitter_rate))
-                    else:
-                        advance(base_request)
-                else:
-                    advance(lan.one_way_ms(distance_km, request_bytes, jitter_rng))
-                serve = handle_request(file_id, index)
-                advance(serve.elapsed_ms)
-                segment = serve.segment
-                if inline_lan:
-                    size = segment.size_bytes
-                    base_response = base_by_size.get(size)
-                    if base_response is None:
-                        # Exact scalar association: (bytes*8.0)/(mbps*1000.0).
-                        base_response = lan_base + (size * 8.0) / bits_per_ms
-                        base_by_size[size] = base_response
-                    if jitter_rate is not None:
-                        u = (
-                            from_bytes(jitter_bytes[joff : joff + 7], "big")
-                            >> 3
-                        ) / 9007199254740992
-                        joff += 7
-                        advance(base_response + (-log(1.0 - u) / jitter_rate))
-                    else:
-                        advance(base_response)
-                else:
-                    advance(lan.one_way_ms(distance_km, segment.size_bytes, jitter_rng))
-                rounds.append(
-                    TimedRound(
-                        index=index,
-                        segment=segment,
-                        rtt_ms=now_ms() - start_ms,
-                    )
+            try:
+                challenge = self.generate_challenge(
+                    request, challenge_rngs[position]
                 )
+                jitter_rng = jitter_rngs[position]
+                if inline_lan and jitter_rate is not None:
+                    # Two 53-bit draws (7 bytes each) per round; pulling
+                    # the whole audit's jitter bytes in one stream read
+                    # is byte-identical to per-draw randbits(53) calls.
+                    jitter_bytes = jitter_rng.random_bytes(14 * len(challenge))
+                    joff = 0
+                for index in challenge:
+                    start_ms = now_ms()
+                    if inline_lan:
+                        if jitter_rate is not None:
+                            u = (
+                                from_bytes(jitter_bytes[joff : joff + 7], "big")
+                                >> 3
+                            ) / 9007199254740992  # 2**53
+                            joff += 7
+                            advance(base_request + (-log(1.0 - u) / jitter_rate))
+                        else:
+                            advance(base_request)
+                    else:
+                        advance(lan.one_way_ms(distance_km, request_bytes, jitter_rng))
+                    serve = handle_request(file_id, index)
+                    advance(serve.elapsed_ms)
+                    segment = serve.segment
+                    if inline_lan:
+                        size = segment.size_bytes
+                        base_response = base_by_size.get(size)
+                        if base_response is None:
+                            # Exact scalar association: (bytes*8.0)/(mbps*1000.0).
+                            base_response = lan_base + (size * 8.0) / bits_per_ms
+                            base_by_size[size] = base_response
+                        if jitter_rate is not None:
+                            u = (
+                                from_bytes(jitter_bytes[joff : joff + 7], "big")
+                                >> 3
+                            ) / 9007199254740992
+                            joff += 7
+                            advance(base_response + (-log(1.0 - u) / jitter_rate))
+                        else:
+                            advance(base_response)
+                    else:
+                        advance(
+                            lan.one_way_ms(distance_km, segment.size_bytes, jitter_rng)
+                        )
+                    rounds.append(
+                        TimedRound(
+                            index=index,
+                            segment=segment,
+                            rtt_ms=now_ms() - start_ms,
+                        )
+                    )
+            except ReproError as exc:
+                entries.append(exc)
+                continue
             finished_ms = now_ms()
             fix = self.gps.read_fix()
 
@@ -383,14 +396,21 @@ class VerifierDevice:
             parts.append(encode_float(fix.position.latitude))
             parts.append(encode_float(fix.position.longitude))
             payloads.append(b"".join(parts))
-            partial.append(
+            entries.append(
                 (request, tuple(rounds), fix.position, started_ms, finished_ms)
             )
 
+        if not payloads:  # every request failed: nothing to sign
+            return [entry for entry in entries if isinstance(entry, ReproError)]
         proofs, signature = self._sign_batch(payloads)
-        for (request, rounds_tuple, position_fix, started_ms, finished_ms), payload, proof in zip(
-            partial, payloads, proofs
-        ):
+        signed = iter(zip(payloads, proofs))
+        runs: list[AuditRun | ReproError] = []
+        for entry in entries:
+            if isinstance(entry, ReproError):
+                runs.append(entry)
+                continue
+            request, rounds_tuple, position_fix, started_ms, finished_ms = entry
+            payload, proof = next(signed)
             transcript = SignedTranscript(
                 device_id=self.device_id,
                 file_id=request.file_id,

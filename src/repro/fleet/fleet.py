@@ -100,7 +100,7 @@ from repro.cloud.replication import (
     ReplicationAuditor,
 )
 from repro.cloud.sla import SLAPolicy
-from repro.cloud.tpa import AuditOutcome, ThirdPartyAuditor
+from repro.cloud.tpa import AuditOutcome, PendingAudit, ThirdPartyAuditor
 from repro.cloud.verifier import VerifierDevice
 from repro.core.session import OutsourcedFile, outsource_file
 from repro.crypto.rng import DeterministicRNG
@@ -137,6 +137,10 @@ from repro.fleet.strategies import (
 
 #: The available run loops (see the module docstring).
 ENGINES = ("slot", "event")
+
+#: Radius of the circle around a site that a site-centred SLA region
+#: draws (see :meth:`AuditFleet.register`).
+REGION_RADIUS_KM = 100.0
 
 
 def _check_engine(engine: str) -> None:
@@ -178,14 +182,12 @@ class AuditFleet:
         dispatch_overhead_ms: float = 40.0,
         default_k_rounds: int = 10,
         default_interval_hours: float = 6.0,
-        region_radius_km: float = 100.0,
         engine: str = "slot",
         lane_queue_limit: int = 4,
         setup_workers: int | None = None,
     ) -> None:
         check_positive("slot_minutes", slot_minutes)
         check_positive("dispatch_overhead_ms", dispatch_overhead_ms, strict=False)
-        check_positive("region_radius_km", region_radius_km)
         if batch_size <= 0:
             raise ConfigurationError(
                 f"batch_size must be positive, got {batch_size}"
@@ -214,7 +216,6 @@ class AuditFleet:
         self.dispatch_overhead_ms = dispatch_overhead_ms
         self.default_k_rounds = default_k_rounds
         self.default_interval_hours = default_interval_hours
-        self.region_radius_km = region_radius_km
         self.engine = engine
         self.lane_queue_limit = lane_queue_limit
         #: Process-pool width for the outsourcing pipeline's RS encode
@@ -341,7 +342,7 @@ class AuditFleet:
     ) -> OutsourcedFile:
         """Outsource a tenant file and enqueue it for recurring audits.
 
-        The SLA region defaults to a circle of ``region_radius_km``
+        The SLA region defaults to a circle of :data:`REGION_RADIUS_KM`
         around the contracted data centre and the SLA timing budget to
         the disk class that site was onboarded with (a mismatched disk
         would hand the provider free relay headroom); ``epsilon`` is
@@ -383,13 +384,7 @@ class AuditFleet:
                 f"k_rounds must be in 1..{n_segments} for a "
                 f"{len(data)}-byte file, got {k}"
             )
-        sla = SLAPolicy(
-            region=region
-            or CircularRegion(centre=site.location, radius_km=self.region_radius_km),
-            disk=disk if disk is not None else site.server.disk.spec,
-            segment_bytes=self.params.segment_bytes + self.params.tag_bytes,
-            min_rounds=k,
-        )
+        sla = self._site_sla(site, k, region=region, disk=disk)
         record = outsource_file(
             file_id=file_id,
             data=data,
@@ -461,6 +456,28 @@ class AuditFleet:
             deployment.verifier_for(name)  # fail fast, as for the home
         return chosen
 
+    def _site_sla(
+        self,
+        site: DataCentre,
+        k_rounds: int,
+        *,
+        region: Region | None = None,
+        disk: HDDSpec | None = None,
+    ) -> SLAPolicy:
+        """The SLA of an audit at ``site``.
+
+        A circle of :data:`REGION_RADIUS_KM` around the site and the
+        disk class it was onboarded with, unless ``region`` or ``disk``
+        override them; ``k_rounds`` is the minimum round count.
+        """
+        return SLAPolicy(
+            region=region
+            or CircularRegion(centre=site.location, radius_km=REGION_RADIUS_KM),
+            disk=disk if disk is not None else site.server.disk.spec,
+            segment_bytes=self.params.segment_bytes + self.params.tag_bytes,
+            min_rounds=k_rounds,
+        )
+
     def _place_replicas(
         self,
         deployment: ProviderDeployment,
@@ -483,17 +500,7 @@ class AuditFleet:
             sites[name] = ReplicaSite(
                 name=name,
                 verifier=deployment.verifier_for(name),
-                sla=SLAPolicy(
-                    region=CircularRegion(
-                        centre=destination.location,
-                        radius_km=self.region_radius_km,
-                    ),
-                    disk=destination.server.disk.spec,
-                    segment_bytes=(
-                        self.params.segment_bytes + self.params.tag_bytes
-                    ),
-                    min_rounds=k_rounds,
-                ),
+                sla=self._site_sla(destination, k_rounds),
             )
         self._replica_sites[(provider.name, file_id)] = sites
 
@@ -526,17 +533,7 @@ class AuditFleet:
             ReplicaSite(
                 name=task.datacentre,
                 verifier=deployment.verifier_for(task.datacentre),
-                sla=SLAPolicy(
-                    region=CircularRegion(
-                        centre=home_dc.location,
-                        radius_km=self.region_radius_km,
-                    ),
-                    disk=home_dc.server.disk.spec,
-                    segment_bytes=(
-                        self.params.segment_bytes + self.params.tag_bytes
-                    ),
-                    min_rounds=task.k_rounds,
-                ),
+                sla=self._site_sla(home_dc, task.k_rounds),
             )
         )
         for site in self._replica_sites.get((provider, file_id), {}).values():
@@ -617,15 +614,15 @@ class AuditFleet:
         task: AuditTask,
         clock: SimClock,
         at_site: str | None,
-    ) -> None:
-        """Run one task's timed protocol phase; defer its verdict.
+    ) -> PendingAudit:
+        """Run one task's timed protocol phase; return the pending run.
 
         ``clock`` is the clock the timed phase runs on -- the fleet
         clock in the slot engine, the executing lane's clock in the
         event engine (injected down through the TPA and verifier).
-        The verdict waits for the provider TPA's next
-        :meth:`~repro.cloud.tpa.ThirdPartyAuditor.flush_verdicts`,
-        which :meth:`_execute_batch` issues once per batch.
+        The returned run waits for its verdict until
+        :meth:`_execute_batch` passes the batch's runs to the provider
+        TPA's :meth:`~repro.cloud.tpa.ThirdPartyAuditor.flush_verdicts`.
 
         ``at_site`` runs the audit at one of the task's *replica*
         sites instead of its home (a work-stealing migration): that
@@ -657,7 +654,7 @@ class AuditFleet:
         if serve_local:
             provider.set_strategy(NearestCopyStrategy(verifier.location))
         try:
-            deployment.tpa.audit_deferred(
+            pending = deployment.tpa.audit_deferred(
                 task.file_id,
                 verifier,
                 provider,
@@ -673,6 +670,7 @@ class AuditFleet:
         task.audits += 1
         if site_name != task.datacentre:
             task.stolen_audits += 1
+        return pending
 
     def _execute_batch(
         self,
@@ -687,12 +685,12 @@ class AuditFleet:
     ) -> list[AuditEvent]:
         """Run one dispatched batch at ``site`` on ``clock``.
 
-        The batch body both engines share: stage every audit, flush
-        the verdicts once, turn the outcomes into events, charge the
-        lane and record the batch span.  A task whose home is not
-        ``site`` is a work-stealing migration and runs at the
-        replica there.  ``slot`` labels the events (global in the
-        slot engine, lane-local in the event engine).
+        The batch body both engines share: stage every audit, pass the
+        batch's pending runs to one verdict flush, turn the outcomes
+        into events, charge the lane and record the batch span.  A
+        task whose home is not ``site`` is a work-stealing migration
+        and runs at the replica there.  ``slot`` labels the events
+        (global in the slot engine, lane-local in the event engine).
         """
         batch_start = clock.now_ms()
         # One dispatch pays for the whole batch: the TPA wakes the
@@ -700,15 +698,16 @@ class AuditFleet:
         clock.advance(self.dispatch_overhead_ms)
         n_stolen = 0
         spindle_waits: list[float] = []
+        pending: list[PendingAudit] = []
         with accounting.service_context(site, clock), \
                 accounting.site_window(site) as window:
             for task in batch:
                 stolen = task.site != site
                 n_stolen += stolen
                 wait_mark = accounting.provider_wait_ms(site[0])
-                self._stage_audit(
+                pending.append(self._stage_audit(
                     task, clock, at_site=site[1] if stolen else None
-                )
+                ))
                 spindle_waits.append(
                     accounting.provider_wait_ms(site[0]) - wait_mark
                 )
@@ -718,16 +717,8 @@ class AuditFleet:
         # it.  The wall time it takes is the verify-phase cost the lane
         # accounting attributes; simulated time is untouched.
         verify_start = wall_seconds()
-        outcomes = self.deployment(site[0]).tpa.flush_verdicts()
+        outcomes = self.deployment(site[0]).tpa.flush_verdicts(pending)
         verify_seconds = wall_seconds() - verify_start
-        if len(outcomes) != len(batch):
-            # Audits deferred outside the run loop would misalign the
-            # outcome/task mapping; refuse rather than mislabel.
-            raise ConfigurationError(
-                f"provider {site[0]!r} flushed {len(outcomes)} verdicts "
-                f"for a batch of {len(batch)}; do not mix manual "
-                "audit_deferred() calls with fleet runs"
-            )
         events = [
             self._event_for(
                 slot, task, outcome, start_ms, horizon_ms,

@@ -7,21 +7,24 @@ collects them into a batch and flushes when either trigger fires:
 * **deadline** -- ``flush_ms`` of wall time passed since the batch
   opened (a lone order is never parked indefinitely).
 
-One flush is two amortized sweeps through the TPA's one protocol body
-and one verdict body -- the same bodies a one-shot
+One flush is one call into the TPA's one protocol body and one into
+its one verdict body -- the same bodies a one-shot
 :meth:`~repro.cloud.tpa.ThirdPartyAuditor.audit` runs as a batch of
-one.  Each contiguous same-``k`` run of orders goes through
-:meth:`~repro.cloud.tpa.ThirdPartyAuditor.audit_deferred_many` (one
-``fork_many`` derives every challenge/jitter stream, one batched
-Schnorr signing pass), then one
-:meth:`~repro.cloud.tpa.ThirdPartyAuditor.flush_verdicts` settles every
-verdict (one MAC sweep per key group, one Schnorr batch verify per
-device key).  Orders are processed in strict submission order -- the TPA's
-nonce stream advances exactly as the scalar reference audit
-(``make_request``, ``VerifierDevice.run_audit``,
-``verify_transcript``, one order at a time) would advance it, which is
-what makes daemon and reference verdicts request-for-request identical
-(pinned by test and CI-gated by ``benchmarks/bench_daemon.py``).
+one.  :meth:`~repro.cloud.tpa.ThirdPartyAuditor.audit_deferred_many`
+runs every order of the flush (one ``prf_many`` call derives every
+challenge/jitter stream, one signed hash-tree root) and returns one
+entry per order: a pending run, or the error that order failed with.
+:meth:`~repro.cloud.tpa.ThirdPartyAuditor.flush_verdicts` then settles
+the runs that completed (one MAC sweep per key group, one Schnorr
+check per batch root).  Orders fail alone: an unknown file or an
+out-of-range ``k`` is refused before a nonce is drawn, and a backend
+failure fails only the order whose lookup it hit.  Orders are processed
+in strict submission order -- the TPA's nonce stream advances exactly
+as the scalar reference audit (``make_request``,
+``VerifierDevice.run_audit``, ``verify_transcript``, one order at a
+time) would advance it, which is what makes daemon and reference
+verdicts request-for-request identical (pinned by test and CI-gated by
+``benchmarks/bench_daemon.py``).
 
 :meth:`AuditDispatcher.process_batch` is the synchronous core (tests
 and the benchmark drive it directly); :meth:`AuditDispatcher.run` is
@@ -178,66 +181,28 @@ class AuditDispatcher:
     ) -> list[VerdictReply | ErrorReply]:
         """Audit one batch; one reply per order, in submission order.
 
-        Unserviceable orders (unknown file, out-of-range ``k``) are
-        answered with :class:`ErrorReply` *before* any nonce is drawn,
-        so a bad order never perturbs its neighbours' challenge
-        derivation.  A backend failure that escapes the registry's
-        failover chain mid-protocol fails that whole contiguous run of
-        orders closed, never the daemon.
+        ``k=0`` in an order means the SLA minimum.  An order the TPA
+        refuses or the device fails is answered with an
+        :class:`ErrorReply` carrying the error's text, and only that
+        order: every other order gets the verdict the scalar reference
+        audit gives it.
         """
-        replies: list[VerdictReply | ErrorReply | None] = [None] * len(orders)
-        validated: list[tuple[int, AuditOrder, int]] = []
-        for position, order in enumerate(orders):
-            try:
-                record = self.tpa.record(order.file_id)
-            except ConfigurationError as exc:
-                replies[position] = ErrorReply(order.order_id, str(exc))
-                continue
-            k = order.k if order.k else record.sla.min_rounds
-            if not 0 < k <= record.n_segments:
-                replies[position] = ErrorReply(
-                    order.order_id,
-                    f"k must be in 1..{record.n_segments}, got {k}",
-                )
-                continue
-            validated.append((position, order, k))
-        # Contiguous same-k runs share one batched protocol sweep;
-        # submission order (and so the nonce stream) is preserved.
-        deferred: list[tuple[int, AuditOrder]] = []
-        start = 0
-        while start < len(validated):
-            end = start
-            k = validated[start][2]
-            while end < len(validated) and validated[end][2] == k:
-                end += 1
-            chunk = validated[start:end]
-            try:
-                self.tpa.audit_deferred_many(
-                    [order.file_id for _position, order, _k in chunk],
-                    self.verifier,
-                    self.provider,
-                    k=k,
-                )
-            except ReproError as exc:
-                # audit_deferred_many queues nothing unless the whole
-                # chunk's protocol phase succeeded, so failing these
-                # orders cannot misalign the verdict flush below.
-                for position, order, _unused_k in chunk:
-                    replies[position] = ErrorReply(order.order_id, str(exc))
-                start = end
-                continue
-            deferred.extend((position, order) for position, order, _ in chunk)
-            start = end
-        outcomes = self.tpa.flush_verdicts() if deferred else []
-        if len(outcomes) != len(deferred):
-            raise ConfigurationError(
-                f"flushed {len(outcomes)} verdicts for {len(deferred)} "
-                "dispatched orders; do not mix manual audit_deferred() "
-                "calls with a running dispatcher"
-            )
-        for (position, order), outcome in zip(deferred, outcomes):
-            replies[position] = VerdictReply(order.order_id, outcome.verdict)
-        n_errors = sum(isinstance(reply, ErrorReply) for reply in replies)
+        entries = self.tpa.audit_deferred_many(
+            [(order.file_id, order.k or None) for order in orders],
+            self.verifier,
+            self.provider,
+        )
+        outcomes = iter(self.tpa.flush_verdicts(
+            [entry for entry in entries if not isinstance(entry, ReproError)]
+        ))
+        replies: list[VerdictReply | ErrorReply] = []
+        n_errors = 0
+        for order, entry in zip(orders, entries):
+            if isinstance(entry, ReproError):
+                replies.append(ErrorReply(order.order_id, str(entry)))
+                n_errors += 1
+            else:
+                replies.append(VerdictReply(order.order_id, next(outcomes).verdict))
         self.stats.n_orders += len(orders)
         self.stats.n_flushes += 1
         self.stats.flush_sizes.observe(len(orders))
@@ -247,7 +212,7 @@ class AuditDispatcher:
         self._obs_flush_size.observe(len(orders))
         if n_errors:
             self._obs_errors.inc(n_errors)
-        return [reply for reply in replies if reply is not None]
+        return replies
 
     # -- asyncio loop ---------------------------------------------------
 

@@ -66,6 +66,9 @@ class ServeResult:
     segment: Segment
     elapsed_ms: float
     served_by: str
+    #: The share of ``elapsed_ms`` spent queued on a shared spindle (0
+    #: when the spindle is dedicated or the medium is unqueued).
+    wait_ms: float = 0.0
 
 
 class StorageProvider(ABC):
@@ -342,13 +345,9 @@ class SimulatedHDDStorage(StorageProvider):
         return self.server.store.exists(file_id, index)
 
     def lookup(self, file_id: bytes, index: int) -> ServeResult:
-        result = self.server.lookup(file_id, index)
+        result = self.server.lookup(file_id, index, self.name)
         self.n_lookups += 1
-        return ServeResult(
-            segment=result.segment,
-            elapsed_ms=result.elapsed_ms,
-            served_by=self.name,
-        )
+        return result
 
     def put_file(self, encoded: EncodedFile) -> None:
         self.server.store.put_file(encoded)

@@ -20,8 +20,9 @@ Design note: the server has two timing modes.
   resource: each lookup presents its arrival time (read off the bound
   clock) to the spindle queue and pays ``queue wait + seek + rotate +
   transfer``.  Several audit lanes hitting one spindle then contend
-  realistically -- the wait is reported in the :class:`LookupResult`,
-  split out by :class:`ServeWindow`, and classified on the requesting
+  realistically -- the wait is reported in the
+  :class:`~repro.storage.contract.ServeResult`, split out by
+  :class:`ServeWindow`, and classified on the requesting
   lane's clock (:meth:`~repro.netsim.lanes.LaneClock.record_wait`).
   With a dedicated spindle (one requester) the wait is identically
   zero and the two modes report the same numbers, which is what keeps
@@ -31,23 +32,10 @@ Design note: the server has two timing modes.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 from repro.netsim.resources import SpindleQueue
-from repro.por.file_format import Segment
-from repro.storage.contract import InMemoryStorage
+from repro.storage.contract import InMemoryStorage, ServeResult
 from repro.storage.hdd import HDDModel, HDDSpec, WD_2500JD
-
-
-@dataclass(frozen=True)
-class LookupResult:
-    """A segment plus the simulated time the lookup took."""
-
-    segment: Segment
-    elapsed_ms: float
-    #: Queue wait paid on a shared spindle (0 when the spindle is
-    #: dedicated or the server is unqueued).
-    wait_ms: float = 0.0
 
 
 class StorageServer:
@@ -113,16 +101,23 @@ class StorageServer:
                 record(grant.wait_ms)
         return grant.wait_ms
 
-    def lookup(self, file_id: bytes, index: int) -> LookupResult:
-        """Fetch a segment, charging disk time plus any queue wait."""
+    def lookup(self, file_id: bytes, index: int, served_by: str) -> ServeResult:
+        """Fetch a segment, charging disk time plus any queue wait.
+
+        ``served_by`` names the site the record reports (the view over
+        this server that the request came through).
+        """
         segment = self.store.get_segment(file_id, index)
         disk_ms = self.disk.lookup_ms(segment.size_bytes)
         wait_ms = self._spindle_wait_ms(disk_ms)
         self.n_lookups += 1
         self.total_disk_ms += disk_ms
         self.total_wait_ms += wait_ms
-        return LookupResult(
-            segment=segment, elapsed_ms=wait_ms + disk_ms, wait_ms=wait_ms
+        return ServeResult(
+            segment=segment,
+            elapsed_ms=wait_ms + disk_ms,
+            served_by=served_by,
+            wait_ms=wait_ms,
         )
 
     def serve_window(self) -> "ServeWindow":

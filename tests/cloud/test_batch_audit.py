@@ -6,8 +6,9 @@ arithmetic, one signed hash-tree root per call) must be
 payloads, same clock readings, same verdicts.  Only the batch proof
 and the signature differ (one tree of n leaves against n trees of
 one), and every transcript on both sides must verify.  These tests pin
-that equivalence, including under adversarial providers and with the
-non-default code paths (no device RNG, custom LAN subclass).
+that equivalence, including under adversarial providers, with the
+non-default code paths (no device RNG, custom LAN subclass), and when
+a request fails partway: it fails alone, as it does in the loop.
 """
 
 import dataclasses
@@ -18,6 +19,7 @@ from repro.cloud.adversary import CorruptionAttack, RelayAttack
 from repro.cloud.provider import DataCentre
 from repro.core.messages import AuditRequest
 from repro.crypto.rng import DeterministicRNG
+from repro.errors import ReproError, StorageUnavailableError
 from repro.geo.coords import GeoPoint
 from repro.geo.regions import CircularRegion
 from repro.netsim.latency import LANModel
@@ -72,6 +74,42 @@ def assert_runs_match_scalar(scalar_session, batch_session, requests):
         batch_session.verifier.clock.now_ms()
         == scalar_session.verifier.clock.now_ms()
     )
+
+
+class FailsAtLookup:
+    """Serves through ``provider`` but refuses the listed lookups.
+
+    Lookups are counted from 1 across every request, so a batch and the
+    scalar loop, which make the same lookups in the same order, fail at
+    the same one.
+    """
+
+    def __init__(self, provider, failing):
+        self.provider = provider
+        self.failing = set(failing)
+        self.n_lookups = 0
+
+    def handle_request(self, file_id, index):
+        self.n_lookups += 1
+        if self.n_lookups in self.failing:
+            raise StorageUnavailableError(f"lookup {self.n_lookups} refused")
+        return self.provider.handle_request(file_id, index)
+
+
+def scalar_loop_isolating(session, requests, provider):
+    """The run_audit loop with each raising call caught: per request,
+    its error or (transcript, started, finished)."""
+    clock = session.verifier.clock
+    entries = []
+    for request in requests:
+        started = clock.now_ms()
+        try:
+            transcript = session.verifier.run_audit(request, provider)
+        except ReproError as exc:
+            entries.append(exc)
+            continue
+        entries.append((transcript, started, clock.now_ms()))
+    return entries
 
 
 class TestRunAuditsEquivalence:
@@ -180,6 +218,74 @@ class TestRunAuditsEquivalence:
         assert session.verifier.run_audits([], session.provider) == []
         assert session.verifier.clock.now_ms() == before
 
+    def test_failed_request_fails_alone(self):
+        """The third of four k=5 requests fails on its third lookup
+        (the 13th overall): the other runs equal the loop's, and both
+        clocks end at the same reading."""
+        scalar_session, file_id, _ = build_session("batch-isolate")
+        batch_session, _, _ = build_session("batch-isolate")
+        requests = make_requests(scalar_session, file_id, 4)
+        scalar = scalar_loop_isolating(
+            scalar_session,
+            requests,
+            FailsAtLookup(scalar_session.provider, [13]),
+        )
+        runs = batch_session.verifier.run_audits(
+            requests, FailsAtLookup(batch_session.provider, [13])
+        )
+        assert [isinstance(entry, ReproError) for entry in scalar] == [
+            False, False, True, False
+        ]
+        assert [isinstance(run, ReproError) for run in runs] == [
+            False, False, True, False
+        ]
+        assert str(runs[2]) == str(scalar[2]) == "lookup 13 refused"
+        completed = [0, 1, 3]
+        assert_equal_apart_from_proof(
+            [runs[i].transcript for i in completed],
+            [scalar[i][0] for i in completed],
+            batch_session.verifier.public_key,
+        )
+        for i in completed:
+            assert runs[i].started_ms == scalar[i][1]
+            assert runs[i].finished_ms == scalar[i][2]
+            assert runs[i].transcript.proof.n_leaves == 3
+        assert (
+            batch_session.verifier.clock.now_ms()
+            == scalar_session.verifier.clock.now_ms()
+        )
+
+        # Only a ReproError fails a request alone; a bug surfaces.
+        class Broken:
+            def handle_request(self, file_id, index):
+                raise ZeroDivisionError("bug")
+
+        with pytest.raises(ZeroDivisionError):
+            batch_session.verifier.run_audits(requests, Broken())
+
+    def test_every_request_failing_returns_only_errors(self):
+        scalar_session, file_id, _ = build_session("batch-all-fail")
+        batch_session, _, _ = build_session("batch-all-fail")
+        requests = make_requests(scalar_session, file_id, 3)
+        # The first lookup of each request.
+        failing = [1, 2, 3]
+        scalar = scalar_loop_isolating(
+            scalar_session,
+            requests,
+            FailsAtLookup(scalar_session.provider, failing),
+        )
+        runs = batch_session.verifier.run_audits(
+            requests, FailsAtLookup(batch_session.provider, failing)
+        )
+        assert all(isinstance(entry, ReproError) for entry in scalar)
+        assert [str(run) for run in runs] == [str(entry) for entry in scalar]
+        assert all(isinstance(run, StorageUnavailableError) for run in runs)
+        assert (
+            batch_session.verifier.clock.now_ms()
+            == scalar_session.verifier.clock.now_ms()
+            > 0.0
+        )
+
     def test_batch_payload_memo_is_correct(self):
         """The seeded _signed_payload cache equals a fresh encoding."""
         session, file_id, _ = build_session("batch-memo")
@@ -195,17 +301,19 @@ class TestAuditDeferredMany:
     def test_matches_deferred_loop(self):
         loop_session, file_id, _ = build_session("many-pin")
         batch_session, _, _ = build_session("many-pin")
-        for _ in range(6):
+        loop = [
             loop_session.tpa.audit_deferred(
                 file_id, loop_session.verifier, loop_session.provider, k=5
             )
-        batch_session.tpa.audit_deferred_many(
-            [file_id] * 6, batch_session.verifier, batch_session.provider, k=5
+            for _ in range(6)
+        ]
+        batch = batch_session.tpa.audit_deferred_many(
+            [(file_id, 5)] * 6, batch_session.verifier, batch_session.provider
         )
-        assert batch_session.tpa.pending_count == 6
+        assert len(batch) == 6
         assert_equal_apart_from_proof(
-            batch_session.tpa.flush_verdicts(),
-            loop_session.tpa.flush_verdicts(),
+            batch_session.tpa.flush_verdicts(batch),
+            loop_session.tpa.flush_verdicts(loop),
             batch_session.verifier.public_key,
         )
 
@@ -229,10 +337,13 @@ class TestAuditDeferredMany:
             )
             for _ in range(4)
         ]
-        batch_session.tpa.audit_deferred_many(
-            [file_id] * 4, batch_session.verifier, batch_session.provider, k=5
+        batch = batch_session.tpa.flush_verdicts(
+            batch_session.tpa.audit_deferred_many(
+                [(file_id, 5)] * 4,
+                batch_session.verifier,
+                batch_session.provider,
+            )
         )
-        batch = batch_session.tpa.flush_verdicts()
         assert_equal_apart_from_proof(
             batch, scalar, batch_session.verifier.public_key
         )
@@ -241,14 +352,14 @@ class TestAuditDeferredMany:
 
     def test_rtt_and_region_overrides_forwarded(self):
         session, file_id, _ = build_session("many-overrides")
-        session.tpa.audit_deferred_many(
-            [file_id] * 2,
-            session.verifier,
-            session.provider,
-            k=5,
-            rtt_max_ms=0.001,
+        outcomes = session.tpa.flush_verdicts(
+            session.tpa.audit_deferred_many(
+                [(file_id, 5)] * 2,
+                session.verifier,
+                session.provider,
+                rtt_max_ms=0.001,
+            )
         )
-        outcomes = session.tpa.flush_verdicts()
         assert all(not o.verdict.accepted for o in outcomes)
         assert all(not o.verdict.timing_ok for o in outcomes)
 
@@ -278,14 +389,14 @@ class TestAuditDeferredMany:
             )
             for region in (away, away, here)
         ]
-        batch_session.tpa.audit_deferred_many(
-            [file_id] * 2,
-            batch_session.verifier,
-            batch_session.provider,
-            k=5,
-            region=away,
+        batch = batch_session.tpa.flush_verdicts(
+            batch_session.tpa.audit_deferred_many(
+                [(file_id, 5)] * 2,
+                batch_session.verifier,
+                batch_session.provider,
+                region=away,
+            )
         )
-        batch = batch_session.tpa.flush_verdicts()
         batch.append(
             batch_session.tpa.audit(
                 file_id,
@@ -304,31 +415,89 @@ class TestAuditDeferredMany:
 
     def test_empty_file_list_is_noop(self):
         session, _, _ = build_session("many-empty")
-        session.tpa.audit_deferred_many(
+        before = session.verifier.clock.now_ms()
+        assert session.tpa.audit_deferred_many(
             [], session.verifier, session.provider
-        )
-        assert session.tpa.pending_count == 0
+        ) == []
+        assert session.verifier.clock.now_ms() == before
+        assert list(session.tpa.audit_log) == []
 
     def test_interleaves_with_scalar_deferred(self):
         """Mixing audit_deferred and audit_deferred_many keeps the
         nonce stream and submission order scalar-identical."""
         loop_session, file_id, _ = build_session("many-interleave")
         mixed_session, _, _ = build_session("many-interleave")
-        for _ in range(4):
+        loop = [
             loop_session.tpa.audit_deferred(
                 file_id, loop_session.verifier, loop_session.provider, k=5
             )
-        mixed_session.tpa.audit_deferred(
-            file_id, mixed_session.verifier, mixed_session.provider, k=5
+            for _ in range(4)
+        ]
+        mixed = [
+            mixed_session.tpa.audit_deferred(
+                file_id, mixed_session.verifier, mixed_session.provider, k=5
+            )
+        ]
+        mixed += mixed_session.tpa.audit_deferred_many(
+            [(file_id, 5)] * 2, mixed_session.verifier, mixed_session.provider
         )
-        mixed_session.tpa.audit_deferred_many(
-            [file_id] * 2, mixed_session.verifier, mixed_session.provider, k=5
-        )
-        mixed_session.tpa.audit_deferred(
-            file_id, mixed_session.verifier, mixed_session.provider, k=5
+        mixed.append(
+            mixed_session.tpa.audit_deferred(
+                file_id, mixed_session.verifier, mixed_session.provider, k=5
+            )
         )
         assert_equal_apart_from_proof(
-            mixed_session.tpa.flush_verdicts(),
-            loop_session.tpa.flush_verdicts(),
+            mixed_session.tpa.flush_verdicts(mixed),
+            loop_session.tpa.flush_verdicts(loop),
             mixed_session.verifier.public_key,
         )
+
+    def test_refused_and_failed_orders_fail_alone(self):
+        """An unknown file and an out-of-range k are refused before any
+        nonce is drawn; a failed lookup fails only its order.  The
+        other orders settle to the scalar reference audits."""
+        scalar_session, file_id, _ = build_session("many-isolate")
+        batch_session, _, _ = build_session("many-isolate")
+        # Orders 1, 4 and 5 run (k=5, 5 and the SLA minimum); order 4's
+        # second lookup, the 7th overall, is refused.
+        scalar_provider = FailsAtLookup(scalar_session.provider, [7])
+        scalar = []
+        for k in (5, 5, None):
+            try:
+                scalar.append(scalar_audit(
+                    scalar_session.tpa,
+                    file_id,
+                    scalar_session.verifier,
+                    scalar_provider,
+                    k=k,
+                ))
+            except ReproError as exc:
+                scalar.append(exc)
+        entries = batch_session.tpa.audit_deferred_many(
+            [
+                (file_id, 5),
+                (b"ghost", 5),
+                (file_id, 10**9),
+                (file_id, 5),
+                (file_id, None),
+            ],
+            batch_session.verifier,
+            FailsAtLookup(batch_session.provider, [7]),
+        )
+        assert [type(entry).__name__ for entry in entries] == [
+            "PendingAudit",
+            "ConfigurationError",
+            "ConfigurationError",
+            "StorageUnavailableError",
+            "PendingAudit",
+        ]
+        assert str(entries[1]) == "file b'ghost' not registered"
+        assert str(entries[2]).startswith("k must be in 1..")
+        assert str(entries[3]) == str(scalar[1]) == "lookup 7 refused"
+        outcomes = batch_session.tpa.flush_verdicts([entries[0], entries[4]])
+        assert_equal_apart_from_proof(
+            outcomes,
+            [scalar[0], scalar[2]],
+            batch_session.verifier.public_key,
+        )
+        assert list(batch_session.tpa.audit_log) == outcomes

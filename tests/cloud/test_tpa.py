@@ -60,6 +60,24 @@ class TestAuditing:
         assert not strict.verdict.accepted
         assert "timing" in strict.verdict.failure_reasons
 
+    def test_refused_k_draws_no_nonce(self):
+        """An out-of-range k is refused before the nonce is drawn, so
+        the next request's nonce equals a twin's that was never asked."""
+        session, file_id, _ = build_session("tpa-refused-k")
+        twin, _, _ = build_session("tpa-refused-k")
+        n_segments = session.tpa.record(file_id).n_segments
+        for bad_k in (0, n_segments + 1, 10**9):
+            with pytest.raises(ConfigurationError, match="k must be in"):
+                session.tpa.make_request(file_id, bad_k)
+        with pytest.raises(ConfigurationError, match="k must be in"):
+            session.tpa.audit(
+                file_id, session.verifier, session.provider, k=10**9
+            )
+        assert (
+            session.tpa.make_request(file_id, 5).nonce
+            == twin.tpa.make_request(file_id, 5).nonce
+        )
+
 
 class TestDeferredVerification:
     def test_deferred_outcomes_equal_immediate(self):
@@ -86,39 +104,42 @@ class TestDeferredVerification:
             )
             for _ in range(4)
         ]
-        for _ in range(4):
+        pending = [
             deferred_session.tpa.audit_deferred(
                 file_id,
                 deferred_session.verifier,
                 deferred_session.provider,
                 k=5,
             )
-        assert deferred_session.tpa.pending_count == 4
-        flushed = deferred_session.tpa.flush_verdicts()
+            for _ in range(4)
+        ]
+        assert list(deferred_session.tpa.audit_log) == []
+        flushed = deferred_session.tpa.flush_verdicts(pending)
         assert immediate == oracle
         assert flushed == oracle
-        assert deferred_session.tpa.pending_count == 0
         assert list(immediate_session.tpa.audit_log) == oracle
         assert list(deferred_session.tpa.audit_log) == oracle
 
     def test_flush_empty_is_noop(self):
         session, _, _ = build_session("tpa-noflush")
-        assert session.tpa.flush_verdicts() == []
+        assert session.tpa.flush_verdicts([]) == []
         assert list(session.tpa.audit_log) == []
 
     def test_deferred_counts_failures(self):
         session, file_id, _ = build_session("tpa-defer-fail")
-        session.tpa.audit_deferred(
-            file_id, session.verifier, session.provider, k=5
-        )
-        session.tpa.audit_deferred(
-            file_id,
-            session.verifier,
-            session.provider,
-            k=5,
-            rtt_max_ms=0.001,
-        )
-        session.tpa.flush_verdicts()
+        pending = [
+            session.tpa.audit_deferred(
+                file_id, session.verifier, session.provider, k=5
+            ),
+            session.tpa.audit_deferred(
+                file_id,
+                session.verifier,
+                session.provider,
+                k=5,
+                rtt_max_ms=0.001,
+            ),
+        ]
+        session.tpa.flush_verdicts(pending)
         assert session.tpa.acceptance_rate() == pytest.approx(0.5)
         assert session.tpa.failures_by_reason().get("timing") == 1
 
@@ -192,16 +213,18 @@ class TestBoundedAuditLog:
         session.outsource(b"file-0", data)
         tpa = session.tpa
         n_forced_rejects = 50
-        tpa.audit_deferred_many(
-            [b"file-0"] * AUDIT_LOG_LIMIT, session.verifier, session.provider
+        pending = tpa.audit_deferred_many(
+            [(b"file-0", None)] * AUDIT_LOG_LIMIT,
+            session.verifier,
+            session.provider,
         )
-        tpa.audit_deferred_many(
-            [b"file-0"] * n_forced_rejects,
+        pending += tpa.audit_deferred_many(
+            [(b"file-0", None)] * n_forced_rejects,
             session.verifier,
             session.provider,
             rtt_max_ms=0.001,
         )
-        outcomes = tpa.flush_verdicts()
+        outcomes = tpa.flush_verdicts(pending)
         assert len(outcomes) == AUDIT_LOG_LIMIT + n_forced_rejects
         assert isinstance(tpa.audit_log, deque)
         assert len(tpa.audit_log) == AUDIT_LOG_LIMIT

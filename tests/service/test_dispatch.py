@@ -4,18 +4,21 @@ The load-bearing pin: for the same seed and the same order stream, the
 daemon's batched path and the scalar one-call-one-audit oracle
 (``tests.conftest.scalar_audit``) produce
 *identical* verdicts -- bad orders answered before any nonce is drawn,
-contiguous same-k runs batched, submission order preserved.
+an order whose backend fails failing alone, submission order
+preserved.
 """
 
 import pytest
 
 from repro.core.session import GeoProofSession
 from repro.crypto.rng import DeterministicRNG
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, StorageUnavailableError
 from repro.geo.coords import GeoPoint
 from repro.por.parameters import TEST_PARAMS
 from repro.service import AuditOrder, ErrorReply, VerdictReply
 from repro.service.dispatch import AuditDispatcher
+from repro.service.registry import ProviderRegistry
+from repro.storage.contract import InMemoryStorage
 from tests.conftest import scalar_audit
 
 
@@ -42,6 +45,31 @@ def build_dispatcher(session, **kwargs):
         provider=session.provider,
         **kwargs,
     )
+
+
+class RefusesOneFile(InMemoryStorage):
+    """A RAM backend that cannot serve one file (a lost shard, say)."""
+
+    def __init__(self, name, refused):
+        super().__init__(name)
+        self.refused = refused
+
+    def lookup(self, file_id, index):
+        if file_id == self.refused:
+            raise StorageUnavailableError(f"shard of {file_id!r} is down")
+        return super().lookup(file_id, index)
+
+
+def registry_refusing(session, file_ids, refused):
+    """A one-backend registry over copies of the session's files."""
+    backend = RefusesOneFile("ram", refused)
+    for file_id in file_ids:
+        backend.put_file(
+            session.provider.home_of(file_id).server.store.file_meta(file_id)
+        )
+    registry = ProviderRegistry()
+    registry.add(backend)
+    return registry
 
 
 class TestScalarEquivalence:
@@ -94,10 +122,57 @@ class TestScalarEquivalence:
             ]
         )
         assert isinstance(replies[1], ErrorReply)
+        assert replies[1].message == "file b'no-such-file' not registered"
         assert isinstance(replies[3], ErrorReply)
+        n_segments = batch_session.tpa.record(file_ids[2]).n_segments
+        assert replies[3].message == (
+            f"k must be in 1..{n_segments}, got {10**9}"
+        )
         good = [replies[0], replies[2], replies[4]]
         assert all(isinstance(reply, VerdictReply) for reply in good)
         assert [reply.verdict for reply in good] == scalar
+
+    def test_backend_failure_fails_only_its_order(self):
+        """Files 0, 0, 1, 0, 0 over a backend that refuses file 1: the
+        third order errors alone, and the other four verdicts equal the
+        per-order scalar oracle on a twin."""
+        plan = [0, 0, 1, 0, 0]
+        scalar_session, file_ids = build_session(min_rounds=2)
+        scalar_registry = registry_refusing(
+            scalar_session, file_ids, file_ids[1]
+        )
+        scalar = []
+        for i in plan:
+            try:
+                scalar.append(scalar_audit(
+                    scalar_session.tpa,
+                    file_ids[i],
+                    scalar_session.verifier,
+                    scalar_registry,
+                    k=2,
+                ).verdict)
+            except StorageUnavailableError:
+                scalar.append(None)
+        assert [verdict is None for verdict in scalar] == [
+            False, False, True, False, False
+        ]
+
+        batch_session, _ = build_session(min_rounds=2)
+        dispatcher = AuditDispatcher(
+            tpa=batch_session.tpa,
+            verifier=batch_session.verifier,
+            provider=registry_refusing(batch_session, file_ids, file_ids[1]),
+        )
+        replies = dispatcher.process_batch(
+            [AuditOrder(n + 1, file_ids[i], 2) for n, i in enumerate(plan)]
+        )
+        assert [type(reply) for reply in replies] == [
+            VerdictReply, VerdictReply, ErrorReply, VerdictReply, VerdictReply
+        ]
+        assert [reply.order_id for reply in replies] == [1, 2, 3, 4, 5]
+        assert "is down" in replies[2].message
+        assert [getattr(reply, "verdict", None) for reply in replies] == scalar
+        assert dispatcher.stats.n_errors == 1
 
     def test_k_zero_means_sla_min_rounds(self):
         scalar_session, file_ids = build_session(min_rounds=5)
@@ -141,15 +216,6 @@ class TestReplies:
         assert dispatcher.stats.flush_sizes.count == 2
         assert dispatcher.stats.flush_sizes.sum == 3
         assert dispatcher.stats.flush_sizes.max_value == 2
-
-    def test_mixing_manual_deferred_audits_is_rejected(self):
-        session, file_ids = build_session()
-        dispatcher = build_dispatcher(session)
-        session.tpa.audit_deferred(
-            file_ids[0], session.verifier, session.provider, k=3
-        )
-        with pytest.raises(ConfigurationError):
-            dispatcher.process_batch([AuditOrder(1, file_ids[1], 3)])
 
     def test_configuration_bounds(self):
         session, _ = build_session()

@@ -269,7 +269,7 @@ class TestSimulatedHDDStorage:
         backend.put_file(encoded)
         reference = StorageServer()
         reference.store.put_file(encoded)
-        expected = reference.lookup(encoded.file_id, 0)
+        expected = reference.lookup(encoded.file_id, 0, "reference")
         result = backend.lookup(encoded.file_id, 0)
         assert result.elapsed_ms == expected.elapsed_ms
         assert result.elapsed_ms > 0.0

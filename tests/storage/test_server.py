@@ -22,7 +22,7 @@ def loaded_server(keys, sample_data):
 class TestDeterministicLookup:
     def test_charges_datasheet_average(self, loaded_server):
         server, _ = loaded_server
-        result = server.lookup(b"srv", 0)
+        result = server.lookup(b"srv", 0, "site")
         expected = HDDModel(WD_2500JD).lookup_ms(result.segment.size_bytes)
         assert result.elapsed_ms == pytest.approx(expected)
 
@@ -32,12 +32,15 @@ class TestDeterministicLookup:
         encoded = setup_file(sample_data, keys, b"srv", TEST_PARAMS)
         slow.store.put_file(encoded)
         fast.store.put_file(encoded)
-        assert fast.lookup(b"srv", 0).elapsed_ms < slow.lookup(b"srv", 0).elapsed_ms
+        assert (
+            fast.lookup(b"srv", 0, "site").elapsed_ms
+            < slow.lookup(b"srv", 0, "site").elapsed_ms
+        )
 
     def test_statistics(self, loaded_server):
         server, _ = loaded_server
         for i in range(5):
-            server.lookup(b"srv", i)
+            server.lookup(b"srv", i, "site")
         assert server.n_lookups == 5
         assert server.total_disk_ms > 0
 
@@ -61,7 +64,7 @@ class TestSharedSpindleMode:
     def test_unbound_clock_serves_unqueued(self, keys, sample_data):
         """Queued mode needs arrival times; without a clock, legacy."""
         spindle, (server, _) = self.make_shared(keys, sample_data)
-        result = server.lookup(b"f0", 0)
+        result = server.lookup(b"f0", 0, "site")
         assert result.wait_ms == 0.0
         assert spindle.n_requests == 0
 
@@ -72,7 +75,7 @@ class TestSharedSpindleMode:
         clock = SimClock()
         with server.timed_with(clock):
             for i in range(4):
-                result = server.lookup(b"f0", i)
+                result = server.lookup(b"f0", i, "site")
                 clock.advance(result.elapsed_ms)  # the protocol engine
                 assert result.wait_ms == 0.0
         assert spindle.n_requests == 4
@@ -85,10 +88,10 @@ class TestSharedSpindleMode:
         spindle, (a, b) = self.make_shared(keys, sample_data)
         fast, slow = SimClock(), SimClock()
         with a.timed_with(fast):
-            first = a.lookup(b"f0", 0)
+            first = a.lookup(b"f0", 0, "site")
             fast.advance(first.elapsed_ms)
         with b.timed_with(slow):  # still at t=0: queues behind a
-            second = b.lookup(b"f1", 0)
+            second = b.lookup(b"f1", 0, "site")
         assert second.wait_ms == pytest.approx(first.elapsed_ms)
         assert second.elapsed_ms == pytest.approx(
             second.wait_ms + HDDModel(WD_2500JD).lookup_ms(second.segment.size_bytes)
@@ -102,9 +105,27 @@ class TestSharedSpindleMode:
         spindle.acquire(0.0, 100.0)  # preload the frontier
         lane = LaneClock("lane")
         with b.timed_with(lane):
-            result = b.lookup(b"f1", 0)
+            result = b.lookup(b"f1", 0, "site")
         assert result.wait_ms == pytest.approx(100.0)
         assert lane.waiting_ms == pytest.approx(100.0)
+
+    def test_view_serves_the_server_record(self, keys, sample_data):
+        """A disk view returns the server's record under its own name,
+        queue wait included."""
+        from repro.netsim.clock import SimClock
+        from repro.storage.contract import SimulatedHDDStorage
+
+        spindle, (a, b) = self.make_shared(keys, sample_data)
+        spindle.acquire(0.0, 40.0)
+        view = SimulatedHDDStorage("view", server=b)
+        with b.timed_with(SimClock()):
+            result = view.lookup(b"f1", 0)
+        assert result.served_by == "view"
+        assert result.wait_ms == pytest.approx(40.0)
+        assert result.elapsed_ms == pytest.approx(
+            40.0 + HDDModel(WD_2500JD).lookup_ms(result.segment.size_bytes)
+        )
+        assert view.n_lookups == b.n_lookups == 1
 
     def test_serve_window_splits_wait_from_disk(self, keys, sample_data):
         from repro.netsim.clock import SimClock
@@ -113,7 +134,7 @@ class TestSharedSpindleMode:
         spindle.acquire(0.0, 50.0)
         clock = SimClock()
         with b.timed_with(clock), b.serve_window() as window:
-            result = b.lookup(b"f1", 0)
+            result = b.lookup(b"f1", 0, "site")
         assert window.wait_ms == pytest.approx(50.0)
         assert window.disk_ms == HDDModel(WD_2500JD).lookup_ms(
             result.segment.size_bytes
