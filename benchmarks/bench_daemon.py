@@ -150,10 +150,11 @@ def measure_throughput(n_orders: int, *, obs_enabled: bool = False) -> dict:
     """Sustained audits/s through daemon + TCP + pipelined client.
 
     With ``obs_enabled`` the whole stack is built under a live metrics
-    registry + tracer (series bind at construction), and the result
-    carries the registry snapshot -- the ``METRICS_daemon.json`` CI
-    artifact.  The default run uses the disabled null registry, giving
-    the overhead gate its baseline.
+    registry + tracer (components register with the plane at
+    construction), and the result carries the registry snapshot -- the
+    ``METRICS_daemon.json`` CI artifact.  The default run uses a
+    disabled plane (components still count into their own registries),
+    giving the overhead gate its baseline.
     """
     registry = obs.MetricsRegistry(enabled=obs_enabled)
     trace = obs.Tracer(enabled=obs_enabled)
@@ -176,7 +177,10 @@ def measure_throughput(n_orders: int, *, obs_enabled: bool = False) -> dict:
             def on_done(future, wave_start):
                 latencies.append(time.perf_counter() - wave_start)
 
-            daemon.stats.flush_sizes.clear()
+            # The flush histogram is the exported series, so it is
+            # never reset: this run's flushes are count and sum deltas.
+            flush_hist = daemon.stats.flush_sizes
+            flushes_before, orders_before = flush_hist.count, flush_hist.sum
             gc.disable()
             try:
                 start = time.perf_counter()
@@ -198,14 +202,19 @@ def measure_throughput(n_orders: int, *, obs_enabled: bool = False) -> dict:
             finally:
                 gc.enable()
             quantiles = statistics.quantiles(latencies, n=100)
-            flush_hist = daemon.stats.flush_sizes
+            n_flushes = flush_hist.count - flushes_before
             return {
                 "elapsed_seconds": elapsed_seconds,
                 "audits_per_s": n_orders / elapsed_seconds,
                 "latency_p50_ms": statistics.median(latencies) * 1000.0,
                 "latency_p99_ms": quantiles[98] * 1000.0,
-                "n_flushes": flush_hist.count,
-                "mean_flush_size": flush_hist.mean,
+                "n_flushes": n_flushes,
+                "mean_flush_size": (
+                    (flush_hist.sum - orders_before) / n_flushes
+                    if n_flushes else 0.0
+                ),
+                # A max cannot be windowed by delta: lifetime max,
+                # warmup included.
                 "max_flush_size": flush_hist.max_value,
             }
 

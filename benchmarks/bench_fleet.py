@@ -509,8 +509,9 @@ def measure_obs_overhead(*, n_files: int, hours: float) -> dict:
     Both modes rebuild the identical event-engine fleet from the same
     seed and run it under a scoped registry/tracer pair
     (:func:`repro.obs.use_registry`), so the only difference between
-    the two series is the instrumentation itself: per-lane counters,
-    spindle wait histograms and sim-domain batch spans.
+    the two series is what the plane adds: the global registry
+    including the components' own registries (which count either way)
+    and sim-domain batch spans.
     """
 
     def best_wall(enabled: bool) -> tuple[float, dict | None, int]:

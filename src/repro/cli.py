@@ -46,9 +46,10 @@ from repro.analysis.reporting import format_table
 def _enable_metrics(metrics_json: str | None) -> None:
     """Switch the process-global observability plane on.
 
-    Must run *before* the instrumented components are built: registry
-    series are bound at construction time, so enabling afterwards
-    leaves the components holding no-op families.
+    Must run *before* the instrumented components are built: each one
+    registers its own registry with the plane at construction, so a
+    component built earlier still counts but is left out of the
+    snapshot.
     """
     if metrics_json is not None:
         from repro import obs

@@ -8,7 +8,10 @@ data."
 The TPA issues :class:`~repro.core.messages.AuditRequest`s to the
 verifier device, verifies the signed transcripts it gets back, and
 keeps a bounded log of recent outcomes plus exact counters for
-compliance reporting.
+compliance reporting.  The counters live in the auditor's own
+:class:`~repro.obs.metrics.MetricsRegistry` (:attr:`ThirdPartyAuditor.metrics`):
+verdicts, flush sizes and failure reasons are counted there once, and
+the reports read them back.
 
 Every audit, whatever its entry point, runs through one protocol body
 and one verdict body:
@@ -19,7 +22,7 @@ and one verdict body:
 * :meth:`ThirdPartyAuditor._settle` verifies the transcripts in one
   :func:`~repro.core.verification.verify_transcripts` batch (shared MAC
   key schedules, one Schnorr check per distinct batch root), logs each
-  outcome and updates the obs series.
+  outcome and counts it.
 
 :meth:`ThirdPartyAuditor.audit_deferred_many` runs a batch of
 ``(file_id, k)`` orders and returns one entry per order: the
@@ -59,6 +62,7 @@ from repro.core.verification import (
 )
 from repro.crypto.rng import DeterministicRNG
 from repro.errors import ConfigurationError, ReproError
+from repro.obs.metrics import MetricsRegistry
 from repro.por.parameters import PORParams
 
 #: Outcomes :attr:`ThirdPartyAuditor.audit_log` keeps by default.  The
@@ -116,10 +120,10 @@ class ThirdPartyAuditor:
     outcomes (default :data:`AUDIT_LOG_LIMIT`); a daemon or a
     month-long fleet campaign would otherwise hold every transcript in
     RAM.  There is no unbounded mode.  The aggregate reports --
-    :meth:`acceptance_rate` and :meth:`failures_by_reason` -- are
-    computed from exact streaming counters updated as outcomes are
-    logged, so they cover the *full* audit history even after the ring
-    has evicted the underlying outcomes.
+    :meth:`acceptance_rate` and :meth:`failures_by_reason` -- read the
+    counters in :attr:`metrics`, updated as outcomes are settled, so
+    they cover the *full* audit history even after the ring has
+    evicted the underlying outcomes.
     """
 
     def __init__(
@@ -131,27 +135,29 @@ class ThirdPartyAuditor:
         self._rng = rng
         self._files: dict[bytes, FileRecord] = {}
         self.audit_log: deque[AuditOutcome] = deque(maxlen=max_log)
-        self._n_logged = 0
-        self._n_accepted = 0
-        self._failure_counts: dict[str, int] = {}
-        # Obs series bound per auditor (no-op children when disabled).
-        registry = obs.metrics()
-        self._obs_accepted = registry.counter(
+        #: This auditor's own registry: the one copy of its counts.
+        self.metrics = MetricsRegistry()
+        verdicts = self.metrics.counter(
             "repro_tpa_verdicts_total",
             "Verdicts settled by this auditor",
             ("tpa", "verdict"),
-        ).labels(name, "accepted")
-        self._obs_rejected = registry.counter(
-            "repro_tpa_verdicts_total",
-            "Verdicts settled by this auditor",
-            ("tpa", "verdict"),
-        ).labels(name, "rejected")
-        self._obs_flush_size = registry.histogram(
+        )
+        self._accepted = verdicts.labels(name, "accepted")
+        self._rejected = verdicts.labels(name, "rejected")
+        self._flush_size = self.metrics.histogram(
             "repro_tpa_flush_size",
             "Pending transcripts settled per verdict flush",
             ("tpa",),
             buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0),
         ).labels(name)
+        # A rejected verdict may carry several reasons, so reasons get
+        # their own family rather than a label on the verdict counter.
+        self._failures = self.metrics.counter(
+            "repro_tpa_failures_total",
+            "Failure reasons across the verdicts this auditor rejected",
+            ("tpa", "reason"),
+        )
+        obs.metrics().include(self.metrics)
 
     # -- registration ---------------------------------------------------
 
@@ -362,7 +368,7 @@ class ThirdPartyAuditor:
         """Verify protocol runs in one batch; log and count each outcome."""
         with obs.tracer().wall_span(f"tpa.flush:{self.name}"):
             verdicts = verify_transcripts([entry.job for entry in pending])
-        self._obs_flush_size.observe(len(pending))
+        self._flush_size.observe(len(pending))
         n_accepted = 0
         outcomes: list[AuditOutcome] = []
         for entry, verdict in zip(pending, verdicts):
@@ -376,16 +382,10 @@ class ThirdPartyAuditor:
             self.audit_log.append(outcome)
             n_accepted += verdict.accepted
             for reason in verdict.failure_reasons:
-                self._failure_counts[reason] = (
-                    self._failure_counts.get(reason, 0) + 1
-                )
+                self._failures.labels(self.name, reason).inc()
             outcomes.append(outcome)
-        self._n_logged += len(outcomes)
-        self._n_accepted += n_accepted
-        if n_accepted:
-            self._obs_accepted.inc(n_accepted)
-        if len(outcomes) - n_accepted:
-            self._obs_rejected.inc(len(outcomes) - n_accepted)
+        self._accepted.inc(n_accepted)
+        self._rejected.inc(len(outcomes) - n_accepted)
         return outcomes
 
     # -- reporting ------------------------------------------------------------
@@ -398,10 +398,20 @@ class ThirdPartyAuditor:
         ``0.0`` -- a TPA that has never audited has proven nothing, so
         reports must not read as a perfect record.
         """
-        if self._n_logged == 0:
+        n_accepted = self._accepted.value
+        n_logged = n_accepted + self._rejected.value
+        if n_logged == 0:
             return 0.0
-        return self._n_accepted / self._n_logged
+        return n_accepted / n_logged
 
     def failures_by_reason(self) -> dict[str, int]:
-        """Histogram of failure reasons across the full audit history."""
-        return dict(self._failure_counts)
+        """Histogram of failure reasons across the full audit history.
+
+        One count per reason a rejected verdict carries, in the order
+        the reasons were first seen: the ``repro_tpa_failures_total``
+        series.
+        """
+        return {
+            reason: int(child.value)
+            for (_, reason), child in self._failures.items()
+        }

@@ -27,7 +27,7 @@ of its sites concurrently.  A lane that overruns its slot queues
 subsequent dispatches at its frontier, up to ``lane_queue_limit``
 outstanding batches; beyond that it sheds slots (counted per lane in
 the report).  Batching still amortises the per-dispatch overhead: one
-batch pays ``dispatch_overhead_ms`` once where unbatched auditing
+batch pays :data:`DISPATCH_OVERHEAD_MS` once where unbatched auditing
 would pay it per file.
 
 Two engines run that batch body (:meth:`AuditFleet._execute_batch`:
@@ -109,9 +109,10 @@ from repro.geo.coords import GeoPoint
 from repro.geo.regions import CircularRegion, Region
 from repro.netsim.clock import SimClock
 from repro.netsim.events import EventScheduler
-from repro.obs.tracing import Span
 from repro.netsim.lanes import Lane
 from repro.netsim.resources import SpindleQueue
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracing import Span
 from repro.por.parameters import PORParams, TEST_PARAMS
 from repro.storage.hdd import HDDSpec, WD_2500JD
 from repro.storage.server import StorageServer
@@ -141,6 +142,23 @@ ENGINES = ("slot", "event")
 #: Radius of the circle around a site that a site-centred SLA region
 #: draws (see :meth:`AuditFleet.register`).
 REGION_RADIUS_KM = 100.0
+
+#: Simulated cost of one batch dispatch: the TPA waking a site's
+#: verifier appliance before it streams the batch's requests.
+DISPATCH_OVERHEAD_MS = 40.0
+
+#: The per-lane counters :class:`_LaneAccounting` keeps, in
+#: :meth:`_LaneAccounting.charge` order: (name, help).
+_LANE_COUNTERS = (
+    ("repro_fleet_batches_total", "Batches dispatched per fleet lane"),
+    ("repro_fleet_audits_total", "Audits executed per fleet lane"),
+    ("repro_fleet_busy_ms_total", "Simulated ms each fleet lane spent on batches"),
+    ("repro_fleet_disk_busy_ms_total", "Contracted-site disk ms per fleet lane"),
+    ("repro_fleet_site_wait_ms_total", "Contracted-site spindle-wait ms per lane"),
+    ("repro_fleet_stolen_total",
+     "Audits stolen into this lane from saturated siblings"),
+    ("repro_fleet_verify_seconds_total", "Wall-clock batch-verify cost per fleet lane"),
+)
 
 
 def _check_engine(engine: str) -> None:
@@ -179,7 +197,6 @@ class AuditFleet:
         strategy: AuditStrategy | None = None,
         slot_minutes: float = 30.0,
         batch_size: int = 4,
-        dispatch_overhead_ms: float = 40.0,
         default_k_rounds: int = 10,
         default_interval_hours: float = 6.0,
         engine: str = "slot",
@@ -187,7 +204,6 @@ class AuditFleet:
         setup_workers: int | None = None,
     ) -> None:
         check_positive("slot_minutes", slot_minutes)
-        check_positive("dispatch_overhead_ms", dispatch_overhead_ms, strict=False)
         if batch_size <= 0:
             raise ConfigurationError(
                 f"batch_size must be positive, got {batch_size}"
@@ -213,7 +229,6 @@ class AuditFleet:
         self.strategy = strategy or RoundRobinStrategy()
         self.slot_minutes = slot_minutes
         self.batch_size = batch_size
-        self.dispatch_overhead_ms = dispatch_overhead_ms
         self.default_k_rounds = default_k_rounds
         self.default_interval_hours = default_interval_hours
         self.engine = engine
@@ -695,7 +710,7 @@ class AuditFleet:
         batch_start = clock.now_ms()
         # One dispatch pays for the whole batch: the TPA wakes the
         # site's verifier appliance once and streams every request.
-        clock.advance(self.dispatch_overhead_ms)
+        clock.advance(DISPATCH_OVERHEAD_MS)
         n_stolen = 0
         spindle_waits: list[float] = []
         pending: list[PendingAudit] = []
@@ -1065,7 +1080,7 @@ class AuditFleet:
             violations=violations,
             verdict_breakdown=tuple(sorted(breakdown.items())),
             overhead_saved_ms=(
-                max(0, n_audits - n_batches) * self.dispatch_overhead_ms
+                max(0, n_audits - n_batches) * DISPATCH_OVERHEAD_MS
             ),
             engine=engine,
             lanes=lanes,
@@ -1095,51 +1110,23 @@ class _LaneAccounting:
                 self.sites.append(task.site)
                 self._tasks_by_site[task.site] = []
             self._tasks_by_site[task.site].append(task)
-        self._acc: dict[tuple[str, str], dict[str, float]] = {
-            site: {
-                "batches": 0, "audits": 0, "disk_ms": 0.0, "busy_ms": 0.0,
-                "wait_ms": 0.0, "stolen": 0, "verify_s": 0.0,
-            }
+        #: This run's own registry: per-lane counters, the one copy of
+        #: each lane's numbers (``stats()`` reads them back).
+        self.metrics = MetricsRegistry()
+        families = [
+            self.metrics.counter(name, help_text, ("provider", "site"))
+            for name, help_text in _LANE_COUNTERS
+        ]
+        self._counters = {
+            site: tuple(family.labels(*site) for family in families)
             for site in self.sites
         }
-        # Per-lane obs series, bound once per run (no-op families when
-        # the plane is off, so the charge() hot path stays method calls
-        # on shared null objects).
-        registry = obs.metrics()
-        obs_batches = registry.counter(
-            "repro_fleet_batches_total",
-            "Batches dispatched per fleet lane",
-            ("provider", "site"),
-        )
-        obs_audits = registry.counter(
-            "repro_fleet_audits_total",
-            "Audits executed per fleet lane",
-            ("provider", "site"),
-        )
-        obs_stolen = registry.counter(
-            "repro_fleet_stolen_total",
-            "Audits stolen into this lane from saturated siblings",
-            ("provider", "site"),
-        )
-        obs_verify = registry.counter(
-            "repro_fleet_verify_seconds_total",
-            "Wall-clock batch-verify cost per fleet lane",
-            ("provider", "site"),
-        )
-        self._obs_shed = registry.counter(
+        self._shed = self.metrics.counter(
             "repro_fleet_shed_total",
             "Lane slot ticks dropped by a full queue",
             ("provider", "site"),
         )
-        self._obs_by_site = {
-            site: (
-                obs_batches.labels(*site),
-                obs_audits.labels(*site),
-                obs_stolen.labels(*site),
-                obs_verify.labels(*site),
-            )
-            for site in self.sites
-        }
+        obs.metrics().include(self.metrics)
         # Spindle census: every distinct SpindleQueue across the
         # registered providers, in provider/site onboarding order,
         # with run-start snapshots so report rows are per-run deltas
@@ -1249,7 +1236,7 @@ class _LaneAccounting:
 
     def n_batches_at(self, site: tuple[str, str]) -> int:
         """Batches dispatched at a site so far (the lane slot index)."""
-        return int(self._acc[site]["batches"])
+        return int(self._counters[site][0].value)
 
     def charge(
         self,
@@ -1263,23 +1250,14 @@ class _LaneAccounting:
         verify_seconds: float = 0.0,
     ) -> None:
         """Account one dispatched batch against its lane."""
-        acc = self._acc[site]
-        acc["batches"] += 1
-        acc["audits"] += n_audits
-        acc["busy_ms"] += busy_ms
-        acc["disk_ms"] += disk_ms
-        acc["wait_ms"] += wait_ms
-        acc["stolen"] += n_stolen
-        acc["verify_s"] += verify_seconds
-        obs_batches, obs_audits, obs_stolen, obs_verify = (
-            self._obs_by_site[site]
-        )
-        obs_batches.inc()
-        obs_audits.inc(n_audits)
-        if n_stolen:
-            obs_stolen.inc(n_stolen)
-        if verify_seconds > 0.0:
-            obs_verify.inc(verify_seconds)
+        batches, audits, busy, disk, wait, stolen, verify = self._counters[site]
+        batches.inc()
+        audits.inc(n_audits)
+        busy.inc(busy_ms)
+        disk.inc(disk_ms)
+        wait.inc(wait_ms)
+        stolen.inc(n_stolen)
+        verify.inc(verify_seconds)
 
     def stats(
         self,
@@ -1297,33 +1275,32 @@ class _LaneAccounting:
         """
         rows = []
         for site in self.sites:
-            acc = self._acc[site]
+            batches, audits, busy_ms, disk_ms, wait_ms, stolen, verify = (
+                counter.value for counter in self._counters[site]
+            )
             lane = lanes.get(site) if lanes is not None else None
             if lane is not None and lane.dropped:
                 # Shed work only becomes known at freeze time: the
                 # Lane counts dropped ticks itself.
-                self._obs_shed.labels(*site).inc(lane.dropped)
-            wait_ms = (
-                lane.clock.waiting_ms if lane is not None else acc["wait_ms"]
-            )
+                self._shed.labels(*site).inc(lane.dropped)
             rows.append(
                 LaneStats(
                     provider=site[0],
                     datacentre=site[1],
-                    n_batches=int(acc["batches"]),
-                    n_audits=int(acc["audits"]),
-                    busy_ms=acc["busy_ms"],
-                    disk_busy_ms=acc["disk_ms"],
-                    utilization=(
-                        acc["busy_ms"] / span_ms if span_ms > 0 else 0.0
-                    ),
+                    n_batches=int(batches),
+                    n_audits=int(audits),
+                    busy_ms=busy_ms,
+                    disk_busy_ms=disk_ms,
+                    utilization=busy_ms / span_ms if span_ms > 0 else 0.0,
                     peak_queue_depth=(
                         lane.peak_queue_depth if lane is not None else 0
                     ),
                     dropped_slots=lane.dropped if lane is not None else 0,
-                    spindle_wait_ms=wait_ms,
-                    stolen_audits=int(acc["stolen"]),
-                    verify_seconds=acc["verify_s"],
+                    spindle_wait_ms=(
+                        lane.clock.waiting_ms if lane is not None else wait_ms
+                    ),
+                    stolen_audits=int(stolen),
+                    verify_seconds=verify,
                 )
             )
         return tuple(rows)

@@ -88,7 +88,9 @@ class LaneStats:
 
     The slot engine reports the same per-site accounting (with queue
     depth pinned at zero -- a global loop never queues per lane) so
-    slot and event runs are comparable column for column.
+    slot and event runs are comparable column for column.  The charged
+    columns are read from the run's own registry, so they are the
+    ``repro_fleet_*`` series (see docs/OBSERVABILITY.md).
     """
 
     provider: str
@@ -135,7 +137,9 @@ class SpindleStats:
 
     A spindle is one :class:`~repro.netsim.resources.SpindleQueue` --
     dedicated (one site) or shared (several sites' lanes queue on it).
-    All counters are deltas for this run only.
+    All counters are deltas for this run only; ``n_requests`` and
+    ``wait_ms`` come from the spindle's ``repro_spindle_wait_ms``
+    histogram (its count and sum).
     """
 
     provider: str
@@ -214,7 +218,7 @@ class FleetReport:
     #: entry per failure tag (timing/mac/gps/signature/challenge).
     verdict_breakdown: tuple[tuple[str, int], ...]
     #: Per-batch dispatch overhead avoided by batching audits per data
-    #: centre: ``(n_audits - n_batches) * dispatch_overhead_ms``.
+    #: centre: ``(n_audits - n_batches) * DISPATCH_OVERHEAD_MS``.
     overhead_saved_ms: float = 0.0
     #: Which run loop produced this report: ``"slot"`` (serial global
     #: loop) or ``"event"`` (per-datacentre lanes on the scheduler).

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 from repro import obs
 from repro.errors import SimulationError
-from repro.obs.metrics import EventCounter, SampleSink
+from repro.obs.metrics import HistogramValue, MetricsRegistry
 
 #: Per-request queue-wait histogram bounds (simulated milliseconds).
 _WAIT_MS_BUCKETS = (0.1, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0)
@@ -83,36 +83,38 @@ class SpindleQueue:
         self.free_at_ms = 0.0
         #: Total service time granted (seek + rotate + transfer).
         self.busy_ms = 0.0
-        #: Total queue wait absorbed by clients.
-        self.wait_ms = 0.0
         #: Largest single-request wait since construction or the last
         #: :meth:`reset_peak` (a max cannot be windowed by delta, so
         #: per-run reporting resets it at each run start).
         self.peak_wait_ms = 0.0
-        self.n_requests = 0
         #: Requests that had to wait (``wait_ms > 0``).
         self.n_waited = 0
-        # Obs series bound per spindle at construction (shared no-op
-        # children when the plane is disabled, so acquire() stays O(1)
-        # with two null method calls of overhead).
-        registry = obs.metrics()
-        self._obs_requests: EventCounter = registry.counter(
-            "repro_spindle_requests_total",
-            "Lookups granted by this spindle queue",
-            ("spindle",),
-        ).labels(name)
-        self._obs_wait_ms: SampleSink = registry.histogram(
+        #: This spindle's own registry.  Its wait histogram is the one
+        #: record of granted requests (count) and absorbed wait (sum).
+        self.metrics = MetricsRegistry()
+        self._waits: HistogramValue = self.metrics.histogram(
             "repro_spindle_wait_ms",
             "Queue wait per granted lookup in simulated milliseconds",
             ("spindle",),
             buckets=_WAIT_MS_BUCKETS,
-        ).labels(name)
+        ).labels(name).value
+        obs.metrics().include(self.metrics)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"SpindleQueue({self.name!r}, free_at={self.free_at_ms:.3f}, "
             f"busy={self.busy_ms:.3f}, wait={self.wait_ms:.3f})"
         )
+
+    @property
+    def n_requests(self) -> int:
+        """Requests granted so far."""
+        return self._waits.count
+
+    @property
+    def wait_ms(self) -> float:
+        """Total queue wait absorbed by clients."""
+        return self._waits.sum
 
     def reset_peak(self) -> None:
         """Start a fresh peak-wait window (sums stay cumulative)."""
@@ -138,10 +140,7 @@ class SpindleQueue:
         wait = start - arrival_ms
         self.free_at_ms = start + service_ms
         self.busy_ms += service_ms
-        self.wait_ms += wait
-        self.n_requests += 1
-        self._obs_requests.inc()
-        self._obs_wait_ms.observe(wait)
+        self._waits.observe(wait)
         if wait > 0.0:
             self.n_waited += 1
             self.peak_wait_ms = max(self.peak_wait_ms, wait)

@@ -2,26 +2,33 @@
 
 ``repro.obs`` is the one instrumentation substrate every layer shares
 -- fleet lanes, the netsim spindles, the TPA's verify flushes, the
-service daemon, the provider registry.  It is dependency-free, bounded
-in memory, and **off by default**: the process-global registry starts
-disabled, so uninstrumented runs pay one no-op method call per event
-and allocate zero series (the overhead is CI-gated <= 5% even fully
-enabled -- see ``benchmarks/bench_fleet.py`` / ``bench_daemon.py``).
+service daemon, the provider registry.  It is dependency-free and
+bounded in memory.
+
+Every instrumented component counts into a small
+:class:`MetricsRegistry` of its own, always on: those series are the
+component's only copy of its numbers, and its reports
+(``DispatchStats``, ``acceptance_rate()``, ``failures_by_reason()``,
+``LaneStats``, ``SpindleStats``) read them back.  The process-global
+registry is **off by default** and then holds nothing.  Enabling it
+makes it include the registry of every component built afterwards and
+sum them at exposition (the overhead is CI-gated <= 5% even with
+tracing on -- see ``benchmarks/bench_fleet.py`` / ``bench_daemon.py``).
 
 Typical use::
 
     from repro import obs
 
     obs.set_enabled(True)          # BEFORE building instrumented objects
-    fleet = build_fleet(...)       # components bind their series now
+    fleet = build_fleet(...)       # components register with the plane now
     fleet.run(...)
     print(obs.metrics().to_prometheus())
     obs.tracer().dump_jsonl("trace.jsonl")
 
-Series are bound at component construction, so enable/disable the
-plane *before* building the objects you want observed.  Tests isolate
-themselves with :func:`use_registry`, which swaps a fresh registry in
-for the duration of a ``with`` block.
+A component registers with the global registry at construction, so
+enable the plane *before* building the objects you want exposed.
+Tests isolate themselves with :func:`use_registry`, which swaps a
+fresh registry in for the duration of a ``with`` block.
 
 Clock domains are strict: library spans read injected sim clocks
 (:meth:`~repro.obs.tracing.Tracer.span`), wall time enters only via
@@ -39,12 +46,10 @@ from typing import Iterator
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     Counter,
-    EventCounter,
     Gauge,
     Histogram,
     HistogramValue,
     MetricsRegistry,
-    SampleSink,
     iter_quantiles,
 )
 from repro.obs.tracing import Span, Tracer
@@ -52,12 +57,10 @@ from repro.obs.tracing import Span, Tracer
 __all__ = [
     "DEFAULT_BUCKETS",
     "Counter",
-    "EventCounter",
     "Gauge",
     "Histogram",
     "HistogramValue",
     "MetricsRegistry",
-    "SampleSink",
     "Span",
     "Tracer",
     "iter_quantiles",
@@ -67,7 +70,7 @@ __all__ = [
     "use_registry",
 ]
 
-#: Off by default: the null registry hands out shared no-op families.
+#: Off by default: a disabled registry includes nothing.
 _REGISTRY = MetricsRegistry(enabled=False)
 _TRACER = Tracer(enabled=False)
 
@@ -85,10 +88,10 @@ def tracer() -> Tracer:
 def set_enabled(enabled: bool) -> MetricsRegistry:
     """Switch the plane on or off; returns the (fresh) global registry.
 
-    Enabling replaces the global registry with a fresh enabled one --
-    series are bound at component construction, so call this *before*
-    building the fleet/daemon you want observed.  The tracer keeps its
-    ring across toggles.
+    Either way the global registry is replaced by a fresh one.  An
+    enabled one includes the registry of each component built after
+    this call, so call it *before* building the fleet/daemon you want
+    exposed.  The tracer keeps its ring across toggles.
     """
     global _REGISTRY
     _REGISTRY = MetricsRegistry(enabled=enabled)

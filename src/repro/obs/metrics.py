@@ -1,10 +1,19 @@
 """Dependency-free metrics: counters, gauges, fixed-bucket histograms.
 
-One :class:`MetricsRegistry` owns every metric family in the process.
-Families are created idempotently by name (``registry.counter(...)``
-twice returns the same family), children are created lazily per label
-tuple, and every structure is bounded: histograms hold a fixed bucket
-vector plus running count/sum/max, never the raw observations.
+Every instrumented component owns one always-on
+:class:`MetricsRegistry`, and its series *are* its counts: the
+component reads its own reports back from them.  Families are created
+idempotently by name (``registry.counter(...)`` twice returns the same
+family; a second registration with another kind, other label names or
+other buckets raises), children are created lazily per label tuple,
+and every structure is bounded: histograms hold a fixed bucket vector
+plus running count/sum/max, never the raw observations.
+
+The process-global registry (:func:`repro.obs.metrics`) owns no
+series of its own.  When enabled, :meth:`MetricsRegistry.include`
+makes it keep the registry of every component built while it is on,
+and it sums them by family name and label tuple at exposition time;
+when disabled it ignores them and holds nothing.
 
 Two export surfaces, both computed on demand and timestamp-free so the
 same run always serializes to the same bytes:
@@ -16,12 +25,6 @@ same run always serializes to the same bytes:
   families, sorted series) written by ``--metrics-json`` and the
   benchmark ``METRICS_*.json`` artifacts.
 
-A registry constructed with ``enabled=False`` is a null object: every
-``counter()``/``gauge()``/``histogram()`` call returns one shared no-op
-family whose ``labels()`` returns itself, so instrumented code pays a
-single dynamic dispatch per event and the registry allocates **zero**
-series (pinned by ``tests/obs/test_metrics.py``).
-
 Naming follows the UNT lint rules: any time- or distance-valued metric
 carries its unit in the name (``..._ms``, ``..._seconds``), so the unit
 travels with the series into dashboards the same way it travels with a
@@ -31,33 +34,20 @@ variable through the code.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any, Iterable, Iterator, Mapping, Protocol, Sequence, Union
+from typing import Any, Iterable, Iterator, Mapping, Sequence, Union
 
 from repro.errors import ConfigurationError
 
 __all__ = [
     "DEFAULT_BUCKETS",
     "Counter",
-    "EventCounter",
     "Gauge",
     "Histogram",
     "HistogramValue",
     "MetricsRegistry",
-    "SampleSink",
     "iter_quantiles",
 ]
 
-
-class EventCounter(Protocol):
-    """What instrumented code needs from a counter/gauge child."""
-
-    def inc(self, amount: float = 1.0) -> None: ...
-
-
-class SampleSink(Protocol):
-    """What instrumented code needs from a histogram child."""
-
-    def observe(self, value: float) -> None: ...
 
 #: Default histogram upper bounds (generic latency-ish spread; callers
 #: on a known scale should pass their own).
@@ -146,12 +136,15 @@ class HistogramValue:
         if sample > self._max:
             self._max = sample
 
-    def clear(self) -> None:
-        """Reset every counter (benchmark warmup boundary)."""
-        self._bucket_counts = [0] * (len(self._upper_bounds) + 1)
-        self._count = 0
-        self._sum = 0.0
-        self._max = 0.0
+    def _add(self, other: HistogramValue) -> None:
+        """Fold another histogram over the same buckets into this one."""
+        self._bucket_counts = [
+            mine + theirs
+            for mine, theirs in zip(self._bucket_counts, other._bucket_counts)
+        ]
+        self._count += other._count
+        self._sum += other._sum
+        self._max = max(self._max, other._max)
 
     @property
     def count(self) -> int:
@@ -307,6 +300,11 @@ class Histogram:
 Child = Union[Counter, Gauge, Histogram]
 
 
+def _shape(kind: str, labelnames: tuple[str, ...], buckets: object) -> str:
+    text = f"{kind}{labelnames}"
+    return text if buckets is None else f"{text} buckets {buckets}"
+
+
 class _Family:
     """A named metric with zero or more labeled children."""
 
@@ -330,6 +328,21 @@ class _Family:
         self._buckets = None if buckets is None else tuple(buckets)
         self._children: dict[tuple[str, ...], Child] = {}
 
+    def require_shape(
+        self,
+        kind: str,
+        labelnames: Sequence[str],
+        buckets: Sequence[float] | None,
+    ) -> None:
+        """Refuse a family of this name with another kind, labels or buckets."""
+        shape = (kind, tuple(labelnames), None if buckets is None else tuple(buckets))
+        if shape != (self.kind, self.labelnames, self._buckets):
+            raise ConfigurationError(
+                f"metric {self.name} registered as {_shape(*shape)}; "
+                f"existing family is "
+                f"{_shape(self.kind, self.labelnames, self._buckets)}"
+            )
+
     def _make_child(self) -> Child:
         if self.kind == "counter":
             return Counter()
@@ -340,9 +353,8 @@ class _Family:
     def labels(self, *labelvalues: str) -> Any:
         """The child for this label-value tuple, created on first use.
 
-        Typed ``Any`` so strict-mypy call sites (netsim) can annotate
-        the bound child with :class:`EventCounter`/:class:`SampleSink`
-        without casting through the concrete union.
+        Typed ``Any`` so call sites can annotate the bound child with
+        its concrete class without casting through the union.
         """
         if len(labelvalues) != len(self.labelnames):
             raise ConfigurationError(
@@ -376,6 +388,10 @@ class _Family:
             raise ConfigurationError(f"{self.name} is not a histogram")
         child.observe(value)
 
+    def items(self) -> Iterator[tuple[tuple[str, ...], Child]]:
+        """Children in creation order."""
+        return iter(self._children.items())
+
     def series(self) -> Iterator[tuple[tuple[str, ...], Child]]:
         """Children in sorted label order (stable exposition)."""
         for key in sorted(self._children):
@@ -385,49 +401,44 @@ class _Family:
     def series_count(self) -> int:
         return len(self._children)
 
-
-class _NullFamily:
-    """Shared no-op stand-in handed out by a disabled registry.
-
-    ``labels()`` returns ``self`` so one instance serves every family,
-    every child, every label tuple -- a disabled registry therefore
-    allocates nothing per call site.
-    """
-
-    __slots__ = ()
-
-    def labels(self, *labelvalues: str) -> Any:
-        return self
-
-    def inc(self, amount: float = 1.0) -> None:
-        return None
-
-    def dec(self, amount: float = 1.0) -> None:
-        return None
-
-    def set(self, value: float) -> None:
-        return None
-
-    def observe(self, value: float) -> None:
-        return None
-
-
-_NULL_FAMILY = _NullFamily()
+    def _add(self, other: _Family) -> None:
+        """Sum a same-shaped family into this one, series by series."""
+        self.require_shape(other.kind, other.labelnames, other._buckets)
+        for key, child in other._children.items():
+            total = self._children.get(key)
+            if total is None:
+                total = self._children[key] = self._make_child()
+            if isinstance(total, Histogram):
+                total.value._add(child.value)
+            else:
+                total.inc(child.value)
 
 
 class MetricsRegistry:
-    """The process's metric families, or a null object when disabled."""
+    """A component's metric families, or the plane that sums them."""
 
-    __slots__ = ("_enabled", "_families")
+    __slots__ = ("_enabled", "_families", "_included", "__weakref__")
 
     def __init__(self, enabled: bool = True) -> None:
         self._enabled = bool(enabled)
         self._families: dict[str, _Family] = {}
+        self._included: list[MetricsRegistry] = []
 
     @property
     def enabled(self) -> bool:
-        """Whether this registry records anything at all."""
+        """Whether this registry keeps the registries it is asked to include."""
         return self._enabled
+
+    def include(self, other: MetricsRegistry) -> None:
+        """Expose ``other``'s series beside this registry's own.
+
+        ``other`` is a component's own registry.  An enabled registry
+        keeps a reference to it (never to the component) and sums its
+        families into every :meth:`snapshot` and :meth:`to_prometheus`;
+        a disabled one ignores the call and so holds nothing.
+        """
+        if self._enabled:
+            self._included.append(other)
 
     def _family(
         self,
@@ -436,17 +447,10 @@ class MetricsRegistry:
         kind: str,
         labelnames: Sequence[str],
         buckets: Sequence[float] | None = None,
-    ) -> _Family | _NullFamily:
-        if not self._enabled:
-            return _NULL_FAMILY
+    ) -> _Family:
         family = self._families.get(name)
         if family is not None:
-            if family.kind != kind or family.labelnames != tuple(labelnames):
-                raise ConfigurationError(
-                    f"metric {name} re-registered as {kind}"
-                    f"{tuple(labelnames)}; existing family is "
-                    f"{family.kind}{family.labelnames}"
-                )
+            family.require_shape(kind, labelnames, buckets)
             return family
         family = _Family(name, help_text, kind, labelnames, buckets)
         self._families[name] = family
@@ -457,7 +461,7 @@ class MetricsRegistry:
         name: str,
         help_text: str,
         labelnames: Sequence[str] = (),
-    ) -> _Family | _NullFamily:
+    ) -> _Family:
         """Get or create a counter family."""
         return self._family(name, help_text, "counter", labelnames)
 
@@ -466,7 +470,7 @@ class MetricsRegistry:
         name: str,
         help_text: str,
         labelnames: Sequence[str] = (),
-    ) -> _Family | _NullFamily:
+    ) -> _Family:
         """Get or create a gauge family."""
         return self._family(name, help_text, "gauge", labelnames)
 
@@ -476,20 +480,35 @@ class MetricsRegistry:
         help_text: str,
         labelnames: Sequence[str] = (),
         buckets: Sequence[float] = DEFAULT_BUCKETS,
-    ) -> _Family | _NullFamily:
+    ) -> _Family:
         """Get or create a histogram family."""
         return self._family(name, help_text, "histogram", labelnames, buckets)
+
+    def _merged(self) -> dict[str, _Family]:
+        """Own and included families, summed by name and label tuple.
+
+        Raises :class:`~repro.errors.ConfigurationError` when two
+        registries hold one name with another kind, label names or
+        buckets.
+        """
+        merged: dict[str, _Family] = {}
+        for registry in (self, *self._included):
+            for name, family in registry._families.items():
+                total = merged.get(name)
+                if total is None:
+                    total = merged[name] = _Family(
+                        name, family.help_text, family.kind,
+                        family.labelnames, family._buckets,
+                    )
+                total._add(family)
+        return merged
 
     @property
     def series_count(self) -> int:
         """Total labeled children across every family."""
         return sum(
-            family.series_count for family in self._families.values()
+            family.series_count for family in self._merged().values()
         )
-
-    def family_names(self) -> tuple[str, ...]:
-        """Registered family names, sorted."""
-        return tuple(sorted(self._families))
 
     # -- exposition -----------------------------------------------------
 
@@ -514,8 +533,9 @@ class MetricsRegistry:
     def to_prometheus(self) -> str:
         """Prometheus text exposition (version 0.0.4) of every family."""
         lines: list[str] = []
-        for name in sorted(self._families):
-            family = self._families[name]
+        merged = self._merged()
+        for name in sorted(merged):
+            family = merged[name]
             lines.append(f"# HELP {name} {_escape_help(family.help_text)}")
             lines.append(f"# TYPE {name} {family.kind}")
             for labelvalues, child in family.series():
@@ -549,8 +569,9 @@ class MetricsRegistry:
     def snapshot(self) -> dict[str, object]:
         """Stable JSON-ready snapshot (sorted, timestamp-free)."""
         families: list[dict[str, object]] = []
-        for name in sorted(self._families):
-            family = self._families[name]
+        merged = self._merged()
+        for name in sorted(merged):
+            family = merged[name]
             series: list[dict[str, object]] = []
             for labelvalues, child in family.series():
                 labels: Mapping[str, str] = dict(

@@ -35,14 +35,14 @@ from __future__ import annotations
 
 import asyncio
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol, Sequence
 
 from repro import obs
 from repro.cloud.tpa import ThirdPartyAuditor
 from repro.cloud.verifier import VerifierDevice
 from repro.errors import ConfigurationError, ReproError
-from repro.obs.metrics import HistogramValue
+from repro.obs.metrics import HistogramValue, MetricsRegistry
 from repro.service.framing import encode_frame
 from repro.service.wire import AuditOrder, ErrorReply, VerdictReply
 from repro.util.wallclock import wall_seconds
@@ -91,25 +91,62 @@ class Submitted:
     received_s: float = 0.0
 
 
-@dataclass
 class DispatchStats:
     """Counters the benchmark, soak job and ``OP_STATS`` probes read.
 
-    ``flush_sizes`` and ``latency_ms`` are bounded
+    The dispatcher's five ``repro_dispatch_*`` series live in
+    :attr:`metrics`, this object's own registry, and nowhere else: the
+    counts read back as ints, and ``flush_sizes`` and ``latency_ms``
+    are the exported histograms' bounded
     :class:`~repro.obs.metrics.HistogramValue`\\ s -- a daemon that
     serves millions of orders holds a fixed few hundred bytes of
     stats, not an ever-growing list.
     """
 
-    n_orders: int = 0
-    n_errors: int = 0
-    n_flushes: int = 0
-    flush_sizes: HistogramValue = field(
-        default_factory=lambda: HistogramValue(FLUSH_SIZE_BUCKETS)
-    )
-    latency_ms: HistogramValue = field(
-        default_factory=lambda: HistogramValue(LATENCY_MS_BUCKETS)
-    )
+    def __init__(self) -> None:
+        self.metrics = MetricsRegistry()
+        self._orders = self.metrics.counter(
+            "repro_dispatch_orders_total",
+            "Audit orders processed by the dispatcher",
+        ).labels()
+        self._errors = self.metrics.counter(
+            "repro_dispatch_errors_total",
+            "Orders answered with an ErrorReply",
+        ).labels()
+        self._flushes = self.metrics.counter(
+            "repro_dispatch_flushes_total",
+            "Dispatcher batch flushes through the TPA",
+        ).labels()
+        self.flush_sizes: HistogramValue = self.metrics.histogram(
+            "repro_dispatch_flush_size",
+            "Orders per dispatcher flush",
+            buckets=FLUSH_SIZE_BUCKETS,
+        ).labels().value
+        self.latency_ms: HistogramValue = self.metrics.histogram(
+            "repro_dispatch_latency_ms",
+            "Frame-to-verdict wall latency per order",
+            buckets=LATENCY_MS_BUCKETS,
+        ).labels().value
+        obs.metrics().include(self.metrics)
+
+    @property
+    def n_orders(self) -> int:
+        return int(self._orders.value)
+
+    @property
+    def n_errors(self) -> int:
+        return int(self._errors.value)
+
+    @property
+    def n_flushes(self) -> int:
+        return int(self._flushes.value)
+
+    def count_flush(self, n_orders: int, n_errors: int) -> None:
+        """Count one flush of ``n_orders``, ``n_errors`` of them refused."""
+        self._orders.inc(n_orders)
+        self._errors.inc(n_errors)
+        self._flushes.inc()
+        self.flush_sizes.observe(n_orders)
 
     def to_dict(self) -> dict:
         """Stable JSON-ready form (the ``OP_STATS`` payload core)."""
@@ -148,31 +185,6 @@ class AuditDispatcher:
         self.flush_batch = flush_batch
         self.flush_ms = flush_ms
         self.stats = DispatchStats()
-        # Registry mirrors (no-op families when the obs plane is off);
-        # bound once here so the hot loop pays dict lookups never.
-        registry = obs.metrics()
-        self._obs_orders = registry.counter(
-            "repro_dispatch_orders_total",
-            "Audit orders processed by the dispatcher",
-        )
-        self._obs_errors = registry.counter(
-            "repro_dispatch_errors_total",
-            "Orders answered with an ErrorReply",
-        )
-        self._obs_flushes = registry.counter(
-            "repro_dispatch_flushes_total",
-            "Dispatcher batch flushes through the TPA",
-        )
-        self._obs_flush_size = registry.histogram(
-            "repro_dispatch_flush_size",
-            "Orders per dispatcher flush",
-            buckets=FLUSH_SIZE_BUCKETS,
-        )
-        self._obs_latency_ms = registry.histogram(
-            "repro_dispatch_latency_ms",
-            "Frame-to-verdict wall latency per order",
-            buckets=LATENCY_MS_BUCKETS,
-        )
 
     # -- synchronous core ----------------------------------------------
 
@@ -203,15 +215,7 @@ class AuditDispatcher:
                 n_errors += 1
             else:
                 replies.append(VerdictReply(order.order_id, next(outcomes).verdict))
-        self.stats.n_orders += len(orders)
-        self.stats.n_flushes += 1
-        self.stats.flush_sizes.observe(len(orders))
-        self.stats.n_errors += n_errors
-        self._obs_orders.inc(len(orders))
-        self._obs_flushes.inc()
-        self._obs_flush_size.observe(len(orders))
-        if n_errors:
-            self._obs_errors.inc(n_errors)
+        self.stats.count_flush(len(orders), n_errors)
         return replies
 
     # -- asyncio loop ---------------------------------------------------
@@ -277,7 +281,6 @@ class AuditDispatcher:
             if entry.received_s > 0.0:
                 elapsed_ms = (now_s - entry.received_s) * 1000.0
                 self.stats.latency_ms.observe(elapsed_ms)
-                self._obs_latency_ms.observe(elapsed_ms)
             key = id(entry.sink)
             if key not in by_sink:
                 by_sink[key] = (entry.sink, [])

@@ -39,6 +39,7 @@ from repro.errors import (
     ConfigurationError,
     StorageUnavailableError,
 )
+from repro.obs.metrics import MetricsRegistry
 from repro.storage.contract import ServeResult, StorageProvider
 
 #: Health states a backend moves through.
@@ -112,13 +113,15 @@ class ProviderRegistry:
         self._fallbacks: dict[str, tuple[str, ...]] = {}
         self._health: dict[str, _Health] = {}
         self._primary: str | None = None
-        # Circuit-transition counter (no-op family when obs is off).
-        self._obs_transitions = obs.metrics().counter(
+        #: The registry's own metrics: circuit transitions per backend.
+        self.metrics = MetricsRegistry()
+        self._transitions = self.metrics.counter(
             "repro_provider_circuit_transitions_total",
             "Circuit-breaker transitions per backend "
             "(open, reopen after a failed probe, close)",
             ("backend", "transition"),
         )
+        obs.metrics().include(self.metrics)
 
     # -- registration ---------------------------------------------------
 
@@ -220,13 +223,13 @@ class ProviderRegistry:
             transition = "reopen" if health.state == UNHEALTHY else "open"
             health.state = UNHEALTHY
             health.opened_at_ms = now_ms
-            self._obs_transitions.labels(health.name, transition).inc()
+            self._transitions.labels(health.name, transition).inc()
 
     def _record_success(self, health: _Health) -> None:
         health.n_successes += 1
         health.consecutive_failures = 0
         if health.state == UNHEALTHY:
-            self._obs_transitions.labels(health.name, "close").inc()
+            self._transitions.labels(health.name, "close").inc()
         health.state = HEALTHY
 
     # -- serving --------------------------------------------------------

@@ -27,6 +27,7 @@ from repro import obs
 from repro.cloud.tpa import ThirdPartyAuditor
 from repro.cloud.verifier import VerifierDevice
 from repro.errors import ConfigurationError, ProtocolError
+from repro.obs.metrics import MetricsRegistry
 from repro.service.dispatch import SHUTDOWN, AuditDispatcher, Submitted
 from repro.service.framing import FrameParser, encode_frame
 from repro.service.wire import (
@@ -180,16 +181,17 @@ class AuditDaemon:
         self._dispatch_task: asyncio.Task | None = None
         self._connections: dict[int, _Connection] = {}
         self._tasks: set[asyncio.Task] = set()
-        # Sampled gauges (no-op families when the obs plane is off).
-        registry = obs.metrics()
-        self._obs_queue_depth = registry.gauge(
+        #: The daemon's own registry: gauges sampled at each stats probe.
+        self.metrics = MetricsRegistry()
+        self._queue_depth = self.metrics.gauge(
             "repro_daemon_queue_depth",
             "Submission-queue depth sampled at each stats probe",
         )
-        self._obs_connections = registry.gauge(
+        self._connections_gauge = self.metrics.gauge(
             "repro_daemon_connections",
             "Open tenant connections sampled at each stats probe",
         )
+        obs.metrics().include(self.metrics)
 
     @property
     def stats(self):
@@ -208,8 +210,8 @@ class AuditDaemon:
         )
         payload["queue_depth"] = queue_depth
         payload["n_connections"] = len(self._connections)
-        self._obs_queue_depth.set(queue_depth)
-        self._obs_connections.set(len(self._connections))
+        self._queue_depth.set(queue_depth)
+        self._connections_gauge.set(len(self._connections))
         return payload
 
     async def start(self) -> None:

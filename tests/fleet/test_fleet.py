@@ -7,6 +7,7 @@ from repro.cloud.provider import DataCentre
 from repro.crypto.rng import DeterministicRNG
 from repro.errors import ConfigurationError
 from repro.fleet import AuditFleet, DeadlineStrategy, RoundRobinStrategy
+from repro.fleet.fleet import DISPATCH_OVERHEAD_MS
 from repro.geo.datasets import city
 from repro.storage.hdd import IBM_36Z15
 
@@ -117,8 +118,7 @@ class TestMechanics:
         report = mixed_fleet.run(hours=6.0)
         assert report.n_batches < report.n_audits
         assert report.overhead_saved_ms == pytest.approx(
-            (report.n_audits - report.n_batches)
-            * mixed_fleet.dispatch_overhead_ms
+            (report.n_audits - report.n_batches) * DISPATCH_OVERHEAD_MS
         )
 
     def test_strategy_override_is_recorded_but_not_persisted(self, mixed_fleet):

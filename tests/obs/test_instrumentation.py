@@ -1,25 +1,35 @@
 """Observability does not perturb: fleets replay identically with it on.
 
-Four pins:
+Five pins:
 
 * the metrics snapshot and the sim-domain span stream are a pure
   function of the seed (two identical runs, identical bytes);
-* the registry's fleet counters agree with the ``FleetReport``
-  aggregates they mirror;
+* the snapshot's fleet counters are the ``FleetReport`` aggregates:
+  the lane rows read the same series;
 * a fully-instrumented run emits the *same report* as an
   uninstrumented one -- tracing reads injected clocks, never advances
   them, so the determinism anchors (slot-vs-event, same-seed replay)
   hold with the plane enabled;
 * the TPA's verdict counters count every verdict, one-shot audits
-  included, and agree with the TPA's own log.
+  included, and agree with the TPA's own log;
+* every count is kept once, in its component's registry: the plane
+  sums components (two with one name included) without merging their
+  own reports, and a disabled plane keeps no component alive.
 """
 
+import gc
 import json
+import weakref
+from collections import Counter
 
 from repro import obs
+from repro.cloud.adversary import CorruptionAttack
+from repro.crypto.rng import DeterministicRNG
 from repro.fleet.strategies import RoundRobinStrategy
 from repro.fleet.demo import build_demo_fleet
 from repro.obs import MetricsRegistry, Tracer
+from repro.service import AuditOrder
+from repro.service.dispatch import AuditDispatcher
 from tests.conftest import build_session
 
 
@@ -109,6 +119,14 @@ class TestDeterministicInstrumentation:
             family_total(registry, "repro_fleet_batches_total")
             == report.n_batches
         )
+        sites = [(lane.provider, lane.datacentre) for lane in report.lanes]
+        assert family_series(registry, "repro_fleet_busy_ms_total") == dict(
+            zip(sites, (lane.busy_ms for lane in report.lanes))
+        )
+        assert family_series(
+            registry, "repro_fleet_disk_busy_ms_total"
+        ) == dict(zip(sites, (lane.disk_busy_ms for lane in report.lanes)))
+        assert sum(lane.busy_ms for lane in report.lanes) > 0.0
 
 
 class TestNoPerturbation:
@@ -151,3 +169,99 @@ class TestTPAVerdictCounters:
         flush_sizes = family_series(registry, "repro_tpa_flush_size")
         assert flush_sizes[(tpa.name,)]["count"] == n_logged
         assert flush_sizes[(tpa.name,)]["sum"] == n_logged
+
+
+def dispatcher_for(session):
+    return AuditDispatcher(
+        tpa=session.tpa, verifier=session.verifier, provider=session.provider
+    )
+
+
+class TestOneSourcePerCount:
+    def test_failure_series_are_failures_by_reason(self):
+        """Reasons get their own family, one count per reason carried."""
+        registry = MetricsRegistry(enabled=True)
+        with obs.use_registry(registry):
+            session, file_id, _ = build_session("obs-reasons", file_bytes=4000)
+            for _ in range(3):
+                session.audit(file_id, k=5)
+            session.provider.set_strategy(
+                CorruptionAttack("home", 0.3, DeterministicRNG("obs-adv"))
+            )
+            for _ in range(4):
+                session.audit(file_id, k=10)
+            for _ in range(2):
+                session.audit(file_id, k=10, rtt_max_ms=0.001)
+        tpa = session.tpa
+        reasons = tpa.failures_by_reason()
+        assert reasons == dict(Counter(
+            reason
+            for outcome in tpa.audit_log
+            for reason in outcome.verdict.failure_reasons
+        ))
+        assert reasons["mac"] > 0 and reasons["timing"] >= 2
+        assert family_series(registry, "repro_tpa_failures_total") == {
+            (tpa.name, reason): count for reason, count in reasons.items()
+        }
+        verdicts = family_series(registry, "repro_tpa_verdicts_total")
+        accepted = verdicts[(tpa.name, "accepted")]
+        rejected = verdicts[(tpa.name, "rejected")]
+        assert accepted / (accepted + rejected) == tpa.acceptance_rate()
+        assert 0.0 < tpa.acceptance_rate() < 1.0
+        # A rejected verdict may carry several reasons, which is why
+        # they are not a label on the verdict counter.
+        assert sum(reasons.values()) > rejected
+
+    def test_plane_sums_same_named_components_that_stay_apart(self):
+        registry = MetricsRegistry(enabled=True)
+        with obs.use_registry(registry):
+            sessions = [
+                build_session(f"obs-pair-{i}", file_bytes=4000)
+                for i in range(2)
+            ]
+            dispatchers = [dispatcher_for(session) for session, _, _ in sessions]
+            (_, first_file, _), (_, second_file, _) = sessions
+            dispatchers[0].process_batch(
+                [AuditOrder(i, first_file, 3) for i in range(3)]
+            )
+            dispatchers[1].process_batch(
+                [AuditOrder(i, second_file, 3) for i in range(4)]
+                + [AuditOrder(9, b"unknown", 3)]
+            )
+        tpas = [session.tpa for session, _, _ in sessions]
+        assert {tpa.name for tpa in tpas} == {"tpa"}
+        own = [dispatcher.stats.to_dict() for dispatcher in dispatchers]
+        assert [(d["n_orders"], d["n_errors"], d["n_flushes"]) for d in own] == [
+            (3, 0, 1), (5, 1, 1)
+        ]
+        assert [len(tpa.audit_log) for tpa in tpas] == [3, 4]
+        assert family_total(registry, "repro_dispatch_orders_total") == 8
+        assert family_total(registry, "repro_dispatch_errors_total") == 1
+        assert family_total(registry, "repro_dispatch_flushes_total") == 2
+        flush_sizes = family_series(registry, "repro_dispatch_flush_size")[()]
+        assert (flush_sizes["count"], flush_sizes["sum"], flush_sizes["max"]) == (
+            2, 8.0, 5.0
+        )
+        assert family_series(registry, "repro_tpa_verdicts_total") == {
+            ("tpa", "accepted"): 7, ("tpa", "rejected"): 0
+        }
+        assert family_series(registry, "repro_tpa_flush_size")[("tpa",)][
+            "count"
+        ] == 2
+
+    def test_disabled_plane_keeps_no_component_alive(self):
+        plane = MetricsRegistry(enabled=False)
+        with obs.use_registry(plane):
+            session, file_id, _ = build_session("obs-off", file_bytes=4000)
+            dispatcher = dispatcher_for(session)
+            dispatcher.process_batch([AuditOrder(1, file_id, 3)])
+            session.audit(file_id, k=3, rtt_max_ms=0.001)
+        assert dispatcher.stats.n_orders == 1
+        assert session.tpa.acceptance_rate() == 0.5
+        assert session.tpa.failures_by_reason() == {"timing": 1}
+        registries = [session.tpa.metrics, dispatcher.stats.metrics]
+        refs = [weakref.ref(registry) for registry in registries]
+        del session, dispatcher, registries
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
+        assert plane.snapshot() == {"enabled": False, "families": []}

@@ -3,7 +3,8 @@
 The two export surfaces are contracts: Prometheus text must parse and
 honour the histogram invariants (cumulative ``_bucket`` ending at
 ``+Inf == _count``), and :meth:`MetricsRegistry.snapshot` must be a
-stable JSON round-trip.  A disabled registry must allocate nothing.
+stable JSON round-trip.  An enabled registry sums the registries it
+includes; a disabled one keeps and exposes nothing.
 """
 
 import json
@@ -14,7 +15,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.obs import (
-    DEFAULT_BUCKETS,
     HistogramValue,
     MetricsRegistry,
     iter_quantiles,
@@ -98,14 +98,6 @@ class TestHistogramValue:
         assert hist.quantile(0.5) == 0.0
         assert hist.mean == 0.0
 
-    def test_clear_resets_everything(self):
-        hist = HistogramValue((1.0,))
-        hist.observe(5.0)
-        hist.clear()
-        assert hist.count == 0
-        assert hist.sum == 0.0
-        assert hist.max_value == 0.0
-
     def test_to_dict_spells_the_last_bound_plus_inf(self):
         hist = HistogramValue((1.0,))
         hist.observe(2.0)
@@ -150,6 +142,14 @@ class TestRegistry:
         registry.counter("repro_things_total", "things", ("site",))
         with pytest.raises(ConfigurationError):
             registry.counter("repro_things_total", "things", ("lane",))
+
+    def test_buckets_mismatch_rejected(self):
+        registry = MetricsRegistry()
+        family = registry.histogram("repro_c_ms", "c", buckets=(1.0, 2.0))
+        with pytest.raises(ConfigurationError, match="buckets"):
+            registry.histogram("repro_c_ms", "c", buckets=(10.0, 20.0, 30.0))
+        # Equal bounds spelled as ints are the same buckets.
+        assert registry.histogram("repro_c_ms", "c", buckets=(1, 2)) is family
 
     def test_label_arity_checked(self):
         registry = MetricsRegistry()
@@ -264,27 +264,91 @@ class TestSnapshot:
         ] == ["a", "b"]
 
 
-class TestDisabledRegistry:
-    def test_disabled_mode_allocates_no_series(self):
+def component(total=0.0, *, site="a", waits=(), buckets=(1.0, 10.0)):
+    """A component-style registry: one counter and one histogram."""
+    registry = MetricsRegistry()
+    registry.counter("repro_a_total", "a", ("site",)).labels(site).inc(total)
+    hist = registry.histogram("repro_c_ms", "c", ("site",), buckets=buckets)
+    for value in waits:
+        hist.labels(site).observe(value)
+    return registry
+
+
+def series(registry, name):
+    for family in registry.snapshot()["families"]:
+        if family["name"] == name:
+            return {
+                tuple(item["labels"].values()): item["value"]
+                for item in family["series"]
+            }
+    return None
+
+
+class TestIncludedRegistries:
+    def test_counters_and_gauges_sum_per_label_tuple(self):
+        plane = MetricsRegistry()
+        plane.include(component(2.0, site="a"))
+        plane.include(component(3.0, site="a"))
+        plane.include(component(5.0, site="b"))
+        gauges = [MetricsRegistry(), MetricsRegistry()]
+        for registry, value in zip(gauges, (1.5, -0.5)):
+            registry.gauge("repro_b", "b").set(value)
+            plane.include(registry)
+        assert series(plane, "repro_a_total") == {("a",): 5.0, ("b",): 5.0}
+        assert series(plane, "repro_b") == {(): 1.0}
+        assert plane.series_count == 3
+
+    def test_histograms_add_buckets_counts_sums_and_take_max(self):
+        plane = MetricsRegistry()
+        plane.include(component(waits=(0.5, 5.0)))
+        plane.include(component(waits=(50.0, 2.0)))
+        reference = HistogramValue((1.0, 10.0))
+        for value in (0.5, 5.0, 50.0, 2.0):
+            reference.observe(value)
+        assert series(plane, "repro_c_ms") == {("a",): reference.to_dict()}
+        _, _, samples = parse_exposition(plane.to_prometheus())
+        assert [s[2] for s in samples if s[0] == "repro_c_ms_bucket"] == [
+            "1", "3", "4"
+        ]
+
+    def test_own_families_merge_with_included_ones(self):
+        plane = MetricsRegistry()
+        plane.counter("repro_a_total", "a", ("site",)).labels("a").inc()
+        plane.include(component(2.0))
+        assert series(plane, "repro_a_total") == {("a",): 3.0}
+
+    def test_included_registry_is_read_live(self):
+        plane = MetricsRegistry()
+        own = component(1.0)
+        plane.include(own)
+        own.counter("repro_a_total", "a", ("site",)).labels("a").inc()
+        assert series(plane, "repro_a_total") == {("a",): 2.0}
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            lambda r: r.gauge("repro_a_total", "a", ("site",)),
+            lambda r: r.counter("repro_a_total", "a", ("lane",)),
+            lambda r: r.histogram(
+                "repro_c_ms", "c", ("site",), buckets=(1.0, 5.0)
+            ),
+        ],
+        ids=["kind", "labelnames", "buckets"],
+    )
+    def test_mismatched_shapes_fail_closed(self, other):
+        plane = MetricsRegistry()
+        plane.include(component(1.0))
+        clash = MetricsRegistry()
+        other(clash)
+        plane.include(clash)
+        with pytest.raises(ConfigurationError):
+            plane.snapshot()
+        with pytest.raises(ConfigurationError):
+            plane.to_prometheus()
+
+    def test_disabled_registry_ignores_include_and_exposes_nothing(self):
         registry = MetricsRegistry(enabled=False)
-        counter = registry.counter("repro_a_total", "a", ("site",))
-        gauge = registry.gauge("repro_b", "b")
-        hist = registry.histogram("repro_c_ms", "c")
-        # All instrumentation calls are accepted and do nothing.
-        counter.labels("x").inc()
-        counter.labels("x").inc(5.0)
-        gauge.set(2.0)
-        gauge.labels().dec()
-        hist.observe(1.0)
-        hist.labels().observe(2.0)
+        registry.include(component(4.0, waits=(1.0,)))
         assert registry.series_count == 0
-        assert registry.family_names() == ()
         assert registry.to_prometheus() == ""
         assert registry.snapshot() == {"enabled": False, "families": []}
-
-    def test_disabled_families_are_one_shared_object(self):
-        registry = MetricsRegistry(enabled=False)
-        a = registry.counter("repro_a_total", "a")
-        b = registry.histogram("repro_b_ms", "b", buckets=DEFAULT_BUCKETS)
-        assert a is b
-        assert a.labels("anything", "at", "all") is a
