@@ -1,9 +1,11 @@
 """Shared spindles, replicated placement, and lane-aware scheduling."""
 
+import hashlib
 import json
 
 import pytest
 
+from repro import obs
 from repro.crypto.rng import DeterministicRNG
 from repro.errors import ConfigurationError
 from repro.fleet import (
@@ -18,6 +20,7 @@ from repro.fleet import (
 from repro.fleet.demo import build_contention_fleet, rot_at_rest
 from repro.fleet.strategies import MS_PER_HOUR, AuditTask
 from repro.geo.datasets import city
+from repro.obs.metrics import MetricsRegistry
 
 
 def replicated_fleet(engine, *, spindles=None, replicas=2, strategy=None):
@@ -212,6 +215,59 @@ class TestSpindleSharing:
         assert sum(s.busy_ms for s in second.spindles) == pytest.approx(
             sum(s.busy_ms for s in first.spindles)
         )
+
+
+class TestContendedRunPin:
+    """The bytes of a run whose spindles queue and whose lanes steal.
+
+    perfbench's committed fleet digests all read zero spindle wait, so
+    this is the pin that covers how disk time and queue wait reach the
+    report and the lane counters under contention.
+    """
+
+    #: sha256 of the canonical report: ``to_dict()`` without the
+    #: wall-clock ``verify_seconds`` fields, dumped with sorted keys
+    #: (perfbench's ``fleet_digest``).
+    REPORT_SHA256 = (
+        "190c259bbc17536de59631ebcf0f6198da06f507bb78fd94e6815145e2f5188c"
+    )
+    #: The lanes' ``repro_fleet_site_wait_ms_total`` series.  The event
+    #: engine reports the lane clocks' wait instead, so these values
+    #: reach no report.
+    SITE_WAIT_MS = {
+        ("acme", "adelaide"): 51943.47639320657,
+        ("acme", "brisbane"): 50964.14723845055,
+        ("acme", "melbourne"): 52300.45648656561,
+        ("acme", "sydney"): 56357.359551212474,
+    }
+
+    def test_work_stealing_on_one_spindle(self):
+        registry = MetricsRegistry(enabled=True)
+        with obs.use_registry(registry):
+            fleet, _ = build_contention_fleet(
+                strategy=WorkStealingStrategy(), engine="event", spindles=1
+            )
+            report = fleet.run(hours=0.02)
+        assert report.n_stolen_audits > 0
+        assert report.total_spindle_wait_ms > 0
+        assert report.n_contention_timeouts > 0
+        canonical = report.to_dict()
+        canonical.pop("total_verify_seconds")
+        canonical["lanes"] = [
+            {key: value for key, value in lane.items()
+             if key != "verify_seconds"}
+            for lane in canonical["lanes"]
+        ]
+        blob = json.dumps(canonical, sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == self.REPORT_SHA256
+        (family,) = [
+            family for family in registry.snapshot()["families"]
+            if family["name"] == "repro_fleet_site_wait_ms_total"
+        ]
+        assert {
+            tuple(series["labels"].values()): series["value"]
+            for series in family["series"]
+        } == self.SITE_WAIT_MS
 
 
 class TestWorkStealing:
