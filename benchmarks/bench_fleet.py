@@ -511,14 +511,16 @@ def measure_obs_overhead(*, n_files: int, hours: float) -> dict:
     (:func:`repro.obs.use_registry`), so the only difference between
     the two series is what the plane adds: the global registry
     including the components' own registries (which count either way)
-    and sim-domain batch spans.
+    and sim-domain batch spans.  The two modes take turns, and so does
+    which of them runs first, so host drift and warm-up land on both.
     """
-
-    def best_wall(enabled: bool) -> tuple[float, dict | None, int]:
-        best_s = float("inf")
-        snapshot = None
-        n_spans = 0
-        for _ in range(OBS_REPEATS):
+    # enabled -> (best wall seconds, its snapshot, its span count)
+    best: dict[bool, tuple[float, dict | None, int]] = {
+        False: (float("inf"), None, 0),
+        True: (float("inf"), None, 0),
+    }
+    for repeat in range(OBS_REPEATS):
+        for enabled in (False, True) if repeat % 2 == 0 else (True, False):
             registry = obs.MetricsRegistry(enabled=enabled)
             trace = obs.Tracer(enabled=enabled)
             with obs.use_registry(registry, trace):
@@ -529,14 +531,14 @@ def measure_obs_overhead(*, n_files: int, hours: float) -> dict:
                     hours=hours,
                     engine="event",
                 )
-            if wall_s < best_s:
-                best_s = wall_s
-                snapshot = registry.snapshot() if enabled else None
-                n_spans = trace.n_recorded
-        return best_s, snapshot, n_spans
-
-    disabled_wall_s, _, _ = best_wall(False)
-    enabled_wall_s, snapshot, n_spans = best_wall(True)
+            if wall_s < best[enabled][0]:
+                best[enabled] = (
+                    wall_s,
+                    registry.snapshot() if enabled else None,
+                    trace.n_recorded,
+                )
+    disabled_wall_s = best[False][0]
+    enabled_wall_s, snapshot, n_spans = best[True]
     return {
         "disabled_wall_s": disabled_wall_s,
         "enabled_wall_s": enabled_wall_s,

@@ -133,10 +133,10 @@ class PrefetchRelayAttack(RelayAttack):
 
         Warming is *metered*, not free: every segment is read through
         the remote site's :class:`~repro.storage.server.StorageServer`
-        (so its disk/spindle accounting sees the staging traffic) and
-        the wire bytes moved are accumulated in
-        :attr:`prewarmed_bytes`.  ``cost_model`` -- any object with a
-        ``bandwidth_usd(n_bytes)`` method, canonically a
+        (whose spindle, when the server is bound to a requester clock,
+        queues and counts those reads) and the wire bytes moved are
+        accumulated in :attr:`prewarmed_bytes`.  ``cost_model`` -- any
+        object with a ``bandwidth_usd(n_bytes)`` method, canonically a
         :class:`repro.economics.costs.CostModel` -- additionally prices
         the transfer into :attr:`prewarm_cost_usd`.  Returns the number
         of segments warmed.

@@ -64,7 +64,6 @@ def outsource_file(
     sla: SLAPolicy,
     home_datacentre: str,
     rng: DeterministicRNG,
-    workers: int | None = None,
 ) -> OutsourcedFile:
     """Encode ``data``, upload it, and hand auditing duty to the TPA.
 
@@ -73,9 +72,7 @@ def outsource_file(
     :class:`~repro.fleet.fleet.AuditFleet`: derive per-file POR keys
     from the caller's RNG, run the Juels-Kaliski setup pipeline, store
     the encoded file at its contractual home site, and register the
-    MAC key + SLA with the TPA.  ``workers`` shards the setup
-    pipeline's Reed-Solomon encode across a process pool (the result
-    is byte-identical to the serial setup).
+    MAC key + SLA with the TPA.
     """
     keys = PORKeys.derive(
         rng.fork(f"keys-{file_id.hex()}").random_bytes(32)
@@ -84,7 +81,7 @@ def outsource_file(
     # hot path (tracked by bench_prp/bench_rs); it never feeds a
     # simulated quantity (see util/wallclock.py).
     setup_start = wall_seconds()
-    encoded = setup_file(data, keys, file_id, params, workers=workers)
+    encoded = setup_file(data, keys, file_id, params)
     setup_seconds = wall_seconds() - setup_start
     provider.upload(encoded, home_datacentre)
     tpa.register_file(
@@ -185,9 +182,7 @@ class GeoProofSession:
 
     # -- data-owner operations ---------------------------------------------
 
-    def outsource(
-        self, file_id: bytes, data: bytes, *, workers: int | None = None
-    ) -> OutsourcedFile:
+    def outsource(self, file_id: bytes, data: bytes) -> OutsourcedFile:
         """Encode a file, upload it, and register it with the TPA."""
         if file_id in self.files:
             raise ConfigurationError(f"file {file_id!r} already outsourced")
@@ -200,7 +195,6 @@ class GeoProofSession:
             sla=self.sla,
             home_datacentre=self.home_datacentre,
             rng=self._rng,
-            workers=workers,
         )
         self.files[file_id] = record
         return record

@@ -61,13 +61,13 @@ being a free private constant per lane:
   per-spindle wait/utilization and contention-induced timeout counts
   in the :class:`FleetReport`).
 * ``register(..., replicas=R)`` places audited copies of a file at R
-  sites of its provider (reusing
-  :class:`~repro.cloud.replication.ReplicaSite` for the per-site
-  verifier + SLA pairing), which is what lets lane-aware strategies
+  sites of its provider, recorded once as the task's
+  ``replica_datacentres``, which is what lets lane-aware strategies
   (:class:`~repro.fleet.strategies.WorkStealingStrategy`) migrate an
   audit from a saturated home lane to an idle sibling lane holding a
   replica -- the audit then runs through the replica site's verifier
-  against the replica site's SLA region and budget.
+  against the replica site's SLA region and budget, paired as a
+  :class:`~repro.cloud.replication.ReplicaSite` when it runs.
 
 With ``replicas=1`` and dedicated spindles every queue wait is
 identically zero and nothing is stealable, so the audit stream is
@@ -201,7 +201,6 @@ class AuditFleet:
         default_interval_hours: float = 6.0,
         engine: str = "slot",
         lane_queue_limit: int = 4,
-        setup_workers: int | None = None,
     ) -> None:
         check_positive("slot_minutes", slot_minutes)
         if batch_size <= 0:
@@ -218,12 +217,6 @@ class AuditFleet:
             raise ConfigurationError(
                 f"lane_queue_limit must be >= 1, got {lane_queue_limit}"
             )
-        if setup_workers is not None and (
-            not isinstance(setup_workers, int) or setup_workers < 1
-        ):
-            raise ConfigurationError(
-                f"setup_workers must be a positive int, got {setup_workers!r}"
-            )
         self.clock = SimClock()
         self.params = params or TEST_PARAMS
         self.strategy = strategy or RoundRobinStrategy()
@@ -233,9 +226,6 @@ class AuditFleet:
         self.default_interval_hours = default_interval_hours
         self.engine = engine
         self.lane_queue_limit = lane_queue_limit
-        #: Process-pool width for the outsourcing pipeline's RS encode
-        #: (None = in-process; see core.session.outsource_file).
-        self.setup_workers = setup_workers
         self._rng = DeterministicRNG(seed)
         self._deployments: dict[str, ProviderDeployment] = {}
         self._tasks: dict[tuple[str, bytes], AuditTask] = {}
@@ -244,10 +234,6 @@ class AuditFleet:
         #: (surfaced in every report so economics runs are self-
         #: describing).
         self._adversaries: dict[str, str] = {}
-        #: Replica placements: (provider, file_id) -> {site: ReplicaSite}.
-        self._replica_sites: dict[
-            tuple[str, bytes], dict[str, ReplicaSite]
-        ] = {}
 
     # -- fleet construction ---------------------------------------------
 
@@ -368,13 +354,17 @@ class AuditFleet:
         ``replicas`` places audited copies at that many of the
         provider's sites in total: the contracted home plus the next
         sites in the provider's onboarding order (or the explicit
-        ``replica_datacentres``).  Each replica site gets a
-        :class:`~repro.cloud.replication.ReplicaSite` record pairing
-        that site's verifier with a site-centred SLA, so an audit may
-        run there (work-stealing migration, or a full
-        :meth:`replication_auditor` round) under the correct region
-        and timing budget.  The audit *cadence* stays per file -- one
+        ``replica_datacentres``).  An audit may run at any replica
+        site (work-stealing migration, or a full
+        :meth:`replication_auditor` round) under that site's verifier
+        and a site-centred SLA, paired as a
+        :class:`~repro.cloud.replication.ReplicaSite` when the audit
+        needs one.  The audit *cadence* stays per file -- one
         :class:`AuditTask`, schedulable at home or any replica.
+
+        The task, and so its cadence and tolerance checks, is built
+        before the file is uploaded: a refused registration leaves
+        nothing behind.
         """
         deployment = self.deployment(provider)
         key = (provider, file_id)
@@ -399,25 +389,6 @@ class AuditFleet:
                 f"k_rounds must be in 1..{n_segments} for a "
                 f"{len(data)}-byte file, got {k}"
             )
-        sla = self._site_sla(site, k, region=region, disk=disk)
-        record = outsource_file(
-            file_id=file_id,
-            data=data,
-            provider=deployment.provider,
-            tpa=deployment.tpa,
-            params=self.params,
-            sla=sla,
-            home_datacentre=datacentre,
-            # Fork on tenant AND provider -- as two chained forks, not
-            # one joined label, so ('a', 'b-p') and ('a-b', 'p') cannot
-            # collide: the same file_id outsourced to two providers
-            # must not share POR/MAC keys.
-            rng=self._rng.fork(f"tenant-{tenant}").fork(
-                f"provider-{provider}"
-            ),
-            workers=self.setup_workers,
-        )
-        self._place_replicas(deployment, file_id, replica_names, k)
         task = AuditTask(
             tenant=tenant,
             provider_name=provider,
@@ -434,6 +405,24 @@ class AuditFleet:
             registered_ms=self.clock.now_ms(),
             replica_datacentres=tuple(replica_names),
         )
+        sla = self._site_sla(site, k, region=region, disk=disk)
+        record = outsource_file(
+            file_id=file_id,
+            data=data,
+            provider=deployment.provider,
+            tpa=deployment.tpa,
+            params=self.params,
+            sla=sla,
+            home_datacentre=datacentre,
+            # Fork on tenant AND provider -- as two chained forks, not
+            # one joined label, so ('a', 'b-p') and ('a-b', 'p') cannot
+            # collide: the same file_id outsourced to two providers
+            # must not share POR/MAC keys.
+            rng=self._rng.fork(f"tenant-{tenant}").fork(
+                f"provider-{provider}"
+            ),
+        )
+        self._place_replicas(deployment.provider, file_id, replica_names)
         self._tasks[key] = task
         self._records[key] = record
         return record
@@ -495,36 +484,41 @@ class AuditFleet:
 
     def _place_replicas(
         self,
-        deployment: ProviderDeployment,
+        provider: CloudProvider,
         file_id: bytes,
         replica_names: list[str],
-        k_rounds: int,
     ) -> None:
-        """Copy the file to its replica sites and record their SLAs."""
-        if not replica_names:
-            return
-        provider = deployment.provider
-        sites: dict[str, ReplicaSite] = {}
+        """Copy the file to its replica sites."""
         for name in replica_names:
-            destination = provider.datacentre(name)
-            # Sites sharing one storage array already hold the bytes;
-            # the replica record (verifier + site SLA) is still what
-            # makes the copy *auditable* at that site.
-            if not destination.exists(file_id):
+            # Sites sharing one storage array already hold the bytes.
+            if not provider.datacentre(name).exists(file_id):
                 provider.replicate_to(file_id, name)
-            sites[name] = ReplicaSite(
-                name=name,
-                verifier=deployment.verifier_for(name),
-                sla=self._site_sla(destination, k_rounds),
-            )
-        self._replica_sites[(provider.name, file_id)] = sites
+
+    def _replica_site(self, task: AuditTask, name: str) -> ReplicaSite:
+        """The site ``name``'s verifier and site-centred SLA for ``task``."""
+        deployment = self.deployment(task.provider_name)
+        return ReplicaSite(
+            name=name,
+            verifier=deployment.verifier_for(name),
+            sla=self._site_sla(
+                deployment.provider.datacentre(name), task.k_rounds
+            ),
+        )
 
     def replica_sites(
         self, provider: str, file_id: bytes
     ) -> dict[str, ReplicaSite]:
-        """The replica-site records of a registered file (may be empty)."""
+        """A registered file's replica sites (empty when unreplicated).
+
+        Each pairs that site's verifier with a site-centred SLA, built
+        from the task's placement on every call.
+        """
         self.record(provider, file_id)  # validates registration
-        return dict(self._replica_sites.get((provider, file_id), {}))
+        task = self._tasks[(provider, file_id)]
+        return {
+            name: self._replica_site(task, name)
+            for name in task.replica_datacentres
+        }
 
     def replication_auditor(
         self, provider: str, file_id: bytes
@@ -540,19 +534,10 @@ class AuditFleet:
         separation filter).
         """
         self.record(provider, file_id)  # validates registration
-        deployment = self.deployment(provider)
         task = self._tasks[(provider, file_id)]
-        home_dc = deployment.provider.datacentre(task.datacentre)
-        auditor = ReplicationAuditor(deployment.tpa)
-        auditor.add_site(
-            ReplicaSite(
-                name=task.datacentre,
-                verifier=deployment.verifier_for(task.datacentre),
-                sla=self._site_sla(home_dc, task.k_rounds),
-            )
-        )
-        for site in self._replica_sites.get((provider, file_id), {}).values():
-            auditor.add_site(site)
+        auditor = ReplicationAuditor(self.deployment(provider).tpa)
+        for name in (task.datacentre, *task.replica_datacentres):
+            auditor.add_site(self._replica_site(task, name))
         return auditor
 
     def inject_adversary(
@@ -641,11 +626,11 @@ class AuditFleet:
 
         ``at_site`` runs the audit at one of the task's *replica*
         sites instead of its home (a work-stealing migration): that
-        site's verifier asks the questions and that site's
-        :class:`~repro.cloud.replication.ReplicaSite` SLA supplies the
-        region and timing budget.  Either way, when the provider is
-        honest and the file replicated, requests are served from the
-        copy nearest the auditing verifier
+        site's verifier asks the questions and a site-centred SLA
+        (the :class:`~repro.cloud.replication.ReplicaSite` built for
+        the audit) supplies the region and timing budget.  Either way,
+        when the provider is honest and the file replicated, requests
+        are served from the copy nearest the auditing verifier
         (:class:`~repro.cloud.replication.NearestCopyStrategy`) -- an
         installed adversary strategy is never overridden.
         """
@@ -655,11 +640,11 @@ class AuditFleet:
         rtt_max_ms = None
         region = None
         if site_name != task.datacentre:
-            replica = self._replica_sites.get(task.key, {}).get(site_name)
-            if replica is None:
+            if site_name not in task.replica_datacentres:
                 raise ConfigurationError(
                     f"file {task.file_id!r} has no replica at {site_name!r}"
                 )
+            replica = self._replica_site(task, site_name)
             rtt_max_ms = replica.sla.rtt_max_ms
             region = replica.sla.region
         provider = deployment.provider
@@ -682,9 +667,6 @@ class AuditFleet:
             if serve_local:
                 provider.set_strategy(None)
         task.last_audit_ms = clock.now_ms()
-        task.audits += 1
-        if site_name != task.datacentre:
-            task.stolen_audits += 1
         return pending
 
     def _execute_batch(
@@ -714,8 +696,11 @@ class AuditFleet:
         n_stolen = 0
         spindle_waits: list[float] = []
         pending: list[PendingAudit] = []
-        with accounting.service_context(site, clock), \
-                accounting.site_window(site) as window:
+        # The batch's disk time and queue wait are what the contracted
+        # site's spindle sums gain while the batch stages.
+        spindle = accounting.site_spindle(site)
+        disk_mark, site_wait_mark = spindle.busy_ms, spindle.wait_ms
+        with accounting.service_context(site, clock):
             for task in batch:
                 stolen = task.site != site
                 n_stolen += stolen
@@ -748,8 +733,8 @@ class AuditFleet:
             site,
             n_audits=len(batch),
             busy_ms=clock.now_ms() - batch_start,
-            disk_ms=window.disk_ms,
-            wait_ms=window.wait_ms,
+            disk_ms=spindle.busy_ms - disk_mark,
+            wait_ms=spindle.wait_ms - site_wait_mark,
             n_stolen=n_stolen,
             verify_seconds=verify_seconds,
         )
@@ -1162,19 +1147,18 @@ class _LaneAccounting:
         """One site's slice of the audit queue, in registration order."""
         return self._tasks_by_site[site]
 
-    def site_window(self, site: tuple[str, str]):
-        """A spindle meter on the site's *contracted* storage server.
+    def site_spindle(self, site: tuple[str, str]) -> SpindleQueue:
+        """The spindle of the site's *contracted* storage server.
 
         A relaying provider serves from elsewhere, so a relayed batch
         legitimately shows zero contracted-spindle time here.
         """
         provider, datacentre = site
-        server = (
+        return (
             self._fleet.deployment(provider)
             .provider.datacentre(datacentre)
-            .server
+            .server.spindle
         )
-        return server.serve_window()
 
     @contextmanager
     def service_context(self, site: tuple[str, str], clock: SimClock):
@@ -1271,7 +1255,8 @@ class _LaneAccounting:
         verify cost come from the charges in both engines.  With
         ``lanes`` (event engine) wait classification and queue stats
         come from each :class:`Lane`; without (slot engine) the wait
-        is the site windows' and queue depth is zero by construction.
+        is the contracted spindles' and queue depth is zero by
+        construction.
         """
         rows = []
         for site in self.sites:

@@ -36,8 +36,8 @@ The strategy contract is deliberately tiny:
     :class:`WorkStealingStrategy`); the engine runs such a task
     through this site's verifier against the local replica.
 
-Strategies never mutate tasks; all bookkeeping (last-audit times,
-audit counts) is owned by the fleet.
+Strategies never mutate tasks; the fleet owns their bookkeeping
+(last-audit times).
 
 Four built-in policies cover the paper-relevant space:
 
@@ -94,17 +94,15 @@ class AuditTask:
     order:
         Registration sequence number; the universal deterministic
         tie-break.
-    registered_ms / last_audit_ms / audits:
+    registered_ms / last_audit_ms:
         Fleet-maintained bookkeeping.
     replica_datacentres:
         Sibling sites of the same provider holding an audited replica
         of this file (empty when unreplicated).  An audit of this task
         may run at any of these sites -- that replica site's verifier
         and SLA region apply -- which is what lane-aware strategies
-        exploit to migrate work off a saturated home lane.
-    stolen_audits:
-        How many of this task's audits ran at a replica site instead
-        of the contracted home (fleet-maintained).
+        exploit to migrate work off a saturated home lane.  This is
+        the fleet's one record of the file's placement.
     """
 
     tenant: str
@@ -117,9 +115,7 @@ class AuditTask:
     order: int
     registered_ms: float
     last_audit_ms: float | None = None
-    audits: int = 0
     replica_datacentres: tuple[str, ...] = ()
-    stolen_audits: int = 0
 
     def __post_init__(self) -> None:
         check_positive("interval_hours", self.interval_hours)

@@ -150,7 +150,3 @@ class SpindleQueue:
             wait_ms=wait,
             service_ms=service_ms,
         )
-
-    def utilization(self, span_ms: float) -> float:
-        """Fraction of ``span_ms`` the spindle spent in service."""
-        return self.busy_ms / span_ms if span_ms > 0 else 0.0

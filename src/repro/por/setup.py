@@ -92,16 +92,8 @@ def setup_file(
     keys: PORKeys,
     file_id: bytes,
     params: PORParams | None = None,
-    *,
-    workers: int | None = None,
 ) -> EncodedFile:
-    """Run the full five-step setup, producing the uploadable ``F~``.
-
-    ``workers`` > 1 shards the Reed-Solomon encode (step 2, which with
-    step 4's permutation is one of the two largest stages on files of
-    tens of kB) across a process pool; the output is byte-identical to
-    the serial setup.
-    """
+    """Run the full five-step setup, producing the uploadable ``F~``."""
     params = params or PORParams()
     block_bytes = params.block_bytes
 
@@ -111,9 +103,9 @@ def setup_file(
     # Step 2: per-chunk Reed-Solomon -> F'.  encode_blocks runs on the
     # vectorized GF(256) engine when numpy is available (one parity
     # matrix product for all interleaved byte columns of every chunk;
-    # see repro.gf.gf256_vec) and can shard chunks across processes.
+    # see repro.gf.gf256_vec).
     striper = BlockStriper(params.stripe_layout)
-    encoded_blocks = striper.encode_blocks(blocks, workers=workers)
+    encoded_blocks = striper.encode_blocks(blocks)
 
     # Step 3: encryption -> F''.  CTR keystream positions are indexed by
     # the block's pre-permutation position so decryption after

@@ -66,9 +66,6 @@ class ServeResult:
     segment: Segment
     elapsed_ms: float
     served_by: str
-    #: The share of ``elapsed_ms`` spent queued on a shared spindle (0
-    #: when the spindle is dedicated or the medium is unqueued).
-    wait_ms: float = 0.0
 
 
 class StorageProvider(ABC):
@@ -78,7 +75,6 @@ class StorageProvider(ABC):
         if not name:
             raise ConfigurationError("provider name must be non-empty")
         self.name = name
-        self.n_lookups = 0
 
     # -- contract -----------------------------------------------------------
 
@@ -174,7 +170,6 @@ class InMemoryStorage(StorageProvider):
                 served_by=self.name,
             )
             self._memo[(file_id, index)] = result
-        self.n_lookups += 1
         return result
 
     def n_segments(self, file_id: bytes) -> int:
@@ -280,9 +275,7 @@ class OnDiskStorage(StorageProvider):
     def lookup(self, file_id: bytes, index: int) -> ServeResult:
         if not self._loaded.exists(file_id):
             self._load(file_id)
-        result = self._loaded.lookup(file_id, index)
-        self.n_lookups += 1
-        return result
+        return self._loaded.lookup(file_id, index)
 
     def put_file(self, encoded: EncodedFile) -> None:
         file_id = self.validate(encoded.file_id)
@@ -345,9 +338,7 @@ class SimulatedHDDStorage(StorageProvider):
         return self.server.store.exists(file_id, index)
 
     def lookup(self, file_id: bytes, index: int) -> ServeResult:
-        result = self.server.lookup(file_id, index, self.name)
-        self.n_lookups += 1
-        return result
+        return self.server.lookup(file_id, index, self.name)
 
     def put_file(self, encoded: EncodedFile) -> None:
         self.server.store.put_file(encoded)

@@ -20,13 +20,19 @@ Design note: the server has two timing modes.
   resource: each lookup presents its arrival time (read off the bound
   clock) to the spindle queue and pays ``queue wait + seek + rotate +
   transfer``.  Several audit lanes hitting one spindle then contend
-  realistically -- the wait is reported in the
-  :class:`~repro.storage.contract.ServeResult`, split out by
-  :class:`ServeWindow`, and classified on the requesting
-  lane's clock (:meth:`~repro.netsim.lanes.LaneClock.record_wait`).
+  realistically -- the wait is part of the
+  :class:`~repro.storage.contract.ServeResult`'s elapsed time and is
+  classified on the requesting lane's clock
+  (:meth:`~repro.netsim.lanes.LaneClock.record_wait`).
   With a dedicated spindle (one requester) the wait is identically
   zero and the two modes report the same numbers, which is what keeps
   the fleet's slot-vs-event equivalence anchor intact.
+
+The server keeps no counts of its own: the spindle is the one record
+of the disk time it granted (``busy_ms``) and the queue wait its
+requests absorbed (``wait_ms``).  A lookup served unqueued (no
+spindle, or no bound clock) is counted nowhere; its cost is only the
+``elapsed_ms`` it returns.
 """
 
 from __future__ import annotations
@@ -62,9 +68,6 @@ class StorageServer:
         self.disk = HDDModel(disk)
         self.spindle = spindle
         self._service_clock = None
-        self.n_lookups = 0
-        self.total_disk_ms = 0.0
-        self.total_wait_ms = 0.0
 
     @contextmanager
     def timed_with(self, clock):
@@ -110,47 +113,4 @@ class StorageServer:
         segment = self.store.get_segment(file_id, index)
         disk_ms = self.disk.lookup_ms(segment.size_bytes)
         wait_ms = self._spindle_wait_ms(disk_ms)
-        self.n_lookups += 1
-        self.total_disk_ms += disk_ms
-        self.total_wait_ms += wait_ms
-        return ServeResult(
-            segment=segment,
-            elapsed_ms=wait_ms + disk_ms,
-            served_by=served_by,
-            wait_ms=wait_ms,
-        )
-
-    def serve_window(self) -> "ServeWindow":
-        """Meter the spindle across a block of lookups::
-
-            with server.serve_window() as window:
-                ... batched lookups ...
-            spindle_busy = window.disk_ms
-            contention = window.wait_ms
-
-        The deltas separate pure disk time (seek + rotate + transfer,
-        the part that serialises on one spindle) from queue wait (time
-        parked behind other lanes' service on a shared spindle), so a
-        scheduling lane can tell how much of its busy interval was
-        spindle work, how much was contention, and how much was LAN
-        time.
-        """
-        return ServeWindow(self)
-
-
-class ServeWindow:
-    """Context manager capturing one server's disk and wait deltas."""
-
-    def __init__(self, server: StorageServer) -> None:
-        self._server = server
-        self.disk_ms = 0.0
-        self.wait_ms = 0.0
-
-    def __enter__(self) -> "ServeWindow":
-        self._mark = (self._server.total_disk_ms, self._server.total_wait_ms)
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        disk, wait = self._mark
-        self.disk_ms = self._server.total_disk_ms - disk
-        self.wait_ms = self._server.total_wait_ms - wait
+        return ServeResult(segment, wait_ms + disk_ms, served_by)

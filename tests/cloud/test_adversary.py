@@ -11,7 +11,10 @@ from repro.cloud.adversary import (
 from repro.cloud.provider import DataCentre
 from repro.crypto.rng import DeterministicRNG
 from repro.geo.datasets import city
+from repro.netsim.clock import SimClock
+from repro.netsim.resources import SpindleQueue
 from repro.storage.hdd import IBM_36Z15
+from repro.storage.server import StorageServer
 from tests.conftest import build_session
 
 
@@ -89,19 +92,27 @@ class TestPrefetchRelayAttack:
         assert not outcome.verdict.accepted
 
     def test_prewarm_is_metered_through_the_server(self):
-        """Warming pays remote disk accounting and counts its bytes."""
+        """Warming reads through the remote server and counts its bytes.
+
+        The remote site's spindle, bound to a requester clock, is the
+        record of those reads.
+        """
         session, file_id, _ = build_session("prefetch-meter")
-        add_remote(session)
+        spindle = SpindleQueue("remote")
+        session.provider.add_datacentre(DataCentre(
+            "remote",
+            city("singapore"),
+            server=StorageServer(IBM_36Z15, spindle=spindle),
+        ))
         session.provider.relocate(file_id, "remote")
         remote = session.provider.datacentre("remote")
         n = session.files[file_id].n_segments
-        lookups_before = remote.server.n_lookups
-        disk_before = remote.server.total_disk_ms
         attack = PrefetchRelayAttack("home", "remote", cache_bytes=10**9)
-        warmed = attack.prewarm(session.provider, file_id, list(range(n)))
+        with remote.server.timed_with(SimClock()):
+            warmed = attack.prewarm(session.provider, file_id, list(range(n)))
         assert warmed == n
-        assert remote.server.n_lookups == lookups_before + n
-        assert remote.server.total_disk_ms > disk_before
+        assert spindle.n_requests == n
+        assert spindle.busy_ms > 0
         assert attack.prewarmed_bytes > 0
         stats = attack.cache_stats()
         assert stats["prewarmed_bytes"] == attack.prewarmed_bytes

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
@@ -298,10 +299,20 @@ class TestWorkStealing:
             hot_files=6, k_rounds=4, batch_size=2, slot_minutes=0.0025,
             spindles=2,
         )
-        fleet.run(hours=0.005)
-        stolen_tasks = [t for t in fleet.tasks() if t.stolen_audits]
-        assert stolen_tasks
-        assert all(t.audits >= t.stolen_audits for t in stolen_tasks)
+        report = fleet.run(hours=0.005)
+        stolen = [e for e in report.events if e.stolen]
+        assert stolen
+        # One task per file, shared by the lanes: a file is audited
+        # both at home and at a replica site...
+        at_home = {e.file_id for e in report.events if not e.stolen}
+        assert {e.file_id for e in stolen} & at_home
+        # ...and each stolen audit is charged once, to the lane that
+        # ran it.
+        assert {
+            lane.datacentre: lane.stolen_audits
+            for lane in report.lanes
+            if lane.stolen_audits
+        } == Counter(e.executed_at for e in stolen)
 
     @pytest.mark.slow
     def test_stealing_beats_round_robin_on_detection(self):

@@ -353,6 +353,27 @@ class TestRegistration:
         report = fleet.run(hours=1.0)
         assert report.n_audits > 0
 
+    def test_refused_cadence_or_tolerance_leaves_nothing_behind(self):
+        """A bad ``epsilon`` or ``interval_hours`` fails before upload,
+        so a corrected retry of the same file id registers."""
+        fleet = AuditFleet(seed="refused")
+        fleet.add_provider("p", [("bne", city("brisbane"))])
+        data = DeterministicRNG("refused-data").random_bytes(2_000)
+        for bad in ({"epsilon": 1.5}, {"interval_hours": -1.0}):
+            with pytest.raises(ConfigurationError):
+                fleet.register(
+                    tenant="t", provider="p", datacentre="bne",
+                    file_id=b"f", data=data, **bad,
+                )
+        assert fleet.n_files == 0
+        assert not fleet.provider("p").datacentre("bne").exists(b"f")
+        fleet.register(
+            tenant="t", provider="p", datacentre="bne",
+            file_id=b"f", data=data,
+        )
+        assert fleet.n_files == 1
+        assert fleet.run(hours=1.0).n_audits > 0
+
     def test_tenant_file_count_spans_providers(self):
         """The same file id on two providers is two files for the tenant."""
         fleet = AuditFleet(seed="span")
@@ -376,34 +397,3 @@ class TestRegistration:
         with pytest.raises(ConfigurationError):
             fleet.record("p", b"ghost")
 
-
-class TestSetupWorkers:
-    """The outsourcing pipeline can shard RS encoding across processes."""
-
-    def test_setup_workers_validated(self):
-        for bad in (0, -1, 2.5):
-            with pytest.raises(ConfigurationError):
-                AuditFleet(setup_workers=bad)
-
-    def test_sharded_registration_matches_serial(self):
-        def build(workers):
-            fleet = AuditFleet(seed="workers-fleet", setup_workers=workers)
-            fleet.add_provider("acme", [("brisbane", city("brisbane"))])
-            fleet.register(
-                tenant="alice",
-                provider="acme",
-                datacentre="brisbane",
-                file_id=b"file-1",
-                data=DeterministicRNG("workers-data").random_bytes(4_000),
-            )
-            return fleet
-
-        serial, sharded = build(None), build(2)
-        store_serial = serial.provider("acme").datacentre("brisbane").server.store
-        store_sharded = sharded.provider("acme").datacentre("brisbane").server.store
-        n = store_serial.n_segments(b"file-1")
-        assert n == store_sharded.n_segments(b"file-1")
-        for index in range(n):
-            seg_a = store_serial.get_segment(b"file-1", index)
-            seg_b = store_sharded.get_segment(b"file-1", index)
-            assert (seg_a.payload, seg_a.tag) == (seg_b.payload, seg_b.tag)

@@ -77,9 +77,3 @@ class TestAccounting:
         # Cumulative counters are untouched by the reset.
         assert spindle.wait_ms == 12.0
         assert spindle.n_requests == 3
-
-    def test_utilization_over_span(self):
-        spindle = SpindleQueue("s0")
-        spindle.acquire(0.0, 25.0)
-        assert spindle.utilization(100.0) == 0.25
-        assert spindle.utilization(0.0) == 0.0

@@ -114,24 +114,3 @@ class TestPaperParams:
         assert extract_file(encoded, keys) == data
         assert encoded.params.segment_bits == 660
 
-
-class TestSetupWorkers:
-    """Process-sharded setup is byte-identical to the serial pipeline."""
-
-    def test_sharded_setup_byte_identical(self, keys):
-        data = bytes((7 * i) % 256 for i in range(3000))  # multiple chunks
-        serial = setup_file(data, keys, b"fid", TEST_PARAMS)
-        sharded = setup_file(data, keys, b"fid", TEST_PARAMS, workers=2)
-        assert serial.n_data_blocks == sharded.n_data_blocks
-        assert [
-            (s.index, s.payload, s.tag) for s in serial.segments
-        ] == [(s.index, s.payload, s.tag) for s in sharded.segments]
-
-    def test_sharded_setup_roundtrips(self, keys):
-        data = b"sharded-roundtrip" * 200
-        encoded = setup_file(data, keys, b"fid", TEST_PARAMS, workers=2)
-        assert extract_file(encoded, keys) == data
-
-    def test_workers_validated(self, keys):
-        with pytest.raises(ConfigurationError):
-            setup_file(b"x", keys, b"fid", TEST_PARAMS, workers=0)

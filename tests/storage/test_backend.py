@@ -61,7 +61,6 @@ class TestAccess:
     def test_get_segment(self, store_with_file):
         store, encoded = store_with_file
         assert store.get_segment(b"backend-test", 0) == encoded.segments[0]
-        assert store.n_lookups == 0  # a raw read is not a served lookup
 
     def test_missing_file(self):
         with pytest.raises(BlockNotFoundError):

@@ -14,6 +14,8 @@ from repro.errors import (
     StorageUnavailableError,
 )
 from repro.geo.coords import GeoPoint
+from repro.netsim.clock import SimClock
+from repro.netsim.resources import SpindleQueue
 from repro.por.file_format import EncodedFile, Segment
 from repro.por.parameters import TEST_PARAMS
 from repro.por.setup import PORKeys, setup_file
@@ -97,7 +99,13 @@ class TestContractAcrossBackends:
         assert result.segment == encoded.segments[3]
         assert result.served_by == backend.name
         assert result.elapsed_ms >= 0.0
-        assert backend.n_lookups == 1
+        # Serves are counted where they are routed: the registry.
+        registry = ProviderRegistry()
+        registry.add(backend)
+        assert registry.handle_request(encoded.file_id, 3).segment == (
+            result.segment
+        )
+        assert registry.status(backend.name).n_successes == 1
 
     def test_missing_file_and_segment_raise(self, backend, encoded):
         backend.put_file(encoded)
@@ -105,7 +113,13 @@ class TestContractAcrossBackends:
             backend.lookup(b"ghost", 0)
         with pytest.raises(BlockNotFoundError):
             backend.lookup(encoded.file_id, encoded.n_segments)
-        assert backend.n_lookups == 0
+        # Through a registry a miss is neither a serve nor a failure.
+        registry = ProviderRegistry()
+        registry.add(backend)
+        with pytest.raises(StorageUnavailableError):
+            registry.handle_request(b"ghost", 0)
+        status = registry.status(backend.name)
+        assert (status.n_successes, status.n_failures) == (0, 0)
 
     def test_duplicate_put_rejected(self, backend, encoded):
         backend.put_file(encoded)
@@ -275,25 +289,30 @@ class TestSimulatedHDDStorage:
         assert result.elapsed_ms > 0.0
 
     def test_views_share_one_server(self, encoded):
-        server = StorageServer()
+        server = StorageServer(spindle=SpindleQueue("shared"))
         first = SimulatedHDDStorage("first", server=server)
         second = SimulatedHDDStorage("second", server=server)
         first.put_file(encoded)
         assert second.exists(encoded.file_id)
-        assert second.lookup(encoded.file_id, 0).served_by == "second"
-        assert server.n_lookups == 1
+        with server.timed_with(SimClock()):
+            assert second.lookup(encoded.file_id, 0).served_by == "second"
+        assert server.spindle.n_requests == 1
 
 
 class TestDataCentre:
     def test_lookup_charges_site_disk_and_names_the_site(self, encoded):
-        site = DataCentre("syd", BRISBANE, disk=IBM_36Z15)
+        spindle = SpindleQueue("syd")
+        site = DataCentre(
+            "syd", BRISBANE, server=StorageServer(IBM_36Z15, spindle=spindle)
+        )
         site.put_file(encoded)
-        result = site.lookup(encoded.file_id, 0)
+        with site.server.timed_with(SimClock()):
+            result = site.lookup(encoded.file_id, 0)
         assert result.served_by == "syd"
         assert result.elapsed_ms == HDDModel(IBM_36Z15).lookup_ms(
             result.segment.size_bytes
         )
-        assert site.server.total_disk_ms == result.elapsed_ms
+        assert spindle.busy_ms == result.elapsed_ms
 
 
 class TestAuditOverContract:

@@ -1,7 +1,9 @@
-"""Storage server: lookup timing, shared spindles and serve windows."""
+"""Storage server: lookup timing and shared spindles."""
 
 import pytest
 
+from repro.netsim.clock import SimClock
+from repro.netsim.resources import SpindleQueue
 from repro.por.parameters import TEST_PARAMS
 from repro.por.setup import setup_file
 from repro.storage.hdd import HDDModel, IBM_36Z15, WD_2500JD
@@ -38,11 +40,20 @@ class TestDeterministicLookup:
         )
 
     def test_statistics(self, loaded_server):
-        server, _ = loaded_server
-        for i in range(5):
-            server.lookup(b"srv", i, "site")
-        assert server.n_lookups == 5
-        assert server.total_disk_ms > 0
+        """A queued server's lookups are counted by its spindle."""
+        _, encoded = loaded_server
+        spindle = SpindleQueue("s")
+        server = StorageServer(WD_2500JD, spindle=spindle)
+        server.store.put_file(encoded)
+        clock = SimClock()
+        elapsed = []
+        with server.timed_with(clock):
+            for i in range(5):
+                elapsed.append(server.lookup(b"srv", i, "site").elapsed_ms)
+                clock.advance(elapsed[-1])
+        assert spindle.n_requests == 5
+        assert spindle.busy_ms == sum(elapsed) > 0
+        assert spindle.wait_ms == 0.0
 
 
 class TestSharedSpindleMode:
@@ -50,8 +61,6 @@ class TestSharedSpindleMode:
 
     def make_shared(self, keys, sample_data, n_sites=2):
         """``n_sites`` servers sharing one spindle, one file each."""
-        from repro.netsim.resources import SpindleQueue
-
         spindle = SpindleQueue("shared-0")
         servers = []
         for i in range(n_sites):
@@ -65,26 +74,26 @@ class TestSharedSpindleMode:
         """Queued mode needs arrival times; without a clock, legacy."""
         spindle, (server, _) = self.make_shared(keys, sample_data)
         result = server.lookup(b"f0", 0, "site")
-        assert result.wait_ms == 0.0
+        assert result.elapsed_ms == HDDModel(WD_2500JD).lookup_ms(
+            result.segment.size_bytes
+        )
         assert spindle.n_requests == 0
 
     def test_dedicated_requester_never_waits(self, keys, sample_data):
-        from repro.netsim.clock import SimClock
-
         spindle, (server, _) = self.make_shared(keys, sample_data)
         clock = SimClock()
         with server.timed_with(clock):
             for i in range(4):
                 result = server.lookup(b"f0", i, "site")
                 clock.advance(result.elapsed_ms)  # the protocol engine
-                assert result.wait_ms == 0.0
+                assert result.elapsed_ms == HDDModel(WD_2500JD).lookup_ms(
+                    result.segment.size_bytes
+                )
         assert spindle.n_requests == 4
         assert spindle.wait_ms == 0.0
 
     def test_contending_requesters_queue(self, keys, sample_data):
         """A lane behind the frontier pays the wait in elapsed_ms."""
-        from repro.netsim.clock import SimClock
-
         spindle, (a, b) = self.make_shared(keys, sample_data)
         fast, slow = SimClock(), SimClock()
         with a.timed_with(fast):
@@ -92,11 +101,10 @@ class TestSharedSpindleMode:
             fast.advance(first.elapsed_ms)
         with b.timed_with(slow):  # still at t=0: queues behind a
             second = b.lookup(b"f1", 0, "site")
-        assert second.wait_ms == pytest.approx(first.elapsed_ms)
-        assert second.elapsed_ms == pytest.approx(
-            second.wait_ms + HDDModel(WD_2500JD).lookup_ms(second.segment.size_bytes)
-        )
-        assert b.total_wait_ms == second.wait_ms
+        assert spindle.wait_ms == pytest.approx(first.elapsed_ms)
+        assert second.elapsed_ms == spindle.wait_ms + HDDModel(
+            WD_2500JD
+        ).lookup_ms(second.segment.size_bytes)
 
     def test_wait_classified_on_lane_clock(self, keys, sample_data):
         from repro.netsim.lanes import LaneClock
@@ -105,14 +113,13 @@ class TestSharedSpindleMode:
         spindle.acquire(0.0, 100.0)  # preload the frontier
         lane = LaneClock("lane")
         with b.timed_with(lane):
-            result = b.lookup(b"f1", 0, "site")
-        assert result.wait_ms == pytest.approx(100.0)
+            b.lookup(b"f1", 0, "site")
+        assert spindle.wait_ms == pytest.approx(100.0)
         assert lane.waiting_ms == pytest.approx(100.0)
 
     def test_view_serves_the_server_record(self, keys, sample_data):
         """A disk view returns the server's record under its own name,
         queue wait included."""
-        from repro.netsim.clock import SimClock
         from repro.storage.contract import SimulatedHDDStorage
 
         spindle, (a, b) = self.make_shared(keys, sample_data)
@@ -121,22 +128,25 @@ class TestSharedSpindleMode:
         with b.timed_with(SimClock()):
             result = view.lookup(b"f1", 0)
         assert result.served_by == "view"
-        assert result.wait_ms == pytest.approx(40.0)
         assert result.elapsed_ms == pytest.approx(
             40.0 + HDDModel(WD_2500JD).lookup_ms(result.segment.size_bytes)
         )
-        assert view.n_lookups == b.n_lookups == 1
+        # The preload and the view's one lookup, queued behind it.
+        assert spindle.n_requests == 2
+        assert spindle.wait_ms == pytest.approx(40.0)
 
-    def test_serve_window_splits_wait_from_disk(self, keys, sample_data):
-        from repro.netsim.clock import SimClock
-
+    def test_spindle_splits_wait_from_disk(self, keys, sample_data):
+        """Differences of the spindle's sums split a block of lookups
+        into disk time and queue wait, as the fleet charges a batch."""
         spindle, (a, b) = self.make_shared(keys, sample_data)
         spindle.acquire(0.0, 50.0)
-        clock = SimClock()
-        with b.timed_with(clock), b.serve_window() as window:
+        disk_mark, wait_mark = spindle.busy_ms, spindle.wait_ms
+        with b.timed_with(SimClock()):
             result = b.lookup(b"f1", 0, "site")
-        assert window.wait_ms == pytest.approx(50.0)
-        assert window.disk_ms == HDDModel(WD_2500JD).lookup_ms(
-            result.segment.size_bytes
+        wait_ms = spindle.wait_ms - wait_mark
+        disk_ms = spindle.busy_ms - disk_mark
+        assert wait_ms == 50.0
+        assert disk_ms == pytest.approx(
+            HDDModel(WD_2500JD).lookup_ms(result.segment.size_bytes)
         )
-        assert result.elapsed_ms == window.wait_ms + window.disk_ms
+        assert result.elapsed_ms == pytest.approx(wait_ms + disk_ms)
