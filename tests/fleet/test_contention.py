@@ -343,6 +343,25 @@ class TestWorkStealing:
         report = fleet.run(hours=0.002)
         assert report.n_stolen_audits == 0
 
+    def test_stealing_needs_a_replica_at_the_thief(self):
+        """A lane handed a sibling's unreplicated file refuses to audit it."""
+
+        class EveryTask(RoundRobinStrategy):
+            def rank_lane(self, tasks, now_ms, lane=None, fleet=None):
+                return [
+                    task
+                    for load in fleet.loads
+                    for task in fleet.tasks_at(load.site)
+                ]
+
+        fleet = replicated_fleet("event", replicas=1, strategy=EveryTask())
+        fleet.register(
+            tenant="t", provider="acme", datacentre="per",
+            file_id=b"p-0", data=b"z" * 2_000,
+        )
+        with pytest.raises(ConfigurationError, match="no replica at"):
+            fleet.run(hours=1.0)
+
 
 class TestEquivalenceAnchor:
     """replicas=1 + dedicated spindles: event stream == slot stream."""
