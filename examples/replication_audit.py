@@ -17,7 +17,8 @@ Replication is also a *scheduling* resource: the fleet engine places
 replicas with ``AuditFleet.register(..., replicas=N)`` so work-stealing
 lanes can run a saturated home lane's audits at a sibling replica site
 (see ``examples/fleet_audit.py``), and bridges back to this diversity
-check via ``AuditFleet.replication_auditor()``.
+check via ``AuditFleet.audit_replicas()``, whose round queues its
+lookups on the fleet's spindles like any audit batch.
 
 Run:  python examples/replication_audit.py
 """

@@ -267,10 +267,6 @@ class ThirdPartyAuditor:
         orders: Sequence[tuple[bytes, int | None]],
         verifier: VerifierDevice,
         provider: CloudProvider,
-        *,
-        rtt_max_ms: float | None = None,
-        region=None,
-        clock=None,
     ) -> list[PendingAudit | ReproError]:
         """Run a batch of ``(file_id, k)`` orders; one entry per order.
 
@@ -280,13 +276,14 @@ class ThirdPartyAuditor:
         :meth:`make_request`) draws no nonce and never reaches the
         device.  Equivalent to calling :meth:`audit_deferred` once per
         order (pinned by test): the nonce stream advances in order and
-        all timed rounds run back to back on the shared clock.  The
-        verifier amortizes challenge derivation, LAN arithmetic and
+        all timed rounds run back to back on the verifier's clock,
+        against each file's registered SLA (an audit that needs another
+        budget, region or clock goes through :meth:`audit_deferred`).
+        The verifier amortizes challenge derivation, LAN arithmetic and
         signing across the whole batch.
         """
         return self._run_protocols(
-            orders, verifier, provider,
-            rtt_max_ms=rtt_max_ms, region=region, clock=clock,
+            orders, verifier, provider, rtt_max_ms=None, region=None, clock=None
         )
 
     def flush_verdicts(self, pending: Sequence[PendingAudit]) -> list[AuditOutcome]:

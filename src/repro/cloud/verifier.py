@@ -30,29 +30,37 @@ verifies content; the device only attests timing and position).
 
 :meth:`VerifierDevice.run_audits` is the protocol body every audit
 runs through (the TPA sends a one-element batch for a single audit).
-Each request in it fails alone: a :class:`~repro.errors.ReproError`
-raised while drawing its challenge or running its rounds (a backend
-that cannot serve, say) comes back in that request's place, and the
-tree is signed over the runs that completed.
-:meth:`VerifierDevice.run_audit` is the scalar reference oracle: one
-audit, step by step as Fig. 4 draws it.  No production path calls it;
-the equivalence tests and benches pin ``run_audits`` against it.
+It is one loop with one way to time each leg: the LAN model's
+draw-free :meth:`~repro.netsim.latency.LANModel.fixed_ms` (memoised
+per payload size) plus a sample from one
+:meth:`~repro.netsim.latency.LANModel.jitter_draws` read per audit.
+Every payload comes from the one encoder,
+:func:`~repro.core.messages.transcript_payload`, and every challenge
+and jitter stream forks off the device's own RNG, which it must be
+given.  Each request fails alone: a
+:class:`~repro.errors.ReproError` raised while drawing its challenge
+or running its rounds (a backend that cannot serve, say) comes back in
+that request's place, and the tree is signed over the runs that
+completed.  :meth:`VerifierDevice.run_audit` is the scalar reference
+oracle: one audit, step by step as Fig. 4 draws it, one
+:meth:`~repro.netsim.latency.LANModel.one_way_ms` call per leg.  No
+production path calls it; the equivalence tests and benches pin
+``run_audits`` against it.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from repro.cloud.provider import CloudProvider
 from repro.core.messages import (
-    TRANSCRIPT_MAGIC,
     AuditRequest,
     BatchProof,
     SignedTranscript,
     TimedRound,
     batch_root_message,
+    transcript_payload,
 )
 from repro.crypto.rng import DeterministicRNG
 from repro.crypto.schnorr import (
@@ -69,11 +77,9 @@ from repro.geo.gps import GPSReceiver
 from repro.netsim.clock import SimClock
 from repro.netsim.latency import LANModel
 from repro.por.merkle import MerkleTree
-from repro.util.serialization import (
-    encode_float,
-    encode_length_prefixed,
-    encode_uint,
-)
+
+#: Bytes of one challenge on the wire: the index plus framing.
+_REQUEST_BYTES = 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,15 +98,19 @@ class AuditRun:
 
 
 class VerifierDevice:
-    """The verifier appliance on the provider's LAN."""
+    """The verifier appliance on the provider's LAN.
+
+    ``rng`` is the device's own randomness: each audit's challenge and
+    LAN-jitter streams fork off it by the request nonce.
+    """
 
     def __init__(
         self,
         device_id: bytes,
         location: GeoPoint,
         *,
+        rng: DeterministicRNG,
         clock: SimClock | None = None,
-        rng: DeterministicRNG | None = None,
     ) -> None:
         self.device_id = device_id
         self.location = location
@@ -153,7 +163,6 @@ class VerifierDevice:
         request: AuditRequest,
         provider: CloudProvider,
         *,
-        rng: DeterministicRNG | None = None,
         clock: SimClock | None = None,
     ) -> SignedTranscript:
         """Run the timed phase and return the signed transcript R.
@@ -172,21 +181,19 @@ class VerifierDevice:
         site's timeline.
         """
         clock = clock if clock is not None else self.clock
-        rng = rng or self._rng or DeterministicRNG(self.device_id + request.nonce)
         # Fork on the request nonce: every audit must draw a fresh,
         # unpredictable challenge set (a fixed set would let the
         # provider prefetch exactly the challenged segments).
         session_label = request.nonce.hex()
         challenge = self.generate_challenge(
-            request, rng.fork(f"challenge-{session_label}")
+            request, self._rng.fork(f"challenge-{session_label}")
         )
-        jitter_rng = rng.fork(f"lan-jitter-{session_label}")
+        jitter_rng = self._rng.fork(f"lan-jitter-{session_label}")
         rounds: list[TimedRound] = []
-        request_bytes = 16  # index + framing on the wire
         for index in challenge:
             start_ms = clock.now_ms()
             clock.advance(
-                self.lan.one_way_ms(self.lan_distance_km, request_bytes, jitter_rng)
+                self.lan.one_way_ms(self.lan_distance_km, _REQUEST_BYTES, jitter_rng)
             )
             serve = provider.handle_request(request.file_id, index)
             clock.advance(serve.elapsed_ms)
@@ -204,25 +211,26 @@ class VerifierDevice:
                     rtt_ms=clock.now_ms() - start_ms,
                 )
             )
-        fix = self.gps.read_fix()
-        unsigned = SignedTranscript(
+        position = self.gps.read_fix().position
+        timed = tuple(rounds)
+        (proof,), signature = self._sign_batch([transcript_payload(
+            self.device_id, request.file_id, request.nonce, timed, position
+        )])
+        return SignedTranscript(
             device_id=self.device_id,
             file_id=request.file_id,
             nonce=request.nonce,
-            rounds=tuple(rounds),
-            position=fix.position,
-            proof=BatchProof(b"", 0, 0, ()),  # placeholders until signed below
-            signature=(0, 0),
+            rounds=timed,
+            position=position,
+            proof=proof,
+            signature=signature,
         )
-        (proof,), signature = self._sign_batch([unsigned.signed_payload()])
-        return replace(unsigned, proof=proof, signature=signature)
 
     def run_audits(
         self,
         requests: Sequence[AuditRequest],
         provider: CloudProvider,
         *,
-        rng: DeterministicRNG | None = None,
         clock: SimClock | None = None,
     ) -> list[AuditRun | ReproError]:
         """Run a batch of audits; byte-identical to a :meth:`run_audit` loop.
@@ -235,13 +243,23 @@ class VerifierDevice:
 
         * all challenge and jitter streams derive through one
           :meth:`~repro.crypto.rng.DeterministicRNG.fork_many` sweep
-          (forks are stateless with respect to the parent, so batch
-          derivation is exact);
-        * LAN delay terms that do not depend on the draw (propagation,
-          switching, serialisation) are precomputed per payload size;
-        * signed payloads are encoded once, inline, and the whole call
-          is signed once: the payloads are the leaves of one hash tree
-          and the device signs its root (see :meth:`_sign_batch`).
+          of the device RNG (forks are stateless with respect to the
+          parent, so batch derivation is exact);
+        * a leg's draw-free LAN delay,
+          :meth:`~repro.netsim.latency.LANModel.fixed_ms`, is computed
+          once per payload size, and one
+          :meth:`~repro.netsim.latency.LANModel.jitter_draws` read per
+          audit covers the jitter of all its legs (equal to the
+          per-leg ``expovariate`` draws of ``one_way_ms``);
+        * each payload is encoded once, by
+          :func:`~repro.core.messages.transcript_payload`, and the
+          whole call is signed once: the payloads are the leaves of one
+          hash tree and the device signs its root (see
+          :meth:`_sign_batch`).
+
+        The LAN pieces are the model's own, so a ``lan`` with zero
+        jitter times the same in both bodies; a subclass that overrides
+        only ``one_way_ms`` changes the oracle but not this body.
 
         Payloads, clocks and verdicts match the scalar loop; only the
         proof and the signature differ, because a batch of n is one
@@ -261,52 +279,17 @@ class VerifierDevice:
         if not requests:
             return []
         clock = clock if clock is not None else self.clock
-        shared_rng = rng or self._rng
-        if shared_rng is not None:
-            labels: list[str] = []
-            for request in requests:
-                session_label = request.nonce.hex()
-                labels.append(f"challenge-{session_label}")
-                labels.append(f"lan-jitter-{session_label}")
-            forks = shared_rng.fork_many(labels)
-            challenge_rngs = forks[0::2]
-            jitter_rngs = forks[1::2]
-        else:
-            # Scalar fallback construction: a fresh per-nonce parent.
-            challenge_rngs = []
-            jitter_rngs = []
-            for request in requests:
-                parent = DeterministicRNG(self.device_id + request.nonce)
-                session_label = request.nonce.hex()
-                challenge_rngs.append(parent.fork(f"challenge-{session_label}"))
-                jitter_rngs.append(parent.fork(f"lan-jitter-{session_label}"))
+        labels: list[str] = []
+        for request in requests:
+            session_label = request.nonce.hex()
+            labels += (f"challenge-{session_label}", f"lan-jitter-{session_label}")
+        forks = self._rng.fork_many(labels)
 
-        # LAN fast path: precompute the draw-independent delay terms.
-        # Only the stock LANModel formula is inlined; a custom latency
-        # model falls back to its own one_way_ms (still per-round, so
-        # custom models stay correct, just not amortized).
-        lan = self.lan
-        distance_km = self.lan_distance_km
-        inline_lan = type(lan) is LANModel
-        request_bytes = 16  # index + framing on the wire
-        if inline_lan:
-            # Same float association order as LANModel.one_way_ms:
-            # ((propagation + switching) + serialisation) + jitter.
-            lan_base = (
-                distance_km / lan.propagation_speed_km_per_ms
-                + lan.n_switches * lan.switch_delay_ms
-            )
-            bits_per_ms = lan.bandwidth_mbps * 1000.0
-            base_request = lan_base + (request_bytes * 8.0) / bits_per_ms
-            jitter_rate = 1.0 / lan.jitter_ms if lan.jitter_ms > 0 else None
-            base_by_size: dict[int, float] = {}
-
-        log = math.log
+        lan, distance_km = self.lan, self.lan_distance_km
+        fixed_request = lan.fixed_ms(distance_km, _REQUEST_BYTES)
+        fixed_by_size: dict[int, float] = {}
         handle_request = provider.handle_request
-        now_ms = clock.now_ms
-        advance = clock.advance
-        device_prefix = TRANSCRIPT_MAGIC + encode_length_prefixed(self.device_id)
-        file_prefix: dict[bytes, bytes] = {}
+        now_ms, advance = clock.now_ms, clock.advance
 
         # One entry per request: the error it raised, or what its
         # transcript needs once the batch is signed.
@@ -314,59 +297,31 @@ class VerifierDevice:
             ReproError | tuple[AuditRequest, tuple[TimedRound, ...], GeoPoint, float, float]
         ] = []
         payloads: list[bytes] = []
-        from_bytes = int.from_bytes
-        for position, request in enumerate(requests):
+        for request, challenge_rng, jitter_rng in zip(
+            requests, forks[0::2], forks[1::2]
+        ):
             started_ms = now_ms()
             rounds: list[TimedRound] = []
             file_id = request.file_id
             try:
-                challenge = self.generate_challenge(
-                    request, challenge_rngs[position]
-                )
-                jitter_rng = jitter_rngs[position]
-                if inline_lan and jitter_rate is not None:
-                    # Two 53-bit draws (7 bytes each) per round; pulling
-                    # the whole audit's jitter bytes in one stream read
-                    # is byte-identical to per-draw randbits(53) calls.
-                    jitter_bytes = jitter_rng.random_bytes(14 * len(challenge))
-                    joff = 0
-                for index in challenge:
+                challenge = self.generate_challenge(request, challenge_rng)
+                # Out and back legs alternate on the stream, as in the
+                # oracle's two one_way_ms calls per round.
+                jitter = lan.jitter_draws(jitter_rng, 2 * len(challenge))
+                for index, out_ms, back_ms in zip(
+                    challenge, jitter[0::2], jitter[1::2]
+                ):
                     start_ms = now_ms()
-                    if inline_lan:
-                        if jitter_rate is not None:
-                            u = (
-                                from_bytes(jitter_bytes[joff : joff + 7], "big")
-                                >> 3
-                            ) / 9007199254740992  # 2**53
-                            joff += 7
-                            advance(base_request + (-log(1.0 - u) / jitter_rate))
-                        else:
-                            advance(base_request)
-                    else:
-                        advance(lan.one_way_ms(distance_km, request_bytes, jitter_rng))
+                    advance(fixed_request + out_ms)
                     serve = handle_request(file_id, index)
                     advance(serve.elapsed_ms)
                     segment = serve.segment
-                    if inline_lan:
-                        size = segment.size_bytes
-                        base_response = base_by_size.get(size)
-                        if base_response is None:
-                            # Exact scalar association: (bytes*8.0)/(mbps*1000.0).
-                            base_response = lan_base + (size * 8.0) / bits_per_ms
-                            base_by_size[size] = base_response
-                        if jitter_rate is not None:
-                            u = (
-                                from_bytes(jitter_bytes[joff : joff + 7], "big")
-                                >> 3
-                            ) / 9007199254740992
-                            joff += 7
-                            advance(base_response + (-log(1.0 - u) / jitter_rate))
-                        else:
-                            advance(base_response)
-                    else:
-                        advance(
-                            lan.one_way_ms(distance_km, segment.size_bytes, jitter_rng)
-                        )
+                    size = segment.size_bytes
+                    fixed_response = fixed_by_size.get(size)
+                    if fixed_response is None:
+                        fixed_response = lan.fixed_ms(distance_km, size)
+                        fixed_by_size[size] = fixed_response
+                    advance(fixed_response + back_ms)
                     rounds.append(
                         TimedRound(
                             index=index,
@@ -378,27 +333,12 @@ class VerifierDevice:
                 entries.append(exc)
                 continue
             finished_ms = now_ms()
-            fix = self.gps.read_fix()
-
-            prefix = file_prefix.get(file_id)
-            if prefix is None:
-                prefix = device_prefix + encode_length_prefixed(file_id)
-                file_prefix[file_id] = prefix
-            parts = [
-                prefix,
-                encode_length_prefixed(request.nonce),
-                encode_uint(len(rounds)),
-            ]
-            for round_ in rounds:
-                parts.append(encode_uint(round_.index))
-                parts.append(round_.segment.wire_bytes())
-                parts.append(encode_float(round_.rtt_ms))
-            parts.append(encode_float(fix.position.latitude))
-            parts.append(encode_float(fix.position.longitude))
-            payloads.append(b"".join(parts))
-            entries.append(
-                (request, tuple(rounds), fix.position, started_ms, finished_ms)
-            )
+            position = self.gps.read_fix().position
+            timed = tuple(rounds)
+            payloads.append(transcript_payload(
+                self.device_id, file_id, request.nonce, timed, position
+            ))
+            entries.append((request, timed, position, started_ms, finished_ms))
 
         if not payloads:  # every request failed: nothing to sign
             return [entry for entry in entries if isinstance(entry, ReproError)]
@@ -409,14 +349,14 @@ class VerifierDevice:
             if isinstance(entry, ReproError):
                 runs.append(entry)
                 continue
-            request, rounds_tuple, position_fix, started_ms, finished_ms = entry
+            request, timed, position, started_ms, finished_ms = entry
             payload, proof = next(signed)
             transcript = SignedTranscript(
                 device_id=self.device_id,
                 file_id=request.file_id,
                 nonce=request.nonce,
-                rounds=rounds_tuple,
-                position=position_fix,
+                rounds=timed,
+                position=position,
                 proof=proof,
                 signature=signature,
             )

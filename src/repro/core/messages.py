@@ -10,8 +10,9 @@ Three message types cross the wire:
 3. :class:`SignedTranscript` -- V -> TPA: the paper's
    ``R = Sign_SK(Delta-t*, c, {S_cj}, N, Pos_V)``.
 
-Every transcript has a canonical byte encoding
-(:meth:`SignedTranscript.signed_payload`).  The device does not sign
+Every transcript has one canonical byte encoding,
+:func:`transcript_payload` (read back through
+:meth:`SignedTranscript.signed_payload`).  The device does not sign
 each payload on its own: the payloads of one protocol batch are the
 leaves of a :class:`~repro.por.merkle.MerkleTree`, and the device signs
 :func:`batch_root_message` -- a domain tag, the tree size and the root
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 from repro.errors import ConfigurationError, ProtocolError
 from repro.geo.coords import GeoPoint
@@ -241,6 +242,34 @@ class TimedRound:
         return cls(index=index, segment=segment, rtt_ms=rtt_ms), offset
 
 
+def transcript_payload(
+    device_id: bytes,
+    file_id: bytes,
+    nonce: bytes,
+    rounds: Sequence[TimedRound],
+    position: GeoPoint,
+) -> bytes:
+    """The canonical bytes a device attests for one audit.
+
+    The magic, the length-prefixed device id, file id and nonce, the
+    round count, every round's :meth:`TimedRound.wire_bytes`, then the
+    GPS latitude and longitude.  The one encoder of a transcript leaf:
+    the device calls it while it signs a batch, and
+    :meth:`SignedTranscript.signed_payload` calls it for everyone else.
+    """
+    parts = [
+        TRANSCRIPT_MAGIC,
+        encode_length_prefixed(device_id),
+        encode_length_prefixed(file_id),
+        encode_length_prefixed(nonce),
+        encode_uint(len(rounds)),
+    ]
+    parts.extend(round_.wire_bytes() for round_ in rounds)
+    parts.append(encode_float(position.latitude))
+    parts.append(encode_float(position.longitude))
+    return b"".join(parts)
+
+
 @dataclass(frozen=True)
 class SignedTranscript:
     """The verifier's signed report R.
@@ -303,17 +332,9 @@ class SignedTranscript:
         cached = self.__dict__.get("_signed_payload")
         if cached is not None:
             return cached
-        parts = [
-            TRANSCRIPT_MAGIC,
-            encode_length_prefixed(self.device_id),
-            encode_length_prefixed(self.file_id),
-            encode_length_prefixed(self.nonce),
-            encode_uint(len(self.rounds)),
-        ]
-        parts.extend(round_.wire_bytes() for round_ in self.rounds)
-        parts.append(encode_float(self.position.latitude))
-        parts.append(encode_float(self.position.longitude))
-        payload = b"".join(parts)
+        payload = transcript_payload(
+            self.device_id, self.file_id, self.nonce, self.rounds, self.position
+        )
         # Frozen dataclass: write the cache the same way cached_property
         # would (eq/hash/repr read fields only, never __dict__).
         object.__setattr__(self, "_signed_payload", payload)

@@ -98,6 +98,7 @@ from repro.cloud.replication import (
     NearestCopyStrategy,
     ReplicaSite,
     ReplicationAuditor,
+    ReplicationVerdict,
 )
 from repro.cloud.sla import SLAPolicy
 from repro.cloud.tpa import AuditOutcome, PendingAudit, ThirdPartyAuditor
@@ -106,7 +107,7 @@ from repro.core.session import OutsourcedFile, outsource_file
 from repro.crypto.rng import DeterministicRNG
 from repro.errors import ConfigurationError
 from repro.geo.coords import GeoPoint
-from repro.geo.regions import CircularRegion, Region
+from repro.geo.regions import CircularRegion
 from repro.netsim.clock import SimClock
 from repro.netsim.events import EventScheduler
 from repro.netsim.lanes import Lane
@@ -114,7 +115,7 @@ from repro.netsim.resources import SpindleQueue
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Span
 from repro.por.parameters import PORParams, TEST_PARAMS
-from repro.storage.hdd import HDDSpec, WD_2500JD
+from repro.storage.hdd import WD_2500JD
 from repro.storage.server import StorageServer
 from repro.util.validation import check_positive
 from repro.util.wallclock import wall_seconds
@@ -242,7 +243,6 @@ class AuditFleet:
         name: str,
         datacentres: list[tuple[str, GeoPoint]],
         *,
-        disk: HDDSpec = WD_2500JD,
         spindles: int | None = None,
     ) -> CloudProvider:
         """Register a provider with located data centres.
@@ -250,6 +250,8 @@ class AuditFleet:
         Builds the provider, one verifier device per site (on the
         shared fleet clock), and a dedicated TPA; returns the provider
         so callers can add more sites or install adversary strategies.
+        Every site's storage is a :data:`~repro.storage.hdd.WD_2500JD`
+        array.
 
         ``spindles`` backs the provider's N sites with only M storage
         arrays: site i queues its lookups on spindle ``i % M``, so
@@ -276,7 +278,7 @@ class AuditFleet:
         if spindles is not None:
             shared = [
                 StorageServer(
-                    disk, spindle=SpindleQueue(f"{name}/spindle-{i}")
+                    WD_2500JD, spindle=SpindleQueue(f"{name}/spindle-{i}")
                 )
                 for i in range(spindles)
             ]
@@ -286,12 +288,10 @@ class AuditFleet:
                 shared[i % spindles]
                 if spindles is not None
                 else StorageServer(
-                    disk, spindle=SpindleQueue(f"{name}/{site_name}")
+                    WD_2500JD, spindle=SpindleQueue(f"{name}/{site_name}")
                 )
             )
-            provider.add_datacentre(
-                DataCentre(site_name, location, disk=disk, server=server)
-            )
+            provider.add_datacentre(DataCentre(site_name, location, server=server))
             verifiers[site_name] = VerifierDevice(
                 f"verifier-{name}-{site_name}".encode(),
                 location,
@@ -336,15 +336,13 @@ class AuditFleet:
         interval_hours: float | None = None,
         epsilon: float = 0.05,
         k_rounds: int | None = None,
-        region: Region | None = None,
-        disk: HDDSpec | None = None,
         replicas: int = 1,
         replica_datacentres: list[str] | None = None,
     ) -> OutsourcedFile:
         """Outsource a tenant file and enqueue it for recurring audits.
 
-        The SLA region defaults to a circle of :data:`REGION_RADIUS_KM`
-        around the contracted data centre and the SLA timing budget to
+        The SLA region is a circle of :data:`REGION_RADIUS_KM` around
+        the contracted data centre and the SLA timing budget follows
         the disk class that site was onboarded with (a mismatched disk
         would hand the provider free relay headroom); ``epsilon`` is
         the tenant's declared corruption tolerance (feeds risk-weighted
@@ -356,7 +354,7 @@ class AuditFleet:
         sites in the provider's onboarding order (or the explicit
         ``replica_datacentres``).  An audit may run at any replica
         site (work-stealing migration, or a full
-        :meth:`replication_auditor` round) under that site's verifier
+        :meth:`audit_replicas` round) under that site's verifier
         and a site-centred SLA, paired as a
         :class:`~repro.cloud.replication.ReplicaSite` when the audit
         needs one.  The audit *cadence* stays per file -- one
@@ -405,7 +403,7 @@ class AuditFleet:
             registered_ms=self.clock.now_ms(),
             replica_datacentres=tuple(replica_names),
         )
-        sla = self._site_sla(site, k, region=region, disk=disk)
+        sla = self._site_sla(site, k)
         record = outsource_file(
             file_id=file_id,
             data=data,
@@ -460,24 +458,18 @@ class AuditFleet:
             deployment.verifier_for(name)  # fail fast, as for the home
         return chosen
 
-    def _site_sla(
-        self,
-        site: DataCentre,
-        k_rounds: int,
-        *,
-        region: Region | None = None,
-        disk: HDDSpec | None = None,
-    ) -> SLAPolicy:
+    def _site_sla(self, site: DataCentre, k_rounds: int) -> SLAPolicy:
         """The SLA of an audit at ``site``.
 
         A circle of :data:`REGION_RADIUS_KM` around the site and the
-        disk class it was onboarded with, unless ``region`` or ``disk``
-        override them; ``k_rounds`` is the minimum round count.
+        disk class it was onboarded with; ``k_rounds`` is the minimum
+        round count.
         """
         return SLAPolicy(
-            region=region
-            or CircularRegion(centre=site.location, radius_km=REGION_RADIUS_KM),
-            disk=disk if disk is not None else site.server.disk.spec,
+            region=CircularRegion(
+                centre=site.location, radius_km=REGION_RADIUS_KM
+            ),
+            disk=site.server.disk.spec,
             segment_bytes=self.params.segment_bytes + self.params.tag_bytes,
             min_rounds=k_rounds,
         )
@@ -520,25 +512,51 @@ class AuditFleet:
             for name in task.replica_datacentres
         }
 
-    def replication_auditor(
-        self, provider: str, file_id: bytes
-    ) -> ReplicationAuditor:
-        """A replication auditor over a file's home + replica sites.
+    def audit_replicas(
+        self, provider: str, file_id: bytes, *, k: int | None = None
+    ) -> ReplicationVerdict:
+        """One replication round over a file's home and replica sites.
 
         Bridges the fleet's replicated placement to
         :meth:`~repro.cloud.replication.ReplicationAuditor.audit_round`:
-        the home site and every replica site are registered with their
+        the home site and every replica site are audited with their
         fleet verifiers and site-centred SLAs, so one round counts the
         provably distinct copies the provider actually keeps
         (``ReplicaSite.timing_radius_km`` drives the pairwise
-        separation filter).
+        separation filter).  The round runs on the fleet clock with
+        the provider's servers bound to it, so its lookups queue on,
+        and are counted by, the spindles that serve them, as a batch's
+        do.  ``k=None`` means the file's SLA minimum.
         """
         self.record(provider, file_id)  # validates registration
         task = self._tasks[(provider, file_id)]
-        auditor = ReplicationAuditor(self.deployment(provider).tpa)
+        deployment = self.deployment(provider)
+        auditor = ReplicationAuditor(deployment.tpa)
         for name in (task.datacentre, *task.replica_datacentres):
             auditor.add_site(self._replica_site(task, name))
-        return auditor
+        with self._service_context(provider, self.clock):
+            return auditor.audit_round(file_id, deployment.provider, k=k)
+
+    @contextmanager
+    def _service_context(self, provider: str, clock: SimClock):
+        """Bind ``clock`` as the requester clock of a provider's servers.
+
+        Bound on *every* server of the provider (not just one site's)
+        because the serving policy decides which copy answers: an
+        honest replicated provider serves nearest-copy, a relayer
+        serves from its remote site -- wherever the lookups land, they
+        must queue at that spindle with these arrival times.
+        """
+        cloud = self.deployment(provider).provider
+        with ExitStack() as stack:
+            seen: set[int] = set()
+            for dc_name in cloud.datacentre_names():
+                server = cloud.datacentre(dc_name).server
+                if id(server) in seen:
+                    continue
+                seen.add(id(server))
+                stack.enter_context(server.timed_with(clock))
+            yield
 
     def inject_adversary(
         self,
@@ -700,7 +718,7 @@ class AuditFleet:
         # site's spindle sums gain while the batch stages.
         spindle = accounting.site_spindle(site)
         disk_mark, site_wait_mark = spindle.busy_ms, spindle.wait_ms
-        with accounting.service_context(site, clock):
+        with self._service_context(site[0], clock):
             for task in batch:
                 stolen = task.site != site
                 n_stolen += stolen
@@ -1159,27 +1177,6 @@ class _LaneAccounting:
             .provider.datacentre(datacentre)
             .server.spindle
         )
-
-    @contextmanager
-    def service_context(self, site: tuple[str, str], clock: SimClock):
-        """Bind a batch's requester clock to its provider's servers.
-
-        Bound on *every* server of the provider (not just the site's)
-        because the serving policy decides which copy answers: an
-        honest replicated provider serves nearest-copy, a relayer
-        serves from its remote site -- wherever the lookups land, they
-        must queue at that spindle with this batch's arrival times.
-        """
-        provider = self._fleet.deployment(site[0]).provider
-        with ExitStack() as stack:
-            seen: set[int] = set()
-            for dc_name in provider.datacentre_names():
-                server = provider.datacentre(dc_name).server
-                if id(server) in seen:
-                    continue
-                seen.add(id(server))
-                stack.enter_context(server.timed_with(clock))
-            yield
 
     def provider_wait_ms(self, provider_name: str) -> float:
         """Total queue wait accumulated on one provider's spindles.

@@ -21,6 +21,7 @@ are reproducible.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -73,6 +74,14 @@ class LANModel(LatencyModel):
     Defaults reproduce Table II: any placement within 45 km of fibre
     plus a handful of switches stays well under 1 ms.
 
+    A leg splits into two pieces, which is how the verifier's batch
+    body times it: :meth:`fixed_ms` is everything but the jitter (it
+    draws nothing, so a caller may compute it once per payload size),
+    and :meth:`jitter_draws` takes many jitter samples from one read of
+    the stream.  :meth:`one_way_ms` is ``fixed_ms`` plus one
+    ``expovariate`` draw; ``n`` calls of it on one stream equal
+    ``fixed_ms`` plus ``jitter_draws(rng, n)``, bit for bit.
+
     Attributes
     ----------
     propagation_speed_km_per_ms:
@@ -105,21 +114,46 @@ class LANModel(LatencyModel):
                 f"n_switches must be >= 0, got {self.n_switches}"
             )
 
+    def fixed_ms(self, distance_km: float, payload_bytes: int = 0) -> float:
+        """The part of a leg that draws nothing: propagation, switching
+        and serialisation."""
+        if distance_km < 0:
+            raise ConfigurationError(f"distance must be >= 0, got {distance_km}")
+        propagation = distance_km / self.propagation_speed_km_per_ms
+        switching = self.n_switches * self.switch_delay_ms
+        serialisation = (payload_bytes * 8.0) / (self.bandwidth_mbps * 1000.0)
+        return propagation + switching + serialisation
+
+    def jitter_draws(self, rng: DeterministicRNG, n: int) -> list[float]:
+        """``n`` queueing-jitter samples from one read of ``rng``.
+
+        Each sample is the 53-bit uniform and exponential transform of
+        :meth:`~repro.crypto.rng.DeterministicRNG.expovariate`, taken
+        from 7 bytes of one ``random_bytes(7 * n)`` read, so the result
+        and the stream's state afterwards equal ``n`` successive
+        ``expovariate(1 / jitter_ms)`` calls.  With no jitter configured
+        it returns zeros and reads nothing.
+        """
+        if self.jitter_ms <= 0:
+            return [0.0] * n
+        rate = 1.0 / self.jitter_ms
+        data = rng.random_bytes(7 * n)
+        from_bytes, log = int.from_bytes, math.log
+        return [
+            -log(1.0 - (from_bytes(data[i : i + 7], "big") >> 3) / 2**53) / rate
+            for i in range(0, 7 * n, 7)
+        ]
+
     def one_way_ms(
         self,
         distance_km: float,
         payload_bytes: int = 0,
         rng: DeterministicRNG | None = None,
     ) -> float:
-        if distance_km < 0:
-            raise ConfigurationError(f"distance must be >= 0, got {distance_km}")
-        propagation = distance_km / self.propagation_speed_km_per_ms
-        switching = self.n_switches * self.switch_delay_ms
-        serialisation = (payload_bytes * 8.0) / (self.bandwidth_mbps * 1000.0)
-        jitter = 0.0
+        delay_ms = self.fixed_ms(distance_km, payload_bytes)
         if rng is not None and self.jitter_ms > 0:
-            jitter = rng.expovariate(1.0 / self.jitter_ms)
-        return propagation + switching + serialisation + jitter
+            delay_ms += rng.expovariate(1.0 / self.jitter_ms)
+        return delay_ms
 
 
 @dataclass

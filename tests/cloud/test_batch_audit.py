@@ -1,14 +1,14 @@
 """Batch protocol plane: run_audits / audit_deferred_many pins.
 
-The daemon's throughput path (one ``fork_many`` sweep, inlined LAN
-arithmetic, one signed hash-tree root per call) must be
+The daemon's throughput path (one ``fork_many`` sweep, bulk LAN
+jitter reads, one signed hash-tree root per call) must be
 *request-for-request identical* to the scalar protocol loop -- same
 payloads, same clock readings, same verdicts.  Only the batch proof
 and the signature differ (one tree of n leaves against n trees of
 one), and every transcript on both sides must verify.  These tests pin
-that equivalence, including under adversarial providers, with the
-non-default code paths (no device RNG, custom LAN subclass), and when
-a request fails partway: it fails alone, as it does in the loop.
+that equivalence, including under adversarial providers, with a
+zero-jitter LAN, and when a request fails partway: it fails alone, as
+it does in the loop.
 """
 
 import dataclasses
@@ -156,31 +156,6 @@ class TestRunAuditsEquivalence:
         requests = make_requests(scalar_session, file_id, 4)
         assert_runs_match_scalar(scalar_session, batch_session, requests)
 
-    def test_no_device_rng_falls_back_per_nonce(self):
-        """rng=None path: per-nonce parents, still scalar-identical."""
-        scalar_session, file_id, _ = build_session("batch-nornng")
-        batch_session, _, _ = build_session("batch-nornng")
-        scalar_session.verifier._rng = None
-        batch_session.verifier._rng = None
-        requests = make_requests(scalar_session, file_id, 4)
-        assert_runs_match_scalar(scalar_session, batch_session, requests)
-
-    def test_custom_lan_subclass_uses_model_path(self):
-        """A LANModel subclass must bypass the inline fast path and
-        still match the scalar loop (which always calls the model)."""
-
-        @dataclasses.dataclass
-        class DoubledLAN(LANModel):
-            def one_way_ms(self, distance_km, payload_bytes=0, rng=None):
-                return 2.0 * super().one_way_ms(distance_km, payload_bytes, rng)
-
-        scalar_session, file_id, _ = build_session("batch-lan-sub")
-        batch_session, _, _ = build_session("batch-lan-sub")
-        scalar_session.verifier.lan = DoubledLAN()
-        batch_session.verifier.lan = DoubledLAN()
-        requests = make_requests(scalar_session, file_id, 4)
-        assert_runs_match_scalar(scalar_session, batch_session, requests)
-
     def test_zero_jitter_lan(self):
         """jitter_ms=0 draws nothing from the jitter stream."""
         scalar_session, file_id, _ = build_session("batch-nojit")
@@ -189,28 +164,6 @@ class TestRunAuditsEquivalence:
         batch_session.verifier.lan = LANModel(jitter_ms=0.0)
         requests = make_requests(scalar_session, file_id, 4)
         assert_runs_match_scalar(scalar_session, batch_session, requests)
-
-    def test_explicit_shared_rng(self):
-        """An explicitly passed RNG overrides the device RNG, batch too."""
-        scalar_session, file_id, _ = build_session("batch-explicit")
-        batch_session, _, _ = build_session("batch-explicit")
-        requests = make_requests(scalar_session, file_id, 3)
-        scalar = [
-            scalar_session.verifier.run_audit(
-                request,
-                scalar_session.provider,
-                rng=DeterministicRNG("override"),
-            )
-            for request in requests
-        ]
-        runs = batch_session.verifier.run_audits(
-            requests, batch_session.provider, rng=DeterministicRNG("override")
-        )
-        assert_equal_apart_from_proof(
-            [run.transcript for run in runs],
-            scalar,
-            batch_session.verifier.public_key,
-        )
 
     def test_empty_batch(self):
         session, _, _ = build_session("batch-empty")
@@ -352,14 +305,16 @@ class TestAuditDeferredMany:
 
     def test_rtt_and_region_overrides_forwarded(self):
         session, file_id, _ = build_session("many-overrides")
-        outcomes = session.tpa.flush_verdicts(
-            session.tpa.audit_deferred_many(
-                [(file_id, 5)] * 2,
+        outcomes = session.tpa.flush_verdicts([
+            session.tpa.audit_deferred(
+                file_id,
                 session.verifier,
                 session.provider,
+                k=5,
                 rtt_max_ms=0.001,
             )
-        )
+            for _ in range(2)
+        ])
         assert all(not o.verdict.accepted for o in outcomes)
         assert all(not o.verdict.timing_ok for o in outcomes)
 
@@ -367,7 +322,7 @@ class TestAuditDeferredMany:
         """Replica-site audits pass the site's region; pin it both ways.
 
         A region around the verifier's own site accepts, a region on
-        another continent fails the position check -- batched, one-shot
+        another continent fails the position check -- deferred, one-shot
         and scalar reference audits agree on both.
         """
         scalar_session, file_id, _ = build_session("many-region")
@@ -389,14 +344,16 @@ class TestAuditDeferredMany:
             )
             for region in (away, away, here)
         ]
-        batch = batch_session.tpa.flush_verdicts(
-            batch_session.tpa.audit_deferred_many(
-                [(file_id, 5)] * 2,
+        batch = batch_session.tpa.flush_verdicts([
+            batch_session.tpa.audit_deferred(
+                file_id,
                 batch_session.verifier,
                 batch_session.provider,
+                k=5,
                 region=away,
             )
-        )
+            for _ in range(2)
+        ])
         batch.append(
             batch_session.tpa.audit(
                 file_id,

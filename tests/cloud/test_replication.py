@@ -164,7 +164,10 @@ class TestTimingRadiusFormula:
 
         sla = SLAPolicy(region=CircularRegion(city("sydney"), 100.0))
         verifier = VerifierDevice(
-            b"v-radius", city("sydney"), clock=SimClock()
+            b"v-radius",
+            city("sydney"),
+            rng=DeterministicRNG("v-radius"),
+            clock=SimClock(),
         )
         site = ReplicaSite(name="sydney", verifier=verifier, sla=sla)
         assert site.timing_radius_km == pytest.approx(
@@ -173,7 +176,10 @@ class TestTimingRadiusFormula:
 
     def test_radius_scales_with_the_timing_budget(self):
         verifier = VerifierDevice(
-            b"v-scale", city("sydney"), clock=SimClock()
+            b"v-scale",
+            city("sydney"),
+            rng=DeterministicRNG("v-scale"),
+            clock=SimClock(),
         )
         tight = ReplicaSite(
             name="tight",

@@ -218,12 +218,12 @@ class TestBoundedAuditLog:
             session.verifier,
             session.provider,
         )
-        pending += tpa.audit_deferred_many(
-            [(b"file-0", None)] * n_forced_rejects,
-            session.verifier,
-            session.provider,
-            rtt_max_ms=0.001,
-        )
+        pending += [
+            tpa.audit_deferred(
+                b"file-0", session.verifier, session.provider, rtt_max_ms=0.001
+            )
+            for _ in range(n_forced_rejects)
+        ]
         outcomes = tpa.flush_verdicts(pending)
         assert len(outcomes) == AUDIT_LOG_LIMIT + n_forced_rejects
         assert isinstance(tpa.audit_log, deque)

@@ -112,12 +112,27 @@ class TestReplicatedPlacement:
     def test_replication_auditor_counts_distinct_copies(self):
         """Fleet placement feeds ReplicationAuditor.audit_round."""
         fleet = replicated_fleet("event")
-        auditor = fleet.replication_auditor("acme", b"f-0")
-        verdict = auditor.audit_round(b"f-0", fleet.provider("acme"), k=6)
+        verdict = fleet.audit_replicas("acme", b"f-0", k=6)
         # Brisbane and Perth are far beyond the sum of their timing
         # radii, so both accepted audits witness distinct replicas.
         assert verdict.all_sites_ok
         assert verdict.distinct_replicas == 2
+
+    def test_replication_round_queues_on_the_spindles(self):
+        """A replication round's lookups reach the sites' spindles,
+        bound to the fleet clock, as a batch's do."""
+        fleet = replicated_fleet("event")
+        provider = fleet.provider("acme")
+        spindles = [
+            provider.datacentre(name).server.spindle for name in ("bne", "per")
+        ]
+        verdict = fleet.audit_replicas("acme", b"f-0", k=6)
+        assert verdict.all_sites_ok
+        assert verdict.distinct_replicas == 2
+        # Each site's audit is served from its own copy: six lookups.
+        assert [spindle.n_requests for spindle in spindles] == [6, 6]
+        for spindle in spindles:
+            assert spindle.busy_ms == pytest.approx(78.601, abs=1e-3)
 
     def test_replication_auditor_flags_nearby_sites(self):
         """Sites inside two timing radii cannot double-count a copy."""
@@ -133,8 +148,7 @@ class TestReplicatedPlacement:
             data=b"y" * 2_000,
             replicas=2,
         )
-        auditor = fleet.replication_auditor("acme", b"f")
-        verdict = auditor.audit_round(b"f", fleet.provider("acme"), k=6)
+        verdict = fleet.audit_replicas("acme", b"f", k=6)
         assert verdict.all_sites_ok
         assert verdict.distinct_replicas == 1
         assert verdict.insufficient_separation

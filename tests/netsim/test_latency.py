@@ -16,6 +16,10 @@ from repro.netsim.latency import (
     internet_distance_bound_km,
     timing_error_to_distance_km,
 )
+from repro.por.parameters import TEST_PARAMS
+
+#: One served segment plus its tag: the size of a response leg.
+SEGMENT_BYTES = TEST_PARAMS.segment_bytes + TEST_PARAMS.tag_bytes
 
 
 class TestConstants:
@@ -61,6 +65,48 @@ class TestLANModel:
     def test_rejects_negative_distance(self):
         with pytest.raises(ConfigurationError):
             LANModel().one_way_ms(-1.0)
+
+
+class TestLANSplit:
+    """The two pieces the verifier's batch body times each leg with."""
+
+    @pytest.mark.parametrize("payload", [0, 16, SEGMENT_BYTES])
+    def test_fixed_is_the_leg_without_jitter(self, payload):
+        lan = LANModel()
+        for distance in (0.0, 0.05, 45.0):
+            assert lan.fixed_ms(distance, payload) == lan.one_way_ms(
+                distance, payload
+            )
+        with pytest.raises(ConfigurationError):
+            lan.fixed_ms(-1.0, payload)
+
+    @pytest.mark.parametrize("pre_read", [0, 5])
+    def test_jitter_draws_equal_successive_expovariate(self, pre_read):
+        """One bulk read equals n draws, and leaves the stream where
+        they leave it (a pre-read moves the draws off block edges)."""
+        lan = LANModel()
+        bulk, twin = DeterministicRNG("split"), DeterministicRNG("split")
+        bulk.random_bytes(pre_read)
+        twin.random_bytes(pre_read)
+        draws = lan.jitter_draws(bulk, 9)
+        assert draws == [
+            twin.expovariate(1.0 / lan.jitter_ms) for _ in range(9)
+        ]
+        assert bulk.random_bytes(32) == twin.random_bytes(32)
+
+    def test_fixed_plus_draw_is_one_way(self):
+        lan = LANModel()
+        bulk, twin = DeterministicRNG("legs"), DeterministicRNG("legs")
+        fixed = lan.fixed_ms(0.05, SEGMENT_BYTES)
+        assert [fixed + draw for draw in lan.jitter_draws(bulk, 4)] == [
+            lan.one_way_ms(0.05, SEGMENT_BYTES, twin) for _ in range(4)
+        ]
+
+    def test_zero_jitter_draws_nothing(self):
+        lan = LANModel(jitter_ms=0.0)
+        rng, twin = DeterministicRNG("still"), DeterministicRNG("still")
+        assert lan.jitter_draws(rng, 5) == [0.0] * 5
+        assert rng.random_bytes(32) == twin.random_bytes(32)
 
 
 class TestInternetModel:
