@@ -23,16 +23,13 @@ for the scalar CTR block loop (on a 32 kB sample) against the
 vectorized kernel on 1 MB.  It runs a byte-identical equivalence sweep
 (encode, decode with errors+erasures, MAC tags, AES-CTR), asserts the
 >= 10x RS and >= 20x CTR bars, and writes the numbers plus the gate
-table as JSON so CI archives a machine-readable record.  The
-``ProcessPoolExecutor`` sharding row is informational: it reports real
-multicore speedup only when the runner has more than one core.
+table as JSON so CI archives a machine-readable record.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 import time
@@ -105,14 +102,6 @@ def vectorized_rate(layout: StripeLayout, n_blocks: int) -> float:
     blocks = _blocks(n_blocks, layout.block_bytes, f"vec-{n_blocks}")
     striper._parity_transpose()  # table build is one-off, not throughput
     seconds = _time(lambda: striper.encode_blocks(blocks))
-    return n_blocks / seconds
-
-
-def workers_rate(layout: StripeLayout, n_blocks: int, workers: int) -> float:
-    """Blocks/sec of the process-sharded encode (informational row)."""
-    striper = BlockStriper(layout, vectorized=True)
-    blocks = _blocks(n_blocks, layout.block_bytes, f"vec-{n_blocks}")
-    seconds = _time(lambda: striper.encode_blocks(blocks, workers=workers))
     return n_blocks / seconds
 
 
@@ -240,30 +229,6 @@ def main(argv: list[str] | None = None) -> int:
         )
     )
 
-    n_cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (
-        os.cpu_count() or 1
-    )
-    workers_row = None
-    if n_cores > 1:
-        workers = min(n_cores, 4)
-        rate = workers_rate(PAPER_LAYOUT, sizes[-1], workers)
-        workers_row = {
-            "workers": workers,
-            "blocks": sizes[-1],
-            "blocks_per_sec": rate,
-            "speedup_vs_vectorized": rate / rows[-1]["vectorized_blocks_per_sec"],
-        }
-        print(
-            f"\nprocess-sharded encode ({workers} workers): "
-            f"{rate:,.0f} blk/s "
-            f"({workers_row['speedup_vs_vectorized']:.2f}x vs in-process)"
-        )
-    else:
-        print(
-            "\nprocess-sharded encode: skipped (single-core runner; "
-            "sharding is equivalence-pinned by the test suite)"
-        )
-
     mac_scalar, mac_batch = mac_rates(20_000, 52)
     print(
         f"mac tags: {mac_scalar:,.0f}/s scalar -> {mac_batch:,.0f}/s batched "
@@ -309,9 +274,7 @@ def main(argv: list[str] | None = None) -> int:
         "min_speedup_1m": MIN_SPEEDUP_1M,
         "min_ctr_speedup": MIN_CTR_SPEEDUP,
         "scalar_sample_chunks": SCALAR_SAMPLE_CHUNKS,
-        "n_cores": n_cores,
         "rows": rows,
-        "workers": workers_row,
         "mac_tags_per_sec": {"scalar": mac_scalar, "batch": mac_batch},
         "aes_ctr": {
             "unit": "bytes/sec",

@@ -34,10 +34,13 @@ class DataCentre(SimulatedHDDStorage):
     """A located storage site.
 
     Each site normally gets its own private :class:`StorageServer`
-    with the given ``disk``; pass ``server`` to back several sites with
-    one *shared* storage array instead (the contended-spindle
-    deployments the fleet's ``spindles=`` option builds -- lookups from
-    every attached site then queue on the one spindle).
+    with the given ``disk`` (``None`` means a WD 2500JD); pass
+    ``server`` to back several sites with one *shared* storage array
+    instead (the contended-spindle deployments the fleet's
+    ``spindles=`` option builds -- lookups from every attached site
+    then queue on the one spindle).  A shared server brings its own
+    disk, so passing both is a :class:`ConfigurationError`: an SLA
+    sized from the ``disk`` asked for would not match the site.
     """
 
     def __init__(
@@ -45,12 +48,17 @@ class DataCentre(SimulatedHDDStorage):
         name: str,
         location: GeoPoint,
         *,
-        disk: HDDSpec = WD_2500JD,
+        disk: HDDSpec | None = None,
         server: StorageServer | None = None,
     ) -> None:
-        super().__init__(
-            name, server=server if server is not None else StorageServer(disk)
-        )
+        if server is None:
+            server = StorageServer(disk if disk is not None else WD_2500JD)
+        elif disk is not None:
+            raise ConfigurationError(
+                f"data centre {name!r}: pass disk= or server=, not both "
+                "(a shared server brings its own disk)"
+            )
+        super().__init__(name, server=server)
         self.location = location
 
 

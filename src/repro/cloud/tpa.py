@@ -218,7 +218,6 @@ class ThirdPartyAuditor:
         k: int | None = None,
         rtt_max_ms: float | None = None,
         region=None,
-        clock=None,
     ) -> AuditOutcome:
         """Run one full audit and log the outcome: a batch of one.
 
@@ -226,13 +225,13 @@ class ThirdPartyAuditor:
         threshold-sweep benches) and ``region`` overrides the SLA's
         geographic clause (used when auditing replica sites, each of
         which has its own region); both default to the registered SLA.
-        ``clock`` injects the clock the timed phase runs on (the fleet
-        passes a per-datacentre lane clock); default is the verifier
-        device's own clock.  Raises the order's error if it fails.
+        The timed phase runs on the verifier device's own clock (the
+        fleet, which times each site on its lane clock, goes through
+        :meth:`audit_deferred`).  Raises the order's error if it fails.
         """
         (outcome,) = self._settle([self.audit_deferred(
             file_id, verifier, provider,
-            k=k, rtt_max_ms=rtt_max_ms, region=region, clock=clock,
+            k=k, rtt_max_ms=rtt_max_ms, region=region,
         )])
         return outcome
 
@@ -249,10 +248,13 @@ class ThirdPartyAuditor:
     ) -> PendingAudit:
         """Run the protocol now; return the run for a batched verdict.
 
-        The timed phase happens immediately on the injected clock --
-        deferral changes *when the TPA does its arithmetic*, never what
-        the provider observes.  Pass the returned run to
-        :meth:`flush_verdicts`.  Raises the order's error if it fails.
+        ``rtt_max_ms`` and ``region`` are as for :meth:`audit`.  The
+        timed phase happens immediately on ``clock`` (the fleet passes
+        a per-datacentre lane clock; default is the verifier device's
+        own clock) -- deferral changes *when the TPA does its
+        arithmetic*, never what the provider observes.  Pass the
+        returned run to :meth:`flush_verdicts`.  Raises the order's
+        error if it fails.
         """
         (entry,) = self._run_protocols(
             [(file_id, k)], verifier, provider,

@@ -101,7 +101,14 @@ class VerifierDevice:
     """The verifier appliance on the provider's LAN.
 
     ``rng`` is the device's own randomness: each audit's challenge and
-    LAN-jitter streams fork off it by the request nonce.
+    LAN-jitter streams fork off it by the request nonce, and its
+    signing key comes from its ``"signing-key"`` fork.  The key is the
+    secret that makes a transcript worth checking, so it comes from
+    material the deployment keeps, never from ``device_id``, which
+    every transcript carries in the clear.  Forking does not advance
+    the parent stream, so deriving the key moves no challenge or
+    jitter draw.  A caller may still swap ``keypair`` after
+    construction (the benchmarks install a smaller group's key).
     """
 
     def __init__(
@@ -114,7 +121,9 @@ class VerifierDevice:
     ) -> None:
         self.device_id = device_id
         self.location = location
-        self.keypair = SchnorrKeyPair.generate(seed=device_id)
+        self.keypair = SchnorrKeyPair.generate(
+            seed=rng.fork("signing-key").random_bytes(32)
+        )
         self.gps = GPSReceiver(location)
         self.lan = LANModel()
         self.clock = clock or SimClock()
@@ -360,8 +369,8 @@ class VerifierDevice:
                 proof=proof,
                 signature=signature,
             )
-            # Seed the payload memo: the TPA's verify plane and the
-            # service wire both ask for these exact bytes again.
+            # Seed the payload memo: the TPA's verifier asks for these
+            # exact bytes again.
             object.__setattr__(transcript, "_signed_payload", payload)
             runs.append(
                 AuditRun(

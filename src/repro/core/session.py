@@ -32,7 +32,6 @@ from repro.geo.regions import CircularRegion, Region
 from repro.netsim.clock import SimClock
 from repro.por.parameters import PORParams
 from repro.por.setup import PORKeys, setup_file
-from repro.storage.hdd import HDDSpec, WD_2500JD
 from repro.util.wallclock import wall_seconds
 
 
@@ -131,21 +130,21 @@ class GeoProofSession:
         *,
         datacentre_location: GeoPoint,
         region: Region | None = None,
-        disk: HDDSpec = WD_2500JD,
         params: PORParams | None = None,
-        lan_rtt_budget_ms: float = 3.0,
-        margin_ms: float = 0.0,
         min_rounds: int = 50,
         seed: str = "geoproof-session",
         tpa_max_log: int = AUDIT_LOG_LIMIT,
     ) -> "GeoProofSession":
         """Build the standard single-site deployment.
 
-        The SLA region defaults to a 100 km circle around the data
-        centre; the segment-size term of the timing budget is taken
-        from ``params``.  ``tpa_max_log`` sizes the TPA's audit-log
-        ring (default :data:`~repro.cloud.tpa.AUDIT_LOG_LIMIT`), so
-        memory stays flat across millions of audits.
+        The site serves from a WD 2500JD, and the SLA keeps
+        :class:`~repro.cloud.sla.SLAPolicy`'s defaults for the disk,
+        the LAN budget and the margin, which match it.  The SLA region
+        defaults to a 100 km circle around the data centre; the
+        segment-size term of the timing budget is taken from
+        ``params``.  ``tpa_max_log`` sizes the TPA's audit-log ring
+        (default :data:`~repro.cloud.tpa.AUDIT_LOG_LIMIT`), so memory
+        stays flat across millions of audits.
         """
         params = params or PORParams()
         rng = DeterministicRNG(seed)
@@ -153,16 +152,11 @@ class GeoProofSession:
         sla = SLAPolicy(
             region=region
             or CircularRegion(centre=datacentre_location, radius_km=100.0),
-            disk=disk,
-            lan_rtt_budget_ms=lan_rtt_budget_ms,
-            margin_ms=margin_ms,
             segment_bytes=params.segment_bytes + params.tag_bytes,
             min_rounds=min_rounds,
         )
         provider = CloudProvider("provider", rng=rng.fork("provider"))
-        provider.add_datacentre(
-            DataCentre("home", datacentre_location, disk=disk)
-        )
+        provider.add_datacentre(DataCentre("home", datacentre_location))
         verifier = VerifierDevice(
             b"verifier-1",
             datacentre_location,

@@ -443,9 +443,7 @@ class AdversaryCampaign:
         for the others.
         """
         fleet, geometry = self.prepare_cell(engine)
-        return self.run_on(
-            fleet, geometry, cache_fraction=cache_fraction, engine=engine
-        )
+        return self.run_on(fleet, geometry, cache_fraction=cache_fraction)
 
     def run_on(
         self,
@@ -453,9 +451,11 @@ class AdversaryCampaign:
         geometry: VictimGeometry,
         *,
         cache_fraction: float = 0.0,
-        engine: str = "slot",
     ) -> CampaignCell:
-        """Attack, audit and account a cell on an already-built fleet."""
+        """Attack, audit and account a cell on an already-built fleet.
+
+        The fleet runs on the engine it was built with.
+        """
         if not 0.0 <= cache_fraction <= 1.0:
             raise ConfigurationError(
                 f"cache_fraction must be in [0, 1], got {cache_fraction}"
@@ -470,9 +470,9 @@ class AdversaryCampaign:
             * geometry.entry_bytes
         )
         strategy = self.inject(fleet, geometry, cache_bytes)
-        report = fleet.run(hours=self.hours, engine=engine)
+        report = fleet.run(hours=self.hours)
         return self._account(
-            report, geometry, strategy, cache_bytes, cache_fraction, engine
+            report, geometry, strategy, cache_bytes, cache_fraction, fleet.engine
         )
 
     def _account(
@@ -631,6 +631,6 @@ class AdversaryCampaign:
                 * geometry.entry_bytes
             )
             single.inject(fleet, geometry, cache_bytes)
-            report = fleet.run(hours=self.hours, engine=engine)
+            report = fleet.run(hours=self.hours)
             streams.append(report.events)
         return streams[0] == streams[1]

@@ -348,12 +348,7 @@ def build_economics_report(
                 geometry = cell_geometry
                 quotes = _quote_tenants(fleet, campaign)
             cells.append(
-                campaign.run_on(
-                    fleet,
-                    cell_geometry,
-                    cache_fraction=fraction,
-                    engine=engine,
-                )
+                campaign.run_on(fleet, cell_geometry, cache_fraction=fraction)
             )
     return EconomicsReport(
         attack=campaign.attack,

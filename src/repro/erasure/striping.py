@@ -30,16 +30,10 @@ Two engines realise the construction (the slot-vs-event pattern):
   matrix (clean columns skip the scalar decoder entirely; columns that
   need correction still run the scalar Berlekamp-Massey chain, so
   corrected output is the scalar output by construction).
-
-:meth:`BlockStriper.encode_blocks` can additionally shard a large
-file's chunks across a ``ProcessPoolExecutor`` (``workers=``); shards
-are whole chunks, so the output is byte-identical to the serial encode
-in any mode.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any
 
@@ -89,29 +83,6 @@ class StripeLayout:
                 "need 0 < data_blocks < total_blocks <= 255, got "
                 f"k={self.data_blocks} n={self.total_blocks}"
             )
-
-
-#: Per-process striper cache for the process-pool shard workers, keyed
-#: by (layout, vectorized) so a forked worker builds its generator and
-#: parity tables once per geometry.
-_SHARD_STRIPERS: dict[tuple[StripeLayout, bool], "BlockStriper"] = {}
-
-
-def _encode_shard(args: tuple[StripeLayout, bytes, bool]) -> bytes:
-    """Worker entry point: encode one whole-chunk shard of a file.
-
-    Receives the blocks as one concatenated payload (a single bytes
-    object pickles orders of magnitude faster than a million 16-byte
-    objects) and returns the encoded blocks the same way.
-    """
-    layout, payload, vectorized = args
-    striper = _SHARD_STRIPERS.get((layout, vectorized))
-    if striper is None:
-        striper = BlockStriper(layout, vectorized=vectorized)
-        _SHARD_STRIPERS[(layout, vectorized)] = striper
-    bb = layout.block_bytes
-    blocks = [payload[i : i + bb] for i in range(0, len(payload), bb)]
-    return b"".join(striper.encode_blocks(blocks))
 
 
 class BlockStriper:
@@ -336,44 +307,15 @@ class BlockStriper:
         chunks = ceil_div(n_data_blocks, self.layout.data_blocks)
         return chunks * self.layout.total_blocks
 
-    def encode_blocks(
-        self, blocks: list[bytes], *, workers: int | None = None
-    ) -> list[bytes]:
-        """Encode a whole file's block list chunk by chunk.
-
-        ``workers`` > 1 shards the file's chunks across a
-        ``ProcessPoolExecutor``; each shard is a run of whole chunks,
-        so the result is byte-identical to the serial encode (pinned by
-        test).  The default (``None`` or 1) encodes in-process.
-        """
-        if workers is not None and (
-            not isinstance(workers, int) or workers < 1
-        ):
-            raise ConfigurationError(
-                f"workers must be a positive int, got {workers!r}"
-            )
+    def encode_blocks(self, blocks: list[bytes]) -> list[bytes]:
+        """Encode a whole file's block list chunk by chunk."""
         if not blocks:
             return []
         layout = self.layout
         k = layout.data_blocks
-        n_chunks = ceil_div(len(blocks), k)
-        if workers is not None and workers > 1 and n_chunks > 1:
-            self._check_blocks(blocks)
-            n_shards = min(workers, n_chunks)
-            chunks_per_shard = ceil_div(n_chunks, n_shards)
-            payload = b"".join(blocks)
-            shard_bytes = chunks_per_shard * k * layout.block_bytes
-            shards = [
-                (self.layout, payload[start : start + shard_bytes], self.vectorized)
-                for start in range(0, len(payload), shard_bytes)
-            ]
-            with ProcessPoolExecutor(max_workers=n_shards) as pool:
-                encoded = b"".join(pool.map(_encode_shard, shards))
-            bb = layout.block_bytes
-            return [encoded[i : i + bb] for i in range(0, len(encoded), bb)]
         if self.vectorized:
             self._check_blocks(blocks)
-            pad_blocks = n_chunks * k - len(blocks)
+            pad_blocks = ceil_div(len(blocks), k) * k - len(blocks)
             payload = b"".join(blocks) + bytes(pad_blocks * layout.block_bytes)
             return self._encode_whole_chunks_vec(payload)
         out: list[bytes] = []

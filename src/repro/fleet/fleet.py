@@ -162,13 +162,6 @@ _LANE_COUNTERS = (
 )
 
 
-def _check_engine(engine: str) -> None:
-    if engine not in ENGINES:
-        raise ConfigurationError(
-            f"unknown engine {engine!r}; available: {', '.join(ENGINES)}"
-        )
-
-
 @dataclass
 class ProviderDeployment:
     """One provider's slice of the fleet: storage, auditor, verifiers."""
@@ -213,7 +206,10 @@ class AuditFleet:
                 f"default_k_rounds must be positive, got {default_k_rounds}"
             )
         check_positive("default_interval_hours", default_interval_hours)
-        _check_engine(engine)
+        if engine not in ENGINES:
+            raise ConfigurationError(
+                f"unknown engine {engine!r}; available: {', '.join(ENGINES)}"
+            )
         if lane_queue_limit < 1:
             raise ConfigurationError(
                 f"lane_queue_limit must be >= 1, got {lane_queue_limit}"
@@ -768,13 +764,8 @@ class AuditFleet:
             ))
         return events
 
-    def next_batch(
-        self,
-        now_ms: float | None = None,
-        *,
-        strategy: AuditStrategy | None = None,
-    ) -> list[AuditTask]:
-        """The next slot's batch under the installed (or given) strategy.
+    def next_batch(self, now_ms: float | None = None) -> list[AuditTask]:
+        """The next slot's batch under the installed strategy.
 
         Strategy ranking decides the head; the rest of the batch is
         filled with lower-ranked tasks from the *same data centre* so
@@ -784,7 +775,7 @@ class AuditFleet:
         if not tasks:
             return []
         now = now_ms if now_ms is not None else self.clock.now_ms()
-        ranked = (strategy or self.strategy).rank(tasks, now)
+        ranked = self.strategy.rank(tasks, now)
         head = ranked[0]
         batch = [head]
         for task in ranked[1:]:
@@ -794,17 +785,10 @@ class AuditFleet:
                 batch.append(task)
         return batch
 
-    def run(
-        self,
-        *,
-        hours: float,
-        strategy: AuditStrategy | None = None,
-        engine: str | None = None,
-    ) -> FleetReport:
+    def run(self, *, hours: float) -> FleetReport:
         """Drain the audit queue for ``hours`` of simulated time.
 
-        ``engine`` selects the run loop for this run only (defaults to
-        the fleet's installed engine):
+        The fleet's ``engine`` selects the run loop:
 
         * ``"slot"`` -- serial baseline: one batch per slot fleet-wide
           on the global clock; audits that overrun a slot delay the
@@ -813,22 +797,17 @@ class AuditFleet:
           data centre*, each lane advancing its own worker clock, so
           per-site load no longer couples sites together.
 
-        ``strategy`` likewise overrides the installed policy for this
-        run only.  Returns the aggregated :class:`FleetReport`.
+        Batches are ranked by the fleet's ``strategy``.  Returns the
+        aggregated :class:`FleetReport`.
         """
         check_positive("hours", hours)
         if not self._tasks:
             raise ConfigurationError("cannot run an empty fleet")
-        active = strategy if strategy is not None else self.strategy
-        selected = engine if engine is not None else self.engine
-        _check_engine(selected)
-        if selected == "event":
-            return self._run_event(hours=hours, active=active)
-        return self._run_slot(hours=hours, active=active)
+        if self.engine == "event":
+            return self._run_event(hours=hours)
+        return self._run_slot(hours=hours)
 
-    def _run_slot(
-        self, *, hours: float, active: AuditStrategy
-    ) -> FleetReport:
+    def _run_slot(self, *, hours: float) -> FleetReport:
         """The legacy serial loop: one batch per slot, one clock."""
         slot_ms = self.slot_minutes * 60_000.0
         start_ms = self.clock.now_ms()
@@ -844,14 +823,14 @@ class AuditFleet:
                 break
             if slot_start > self.clock.now_ms():
                 self.clock.advance_to(slot_start)
-            batch = self.next_batch(self.clock.now_ms(), strategy=active)
+            batch = self.next_batch(self.clock.now_ms())
             events.extend(self._execute_batch(
                 accounting, batch[0].site, batch, self.clock,
                 slot=slot, start_ms=start_ms, horizon_ms=horizon_ms,
             ))
             slot += 1
         return self._build_report(
-            strategy_name=active.name,
+            strategy_name=self.strategy.name,
             simulated_hours=hours,
             events=events,
             engine="slot",
@@ -859,9 +838,7 @@ class AuditFleet:
             spindles=accounting.spindle_stats(span_ms=hours * MS_PER_HOUR),
         )
 
-    def _run_event(
-        self, *, hours: float, active: AuditStrategy
-    ) -> FleetReport:
+    def _run_event(self, *, hours: float) -> FleetReport:
         """The concurrent engine: per-datacentre lanes on the scheduler.
 
         The global :class:`EventScheduler` only carries *control*
@@ -895,7 +872,7 @@ class AuditFleet:
                 # never start at/past it -- the slot engine's rule.
                 if lane_clock.now_ms() >= horizon_ms:
                     return
-                batch = active.rank_lane(
+                batch = self.strategy.rank_lane(
                     accounting.tasks_at(site),
                     lane_clock.now_ms(),
                     accounting.lane_load(site, lanes),
@@ -947,7 +924,7 @@ class AuditFleet:
             enumerate(recorded), key=lambda pair: (pair[1].at_ms, pair[0])
         )
         return self._build_report(
-            strategy_name=active.name,
+            strategy_name=self.strategy.name,
             simulated_hours=hours,
             events=[event for _, event in indexed],
             engine="event",

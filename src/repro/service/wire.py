@@ -1,7 +1,8 @@
 """The audit service's request/reply envelope.
 
-Frame bodies are one opcode byte followed by a ``core.messages``-style
-canonical encoding.  Five messages cross the wire:
+Frame bodies are one opcode byte followed by a canonical encoding
+built from :mod:`repro.util.serialization` primitives.  Five messages
+cross the wire:
 
 * :class:`AuditOrder` (client -> daemon, :data:`OP_AUDIT`): "audit
   file F with k rounds" plus a client-chosen correlation id.  ``k=0``
@@ -21,8 +22,8 @@ canonical encoding.  Five messages cross the wire:
 * :class:`ErrorReply` (daemon -> client, :data:`OP_ERROR`): the order
   was not serviceable (unknown file, invalid k, backend exhausted).
 
-Decoding fails closed exactly like :mod:`repro.core.messages`: unknown
-opcodes, truncated bodies and trailing bytes all raise
+Decoding fails closed: unknown opcodes, truncated bodies and trailing
+bytes (:func:`~repro.core.messages.decode_exact`) all raise
 :class:`~repro.errors.ProtocolError`.
 """
 

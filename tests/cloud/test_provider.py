@@ -8,6 +8,7 @@ from repro.geo.coords import GeoPoint
 from repro.por.parameters import TEST_PARAMS
 from repro.por.setup import setup_file
 from repro.storage.hdd import HDDModel, IBM_36Z15, WD_2500JD
+from repro.storage.server import StorageServer
 
 
 # Every test here pays a full POR setup in its fixtures: slow lane.
@@ -36,6 +37,15 @@ class TestFleet:
 
     def test_names(self, provider):
         assert set(provider.datacentre_names()) == {"bne", "syd"}
+
+
+class TestDataCentreDisk:
+    def test_disk_and_server_together_refused(self, brisbane):
+        # The server's own disk would serve, not the one asked for.
+        with pytest.raises(ConfigurationError, match="not both"):
+            DataCentre(
+                "bne", brisbane, disk=IBM_36Z15, server=StorageServer(WD_2500JD)
+            )
 
 
 class TestPlacement:

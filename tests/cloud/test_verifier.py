@@ -1,19 +1,30 @@
 """The verifier device: challenges, timing, signatures, GPS."""
 
+import dataclasses
+
 import pytest
 
+from repro.cloud.adversary import RelayAttack
 from repro.cloud.provider import CloudProvider, DataCentre
 from repro.cloud.verifier import VerifierDevice
-from repro.core.messages import AuditRequest, batch_root_message
+from repro.core.messages import (
+    AuditRequest,
+    BatchProof,
+    batch_root_message,
+    transcript_payload,
+)
+from repro.core.verification import verify_transcript
 from repro.crypto.rng import DeterministicRNG
-from repro.crypto.schnorr import schnorr_verify
+from repro.crypto.schnorr import SchnorrKeyPair, schnorr_sign, schnorr_verify
 from repro.errors import ConfigurationError
+from repro.geo.datasets import city
 from repro.geo.gps import GPSSpoofer
 from repro.geo.coords import GeoPoint
 from repro.por.merkle import MerkleTree
 from repro.por.parameters import TEST_PARAMS
 from repro.por.setup import setup_file
-from tests.conftest import transcript_verifies
+from repro.storage.hdd import IBM_36Z15
+from tests.conftest import build_session, transcript_verifies
 
 
 # Every test here pays a full POR setup in its fixtures: slow lane.
@@ -134,3 +145,53 @@ class TestRunAudit:
         verifier.gps.attach_spoofer(GPSSpoofer(fake))
         transcript = verifier.run_audit(request, provider)
         assert transcript.position.latitude == pytest.approx(1.35, abs=0.01)
+
+
+class TestSigningKey:
+    def test_provider_cannot_resign_with_a_key_from_the_device_id(self):
+        """A relaying provider's fast re-signed transcript is rejected.
+
+        Every transcript carries its device id in the clear.  Were the
+        device's key derived from it, a provider could rewrite the
+        timings it was caught on and sign the result itself.
+        """
+        session, file_id, _ = build_session("forge")
+        session.provider.add_datacentre(
+            DataCentre("remote", city("singapore"), disk=IBM_36Z15)
+        )
+        session.provider.relocate(file_id, "remote")
+        session.provider.set_strategy(RelayAttack("home", "remote"))
+        request = session.tpa.make_request(file_id, 5)
+        (run,) = session.verifier.run_audits([request], session.provider)
+        record = session.tpa.record(file_id)
+
+        def failure_reasons(transcript):
+            return verify_transcript(
+                transcript,
+                request,
+                verifier_public_key=session.verifier.public_key,
+                mac_key=record.mac_key,
+                params=record.params,
+                region=session.sla.region,
+                rtt_max_ms=session.sla.rtt_max_ms,
+            ).failure_reasons
+
+        relayed = run.transcript
+        assert failure_reasons(relayed) == ["timing"]
+        fast = tuple(
+            dataclasses.replace(round_, rtt_ms=0.5) for round_ in relayed.rounds
+        )
+        tree = MerkleTree([transcript_payload(
+            relayed.device_id, relayed.file_id, relayed.nonce, fast,
+            relayed.position,
+        )])
+        guessed = SchnorrKeyPair.generate(seed=relayed.device_id)
+        forged = dataclasses.replace(
+            relayed,
+            rounds=fast,
+            proof=BatchProof(tree.root, 1, 0, ()),
+            signature=schnorr_sign(
+                guessed.private, batch_root_message(tree.root, 1)
+            ),
+        )
+        assert failure_reasons(forged) == ["signature"]

@@ -1,4 +1,4 @@
-"""One signed root per protocol batch: proofs, tampering and the wire.
+"""One signed root per protocol batch: proofs and tampering.
 
 A verifier device signs one hash-tree root per ``run_audits`` call, and
 each transcript carries its path to that root.  These tests pin what
@@ -13,19 +13,11 @@ import dataclasses
 
 import pytest
 
-from repro.core.messages import (
-    TRANSCRIPT_MAGIC,
-    BatchProof,
-    SignedTranscript,
-    decode_exact,
-)
 from repro.core.verification import (
     TranscriptVerification,
     verify_transcript,
     verify_transcripts,
 )
-from repro.errors import ProtocolError
-from repro.util.serialization import encode_length_prefixed, encode_uint
 from tests.conftest import build_session, transcript_verifies
 
 N_AUDITS = 64
@@ -203,106 +195,3 @@ class TestForeignProofs:
         tampered[4] = with_transcript(jobs[4], signature=signature)
         assert signature_oks(tampered) == only_false_at(4)
 
-
-def proof_wire(root, n_leaves, leaf_index, steps):
-    """A proof encoded by hand, so shapes no tree issues can be built."""
-    out = encode_length_prefixed(root) + encode_uint(n_leaves)
-    out += encode_uint(leaf_index) + encode_uint(len(steps))
-    for sibling, direction in steps:
-        out += encode_length_prefixed(sibling) + bytes([direction])
-    return out
-
-
-class TestWire:
-    def test_batch_transcript_round_trips_and_verifies(self, batch):
-        session, jobs, _ = batch
-        for job in (jobs[0], jobs[33], jobs[-1]):
-            decoded = decode_exact(
-                SignedTranscript.from_wire, job.transcript.to_wire()
-            )
-            assert decoded == job.transcript
-            assert transcript_verifies(decoded, session.verifier.public_key)
-            (verdict,) = verify_transcripts(
-                [dataclasses.replace(job, transcript=decoded)]
-            )
-            assert verdict.accepted
-
-    def test_hand_encoding_matches(self, batch):
-        _, jobs, _ = batch
-        proof = jobs[33].transcript.proof
-        steps = [(sibling, int(is_right)) for sibling, is_right in proof.path]
-        assert proof.wire_bytes() == proof_wire(
-            proof.root, proof.n_leaves, proof.leaf_index, steps
-        )
-
-    @pytest.mark.parametrize(
-        "root, n_leaves, leaf_index, steps",
-        [
-            pytest.param(b"r" * 31, 64, 0, [], id="short-root"),
-            pytest.param(b"r" * 33, 64, 0, [], id="long-root"),
-            pytest.param(b"r" * 32, 4, 1, [(b"s" * 31, 0)], id="short-sibling"),
-            pytest.param(b"r" * 32, 4, 1, [(b"s" * 33, 0)], id="long-sibling"),
-            pytest.param(b"r" * 32, 0, 0, [], id="empty-tree"),
-            pytest.param(b"r" * 32, 64, 64, [], id="index-past-end"),
-            pytest.param(b"r" * 32, 1, 0, [(b"s" * 32, 1)], id="path-too-long-1"),
-            pytest.param(
-                b"r" * 32, 64, 0, [(b"s" * 32, 1)] * 7, id="path-too-long-64"
-            ),
-            pytest.param(
-                b"r" * 32, 65, 0, [(b"s" * 32, 1)] * 8, id="path-too-long-65"
-            ),
-            pytest.param(b"r" * 32, 4, 1, [(b"s" * 32, 2)], id="direction-2"),
-            pytest.param(b"r" * 32, 4, 1, [(b"s" * 32, 255)], id="direction-255"),
-        ],
-    )
-    def test_malformed_proof_fails_closed(
-        self, batch, root, n_leaves, leaf_index, steps
-    ):
-        _, jobs, _ = batch
-        transcript = jobs[0].transcript
-        wire = transcript.to_wire()
-        payload = transcript.signed_payload()
-        proof = transcript.proof.wire_bytes()
-        assert wire.startswith(payload + proof)
-        signature = wire[len(payload) + len(proof):]
-        with pytest.raises(ProtocolError):
-            decode_exact(
-                SignedTranscript.from_wire,
-                payload + proof_wire(root, n_leaves, leaf_index, steps) + signature,
-            )
-
-    def test_deepest_legal_path_decodes(self, batch):
-        _, jobs, _ = batch
-        transcript = jobs[0].transcript
-        payload = transcript.signed_payload()
-        tail = transcript.to_wire()[len(payload) + len(transcript.proof.wire_bytes()):]
-        for n_leaves, depth in ((2, 1), (64, 6), (65, 7)):
-            wire = payload + proof_wire(
-                b"r" * 32, n_leaves, n_leaves - 1, [(b"s" * 32, 0)] * depth
-            ) + tail
-            decoded = decode_exact(SignedTranscript.from_wire, wire)
-            assert decoded.proof == BatchProof(
-                b"r" * 32, n_leaves, n_leaves - 1, ((b"s" * 32, False),) * depth
-            )
-
-    def test_truncated_direction_fails_closed(self, batch):
-        _, jobs, _ = batch
-        payload = jobs[0].transcript.signed_payload()
-        wire = payload + proof_wire(b"r" * 32, 4, 1, [(b"s" * 32, 0)])
-        with pytest.raises(ProtocolError):
-            decode_exact(SignedTranscript.from_wire, wire[:-1])
-
-    def test_previous_version_fails_closed(self, batch):
-        _, jobs, _ = batch
-        wire = jobs[0].transcript.to_wire()
-        assert wire.startswith(TRANSCRIPT_MAGIC)
-        v1 = b"geoproof-transcript-v1" + wire[len(TRANSCRIPT_MAGIC):]
-        with pytest.raises(ProtocolError):
-            decode_exact(SignedTranscript.from_wire, v1)
-        # A v1 encoding proper: the payload directly followed by the
-        # two signature ints, with no proof between them.
-        payload = jobs[0].transcript.signed_payload()
-        v1_body = b"geoproof-transcript-v1" + payload[len(TRANSCRIPT_MAGIC):]
-        sigints = wire[len(payload) + len(jobs[0].transcript.proof.wire_bytes()):]
-        with pytest.raises(ProtocolError):
-            decode_exact(SignedTranscript.from_wire, v1_body + sigints)

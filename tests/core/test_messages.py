@@ -1,18 +1,27 @@
 """Protocol message validation and canonical payloads."""
 
 import dataclasses
+import hashlib
 
 import pytest
 
 from repro.core.messages import (
+    TRANSCRIPT_MAGIC,
     AuditRequest,
     BatchProof,
     SignedTranscript,
     TimedRound,
+    transcript_payload,
 )
 from repro.errors import ConfigurationError
 from repro.geo.coords import GeoPoint
 from repro.por.file_format import Segment
+from repro.util.serialization import (
+    encode_float,
+    encode_length_prefixed,
+    encode_uint,
+)
+from tests.conftest import build_session
 
 
 def make_transcript(n_rounds=3):
@@ -111,3 +120,73 @@ class TestSignedTranscript:
             signature=(9, 9),
         )
         assert resigned.signed_payload() == base.signed_payload()
+
+
+def payload_by_hand(device_id, file_id, nonce, rounds, latitude, longitude):
+    """The signed payload's layout, spelled out field by field.
+
+    ``rounds`` holds ``(index, segment index, payload, tag, rtt_ms)``.
+    """
+    out = b"geoproof-transcript-v2"
+    out += encode_length_prefixed(device_id)
+    out += encode_length_prefixed(file_id)
+    out += encode_length_prefixed(nonce)
+    out += encode_uint(len(rounds))
+    for index, segment_index, payload, tag, rtt_ms in rounds:
+        out += encode_uint(index)
+        out += encode_uint(segment_index)
+        out += encode_length_prefixed(payload) + encode_length_prefixed(tag)
+        out += encode_float(rtt_ms)
+    return out + encode_float(latitude) + encode_float(longitude)
+
+
+class TestPayloadLayout:
+    """The bytes a device attests, pinned without a decoder."""
+
+    def test_two_round_payload_known_answer(self):
+        rounds = (
+            TimedRound(3, Segment(3, b"seg-three", b"t3"), 1.25),
+            TimedRound(7, Segment(7, b"seg-seven", b"tag7"), 0.5),
+        )
+        payload = transcript_payload(
+            b"dev-1", b"file-a", b"nonce-16-bytes!!", rounds,
+            GeoPoint(-27.5, 153.25),
+        )
+        assert payload == payload_by_hand(
+            b"dev-1", b"file-a", b"nonce-16-bytes!!",
+            [(3, 3, b"seg-three", b"t3", 1.25), (7, 7, b"seg-seven", b"tag7", 0.5)],
+            -27.5, 153.25,
+        )
+        assert payload.startswith(TRANSCRIPT_MAGIC)
+        assert len(payload) == 173
+        assert hashlib.sha256(payload).hexdigest() == (
+            "6371b1fc457f9f75ee81b2632d8aff581a2c15dde8b642d712a499512754e4bf"
+        )
+
+    def test_device_seeds_the_payload_it_signed(self):
+        session, file_id, _ = build_session("payload-layout", file_bytes=2_000)
+        requests = [session.tpa.make_request(file_id, 3) for _ in range(3)]
+        runs = session.verifier.run_audits(requests, session.provider)
+        for run in runs:
+            transcript = run.transcript
+            seeded = transcript.__dict__["_signed_payload"]
+            assert transcript.signed_payload() is seeded
+            assert seeded == transcript_payload(
+                transcript.device_id,
+                transcript.file_id,
+                transcript.nonce,
+                transcript.rounds,
+                transcript.position,
+            )
+            assert seeded == payload_by_hand(
+                transcript.device_id,
+                transcript.file_id,
+                transcript.nonce,
+                [
+                    (r.index, r.segment.index, r.segment.payload,
+                     r.segment.tag, r.rtt_ms)
+                    for r in transcript.rounds
+                ],
+                transcript.position.latitude,
+                transcript.position.longitude,
+            )

@@ -237,39 +237,3 @@ class TestVectorizedEquivalence:
         with pytest.raises(ConfigurationError):
             striper.encode_blocks([b"\x00" * 4, b"\x00" * 3])
 
-
-class TestEncodeWorkers:
-    """Process-pool sharding is byte-identical to the serial encode."""
-
-    def test_workers_equivalence(self):
-        striper = BlockStriper(SMALL)
-        blocks = make_blocks(60)  # 6 chunks
-        assert striper.encode_blocks(blocks, workers=3) == striper.encode_blocks(
-            blocks
-        )
-
-    def test_workers_equivalence_scalar_engine(self):
-        striper = BlockStriper(SMALL, vectorized=False)
-        blocks = make_blocks(25)
-        assert striper.encode_blocks(blocks, workers=2) == striper.encode_blocks(
-            blocks
-        )
-
-    def test_workers_on_single_chunk_stays_serial(self):
-        striper = BlockStriper(SMALL)
-        blocks = make_blocks(5)
-        assert striper.encode_blocks(blocks, workers=4) == striper.encode_blocks(
-            blocks
-        )
-
-    def test_workers_validation(self):
-        striper = BlockStriper(SMALL)
-        for bad in (0, -2, 1.5, "two"):
-            with pytest.raises(ConfigurationError):
-                striper.encode_blocks(make_blocks(1), workers=bad)
-
-    def test_workers_validate_blocks_in_parent(self):
-        striper = BlockStriper(SMALL)
-        blocks = make_blocks(23) + [b"\x00" * 3]
-        with pytest.raises(ConfigurationError):
-            striper.encode_blocks(blocks, workers=2)

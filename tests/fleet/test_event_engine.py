@@ -82,13 +82,6 @@ class TestEquivalence:
         assert slot.lanes == event.lanes
         assert slot.engine == "slot" and event.engine == "event"
 
-    def test_run_engine_override_is_per_run(self):
-        fleet = single_site_fleet("slot")
-        report = fleet.run(hours=1.0, engine="event")
-        assert report.engine == "event"
-        assert fleet.engine == "slot"
-        assert fleet.run(hours=1.0).engine == "slot"
-
 
 class TestDeterminism:
     def test_same_seed_identical_event_reports(self):
@@ -200,11 +193,6 @@ class TestValidation:
     def test_unknown_engine_rejected_at_construction(self):
         with pytest.raises(ConfigurationError, match="unknown engine"):
             AuditFleet(seed="bad", engine="threads")
-
-    def test_unknown_engine_rejected_at_run(self):
-        fleet = single_site_fleet("slot")
-        with pytest.raises(ConfigurationError, match="unknown engine"):
-            fleet.run(hours=1.0, engine="fibers")
 
     def test_lane_queue_limit_validated(self):
         with pytest.raises(ConfigurationError, match="lane_queue_limit"):

@@ -6,7 +6,7 @@ from repro.cloud.adversary import CorruptionAttack, RelayAttack
 from repro.cloud.provider import DataCentre
 from repro.crypto.rng import DeterministicRNG
 from repro.errors import ConfigurationError
-from repro.fleet import AuditFleet, DeadlineStrategy, RoundRobinStrategy
+from repro.fleet import AuditFleet, RoundRobinStrategy
 from repro.fleet.fleet import DISPATCH_OVERHEAD_MS
 from repro.geo.datasets import city
 from repro.storage.hdd import IBM_36Z15
@@ -55,7 +55,8 @@ def mixed_fleet():
 
 class TestEndToEnd:
     def test_both_adversaries_detected(self, mixed_fleet):
-        report = mixed_fleet.run(hours=24.0, strategy=RoundRobinStrategy())
+        mixed_fleet.strategy = RoundRobinStrategy()
+        report = mixed_fleet.run(hours=24.0)
 
         assert report.n_providers == 3
         assert report.n_files == 6
@@ -120,14 +121,6 @@ class TestMechanics:
         assert report.overhead_saved_ms == pytest.approx(
             (report.n_audits - report.n_batches) * DISPATCH_OVERHEAD_MS
         )
-
-    def test_strategy_override_is_recorded_but_not_persisted(self, mixed_fleet):
-        installed = mixed_fleet.strategy
-        report = mixed_fleet.run(hours=1.0, strategy=DeadlineStrategy())
-        assert report.strategy == "deadline"
-        # The override is per-run; the installed policy is untouched.
-        assert mixed_fleet.strategy is installed
-        assert mixed_fleet.run(hours=1.0).strategy == installed.name
 
     def test_throughput_property(self, mixed_fleet):
         report = mixed_fleet.run(hours=6.0)
@@ -197,7 +190,11 @@ class TestKeyIndependence:
     def test_detection_hours_scoped_by_provider(self):
         """A shared file id flagged on one provider must not taint the
         other provider's clean copy in report lookups."""
-        fleet = AuditFleet(seed="scoped-detection", slot_minutes=30.0)
+        fleet = AuditFleet(
+            seed="scoped-detection",
+            slot_minutes=30.0,
+            strategy=RoundRobinStrategy(),
+        )
         fleet.add_provider("clean", [("bne", city("brisbane"))])
         fleet.add_provider("dirty", [("syd", city("sydney"))])
         data = DeterministicRNG("scoped-data").random_bytes(2_000)
@@ -209,7 +206,7 @@ class TestKeyIndependence:
         fleet.provider("dirty").set_strategy(
             CorruptionAttack("syd", 0.30, DeterministicRNG("rot2"))
         )
-        report = fleet.run(hours=12.0, strategy=RoundRobinStrategy())
+        report = fleet.run(hours=12.0)
         assert report.detection_hours(b"shared", provider="dirty") is not None
         assert report.detection_hours(b"shared", provider="clean") is None
         # Unscoped lookup still answers (earliest across providers).

@@ -1,19 +1,26 @@
-"""The repo benchmark's traced run still finds every entry point it wraps.
+"""The repo benchmark still builds and traces against ``src/``.
 
 ``perfbench/tracing.py`` patches layer entry points in ``src/`` by
-attribute name, so renaming or removing one breaks the traced
-benchmark run.  This test installs every patch and takes them all off
-again, so the rename fails on every push instead of in the full lane.
-It loads the benchmark module from its file and changes nothing under
-``perfbench/``.
+attribute name, and ``perfbench/deploy.py`` builds every workload's
+deployment through the public API by keyword.  Renaming or removing
+either kind of name breaks the benchmark run, so these tests install
+every patch and take them all off again, build each deployment and
+replay the committed fleet reference: the rename then fails on every
+push instead of in the full lane.  They load the benchmark modules
+from their files and change nothing under ``perfbench/``.
 """
 
 import importlib.util
+import json
 import pathlib
+import sys
+
+import pytest
 
 from repro.fleet.strategies import RiskWeightedStrategy
 
-TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def load_tracing():
@@ -21,6 +28,35 @@ def load_tracing():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _from_perfbench(module) -> bool:
+    path = getattr(module, "__file__", None)
+    return path is not None and pathlib.Path(path).parent == PERFBENCH
+
+
+@pytest.fixture
+def deploy():
+    """``perfbench/deploy.py``, with ``perfbench/`` on ``sys.path``.
+
+    ``deploy`` imports its sibling ``load`` by bare name.  The path
+    entry and every module loaded from ``perfbench/`` go again after
+    the test.
+    """
+    saved_path = list(sys.path)
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_deploy", PERFBENCH / "deploy.py"
+        )
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        sys.path[:] = saved_path
+        for name, module in list(sys.modules.items()):
+            if _from_perfbench(module):
+                del sys.modules[name]
 
 
 def test_every_traced_entry_point_exists_and_is_restored():
@@ -49,3 +85,20 @@ def test_every_traced_entry_point_exists_and_is_restored():
             assert getattr(owner, attr) == original, f"{owner}.{attr}"
     # Some targets are wrapped twice (AuditDispatcher.process_batch).
     assert len(first_original) < len(made)
+
+
+def test_every_deployment_builds(deploy):
+    light = deploy.light_session(0)
+    backend = deploy.light_onboard(light, 0)
+    assert sorted(backend.file_ids()) == sorted(
+        deploy.light_file_id(i) for i in range(deploy.LIGHT_FILES)
+    )
+    deep = deploy.deep_session(0)
+    assert deep.sla.min_rounds == deploy.DEEP_KS[0]
+
+
+def test_fleet_replays_the_committed_reference(deploy):
+    reference = json.loads((PERFBENCH / "reference.json").read_text())
+    fleet = deploy.build_fleet(0, strategy=RiskWeightedStrategy())
+    report = fleet.run(hours=deploy.FLEET_HOURS)
+    assert deploy.fleet_digest(report.to_dict()) == reference["fleet"]["0"]
