@@ -17,8 +17,8 @@ this bench holds it to the two claims it ships under:
    *field for field* (including ``bad_mac_indices`` -- the exact
    culprit segments), with every tampered position identified.  The
    equivalence gate is 1.0: a single diverging verdict fails CI.  The
-   population ends with one ``run_audits`` call's transcripts, all
-   under one signed root, some of them tampered.
+   population ends with one sealed ``run_audits`` call's transcripts,
+   all under one signed root, some of them tampered.
 
 The honest population comes from the scalar ``run_audit`` oracle, one
 signed root per transcript, so the combined check still has one
@@ -86,8 +86,8 @@ REQUIRED_EQUIVALENCE = 1.0
 MIXED_POPULATION = 400
 MIXED_POPULATION_QUICK = 120
 
-#: Transcripts from one ``run_audits`` call appended to the mixed
-#: population: they share one signed root, and some are tampered.
+#: Transcripts from one sealed ``run_audits`` call appended to the
+#: mixed population: they share one signed root, and some are tampered.
 SHARED_ROOT_SLICE = 64
 
 BRISBANE = GeoPoint(-27.4698, 153.0251)
@@ -134,14 +134,15 @@ def collect_jobs(session, file_id, n_audits: int) -> list:
 
 
 def collect_shared_root_jobs(session, file_id, n_audits: int) -> list:
-    """One ``run_audits`` call: ``n_audits`` transcripts, one signed root."""
+    """One sealed ``run_audits`` call: ``n_audits`` transcripts, one signed root."""
     requests = [
         session.tpa.make_request(file_id, K_ROUNDS) for _ in range(n_audits)
     ]
     runs = session.verifier.run_audits(requests, session.provider)
+    transcripts = session.verifier.seal([run.handle for run in runs])
     return [
-        _job(session, file_id, request, run.transcript)
-        for request, run in zip(requests, runs)
+        _job(session, file_id, request, transcript)
+        for request, transcript in zip(requests, transcripts)
     ]
 
 

@@ -18,11 +18,19 @@ and one verdict body:
 
 * :meth:`ThirdPartyAuditor._run_protocols` draws a fresh-nonce request
   per admitted order and runs the timed phases through one
-  :meth:`~repro.cloud.verifier.VerifierDevice.run_audits` call;
-* :meth:`ThirdPartyAuditor._settle` verifies the transcripts in one
+  :meth:`~repro.cloud.verifier.VerifierDevice.run_audits` call, which
+  signs nothing yet;
+* :meth:`ThirdPartyAuditor._settle` has each verifier
+  :meth:`~repro.cloud.verifier.VerifierDevice.seal` its runs in the
+  flush, once per verifier, then verifies the transcripts in one
   :func:`~repro.core.verification.verify_transcripts` batch (shared MAC
   key schedules, one Schnorr check per distinct batch root), logs each
   outcome and counts it.
+
+So the device signs one tree per seal, and the TPA seals once per
+verifier per flush: a fleet batch staged audit by audit at one site,
+or a daemon flush of one ``audit_deferred_many`` call, carries one
+signed root.
 
 :meth:`ThirdPartyAuditor.audit_deferred_many` runs a batch of
 ``(file_id, k)`` orders and returns one entry per order: the
@@ -50,7 +58,7 @@ from typing import Sequence
 from repro import obs
 from repro.cloud.provider import CloudProvider
 from repro.cloud.sla import SLAPolicy
-from repro.cloud.verifier import VerifierDevice
+from repro.cloud.verifier import AuditRun, VerifierDevice
 from repro.core.messages import AuditRequest, SignedTranscript
 from repro.core.verification import (
     GeoProofVerdict,
@@ -62,6 +70,7 @@ from repro.core.verification import (
 )
 from repro.crypto.rng import DeterministicRNG
 from repro.errors import ConfigurationError, ReproError
+from repro.geo.regions import Region
 from repro.obs.metrics import MetricsRegistry
 from repro.por.parameters import PORParams
 
@@ -102,15 +111,27 @@ class FileRecord:
 
 @dataclass(frozen=True, slots=True)
 class PendingAudit:
-    """A protocol run awaiting its verdict.
+    """A measured, unsealed protocol run awaiting its verdict.
 
     The deferred entry points return these; the caller holds them until
-    it passes them to :meth:`ThirdPartyAuditor.flush_verdicts`.
+    it passes them to :meth:`ThirdPartyAuditor.flush_verdicts`.  It
+    holds the verifier that ran the audit, the
+    :class:`~repro.cloud.verifier.AuditRun` it returned (the run's
+    handle and the timed phase's clock boundaries), the request, and
+    the file's verification inputs: MAC key, POR parameters, region and
+    timing budget.  The transcript does not exist yet; the flush has
+    the verifier seal the run.  A run settles once, and flushing it
+    again raises.
     """
 
-    job: TranscriptVerification
-    started_ms: float
-    finished_ms: float
+    verifier: VerifierDevice
+    run: AuditRun
+    request: AuditRequest
+    # repr=False: the MAC key must not surface in logs (CRY003).
+    mac_key: bytes = field(repr=False)
+    params: PORParams
+    region: Region
+    rtt_max_ms: float
 
 
 class ThirdPartyAuditor:
@@ -281,20 +302,27 @@ class ThirdPartyAuditor:
         all timed rounds run back to back on the verifier's clock,
         against each file's registered SLA (an audit that needs another
         budget, region or clock goes through :meth:`audit_deferred`).
-        The verifier amortizes challenge derivation, LAN arithmetic and
-        signing across the whole batch.
+        The verifier amortizes challenge derivation and LAN arithmetic
+        across the whole batch, and signs nothing until the runs are
+        flushed.
         """
         return self._run_protocols(
             orders, verifier, provider, rtt_max_ms=None, region=None, clock=None
         )
 
     def flush_verdicts(self, pending: Sequence[PendingAudit]) -> list[AuditOutcome]:
-        """Verify these runs in one batch; log them and return their outcomes.
+        """Seal and verify these runs in one batch; log and return outcomes.
 
-        Outcomes come back in the order of ``pending`` and are
-        byte-identical to what :meth:`audit` would have logged for the
-        same protocol runs (pinned by test) -- the grouping only changes
-        how the MAC and Schnorr arithmetic is batched.
+        Each verifier seals its runs here, once per flush, so the runs
+        one verifier measured share one signed root.  Outcomes come back
+        in the order of ``pending`` and equal what :meth:`audit` would
+        have logged for the same protocol runs apart from each
+        transcript's batch proof and signature (pinned by test) -- the
+        grouping only changes how the signing and the MAC and Schnorr
+        arithmetic are batched.  Each run settles once: passing one
+        that was already flushed raises
+        :class:`~repro.errors.ConfigurationError` before any verdict is
+        counted.
         """
         if not pending:
             return []
@@ -334,7 +362,6 @@ class ThirdPartyAuditor:
         runs = iter(zip(
             requests, verifier.run_audits(requests, provider, clock=clock)
         ))
-        public_key = verifier.public_key
         entries: list[PendingAudit | ReproError] = []
         for record in admitted:
             if isinstance(record, ReproError):
@@ -345,38 +372,61 @@ class ThirdPartyAuditor:
                 entries.append(run)
                 continue
             entries.append(PendingAudit(
-                job=TranscriptVerification(
-                    transcript=run.transcript,
-                    request=request,
-                    verifier_public_key=public_key,
-                    mac_key=record.mac_key,
-                    params=record.params,
-                    region=region if region is not None else record.sla.region,
-                    rtt_max_ms=(
-                        rtt_max_ms
-                        if rtt_max_ms is not None
-                        else record.sla.rtt_max_ms
-                    ),
+                verifier=verifier,
+                run=run,
+                request=request,
+                mac_key=record.mac_key,
+                params=record.params,
+                region=region if region is not None else record.sla.region,
+                rtt_max_ms=(
+                    rtt_max_ms if rtt_max_ms is not None else record.sla.rtt_max_ms
                 ),
-                started_ms=run.started_ms,
-                finished_ms=run.finished_ms,
             ))
         return entries
 
     def _settle(self, pending: Sequence[PendingAudit]) -> list[AuditOutcome]:
-        """Verify protocol runs in one batch; log and count each outcome."""
+        """Seal, then verify protocol runs in one batch; log and count each.
+
+        Each verifier in ``pending`` seals its runs once, in order of
+        first appearance, so a flush carries one signed root per
+        verifier.  The jobs follow ``pending`` order and read each
+        verifier's public key right after the seals, so it is the key
+        the seal used.  A run that was already settled, or that appears
+        twice, makes its verifier's seal raise before any verdict is
+        counted.
+        """
         with obs.tracer().wall_span(f"tpa.flush:{self.name}"):
-            verdicts = verify_transcripts([entry.job for entry in pending])
+            by_verifier: dict[VerifierDevice, list[int]] = {}
+            for position, entry in enumerate(pending):
+                by_verifier.setdefault(entry.verifier, []).append(position)
+            transcripts: dict[int, SignedTranscript] = {}
+            for verifier, positions in by_verifier.items():
+                transcripts.update(zip(positions, verifier.seal(
+                    [pending[position].run.handle for position in positions]
+                )))
+            jobs = [
+                TranscriptVerification(
+                    transcript=transcripts[position],
+                    request=entry.request,
+                    verifier_public_key=entry.verifier.public_key,
+                    mac_key=entry.mac_key,
+                    params=entry.params,
+                    region=entry.region,
+                    rtt_max_ms=entry.rtt_max_ms,
+                )
+                for position, entry in enumerate(pending)
+            ]
+            verdicts = verify_transcripts(jobs)
         self._flush_size.observe(len(pending))
         n_accepted = 0
         outcomes: list[AuditOutcome] = []
-        for entry, verdict in zip(pending, verdicts):
+        for entry, job, verdict in zip(pending, jobs, verdicts):
             outcome = AuditOutcome(
-                request=entry.job.request,
-                transcript=entry.job.transcript,
+                request=entry.request,
+                transcript=job.transcript,
                 verdict=verdict,
-                started_ms=entry.started_ms,
-                finished_ms=entry.finished_ms,
+                started_ms=entry.run.started_ms,
+                finished_ms=entry.run.finished_ms,
             )
             self.audit_log.append(outcome)
             n_accepted += verdict.accepted

@@ -16,13 +16,16 @@ The device:
 * reads its GPS fix and signs ``R = (Delta-t*, c, segments, N, Pos_V)``
   with its private key.
 
-Signing is per batch, not per transcript: the payloads of one
-:meth:`VerifierDevice.run_audits` call become the leaves of one
-:class:`~repro.por.merkle.MerkleTree`, the device signs
-:func:`~repro.core.messages.batch_root_message` over its root once,
-and each transcript carries that signature plus its own
-:class:`~repro.core.messages.BatchProof`.  A tree never spans two
-calls, so the device only ever signs bytes it measured itself.
+Signing is per seal, not per transcript.  :meth:`VerifierDevice.run_audits`
+keeps what each run measured under a handle it issues and signs
+nothing; :meth:`VerifierDevice.seal` turns a list of those handles
+into one :class:`~repro.por.merkle.MerkleTree` over their payloads,
+signs :func:`~repro.core.messages.batch_root_message` over its root
+once, and gives each transcript that signature plus its own
+:class:`~repro.core.messages.BatchProof`.  One tree per seal; the TPA
+seals once per verifier per verdict flush.  A handle names a run and
+carries no bytes, so the device only ever signs what it measured
+itself, and each run is sealed at most once.
 
 The device does *not* know the MAC key and cannot judge segment
 correctness -- that separation is deliberate in the paper (the TPA
@@ -40,16 +43,18 @@ and jitter stream forks off the device's own RNG, which it must be
 given.  Each request fails alone: a
 :class:`~repro.errors.ReproError` raised while drawing its challenge
 or running its rounds (a backend that cannot serve, say) comes back in
-that request's place, and the tree is signed over the runs that
-completed.  :meth:`VerifierDevice.run_audit` is the scalar reference
-oracle: one audit, step by step as Fig. 4 draws it, one
-:meth:`~repro.netsim.latency.LANModel.one_way_ms` call per leg.  No
-production path calls it; the equivalence tests and benches pin
-``run_audits`` against it.
+that request's place and gets no handle, so only the runs that
+completed can be sealed.  :meth:`VerifierDevice.run_audit` is the
+scalar reference oracle: one audit, step by step as Fig. 4 draws it,
+one :meth:`~repro.netsim.latency.LANModel.one_way_ms` call per leg,
+signed at once as a tree of one.  No production path calls it; the
+equivalence tests and benches pin ``run_audits`` plus ``seal``
+against it.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -82,17 +87,30 @@ from repro.por.merkle import MerkleTree
 _REQUEST_BYTES = 16
 
 
+class _RunHandle:
+    """Names one measured, unsealed run; carries no bytes."""
+
+    __slots__ = ("__weakref__",)
+
+
+#: What a device keeps of one run until it is sealed: file id, nonce,
+#: rounds, GPS position and the payload those encode.
+_RunBody = tuple[bytes, bytes, tuple[TimedRound, ...], GeoPoint, bytes]
+
+
 @dataclass(frozen=True, slots=True)
 class AuditRun:
-    """One audit's transcript plus its timed-phase boundaries.
+    """One measured, unsealed audit plus its timed-phase boundaries.
 
-    :meth:`VerifierDevice.run_audits` returns these so the TPA can log
-    the same started/finished timestamps a caller of the scalar
+    :meth:`VerifierDevice.run_audits` returns these.  ``handle`` names
+    the run on the device that measured it; pass it to that device's
+    :meth:`VerifierDevice.seal` for the signed transcript.  The
+    started/finished readings are the ones a caller of the scalar
     :meth:`VerifierDevice.run_audit` oracle reads off the clock around
     each call.
     """
 
-    transcript: SignedTranscript
+    handle: _RunHandle
     started_ms: float
     finished_ms: float
 
@@ -109,6 +127,10 @@ class VerifierDevice:
     the parent stream, so deriving the key moves no challenge or
     jitter draw.  A caller may still swap ``keypair`` after
     construction (the benchmarks install a smaller group's key).
+
+    Runs wait unsigned between :meth:`run_audits` and :meth:`seal`.
+    The device holds each one's body only as long as someone holds its
+    handle, so a run dropped without a seal takes its body with it.
     """
 
     def __init__(
@@ -130,6 +152,9 @@ class VerifierDevice:
         #: Cable run between the device and the data centre's servers.
         self.lan_distance_km = 0.05
         self._rng = rng
+        self._unsealed: weakref.WeakKeyDictionary[_RunHandle, _RunBody] = (
+            weakref.WeakKeyDictionary()
+        )
 
     @property
     def public_key(self) -> SchnorrPublicKey:
@@ -242,11 +267,11 @@ class VerifierDevice:
         *,
         clock: SimClock | None = None,
     ) -> list[AuditRun | ReproError]:
-        """Run a batch of audits; byte-identical to a :meth:`run_audit` loop.
+        """Run a batch of audits; with :meth:`seal`, a :meth:`run_audit` loop.
 
         The protocol phase of every TPA audit.  Semantics are exactly
         ``[run_audit(request) for request in requests]`` run back to
-        back on the shared clock (pinned by test) -- transcripts,
+        back on the shared clock (pinned by test) -- payloads,
         timings and every RNG draw match the scalar loop -- but the
         per-audit setup is amortized:
 
@@ -261,29 +286,29 @@ class VerifierDevice:
           audit covers the jitter of all its legs (equal to the
           per-leg ``expovariate`` draws of ``one_way_ms``);
         * each payload is encoded once, by
-          :func:`~repro.core.messages.transcript_payload`, and the
-          whole call is signed once: the payloads are the leaves of one
-          hash tree and the device signs its root (see
-          :meth:`_sign_batch`).
+          :func:`~repro.core.messages.transcript_payload`, and nothing
+          is signed here: the device keeps each run's body under a
+          handle until :meth:`seal` signs one tree over the runs it is
+          given.
 
         The LAN pieces are the model's own, so a ``lan`` with zero
         jitter times the same in both bodies; a subclass that overrides
         only ``one_way_ms`` changes the oracle but not this body.
 
-        Payloads, clocks and verdicts match the scalar loop; only the
-        proof and the signature differ, because a batch of n is one
-        tree of n leaves where the loop signs n trees of one.
+        Sealed, the runs' payloads, clocks and verdicts match the
+        scalar loop; only the proof and the signature differ, because a
+        seal of n runs is one tree of n leaves where the loop signs n
+        trees of one.
 
         Returns one entry per request, in order: an :class:`AuditRun`
-        with the same started/finished clock readings the scalar loop
-        observes (signing happens after the last timed phase and does
-        not advance the clock), or the
-        :class:`~repro.errors.ReproError` raised while drawing that
-        request's challenge or running its timed rounds.  A failed
-        request fails alone, as a raising ``run_audit`` call does in the
-        loop: the rounds it ran stay on the clock, the next request
-        starts from there, and it gets no leaf in the signed tree.  Any
-        other exception propagates.
+        with the run's handle and the same started/finished clock
+        readings the scalar loop observes (sealing later does not
+        advance the clock), or the :class:`~repro.errors.ReproError`
+        raised while drawing that request's challenge or running its
+        timed rounds.  A failed request fails alone, as a raising
+        ``run_audit`` call does in the loop: the rounds it ran stay on
+        the clock, the next request starts from there, and it gets no
+        handle.  Any other exception propagates.
         """
         if not requests:
             return []
@@ -299,13 +324,9 @@ class VerifierDevice:
         fixed_by_size: dict[int, float] = {}
         handle_request = provider.handle_request
         now_ms, advance = clock.now_ms, clock.advance
+        unsealed = self._unsealed
 
-        # One entry per request: the error it raised, or what its
-        # transcript needs once the batch is signed.
-        entries: list[
-            ReproError | tuple[AuditRequest, tuple[TimedRound, ...], GeoPoint, float, float]
-        ] = []
-        payloads: list[bytes] = []
+        runs: list[AuditRun | ReproError] = []
         for request, challenge_rng, jitter_rng in zip(
             requests, forks[0::2], forks[1::2]
         ):
@@ -339,32 +360,54 @@ class VerifierDevice:
                         )
                     )
             except ReproError as exc:
-                entries.append(exc)
+                runs.append(exc)
                 continue
             finished_ms = now_ms()
             position = self.gps.read_fix().position
             timed = tuple(rounds)
-            payloads.append(transcript_payload(
+            payload = transcript_payload(
                 self.device_id, file_id, request.nonce, timed, position
-            ))
-            entries.append((request, timed, position, started_ms, finished_ms))
+            )
+            handle = _RunHandle()
+            unsealed[handle] = (file_id, request.nonce, timed, position, payload)
+            runs.append(AuditRun(handle, started_ms, finished_ms))
+        return runs
 
-        if not payloads:  # every request failed: nothing to sign
-            return [entry for entry in entries if isinstance(entry, ReproError)]
-        proofs, signature = self._sign_batch(payloads)
-        signed = iter(zip(payloads, proofs))
-        runs: list[AuditRun | ReproError] = []
-        for entry in entries:
-            if isinstance(entry, ReproError):
-                runs.append(entry)
-                continue
-            request, timed, position, started_ms, finished_ms = entry
-            payload, proof = next(signed)
+    def seal(self, handles: Sequence[_RunHandle]) -> list[SignedTranscript]:
+        """Sign the runs ``handles`` name as one tree; their transcripts.
+
+        Every handle must name an unsealed run this device measured in
+        :meth:`run_audits`.  One that is unknown, another device's,
+        already sealed or named twice raises
+        :class:`~repro.errors.ConfigurationError` before anything is
+        popped or signed, so the other handles stay sealable.  The
+        runs' payloads then become the leaves of one tree whose root
+        :meth:`_sign_batch` signs once, and the transcripts come back
+        in handle order, each with its payload memo seeded.  A handle
+        carries no bytes, so the device signs only what it measured,
+        and a run is sealed at most once.
+        """
+        unsealed = self._unsealed
+        seen: set[_RunHandle] = set()
+        for position, handle in enumerate(handles):
+            if handle not in unsealed or handle in seen:
+                raise ConfigurationError(
+                    f"handle {position} names no unsealed run of this device"
+                )
+            seen.add(handle)
+        if not handles:
+            return []
+        bodies = [unsealed.pop(handle) for handle in handles]
+        proofs, signature = self._sign_batch([body[4] for body in bodies])
+        transcripts: list[SignedTranscript] = []
+        for (file_id, nonce, rounds, position, payload), proof in zip(
+            bodies, proofs
+        ):
             transcript = SignedTranscript(
                 device_id=self.device_id,
-                file_id=request.file_id,
-                nonce=request.nonce,
-                rounds=timed,
+                file_id=file_id,
+                nonce=nonce,
+                rounds=rounds,
                 position=position,
                 proof=proof,
                 signature=signature,
@@ -372,11 +415,5 @@ class VerifierDevice:
             # Seed the payload memo: the TPA's verifier asks for these
             # exact bytes again.
             object.__setattr__(transcript, "_signed_payload", payload)
-            runs.append(
-                AuditRun(
-                    transcript=transcript,
-                    started_ms=started_ms,
-                    finished_ms=finished_ms,
-                )
-            )
-        return runs
+            transcripts.append(transcript)
+        return transcripts

@@ -16,10 +16,10 @@ audit daemon's orders and verdicts (:mod:`repro.service.wire`).  What
 does need bytes is the signature.  Every transcript has one canonical
 byte encoding, :func:`transcript_payload` (read back through
 :meth:`SignedTranscript.signed_payload`).  The device does not sign
-each payload on its own: the payloads of one protocol batch are the
-leaves of a :class:`~repro.por.merkle.MerkleTree`, and the device signs
-:func:`batch_root_message` -- a domain tag, the tree size and the root
--- once per batch.  Each transcript carries that signature plus its
+each payload on its own: the payloads of the runs one seal names are
+the leaves of a :class:`~repro.por.merkle.MerkleTree`, and the device
+signs :func:`batch_root_message` -- a domain tag, the tree size and the
+root -- once per seal.  Each transcript carries that signature plus its
 :class:`BatchProof` (root, size, leaf index, authentication path).
 The TPA recomputes the payload, walks the path to the root and
 verifies the root signature, so a signature and a collision-resistant
@@ -145,7 +145,7 @@ def transcript_payload(
     The magic, the length-prefixed device id, file id and nonce, the
     round count, every round's :meth:`TimedRound.wire_bytes`, then the
     GPS latitude and longitude.  The one encoder of a transcript leaf:
-    the device calls it while it signs a batch, and
+    the device calls it as it finishes each run, and
     :meth:`SignedTranscript.signed_payload` calls it for everyone else.
     """
     parts = [
@@ -214,8 +214,8 @@ class SignedTranscript:
         signature are not part of it.
 
         The encoding is memoized on the (frozen) instance.
-        :meth:`~repro.cloud.verifier.VerifierDevice.run_audits` seeds
-        the memo with the bytes it signed, so the TPA's verifier reads
+        :meth:`~repro.cloud.verifier.VerifierDevice.seal` seeds the
+        memo with the bytes it signed, so the TPA's verifier reads
         them back instead of encoding them again; an instance built any
         other way encodes once, on its first call.
         ``dataclasses.replace`` builds a fresh instance, so a tampered

@@ -16,7 +16,7 @@ a boolean, because the failure *mode* is the experimental observable
 GPS failures indicate device relocation).
 
 Step 1 has two parts, because the device signs one hash-tree root per
-protocol batch rather than each transcript: the transcript's payload
+seal rather than each transcript: the transcript's payload
 must lead through its :class:`~repro.core.messages.BatchProof` path to
 the claimed root, and the device's signature must hold over
 :func:`~repro.core.messages.batch_root_message` for that root and

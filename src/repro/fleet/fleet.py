@@ -634,9 +634,10 @@ class AuditFleet:
         ``clock`` is the clock the timed phase runs on -- the fleet
         clock in the slot engine, the executing lane's clock in the
         event engine (injected down through the TPA and verifier).
-        The returned run waits for its verdict until
+        The returned run waits, unsigned, for its verdict until
         :meth:`_execute_batch` passes the batch's runs to the provider
-        TPA's :meth:`~repro.cloud.tpa.ThirdPartyAuditor.flush_verdicts`.
+        TPA's :meth:`~repro.cloud.tpa.ThirdPartyAuditor.flush_verdicts`,
+        which has the site's verifier seal them together.
 
         ``at_site`` runs the audit at one of the task's *replica*
         sites instead of its home (a work-stealing migration): that
@@ -728,8 +729,10 @@ class AuditFleet:
         # One batched verdict flush per batch.  A batch only holds its
         # lane's provider (the slot engine fills it from one site, and
         # work stealing stays inside a provider), so one TPA settles
-        # it.  The wall time it takes is the verify-phase cost the lane
-        # accounting attributes; simulated time is untouched.
+        # it, and every audit ran at the site's verifier, so the flush
+        # seals the batch as one signed tree.  The wall time it takes,
+        # seal included, is the verify-phase cost the lane accounting
+        # attributes; simulated time is untouched.
         verify_start = wall_seconds()
         outcomes = self.deployment(site[0]).tpa.flush_verdicts(pending)
         verify_seconds = wall_seconds() - verify_start

@@ -12,11 +12,12 @@ its one verdict body -- the same bodies a one-shot
 :meth:`~repro.cloud.tpa.ThirdPartyAuditor.audit` runs as a batch of
 one.  :meth:`~repro.cloud.tpa.ThirdPartyAuditor.audit_deferred_many`
 runs every order of the flush (one ``prf_many`` call derives every
-challenge/jitter stream, one signed hash-tree root) and returns one
-entry per order: a pending run, or the error that order failed with.
-:meth:`~repro.cloud.tpa.ThirdPartyAuditor.flush_verdicts` then settles
-the runs that completed (one MAC sweep per key group, one Schnorr
-check per batch root).  Orders fail alone: an unknown file or an
+challenge/jitter stream) and returns one entry per order: a pending
+run, or the error that order failed with.
+:meth:`~repro.cloud.tpa.ThirdPartyAuditor.flush_verdicts` then has the
+verifier seal the runs that completed (one signed hash-tree root) and
+settles them (one MAC sweep per key group, one Schnorr check per batch
+root).  Orders fail alone: an unknown file or an
 out-of-range ``k`` is refused before a nonce is drawn, and a backend
 failure fails only the order whose lookup it hit.  Orders are processed
 in strict submission order -- the TPA's nonce stream advances exactly

@@ -1,11 +1,13 @@
 """Batch protocol plane: run_audits / audit_deferred_many pins.
 
 The daemon's throughput path (one ``fork_many`` sweep, bulk LAN
-jitter reads, one signed hash-tree root per call) must be
+jitter reads, one signed hash-tree root per seal) must be
 *request-for-request identical* to the scalar protocol loop -- same
 payloads, same clock readings, same verdicts.  Only the batch proof
 and the signature differ (one tree of n leaves against n trees of
-one), and every transcript on both sides must verify.  These tests pin
+one), and every transcript on both sides must verify.  A
+``run_audits`` call signs nothing, so these tests seal its runs
+through ``sealed_transcripts``.  These tests pin
 that equivalence, including under adversarial providers, with a
 zero-jitter LAN, and when a request fails partway: it fails alone, as
 it does in the loop.
@@ -24,9 +26,11 @@ from repro.geo.coords import GeoPoint
 from repro.geo.regions import CircularRegion
 from repro.netsim.latency import LANModel
 from tests.conftest import (
+    FailsAtLookup,
     assert_equal_apart_from_proof,
     build_session,
     scalar_audit,
+    sealed_transcripts,
 )
 
 # Full POR setup per session: slow lane.
@@ -63,7 +67,7 @@ def assert_runs_match_scalar(scalar_session, batch_session, requests):
 
     assert len(runs) == len(scalar)
     assert_equal_apart_from_proof(
-        [run.transcript for run in runs],
+        sealed_transcripts(batch_session.verifier, runs),
         [transcript for transcript, _, _ in scalar],
         batch_session.verifier.public_key,
     )
@@ -74,26 +78,6 @@ def assert_runs_match_scalar(scalar_session, batch_session, requests):
         batch_session.verifier.clock.now_ms()
         == scalar_session.verifier.clock.now_ms()
     )
-
-
-class FailsAtLookup:
-    """Serves through ``provider`` but refuses the listed lookups.
-
-    Lookups are counted from 1 across every request, so a batch and the
-    scalar loop, which make the same lookups in the same order, fail at
-    the same one.
-    """
-
-    def __init__(self, provider, failing):
-        self.provider = provider
-        self.failing = set(failing)
-        self.n_lookups = 0
-
-    def handle_request(self, file_id, index):
-        self.n_lookups += 1
-        if self.n_lookups in self.failing:
-            raise StorageUnavailableError(f"lookup {self.n_lookups} refused")
-        return self.provider.handle_request(file_id, index)
 
 
 def scalar_loop_isolating(session, requests, provider):
@@ -194,15 +178,16 @@ class TestRunAuditsEquivalence:
         ]
         assert str(runs[2]) == str(scalar[2]) == "lookup 13 refused"
         completed = [0, 1, 3]
+        transcripts = sealed_transcripts(batch_session.verifier, runs)
         assert_equal_apart_from_proof(
-            [runs[i].transcript for i in completed],
+            transcripts,
             [scalar[i][0] for i in completed],
             batch_session.verifier.public_key,
         )
-        for i in completed:
+        for i, transcript in zip(completed, transcripts):
             assert runs[i].started_ms == scalar[i][1]
             assert runs[i].finished_ms == scalar[i][2]
-            assert runs[i].transcript.proof.n_leaves == 3
+            assert transcript.proof.n_leaves == 3
         assert (
             batch_session.verifier.clock.now_ms()
             == scalar_session.verifier.clock.now_ms()
@@ -244,9 +229,9 @@ class TestRunAuditsEquivalence:
         session, file_id, _ = build_session("batch-memo")
         requests = make_requests(session, file_id, 2)
         runs = session.verifier.run_audits(requests, session.provider)
-        for run in runs:
-            cached = run.transcript.signed_payload()
-            fresh = dataclasses.replace(run.transcript).signed_payload()
+        for transcript in sealed_transcripts(session.verifier, runs):
+            cached = transcript.signed_payload()
+            fresh = dataclasses.replace(transcript).signed_payload()
             assert cached == fresh
 
 

@@ -20,11 +20,16 @@ from repro.errors import ConfigurationError
 from repro.geo.datasets import city
 from repro.geo.gps import GPSSpoofer
 from repro.geo.coords import GeoPoint
+from repro.geo.regions import CircularRegion
 from repro.por.merkle import MerkleTree
 from repro.por.parameters import TEST_PARAMS
 from repro.por.setup import setup_file
 from repro.storage.hdd import IBM_36Z15
-from tests.conftest import build_session, transcript_verifies
+from tests.conftest import (
+    build_session,
+    sealed_transcripts,
+    transcript_verifies,
+)
 
 
 # Every test here pays a full POR setup in its fixtures: slow lane.
@@ -107,15 +112,26 @@ class TestRunAudit:
         )
         assert not transcript_verifies(tampered, verifier.public_key)
 
-    def test_signature_breaks_on_tamper(self, deployment):
-        import dataclasses
-
+    def test_signature_breaks_on_tamper(self, deployment, keys):
+        """Through the TPA's own check: the untampered transcript's
+        signature holds, and a copy with another nonce does not."""
         provider, verifier, request, _ = deployment
         transcript = verifier.run_audit(request, provider)
+
+        def signature_ok(candidate):
+            return verify_transcript(
+                candidate,
+                request,
+                verifier_public_key=verifier.public_key,
+                mac_key=keys.mac_key,
+                params=TEST_PARAMS,
+                region=CircularRegion(centre=verifier.location, radius_km=50.0),
+                rtt_max_ms=100.0,
+            ).signature_ok
+
+        assert signature_ok(transcript)
         tampered = dataclasses.replace(transcript, nonce=b"x" * 16)
-        assert not schnorr_verify(
-            verifier.public_key, tampered.signed_payload(), transcript.signature
-        )
+        assert not signature_ok(tampered)
 
     def test_fresh_nonce_fresh_challenges(self, deployment):
         provider, verifier, _, encoded = deployment
@@ -162,7 +178,10 @@ class TestSigningKey:
         session.provider.relocate(file_id, "remote")
         session.provider.set_strategy(RelayAttack("home", "remote"))
         request = session.tpa.make_request(file_id, 5)
-        (run,) = session.verifier.run_audits([request], session.provider)
+        (relayed,) = sealed_transcripts(
+            session.verifier,
+            session.verifier.run_audits([request], session.provider),
+        )
         record = session.tpa.record(file_id)
 
         def failure_reasons(transcript):
@@ -176,7 +195,6 @@ class TestSigningKey:
                 rtt_max_ms=session.sla.rtt_max_ms,
             ).failure_reasons
 
-        relayed = run.transcript
         assert failure_reasons(relayed) == ["timing"]
         fast = tuple(
             dataclasses.replace(round_, rtt_ms=0.5) for round_ in relayed.rounds

@@ -116,6 +116,43 @@ def scalar_audit(
     )
 
 
+class FailsAtLookup:
+    """Serves through ``provider`` but refuses the listed lookups.
+
+    Lookups are counted from 1 across every request, so a batch and the
+    scalar loop, which make the same lookups in the same order, fail at
+    the same one.
+    """
+
+    def __init__(self, provider, failing):
+        self.provider = provider
+        self.failing = set(failing)
+        self.n_lookups = 0
+
+    def handle_request(self, file_id, index):
+        from repro.errors import StorageUnavailableError
+
+        self.n_lookups += 1
+        if self.n_lookups in self.failing:
+            raise StorageUnavailableError(f"lookup {self.n_lookups} refused")
+        return self.provider.handle_request(file_id, index)
+
+
+def sealed_transcripts(verifier, runs):
+    """Seal one ``run_audits`` call's completed runs as one tree.
+
+    A run stays unsigned until its device seals it.  This seals every
+    :class:`~repro.cloud.verifier.AuditRun` in ``runs`` at once, as a
+    TPA flush does, skips the failed requests' errors, and returns the
+    signed transcripts in run order.
+    """
+    from repro.errors import ReproError
+
+    return verifier.seal(
+        [run.handle for run in runs if not isinstance(run, ReproError)]
+    )
+
+
 def transcript_verifies(transcript, public_key) -> bool:
     """Step 1 by hand: the payload's path to its root, then the root signature."""
     from repro.core.messages import batch_root_message
@@ -135,9 +172,9 @@ def transcript_verifies(transcript, public_key) -> bool:
 def assert_equal_apart_from_proof(actual, expected, public_key) -> None:
     """Pin transcripts or outcomes that differ only in how they were signed.
 
-    The device signs one hash tree per ``run_audits`` call, so a batch
-    of n audits carries one root signature where the scalar loop signs
-    n trees of one: only the batch proof and the signature may differ.
+    The device signs one hash tree per seal, so a batch of n audits
+    carries one root signature where the scalar loop signs n trees of
+    one: only the batch proof and the signature may differ.
     Everything else -- payload bytes, verdict, clock readings, request
     and nonce -- must be exactly equal, and every transcript on both
     sides must verify under ``public_key``.

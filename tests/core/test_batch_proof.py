@@ -1,7 +1,7 @@
 """One signed root per protocol batch: proofs and tampering.
 
-A verifier device signs one hash-tree root per ``run_audits`` call, and
-each transcript carries its path to that root.  These tests pin what
+A verifier device signs one hash-tree root per seal, and each
+transcript carries its path to that root.  These tests pin what
 that must not change: a tampered transcript fails its own
 ``signature_ok`` and nobody else's, a proof only verifies for the
 transcript, position, tree size and root it was issued for, and the
@@ -18,14 +18,15 @@ from repro.core.verification import (
     verify_transcript,
     verify_transcripts,
 )
-from tests.conftest import build_session, transcript_verifies
+from tests.conftest import build_session, sealed_transcripts, transcript_verifies
 
 N_AUDITS = 64
 
 
 @pytest.fixture(scope="module")
 def batch():
-    """Two separate 64-audit ``run_audits`` calls over one small file."""
+    """Two separate 64-audit ``run_audits`` calls over one small file,
+    each sealed on its own."""
     session, file_id, _ = build_session("batch-proof", file_bytes=2_000)
     record = session.tpa.record(file_id)
 
@@ -34,7 +35,7 @@ def batch():
         runs = session.verifier.run_audits(requests, session.provider)
         return [
             TranscriptVerification(
-                transcript=run.transcript,
+                transcript=transcript,
                 request=request,
                 verifier_public_key=session.verifier.public_key,
                 mac_key=record.mac_key,
@@ -42,7 +43,9 @@ def batch():
                 region=session.sla.region,
                 rtt_max_ms=session.sla.rtt_max_ms,
             )
-            for request, run in zip(requests, runs)
+            for request, transcript in zip(
+                requests, sealed_transcripts(session.verifier, runs)
+            )
         ]
 
     return session, one_call(), one_call()

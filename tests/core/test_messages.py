@@ -21,7 +21,7 @@ from repro.util.serialization import (
     encode_length_prefixed,
     encode_uint,
 )
-from tests.conftest import build_session
+from tests.conftest import build_session, sealed_transcripts
 
 
 def make_transcript(n_rounds=3):
@@ -167,8 +167,7 @@ class TestPayloadLayout:
         session, file_id, _ = build_session("payload-layout", file_bytes=2_000)
         requests = [session.tpa.make_request(file_id, 3) for _ in range(3)]
         runs = session.verifier.run_audits(requests, session.provider)
-        for run in runs:
-            transcript = run.transcript
+        for transcript in sealed_transcripts(session.verifier, runs):
             seeded = transcript.__dict__["_signed_payload"]
             assert transcript.signed_payload() is seeded
             assert seeded == transcript_payload(
