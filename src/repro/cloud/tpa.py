@@ -321,8 +321,9 @@ class ThirdPartyAuditor:
         grouping only changes how the signing and the MAC and Schnorr
         arithmetic are batched.  Each run settles once: passing one
         that was already flushed raises
-        :class:`~repro.errors.ConfigurationError` before any verdict is
-        counted.
+        :class:`~repro.errors.ConfigurationError` before any run of the
+        flush is sealed or any verdict counted, whichever verifier
+        measured it.
         """
         if not pending:
             return []
@@ -391,19 +392,25 @@ class ThirdPartyAuditor:
         first appearance, so a flush carries one signed root per
         verifier.  The jobs follow ``pending`` order and read each
         verifier's public key right after the seals, so it is the key
-        the seal used.  A run that was already settled, or that appears
-        twice, makes its verifier's seal raise before any verdict is
-        counted.
+        the seal used.  Every verifier checks its handles before the
+        first seal: a run that was already settled, or that appears
+        twice, raises before any run is sealed or any verdict counted,
+        so the flush spends nothing and its other runs stay settleable.
         """
         with obs.tracer().wall_span(f"tpa.flush:{self.name}"):
             by_verifier: dict[VerifierDevice, list[int]] = {}
             for position, entry in enumerate(pending):
                 by_verifier.setdefault(entry.verifier, []).append(position)
+            groups = [
+                (verifier, positions,
+                 [pending[position].run.handle for position in positions])
+                for verifier, positions in by_verifier.items()
+            ]
+            for verifier, _, handles in groups:
+                verifier.check_handles(handles)
             transcripts: dict[int, SignedTranscript] = {}
-            for verifier, positions in by_verifier.items():
-                transcripts.update(zip(positions, verifier.seal(
-                    [pending[position].run.handle for position in positions]
-                )))
+            for verifier, positions, handles in groups:
+                transcripts.update(zip(positions, verifier.seal(handles)))
             jobs = [
                 TranscriptVerification(
                     transcript=transcripts[position],

@@ -346,18 +346,14 @@ class VerifierDevice:
                     serve = handle_request(file_id, index)
                     advance(serve.elapsed_ms)
                     segment = serve.segment
-                    size = segment.size_bytes
+                    size = len(segment.payload) + len(segment.tag)
                     fixed_response = fixed_by_size.get(size)
                     if fixed_response is None:
                         fixed_response = lan.fixed_ms(distance_km, size)
                         fixed_by_size[size] = fixed_response
                     advance(fixed_response + back_ms)
                     rounds.append(
-                        TimedRound(
-                            index=index,
-                            segment=segment,
-                            rtt_ms=now_ms() - start_ms,
-                        )
+                        TimedRound(index, segment, now_ms() - start_ms)
                     )
             except ReproError as exc:
                 runs.append(exc)
@@ -373,19 +369,15 @@ class VerifierDevice:
             runs.append(AuditRun(handle, started_ms, finished_ms))
         return runs
 
-    def seal(self, handles: Sequence[_RunHandle]) -> list[SignedTranscript]:
-        """Sign the runs ``handles`` name as one tree; their transcripts.
+    def check_handles(self, handles: Sequence[_RunHandle]) -> None:
+        """Refuse ``handles`` unless :meth:`seal` would accept them.
 
         Every handle must name an unsealed run this device measured in
         :meth:`run_audits`.  One that is unknown, another device's,
         already sealed or named twice raises
-        :class:`~repro.errors.ConfigurationError` before anything is
-        popped or signed, so the other handles stay sealable.  The
-        runs' payloads then become the leaves of one tree whose root
-        :meth:`_sign_batch` signs once, and the transcripts come back
-        in handle order, each with its payload memo seeded.  A handle
-        carries no bytes, so the device signs only what it measured,
-        and a run is sealed at most once.
+        :class:`~repro.errors.ConfigurationError`.  The check changes
+        nothing, so a caller about to seal on several devices can check
+        them all before the first seal spends any run.
         """
         unsealed = self._unsealed
         seen: set[_RunHandle] = set()
@@ -395,8 +387,22 @@ class VerifierDevice:
                     f"handle {position} names no unsealed run of this device"
                 )
             seen.add(handle)
+
+    def seal(self, handles: Sequence[_RunHandle]) -> list[SignedTranscript]:
+        """Sign the runs ``handles`` name as one tree; their transcripts.
+
+        The handles pass :meth:`check_handles` first, so a bad one
+        raises before anything is popped or signed and the other
+        handles stay sealable.  The runs' payloads then become the
+        leaves of one tree whose root :meth:`_sign_batch` signs once,
+        and the transcripts come back in handle order, each with its
+        payload memo seeded.  A handle carries no bytes, so the device
+        signs only what it measured, and a run is sealed at most once.
+        """
+        self.check_handles(handles)
         if not handles:
             return []
+        unsealed = self._unsealed
         bodies = [unsealed.pop(handle) for handle in handles]
         proofs, signature = self._sign_batch([body[4] for body in bodies])
         transcripts: list[SignedTranscript] = []

@@ -19,6 +19,10 @@ from repro.util.bitops import ceil_div
 from repro.util.serialization import encode_length_prefixed, encode_uint
 
 
+#: Every one-byte string, by value: the masked last byte of a tag.
+_BYTES = tuple(bytes((value,)) for value in range(256))
+
+
 def _truncate(digest: bytes, tag_bits: int) -> bytes:
     """Truncate a digest to ``tag_bits``, zeroing unused trailing bits."""
     n_bytes = ceil_div(tag_bits, 8)
@@ -83,14 +87,20 @@ def mac_tag_many(
             f"{len(indices)} indices for {len(segments)} segments"
         )
     fid_encoded = encode_length_prefixed(file_id)
-    base = hmac.new(key, b"por-tag\x00", hashlib.sha256)
+    copy = hmac.new(key, b"por-tag\x00", hashlib.sha256).copy
+    # _truncate inline: the byte count and the last byte's mask are
+    # fixed for the batch.
+    n_bytes = ceil_div(tag_bits, 8)
+    last = n_bytes - 1
+    mask = 0xFF << (8 * n_bytes - tag_bits) & 0xFF
     tags: list[bytes] = []
     for segment, index in zip(segments, indices):
-        mac = base.copy()
+        mac = copy()
         mac.update(
             encode_length_prefixed(segment) + encode_uint(index) + fid_encoded
         )
-        tags.append(_truncate(mac.digest(), tag_bits))
+        digest = mac.digest()
+        tags.append(digest[:last] + _BYTES[digest[last] & mask])
     return tags
 
 

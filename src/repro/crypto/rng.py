@@ -10,6 +10,7 @@ the code needs.  It intentionally mirrors a subset of
 
 from __future__ import annotations
 
+import hmac
 import math
 from typing import Sequence, TypeVar
 
@@ -17,6 +18,10 @@ from repro.crypto.prf import prf, prf_base, prf_many
 from repro.errors import ConfigurationError
 
 T = TypeVar("T")
+
+#: The PRF message of a stream's block 0: ``b"drbg-gen"``, the PRF's
+#: separator byte and ``uint64(0)``.
+_BLOCK_0 = b"drbg-gen\x00" + (0).to_bytes(8, "big")
 
 
 class DeterministicRNG:
@@ -85,26 +90,35 @@ class DeterministicRNG:
     def random_bytes(self, n: int) -> bytes:
         """Return ``n`` pseudorandom bytes.
 
-        Output block *i* is ``prf(key, b"drbg-gen", uint64(i))``; the
-        primed HMAC base is cached per stream, so refills pay only the
-        message compressions (byte-identical to per-block :func:`prf`).
+        Output block *i* is ``prf(key, b"drbg-gen", uint64(i))``.  A
+        fresh stream whose first refill needs one block makes it with
+        one one-shot HMAC; every audit forks fresh challenge and jitter
+        streams, and a light audit's never refill again.  Any other
+        refill primes the HMAC base once per stream and then pays only
+        the message compressions.  Both ways are byte-identical to
+        per-block :func:`prf`.
         """
         if n < 0:
             raise ConfigurationError(f"n must be >= 0, got {n}")
         buffer = self._buffer
         if len(buffer) < n:
-            base = self._gen_base
-            if base is None:
-                base = self._gen_base = prf_base(self._key, b"drbg-gen")
             counter = self._counter
-            parts = [buffer]
-            for _ in range((n - len(buffer) + 31) // 32):
-                block = base.copy()
-                block.update(counter.to_bytes(8, "big"))
-                parts.append(block.digest())
-                counter += 1
-            self._counter = counter
-            buffer = b"".join(parts)
+            n_blocks = (n - len(buffer) + 31) // 32
+            if counter == 0 and n_blocks == 1:
+                buffer += hmac.digest(self._key, _BLOCK_0, "sha256")
+                self._counter = 1
+            else:
+                base = self._gen_base
+                if base is None:
+                    base = self._gen_base = prf_base(self._key, b"drbg-gen")
+                parts = [buffer]
+                for _ in range(n_blocks):
+                    block = base.copy()
+                    block.update(counter.to_bytes(8, "big"))
+                    parts.append(block.digest())
+                    counter += 1
+                self._counter = counter
+                buffer = b"".join(parts)
         out, self._buffer = buffer[:n], buffer[n:]
         return out
 
@@ -158,6 +172,8 @@ class DeterministicRNG:
         swapped: dict[int, int] = {}
         out: list[int] = []
         from_bytes = int.from_bytes
+        # The buffer is read by offset and cut once at the end.
+        buffer, offset = self._buffer, 0
         for i in range(k):
             # Inlined randrange(population - i): identical byte
             # consumption and rejection pattern, without the two
@@ -171,18 +187,21 @@ class DeterministicRNG:
                 n_bytes = (bits + 7) >> 3
                 shift = (n_bytes << 3) - bits
                 while True:
-                    buffer = self._buffer
-                    if len(buffer) >= n_bytes:
-                        chunk = buffer[:n_bytes]
-                        self._buffer = buffer[n_bytes:]
+                    end = offset + n_bytes
+                    if end <= len(buffer):
+                        chunk = buffer[offset:end]
+                        offset = end
                     else:
+                        self._buffer = buffer[offset:]
                         chunk = self.random_bytes(n_bytes)
+                        buffer, offset = self._buffer, 0
                     candidate = from_bytes(chunk, "big") >> shift
                     if candidate < upper:
                         j = i + candidate
                         break
             out.append(swapped.get(j, j))
             swapped[j] = swapped.get(i, i)
+        self._buffer = buffer[offset:]
         return out
 
     def shuffle(self, items: list[T]) -> None:

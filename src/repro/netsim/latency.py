@@ -38,6 +38,9 @@ FIBRE_SPEED_KM_PER_MS = SPEED_OF_LIGHT_KM_PER_MS * 2.0 / 3.0
 #: Effective end-to-end Internet speed (4/9 c, Katz-Bassett et al.).
 INTERNET_SPEED_KM_PER_MS = SPEED_OF_LIGHT_KM_PER_MS * 4.0 / 9.0
 
+#: One jitter draw's 7 bytes as a word of a bulk read.
+_WORD_MASK = (1 << 56) - 1
+
 
 class LatencyModel(ABC):
     """Maps (distance, payload size) to one-way delay in milliseconds."""
@@ -131,18 +134,20 @@ class LANModel(LatencyModel):
         :meth:`~repro.crypto.rng.DeterministicRNG.expovariate`, taken
         from 7 bytes of one ``random_bytes(7 * n)`` read, so the result
         and the stream's state afterwards equal ``n`` successive
-        ``expovariate(1 / jitter_ms)`` calls.  With no jitter configured
-        it returns zeros and reads nothing.
+        ``expovariate(1 / jitter_ms)`` calls.  The read is decoded as
+        one integer whose 56-bit words are peeled off last word first.
+        With no jitter configured it returns zeros and reads nothing.
         """
         if self.jitter_ms <= 0:
             return [0.0] * n
         rate = 1.0 / self.jitter_ms
-        data = rng.random_bytes(7 * n)
-        from_bytes, log = int.from_bytes, math.log
-        return [
-            -log(1.0 - (from_bytes(data[i : i + 7], "big") >> 3) / 2**53) / rate
-            for i in range(0, 7 * n, 7)
-        ]
+        words = int.from_bytes(rng.random_bytes(7 * n), "big")
+        log = math.log
+        draws = [0.0] * n
+        for i in range(n - 1, -1, -1):
+            draws[i] = -log(1.0 - ((words & _WORD_MASK) >> 3) / 2**53) / rate
+            words >>= 56
+        return draws
 
     def one_way_ms(
         self,

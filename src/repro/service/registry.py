@@ -12,6 +12,14 @@ requested chain.  Health follows the classic circuit-breaker shape:
   (circuit closes, failure count resets), failure re-opens a fresh
   back-off window.
 
+Each chain is resolved once: the first serve along it (or a
+:meth:`ProviderRegistry.chain` call) checks every name it lists and
+caches its backends and their health records, and :meth:`add` drops
+that cache.  A chain naming a backend never added raises
+:class:`~repro.errors.ConfigurationError` on use and is not cached;
+the daemon resolves every chain when it starts, so such a registry
+fails there rather than on its first order.
+
 A :class:`~repro.errors.BlockNotFoundError` is a *data* miss, not a
 health signal: the chain falls through to a backend that holds the
 file, and the failing backend's health is untouched.
@@ -24,7 +32,10 @@ directly against ``registry`` and transparently inherit failover.
 ``now_fn`` injects the probe timer's clock; tests pass a fake to pin
 the half-open schedule, the daemon uses the host monotonic clock (this
 is real-time serving code -- see the SIM001 allowlist rationale in
-``docs/INVARIANTS.md``).
+``docs/INVARIANTS.md``).  Only the circuit reads it: a healthy backend
+that serves costs no reading, a failure costs one (it stamps the
+circuit's opening), and an open circuit costs one per request, which
+a failed probe reuses.
 """
 
 from __future__ import annotations
@@ -84,6 +95,11 @@ class _Health:
         self.opened_at_ms = 0.0
 
 
+#: One link of a resolved chain: a backend's name, the backend and its
+#: circuit state.
+_Link = tuple[str, StorageProvider, _Health]
+
+
 def _monotonic_ms() -> float:
     return time.monotonic() * 1000.0
 
@@ -112,6 +128,8 @@ class ProviderRegistry:
         self._backends: dict[str, StorageProvider] = {}
         self._fallbacks: dict[str, tuple[str, ...]] = {}
         self._health: dict[str, _Health] = {}
+        #: Resolved chains: (name, backend, health) per link, in order.
+        self._chains: dict[str, tuple[_Link, ...]] = {}
         self._primary: str | None = None
         #: The registry's own metrics: circuit transitions per backend.
         self.metrics = MetricsRegistry()
@@ -135,8 +153,9 @@ class ProviderRegistry:
 
         ``fallbacks`` names the chain tried (in order) when this
         backend cannot serve; the names may refer to backends added
-        later and are resolved on use.  The first backend added is the
-        default primary.
+        later and are resolved on first use, once.  Adding a backend
+        drops every resolved chain, so the next serve resolves its
+        chain again.  The first backend added is the default primary.
         """
         name = backend.name
         if name in self._backends:
@@ -148,11 +167,15 @@ class ProviderRegistry:
         self._backends[name] = backend
         self._fallbacks[name] = tuple(fallbacks)
         self._health[name] = _Health(name)
+        self._chains.clear()
         if self._primary is None:
             self._primary = name
 
     def set_primary(self, name: str) -> None:
-        """Route :meth:`handle_request` through this backend's chain."""
+        """Route :meth:`handle_request` through this backend's chain.
+
+        Only picks the chain; resolving it stays with the first serve.
+        """
         self.get(name)  # validates
         self._primary = name
 
@@ -173,14 +196,30 @@ class ProviderRegistry:
         return list(self._backends)
 
     def chain(self, name: str) -> list[str]:
-        """The serve order starting at ``name`` (itself, then fallbacks)."""
-        self.get(name)
-        chain = [name]
-        for fallback in self._fallbacks[name]:
-            self.get(fallback)  # late-bound names must exist by now
-            if fallback not in chain:
-                chain.append(fallback)
-        return chain
+        """The serve order starting at ``name`` (itself, then fallbacks).
+
+        Resolves the chain if no serve has yet, so a name that was
+        never added raises :class:`~repro.errors.ConfigurationError`
+        here.
+        """
+        return [link[0] for link in self._resolve(name)]
+
+    def _resolve(self, name: str) -> tuple[_Link, ...]:
+        """``name``'s chain as links, resolved and cached on first use."""
+        links = self._chains.get(name)
+        if links is None:
+            self.get(name)
+            names = [name]
+            for fallback in self._fallbacks[name]:
+                self.get(fallback)  # late-bound names must exist by now
+                if fallback not in names:
+                    names.append(fallback)
+            links = tuple(
+                (member, self._backends[member], self._health[member])
+                for member in names
+            )
+            self._chains[name] = links
+        return links
 
     # -- health ---------------------------------------------------------
 
@@ -202,16 +241,6 @@ class ProviderRegistry:
         self.get(name)
         return self._health[name].state == HEALTHY
 
-    def _admitted(self, health: _Health, now_ms: float) -> bool:
-        """May a request be sent to this backend right now?
-
-        Healthy backends always; unhealthy ones only once their
-        back-off window has elapsed (the half-open probe).
-        """
-        if health.state == HEALTHY:
-            return True
-        return now_ms - health.opened_at_ms >= self.probe_delay_ms
-
     def _record_failure(self, health: _Health, now_ms: float) -> None:
         health.n_failures += 1
         health.consecutive_failures += 1
@@ -225,13 +254,6 @@ class ProviderRegistry:
             health.opened_at_ms = now_ms
             self._transitions.labels(health.name, transition).inc()
 
-    def _record_success(self, health: _Health) -> None:
-        health.n_successes += 1
-        health.consecutive_failures = 0
-        if health.state == UNHEALTHY:
-            self._transitions.labels(health.name, "close").inc()
-        health.state = HEALTHY
-
     # -- serving --------------------------------------------------------
 
     def serve_via(
@@ -239,32 +261,47 @@ class ProviderRegistry:
     ) -> ServeResult:
         """Serve one segment along ``name``'s failover chain.
 
-        Tries each admitted backend in chain order.  Unavailability
-        feeds the circuit breaker and falls through; a data miss falls
-        through without a health penalty.  Raises
+        Tries each admitted backend in chain order: a healthy one
+        always, an unhealthy one only once its back-off window has
+        elapsed (the half-open probe).  Unavailability feeds the
+        circuit breaker and falls through; a data miss falls through
+        without a health penalty.  Raises
         :class:`~repro.errors.StorageUnavailableError` when the whole
         chain is exhausted.
+
+        The chain is the one resolved on first use (see :meth:`add`).
+        ``now_fn`` is read only where the circuit needs it: once to
+        admit an unhealthy backend, a reading its failed probe reuses,
+        and once when a healthy backend fails.  A healthy backend that
+        serves reads no clock.
         """
+        links = self._chains.get(name) or self._resolve(name)
         reasons: list[str] = []
-        for backend_name in self.chain(name):
-            backend = self._backends[backend_name]
-            health = self._health[backend_name]
-            now_ms = self._now()
-            if not self._admitted(health, now_ms):
-                reasons.append(f"{backend_name}: unhealthy, probe not due")
-                continue
-            if health.state == UNHEALTHY:
+        for backend_name, backend, health in links:
+            if health.state == HEALTHY:
+                now_ms = None
+            else:
+                now_ms = self._now()
+                if now_ms - health.opened_at_ms < self.probe_delay_ms:
+                    reasons.append(f"{backend_name}: unhealthy, probe not due")
+                    continue
                 health.n_probes += 1
             try:
                 result = backend.handle_request(file_id, index)
             except StorageUnavailableError as exc:
-                self._record_failure(health, now_ms)
+                self._record_failure(
+                    health, self._now() if now_ms is None else now_ms
+                )
                 reasons.append(f"{backend_name}: {exc}")
                 continue
             except BlockNotFoundError as exc:
                 reasons.append(f"{backend_name}: {exc}")
                 continue
-            self._record_success(health)
+            health.n_successes += 1
+            health.consecutive_failures = 0
+            if now_ms is not None:  # a probe served: the circuit closes
+                health.state = HEALTHY
+                self._transitions.labels(backend_name, "close").inc()
             return result
         raise StorageUnavailableError(
             f"no backend in the {name!r} chain could serve "

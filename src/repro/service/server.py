@@ -30,6 +30,7 @@ from repro.errors import ConfigurationError, ProtocolError
 from repro.obs.metrics import MetricsRegistry
 from repro.service.dispatch import SHUTDOWN, AuditDispatcher, Submitted
 from repro.service.framing import FrameParser, encode_frame
+from repro.service.registry import ProviderRegistry
 from repro.service.wire import (
     ErrorReply,
     StatsReply,
@@ -219,10 +220,18 @@ class AuditDaemon:
 
         With ``port=0`` the OS picks a free port; :attr:`port` holds
         the bound one afterwards (how tests and the benchmark avoid
-        port collisions).
+        port collisions).  A :class:`~repro.service.ProviderRegistry`
+        provider has every backend's chain resolved first, so a
+        fallback that was never added raises its
+        :class:`~repro.errors.ConfigurationError` here, before any task
+        or socket exists, instead of failing every order.
         """
         if self._server is not None:
             raise ConfigurationError("daemon already started")
+        provider = self.dispatcher.provider
+        if isinstance(provider, ProviderRegistry):
+            for name in provider.names():
+                provider.chain(name)
         # The submission queue is the backpressure boundary: when the
         # dispatcher falls behind, reader tasks block on put() and TCP
         # flow control pushes back on the tenants.

@@ -83,8 +83,11 @@ class StorageProvider(ABC):
 
         Fails closed on anything that is not a non-empty, bounded
         bytestring; returns the id unchanged when valid so call sites
-        can write ``backend.lookup(backend.validate(fid), i)``.
+        can write ``backend.lookup(backend.validate(fid), i)``.  A
+        valid id, the audit loop's every lookup, costs one test.
         """
+        if type(file_id) is bytes and 0 < len(file_id) <= MAX_FILE_ID_BYTES:
+            return file_id
         if not isinstance(file_id, bytes):
             raise ConfigurationError(
                 f"file id must be bytes, got {type(file_id).__name__}"

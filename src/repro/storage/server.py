@@ -5,7 +5,9 @@ A :class:`StorageServer` owns an
 :class:`~repro.storage.hdd.HDDModel`.  ``lookup()`` returns both the
 segment and the *time the lookup took* -- the Delta-t_L component of
 GeoProof's round-trip budget.  Every lookup costs exactly the
-datasheet seek + rotate + transfer (the paper's arithmetic).
+datasheet seek + rotate + transfer (the paper's arithmetic).  That
+cost depends only on the segment's size, so the server computes it
+once per size and reuses it.
 
 Design note: the server has two timing modes.
 
@@ -31,8 +33,8 @@ Design note: the server has two timing modes.
 The server keeps no counts of its own: the spindle is the one record
 of the disk time it granted (``busy_ms``) and the queue wait its
 requests absorbed (``wait_ms``).  A lookup served unqueued (no
-spindle, or no bound clock) is counted nowhere; its cost is only the
-``elapsed_ms`` it returns.
+spindle, or no bound clock) never reaches the spindle and is counted
+nowhere; its cost is only the disk time it returns as ``elapsed_ms``.
 """
 
 from __future__ import annotations
@@ -68,6 +70,8 @@ class StorageServer:
         self.disk = HDDModel(disk)
         self.spindle = spindle
         self._service_clock = None
+        #: ``disk.lookup_ms`` per segment size, computed on first use.
+        self._disk_ms: dict[int, float] = {}
 
     @contextmanager
     def timed_with(self, clock):
@@ -91,26 +95,27 @@ class StorageServer:
         finally:
             self._service_clock = previous
 
-    def _spindle_wait_ms(self, disk_ms: float) -> float:
-        """The queue wait for one lookup, if the shared mode is active."""
-        if self.spindle is None or self._service_clock is None:
-            return 0.0
-        grant = self.spindle.acquire(
-            self._service_clock.now_ms(), disk_ms
-        )
-        if grant.wait_ms > 0.0:
-            record = getattr(self._service_clock, "record_wait", None)
-            if record is not None:
-                record(grant.wait_ms)
-        return grant.wait_ms
-
     def lookup(self, file_id: bytes, index: int, served_by: str) -> ServeResult:
         """Fetch a segment, charging disk time plus any queue wait.
 
         ``served_by`` names the site the record reports (the view over
-        this server that the request came through).
+        this server that the request came through).  The disk time is
+        ``disk.lookup_ms`` of the segment's size (payload plus tag),
+        computed once per size.  Unless a spindle and a requester clock
+        are both bound, the lookup skips the spindle and its elapsed
+        time is that disk time alone.
         """
         segment = self.store.get_segment(file_id, index)
-        disk_ms = self.disk.lookup_ms(segment.size_bytes)
-        wait_ms = self._spindle_wait_ms(disk_ms)
-        return ServeResult(segment, wait_ms + disk_ms, served_by)
+        size = len(segment.payload) + len(segment.tag)
+        disk_ms = self._disk_ms.get(size)
+        if disk_ms is None:
+            disk_ms = self._disk_ms[size] = self.disk.lookup_ms(size)
+        spindle, clock = self.spindle, self._service_clock
+        if spindle is None or clock is None:
+            return ServeResult(segment, disk_ms, served_by)
+        grant = spindle.acquire(clock.now_ms(), disk_ms)
+        if grant.wait_ms > 0.0:
+            record = getattr(clock, "record_wait", None)
+            if record is not None:
+                record(grant.wait_ms)
+        return ServeResult(segment, grant.wait_ms + disk_ms, served_by)

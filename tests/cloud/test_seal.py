@@ -58,6 +58,16 @@ def measured(session, file_id, n, verifier=None):
     return verifier.run_audits(requests, session.provider)
 
 
+def accepted_verdicts(tpa):
+    """The TPA's accepted-verdict count, read off its metrics snapshot."""
+    for family in tpa.metrics.snapshot()["families"]:
+        if family["name"] == "repro_tpa_verdicts_total":
+            for series in family["series"]:
+                if series["labels"]["verdict"] == "accepted":
+                    return series["value"]
+    return 0
+
+
 def two_by_two_fleet():
     """Event engine, two providers with two sites each, four files a site."""
     fleet = AuditFleet(seed="seal-fleet", batch_size=4, engine="event")
@@ -225,6 +235,28 @@ class TestSeal:
         # Neither refused flush spent the fresh run.
         (outcome,) = tpa.flush_verdicts([fresh])
         assert outcome.verdict.accepted
+        assert len(signatures) == 2
+
+    def test_refused_mixed_flush_spends_no_run(self, session, signatures):
+        """A later verifier's stale run refuses the whole flush before
+        an earlier verifier's run is sealed, so that run stays
+        settleable."""
+        session, file_id = session
+        tpa, provider = session.tpa, session.provider
+        a = tpa.audit_deferred(file_id, session.verifier, provider, k=3)
+        b = tpa.audit_deferred(file_id, second_verifier(session), provider, k=3)
+        tpa.flush_verdicts([b])
+        log, counts = list(tpa.audit_log), tpa.metrics.snapshot()
+        accepted = accepted_verdicts(tpa)
+        with pytest.raises(ConfigurationError, match="handle 0"):
+            tpa.flush_verdicts([a, b])
+        assert list(tpa.audit_log) == log
+        assert tpa.metrics.snapshot() == counts
+        assert len(signatures) == 1
+        (outcome,) = tpa.flush_verdicts([a])
+        assert outcome.verdict.accepted
+        assert list(tpa.audit_log) == log + [outcome]
+        assert accepted_verdicts(tpa) == accepted + 1
         assert len(signatures) == 2
 
     def test_failed_request_seals_only_the_survivors(self, session, signatures):

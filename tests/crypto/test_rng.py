@@ -1,8 +1,11 @@
 """Determinism and distribution tests for the HMAC-DRBG."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.crypto.prf import prf
 from repro.crypto.rng import DeterministicRNG
 from repro.errors import ConfigurationError
 
@@ -62,6 +65,36 @@ class TestDeterminism:
         b = DeterministicRNG("seed")
         chunked = a.random_bytes(10) + a.random_bytes(22)
         assert chunked == b.random_bytes(32)
+
+
+def drbg_blocks(rng, n_blocks):
+    """Blocks 0.. of a stream by definition: prf(key, "drbg-gen", uint64(i))."""
+    return b"".join(
+        prf(rng._key, b"drbg-gen", i.to_bytes(8, "big"))
+        for i in range(n_blocks)
+    )
+
+
+class TestKnownAnswers:
+    """The stream against its block definition and a pinned digest."""
+
+    @pytest.mark.parametrize("n", [1, 7, 31, 32, 33, 100])
+    def test_fresh_read_is_the_prf_blocks(self, n):
+        child = DeterministicRNG("kat").fork("child")
+        expected = drbg_blocks(child, 4)
+        assert child.random_bytes(n) == expected[:n]
+        assert child.random_bytes(128 - n) == expected[n:]
+
+    def test_chunked_reads_are_the_prf_blocks(self):
+        child = DeterministicRNG("kat").fork("child")
+        chunks = [child.random_bytes(n) for n in (5, 40, 3)]
+        assert b"".join(chunks) == drbg_blocks(child, 2)[:48]
+
+    def test_pinned_stream_digest(self):
+        stream = DeterministicRNG(b"kat").fork("challenge-00")
+        assert hashlib.sha256(stream.random_bytes(256)).hexdigest() == (
+            "12ed8c34f764988300aef40701eeae432c4f0ce6dcf683e7b79f228b97f89b2c"
+        )
 
 
 class TestIntegerSampling:

@@ -83,16 +83,18 @@ class TestLANSplit:
     @pytest.mark.parametrize("pre_read", [0, 5])
     def test_jitter_draws_equal_successive_expovariate(self, pre_read):
         """One bulk read equals n draws, and leaves the stream where
-        they leave it (a pre-read moves the draws off block edges)."""
+        they leave it (a pre-read moves the draws off block edges).
+        n = 38 is the legs of a k=19 audit: a nine-block read."""
         lan = LANModel()
-        bulk, twin = DeterministicRNG("split"), DeterministicRNG("split")
-        bulk.random_bytes(pre_read)
-        twin.random_bytes(pre_read)
-        draws = lan.jitter_draws(bulk, 9)
-        assert draws == [
-            twin.expovariate(1.0 / lan.jitter_ms) for _ in range(9)
-        ]
-        assert bulk.random_bytes(32) == twin.random_bytes(32)
+        for n in (9, 38):
+            bulk, twin = DeterministicRNG("split"), DeterministicRNG("split")
+            bulk.random_bytes(pre_read)
+            twin.random_bytes(pre_read)
+            draws = lan.jitter_draws(bulk, n)
+            assert draws == [
+                twin.expovariate(1.0 / lan.jitter_ms) for _ in range(n)
+            ]
+            assert bulk.random_bytes(32) == twin.random_bytes(32)
 
     def test_fixed_plus_draw_is_one_way(self):
         lan = LANModel()

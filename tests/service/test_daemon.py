@@ -12,6 +12,7 @@ import pytest
 
 from repro.core.session import GeoProofSession
 from repro.crypto.rng import DeterministicRNG
+from repro.errors import ConfigurationError
 from repro.geo.coords import GeoPoint
 from repro.por.parameters import TEST_PARAMS
 from repro.service import (
@@ -19,10 +20,12 @@ from repro.service import (
     AuditDaemon,
     AuditServiceError,
     FrameParser,
+    ProviderRegistry,
     encode_frame,
     run_audit_client,
 )
 from repro.service.wire import AuditOrder, ErrorReply, decode_reply
+from repro.storage.contract import InMemoryStorage
 from tests.conftest import scalar_audit
 
 
@@ -376,8 +379,6 @@ class TestSoak:
         async def run():
             daemon = build_daemon(session)
             await daemon.start()
-            from repro.errors import ConfigurationError
-
             with pytest.raises(ConfigurationError):
                 await daemon.start()
             await daemon.stop()
@@ -385,3 +386,64 @@ class TestSoak:
             return leaked_tasks()
 
         assert asyncio.run(run()) == []
+
+
+class TestRegistryChains:
+    """The daemon resolves its registry's chains before it serves."""
+
+    @staticmethod
+    def registry_daemon(session, file_ids, *, add_fallback):
+        """A daemon over a RAM primary whose fallback may be missing."""
+        primary = InMemoryStorage("rack-a")
+        for file_id in file_ids:
+            primary.put_file(
+                session.provider.home_of(file_id).server.store.file_meta(
+                    file_id
+                )
+            )
+        registry = ProviderRegistry()
+        registry.add(primary, fallbacks=("rack-b",))
+        if add_fallback:
+            registry.add(InMemoryStorage("rack-b"))
+        return AuditDaemon(
+            tpa=session.tpa,
+            verifier=session.verifier,
+            provider=registry,
+            flush_batch=16,
+            flush_ms=2.0,
+        )
+
+    def test_missing_fallback_fails_start(self):
+        session, file_ids = build_session(n_files=1)
+
+        async def run():
+            daemon = self.registry_daemon(
+                session, file_ids, add_fallback=False
+            )
+            with pytest.raises(ConfigurationError, match="rack-b"):
+                await daemon.start()
+            # Neither the dispatch task nor the socket was created.
+            assert daemon._dispatch_task is None
+            assert daemon._server is None
+            assert daemon.port == 0
+            leaked = leaked_tasks()
+            await daemon.stop()  # nothing to stop
+            return leaked
+
+        assert asyncio.run(run()) == []
+
+    def test_fallback_added_before_start_serves(self):
+        session, file_ids = build_session(n_files=1)
+
+        async def run():
+            daemon = self.registry_daemon(
+                session, file_ids, add_fallback=True
+            )
+            await daemon.start()
+            try:
+                async with AuditClient("127.0.0.1", daemon.port) as client:
+                    return await client.audit(file_ids[0], k=4)
+            finally:
+                await daemon.stop()
+
+        assert asyncio.run(run()).accepted

@@ -22,11 +22,18 @@ FILE = b"file-a"
 
 
 class FakeClock:
-    def __init__(self) -> None:
+    """Counts its reads; with ``step`` each read moves it on by that much."""
+
+    def __init__(self, step: float = 0.0) -> None:
         self.now_ms = 0.0
+        self.step = step
+        self.reads = 0
 
     def __call__(self) -> float:
-        return self.now_ms
+        self.reads += 1
+        reading = self.now_ms
+        self.now_ms += self.step
+        return reading
 
 
 class ScriptedBackend(StorageProvider):
@@ -213,3 +220,61 @@ class TestAuditLoopCompatibility:
         registry, primary, _, _ = build_registry()
         registry.set_primary("fallback")
         assert registry.handle_request(FILE, 0).served_by == "fallback"
+
+
+class TestClockReads:
+    """Only the circuit reads ``now_fn``: failures and probes, never a
+    healthy serve.  A stepping clock tells the readings apart."""
+
+    @staticmethod
+    def solo(clock):
+        """One backend, no fallback: its circuit opens on one failure."""
+        registry = ProviderRegistry(
+            unhealthy_after=1, probe_delay_ms=500.0, now_fn=clock
+        )
+        backend = ScriptedBackend("solo")
+        registry.add(backend)
+        return registry, backend
+
+    def test_healthy_serve_reads_no_clock(self):
+        registry, _, _, clock = build_registry()
+        for _ in range(3):
+            assert registry.handle_request(FILE, 0).served_by == "primary"
+        assert clock.reads == 0
+
+    def test_failing_healthy_backend_reads_once(self):
+        clock = FakeClock(step=1.0)
+        clock.now_ms = 250.0
+        registry, backend = self.solo(clock)
+        backend.down = True
+        with pytest.raises(StorageUnavailableError):
+            registry.handle_request(FILE, 0)
+        assert clock.reads == 1
+        assert registry.status("solo").opened_at_ms == 250.0
+
+    def test_failed_probe_reopens_at_its_admission_reading(self):
+        clock = FakeClock(step=1.0)
+        registry, backend = self.solo(clock)
+        backend.down = True
+        with pytest.raises(StorageUnavailableError):
+            registry.handle_request(FILE, 0)  # opens at 0.0
+        clock.now_ms, clock.reads = 600.0, 0
+        with pytest.raises(StorageUnavailableError):
+            registry.handle_request(FILE, 0)  # the due probe fails
+        status = registry.status("solo")
+        assert clock.reads == 1
+        assert status.n_probes == 1
+        assert status.opened_at_ms == 600.0
+
+    def test_late_bound_fallback_serves_once_added(self):
+        registry = ProviderRegistry(unhealthy_after=1, now_fn=FakeClock())
+        primary = ScriptedBackend("primary")
+        registry.add(primary, fallbacks=("late",))
+        with pytest.raises(ConfigurationError, match="late"):
+            registry.handle_request(FILE, 0)
+        assert primary.requests == 0  # refused before any backend ran
+        registry.add(ScriptedBackend("late"))
+        assert registry.handle_request(FILE, 0).served_by == "primary"
+        primary.down = True
+        assert registry.handle_request(FILE, 0).served_by == "late"
+        assert registry.chain("primary") == ["primary", "late"]

@@ -1,16 +1,19 @@
 """Storage server: lookup timing and shared spindles."""
 
+import contextlib
+
 import pytest
 
 from repro.netsim.clock import SimClock
 from repro.netsim.resources import SpindleQueue
+from repro.por.file_format import EncodedFile, Segment
 from repro.por.parameters import TEST_PARAMS
 from repro.por.setup import setup_file
 from repro.storage.hdd import HDDModel, IBM_36Z15, WD_2500JD
 from repro.storage.server import StorageServer
 
 
-# Every test here pays a full POR setup in its fixtures: slow lane.
+# Most tests here pay a full POR setup in their fixtures: slow lane.
 pytestmark = pytest.mark.slow
 
 @pytest.fixture
@@ -54,6 +57,43 @@ class TestDeterministicLookup:
         assert spindle.n_requests == 5
         assert spindle.busy_ms == sum(elapsed) > 0
         assert spindle.wait_ms == 0.0
+
+
+class TestDiskTimePerSize:
+    """Each lookup pays the datasheet time of its own segment's size,
+    however often that size was served before."""
+
+    @staticmethod
+    def two_sizes(server):
+        """One file of 100-byte and one of 1000-byte payloads."""
+        for file_id, payload_bytes in ((b"small", 100), (b"large", 1000)):
+            segments = [
+                Segment(index=i, payload=bytes([i]) * payload_bytes, tag=b"tag")
+                for i in range(3)
+            ]
+            server.store.put_file(EncodedFile(
+                file_id, TEST_PARAMS, segments,
+                original_length=3 * payload_bytes, n_data_blocks=3,
+            ))
+
+    @pytest.mark.parametrize("bound", [False, True])
+    def test_each_size_pays_its_own_lookup_ms(self, bound):
+        spindle = SpindleQueue("s")
+        server = StorageServer(WD_2500JD, spindle=spindle)
+        self.two_sizes(server)
+        disk, clock = HDDModel(WD_2500JD), SimClock()
+        elapsed = {}
+        with server.timed_with(clock) if bound else contextlib.nullcontext():
+            for file_id in (b"small", b"large") * 3:
+                result = server.lookup(file_id, 1, "site")
+                assert result.elapsed_ms == disk.lookup_ms(
+                    result.segment.size_bytes
+                )
+                elapsed.setdefault(file_id, set()).add(result.elapsed_ms)
+                clock.advance(result.elapsed_ms)
+        assert len(elapsed[b"small"]) == len(elapsed[b"large"]) == 1
+        assert elapsed[b"small"] != elapsed[b"large"]
+        assert spindle.n_requests == (6 if bound else 0)
 
 
 class TestSharedSpindleMode:
