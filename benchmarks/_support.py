@@ -24,7 +24,7 @@ def build_replication_deployment(kept_copies: list[str]):
     (provider, replication_auditor) ready for ``audit_round``.
     """
     rng = DeterministicRNG(f"replication-bench-{'-'.join(kept_copies)}")
-    provider = CloudProvider("acme", rng=rng.fork("provider"))
+    provider = CloudProvider("acme")
     for name in REPLICA_SITES:
         provider.add_datacentre(DataCentre(name, city(name)))
     keys = PORKeys.derive(b"replication-bench-master-key")

@@ -16,9 +16,7 @@ honest replication, all three are witnessed.
 Replication is also a *scheduling* resource: the fleet engine places
 replicas with ``AuditFleet.register(..., replicas=N)`` so work-stealing
 lanes can run a saturated home lane's audits at a sibling replica site
-(see ``examples/fleet_audit.py``), and bridges back to this diversity
-check via ``AuditFleet.audit_replicas()``, whose round queues its
-lookups on the fleet's spindles like any audit batch.
+(see ``examples/fleet_audit.py``).
 
 Run:  python examples/replication_audit.py
 """
@@ -58,7 +56,7 @@ def audit_and_print(auditor, provider, label):
 
 def main() -> None:
     rng = DeterministicRNG("replication-example")
-    provider = CloudProvider("acme", rng=rng.fork("provider"))
+    provider = CloudProvider("acme")
     for name in SITES:
         provider.add_datacentre(DataCentre(name, city(name)))
 

@@ -96,10 +96,8 @@ from repro.fleet import (
 from repro.geo.coords import GeoPoint, haversine_km
 from repro.geo.datasets import city
 from repro.geo.regions import (
-    BoundingBox,
     CircularRegion,
     PolygonRegion,
-    UnionRegion,
 )
 from repro.por.parameters import PORParams
 from repro.por.setup import PORKeys, extract_file, setup_file
@@ -158,9 +156,7 @@ __all__ = [
     "haversine_km",
     "city",
     "CircularRegion",
-    "BoundingBox",
     "PolygonRegion",
-    "UnionRegion",
     # utilities
     "DeterministicRNG",
     "ReproError",

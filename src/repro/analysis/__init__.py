@@ -1,6 +1,6 @@
 """Analysis and reporting utilities.
 
-* :mod:`repro.analysis.reporting` -- ASCII table/series renderers the
+* :mod:`repro.analysis.reporting` -- ASCII table renderer the
   benchmarks use to print paper-style tables.
 * :mod:`repro.analysis.security` -- aggregated security analysis of a
   GeoProof deployment (Section V-C's integrity + distance arguments in
@@ -10,7 +10,7 @@
   between benches, tests and examples.
 """
 
-from repro.analysis.reporting import format_series, format_table
+from repro.analysis.reporting import format_table
 from repro.analysis.scheduling import (
     AuditSchedule,
     audits_until_detection,
@@ -21,7 +21,6 @@ from repro.analysis.security import SecurityReport, analyse_deployment
 
 __all__ = [
     "format_table",
-    "format_series",
     "SecurityReport",
     "analyse_deployment",
     "AuditSchedule",

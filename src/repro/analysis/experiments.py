@@ -22,7 +22,7 @@ from repro.geo.datasets import (
     QUT_LAN_MACHINES,
 )
 from repro.netsim.latency import InternetModel, LANModel
-from repro.por.parameters import PORParams, TEST_PARAMS
+from repro.por.parameters import TEST_PARAMS
 from repro.storage.hdd import DISK_CATALOGUE, HDDModel, IBM_36Z15
 
 
@@ -77,12 +77,8 @@ class Table2Row:
     under_1ms: bool
 
 
-def table2_lan_latency(
-    *,
-    seed: str = "table2",
-    payload_bytes: int = 64,
-) -> list[Table2Row]:
-    """Simulate the Table II ping experiment.
+def table2_lan_latency(*, seed: str = "table2") -> list[Table2Row]:
+    """Simulate the Table II ping experiment (64-byte payloads).
 
     Far placements (45 km) traverse more switches, as inter-campus
     links do; every placement must still come in under 1 ms.
@@ -95,7 +91,7 @@ def table2_lan_latency(
         )
         lan = LANModel(n_switches=n_switches)
         rtt_ms = lan.rtt_ms(
-            placement.distance_km, payload_bytes, rng.fork(f"m{placement.machine}")
+            placement.distance_km, 64, rng.fork(f"m{placement.machine}")
         )
         rows.append(
             Table2Row(
@@ -125,15 +121,14 @@ class Table3Row:
     model_latency_ms: float
 
 
-def table3_internet_latency(*, seed: str | None = None) -> list[Table3Row]:
+def table3_internet_latency() -> list[Table3Row]:
     """Reproduce Table III with the calibrated Internet model.
 
-    ``seed=None`` (default) uses the deterministic mean model; a seed
-    adds sampling jitter.  Distances use haversine, which tracks the
-    paper's "Google Maps Distance Calculator" figures.
+    The model's deterministic mean, without sampling jitter.  Distances
+    use haversine, which tracks the paper's "Google Maps Distance
+    Calculator" figures.
     """
     model = InternetModel()
-    rng = DeterministicRNG(seed) if seed is not None else None
     rows = []
     for host in AUSTRALIA_HOSTS:
         distance_km = haversine_km(BRISBANE_ADSL_HOST, host.location)
@@ -141,9 +136,7 @@ def table3_internet_latency(*, seed: str | None = None) -> list[Table3Row]:
         # (8 / 12 km) reflect road distance; use them for the model too
         # so the comparison is apples-to-apples.
         model_distance_km = max(distance_km, host.paper_distance_km)
-        rtt_ms = model.rtt_ms(
-            model_distance_km, rng=rng.fork(host.url) if rng else None
-        )
+        rtt_ms = model.rtt_ms(model_distance_km)
         rows.append(
             Table3Row(
                 url=host.url,
@@ -192,7 +185,6 @@ class RelaySweepRow:
 def fig6_relay_sweep(
     distances_km: list[float] | None = None,
     *,
-    params: PORParams | None = None,
     file_bytes: int = 20_000,
     k: int = 15,
     seed: str = "fig6",
@@ -204,14 +196,13 @@ def fig6_relay_sweep(
     relay bound; the bench prints the crossover next to the paper's
     360 km figure.
     """
-    params = params or TEST_PARAMS
     distances = distances_km or [0.0, 50.0, 100.0, 200.0, 360.0, 500.0, 1000.0, 3000.0]
     rows = []
     data = DeterministicRNG(seed).random_bytes(file_bytes)
     for distance in distances:
         session = GeoProofSession.build(
             datacentre_location=GeoPoint(-27.47, 153.02),
-            params=params,
+            params=TEST_PARAMS,
             seed=f"{seed}-{distance}",
         )
         session.outsource(b"file", data)

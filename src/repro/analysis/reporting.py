@@ -1,6 +1,6 @@
-"""ASCII renderers for paper-style tables and series.
+"""ASCII renderer for paper-style tables.
 
-Benches print the same rows the paper reports; these helpers keep the
+Benches print the same rows the paper reports; the helper keeps the
 formatting consistent (fixed-width columns, aligned decimals) without
 pulling in a dependency.
 """
@@ -54,39 +54,3 @@ def format_table(
     for row in cells:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def format_series(
-    x_label: str,
-    y_label: str,
-    points: Sequence[tuple[object, object]],
-    *,
-    title: str = "",
-    decimals: int = 3,
-) -> str:
-    """Render an (x, y) series as a two-column table."""
-    return format_table(
-        [x_label, y_label],
-        [[x, y] for x, y in points],
-        title=title,
-        decimals=decimals,
-    )
-
-
-def format_comparison(
-    label: str,
-    paper_value: float,
-    measured_value: float,
-    *,
-    unit: str = "",
-    decimals: int = 3,
-) -> str:
-    """One paper-vs-measured line for EXPERIMENTS.md-style records."""
-    delta = measured_value - paper_value
-    relative = (delta / paper_value * 100.0) if paper_value else float("nan")
-    suffix = f" {unit}" if unit else ""
-    return (
-        f"{label}: paper {paper_value:.{decimals}f}{suffix}, "
-        f"measured {measured_value:.{decimals}f}{suffix} "
-        f"({relative:+.1f}%)"
-    )

@@ -80,17 +80,14 @@ def plan_schedule(
     epsilon: float,
     k_rounds: int,
     interval_hours: float,
-    confidence: float = 0.99,
-    round_cost_ms: float = 16.1,
 ) -> AuditSchedule:
     """Build the schedule card for given audit parameters.
 
-    ``epsilon`` is the corruption fraction the deployment must catch;
-    ``round_cost_ms`` defaults to the paper's Delta-t_max.
+    ``epsilon`` is the corruption fraction the deployment must catch at
+    99 % confidence; each round costs the paper's Delta-t_max, 16.1 ms.
     """
     check_probability("epsilon", epsilon)
     check_positive("interval_hours", interval_hours)
-    check_positive("round_cost_ms", round_cost_ms)
     if k_rounds <= 0:
         raise ConfigurationError(f"k_rounds must be positive, got {k_rounds}")
     per_audit = detection_probability_binomial(epsilon, k_rounds)
@@ -98,14 +95,14 @@ def plan_schedule(
         raise ConfigurationError(
             "zero detection probability: epsilon or k_rounds too small"
         )
-    n_audits = audits_until_detection(per_audit, confidence)
+    n_audits = audits_until_detection(per_audit, 0.99)
     return AuditSchedule(
         k_rounds=k_rounds,
         interval_hours=interval_hours,
         per_audit_detection=per_audit,
         audits_to_confidence=n_audits,
         hours_to_confidence=n_audits * interval_hours,
-        round_cost_ms=round_cost_ms,
+        round_cost_ms=16.1,
     )
 
 
@@ -114,26 +111,19 @@ def cheapest_schedule(
     epsilon: float,
     interval_hours: float,
     max_detection_latency_hours: float,
-    confidence: float = 0.99,
-    round_cost_ms: float = 16.1,
-    k_candidates: list[int] | None = None,
 ) -> AuditSchedule:
     """The smallest k whose schedule meets the detection deadline.
 
     Sweeps candidate round counts and returns the first (cheapest)
-    schedule whose ``hours_to_confidence`` fits inside the allowed
-    detection latency.  Raises if none fits -- the caller must then
-    audit more often or accept a longer exposure window.
+    schedule, at 99 % confidence and the paper's round cost, whose
+    ``hours_to_confidence`` fits inside the allowed detection latency.
+    Raises if none fits -- the caller must then audit more often or
+    accept a longer exposure window.
     """
     check_positive("max_detection_latency_hours", max_detection_latency_hours)
-    candidates = k_candidates or [5, 10, 25, 50, 100, 250, 500, 1000]
-    for k in sorted(candidates):
+    for k in (5, 10, 25, 50, 100, 250, 500, 1000):
         schedule = plan_schedule(
-            epsilon=epsilon,
-            k_rounds=k,
-            interval_hours=interval_hours,
-            confidence=confidence,
-            round_cost_ms=round_cost_ms,
+            epsilon=epsilon, k_rounds=k, interval_hours=interval_hours
         )
         if schedule.hours_to_confidence <= max_detection_latency_hours:
             return schedule

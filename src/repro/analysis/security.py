@@ -26,7 +26,6 @@ from repro.por.analysis import (
     file_irretrievability_probability,
 )
 from repro.por.parameters import PORParams
-from repro.storage.hdd import HDDSpec, IBM_36Z15
 from repro.util.bitops import ceil_div
 from repro.util.validation import check_probability
 
@@ -77,7 +76,6 @@ def analyse_deployment(
     params: PORParams | None = None,
     corruption_fraction: float = 0.005,
     k_rounds: int | None = None,
-    adversary_disk: HDDSpec = IBM_36Z15,
 ) -> SecurityReport:
     """Build a :class:`SecurityReport` for a deployment's parameters."""
     params = params or PORParams()
@@ -100,9 +98,7 @@ def analyse_deployment(
         n_chunks, params.ecc_total_blocks, radius_blocks, corruption_fraction
     )
     segment_bytes = params.segment_bytes + params.tag_bytes
-    relay_bound = relay_distance_bound_km(
-        sla.rtt_max_ms, adversary_disk=adversary_disk, segment_bytes=segment_bytes
-    )
+    relay_bound = relay_distance_bound_km(sla.rtt_max_ms, segment_bytes=segment_bytes)
     return SecurityReport(
         n_segments=n_segments,
         k_rounds=k,

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from repro.cloud.provider import CloudProvider
 from repro.crypto.rng import DeterministicRNG
-from repro.errors import ConfigurationError
 from repro.geo.coords import haversine_km
 from repro.por.file_format import Segment
 from repro.storage.cache import LRUCache
@@ -40,26 +39,16 @@ class RelayAttack:
         The local site the verifier believes it is talking to (P).
     remote_name:
         Where the data actually lives (P~).
-    forwarding_overhead_ms:
-        Local processing to turn around each forwarded request.
+
+    Each forwarded request also pays ``forwarding_overhead_ms`` of local
+    processing to turn it around.
     """
 
-    def __init__(
-        self,
-        front_name: str,
-        remote_name: str,
-        *,
-        forwarding_overhead_ms: float = 0.05,
-        rng: DeterministicRNG | None = None,
-    ) -> None:
-        if forwarding_overhead_ms < 0:
-            raise ConfigurationError(
-                f"forwarding overhead must be >= 0, got {forwarding_overhead_ms}"
-            )
+    forwarding_overhead_ms = 0.05
+
+    def __init__(self, front_name: str, remote_name: str) -> None:
         self.front_name = front_name
         self.remote_name = remote_name
-        self.forwarding_overhead_ms = forwarding_overhead_ms
-        self._rng = rng
         #: Wire bytes moved remote -> front by forwarded requests.  The
         #: relay's Internet traffic is part of the attack's *cost* (the
         #: economics engine prices it via a CostModel), so it is
@@ -73,7 +62,7 @@ class RelayAttack:
         front = provider.datacentre(self.front_name)
         remote = provider.datacentre(self.remote_name)
         distance_km = haversine_km(front.location, remote.location)
-        flight_ms = provider.internet.rtt_ms(distance_km, rng=self._rng)
+        flight_ms = provider.internet.rtt_ms(distance_km)
         remote_result = remote.lookup(file_id, index)
         self.relayed_bytes += len(remote_result.segment.wire_bytes())
         return ServeResult(
@@ -83,6 +72,10 @@ class RelayAttack:
             + remote_result.elapsed_ms,
             served_by=f"{self.front_name}->{self.remote_name}",
         )
+
+
+#: Serving one segment from the front site's RAM cache.
+_CACHE_HIT_MS = 0.1
 
 
 class PrefetchRelayAttack(RelayAttack):
@@ -103,18 +96,9 @@ class PrefetchRelayAttack(RelayAttack):
         remote_name: str,
         *,
         cache_bytes: int,
-        forwarding_overhead_ms: float = 0.05,
-        cache_hit_ms: float = 0.1,
-        rng: DeterministicRNG | None = None,
     ) -> None:
-        super().__init__(
-            front_name,
-            remote_name,
-            forwarding_overhead_ms=forwarding_overhead_ms,
-            rng=rng,
-        )
+        super().__init__(front_name, remote_name)
         self.cache = LRUCache(cache_bytes)
-        self.cache_hit_ms = cache_hit_ms
         #: Wire bytes pulled remote -> front by :meth:`prewarm`.
         self.prewarmed_bytes = 0
         #: Accumulated prewarm bandwidth spend (0 until a cost model
@@ -156,26 +140,6 @@ class PrefetchRelayAttack(RelayAttack):
             self.prewarm_cost_usd += cost_model.bandwidth_usd(moved)
         return warmed
 
-    def cache_stats(self) -> dict:
-        """The front cache's observable state, for economics reporting.
-
-        Hit/miss counters span everything the cache served (audit
-        rounds and prewarm refreshes alike); ``hit_rate`` is what the
-        closed-form model in :mod:`repro.economics.cache_model` must
-        track.
-        """
-        return {
-            "capacity_bytes": self.cache.capacity_bytes,
-            "used_bytes": self.cache.used_bytes,
-            "n_entries": self.cache.n_entries,
-            "hits": self.cache.hits,
-            "misses": self.cache.misses,
-            "hit_rate": self.cache.hit_rate,
-            "prewarmed_bytes": self.prewarmed_bytes,
-            "relayed_bytes": self.relayed_bytes,
-            "prewarm_cost_usd": self.prewarm_cost_usd,
-        }
-
     def handle_request(
         self, provider: CloudProvider, file_id: bytes, index: int
     ) -> ServeResult:
@@ -185,7 +149,7 @@ class PrefetchRelayAttack(RelayAttack):
             segment = Segment.from_wire(cached)[0]
             return ServeResult(
                 segment=segment,
-                elapsed_ms=self.forwarding_overhead_ms + self.cache_hit_ms,
+                elapsed_ms=self.forwarding_overhead_ms + _CACHE_HIT_MS,
                 served_by=f"{self.front_name} (cache)",
             )
         result = super().handle_request(provider, file_id, index)
@@ -215,19 +179,13 @@ class PartialRelocationAttack:
         remote_name: str,
         local_fraction: float,
         rng: DeterministicRNG,
-        *,
-        forwarding_overhead_ms: float = 0.05,
     ) -> None:
         check_probability("local_fraction", local_fraction)
         self.front_name = front_name
         self.remote_name = remote_name
         self.local_fraction = local_fraction
         self._rng = rng
-        self._relay = RelayAttack(
-            front_name,
-            remote_name,
-            forwarding_overhead_ms=forwarding_overhead_ms,
-        )
+        self._relay = RelayAttack(front_name, remote_name)
         self._local_sets: dict[bytes, set[int]] = {}
 
     def local_indices(self, provider: CloudProvider, file_id: bytes) -> set[int]:

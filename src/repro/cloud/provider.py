@@ -20,9 +20,8 @@ own :meth:`CloudProvider.handle_request` is the audit loop's entry.
 
 from __future__ import annotations
 
-from repro.crypto.rng import DeterministicRNG
 from repro.errors import BlockNotFoundError, ConfigurationError
-from repro.geo.coords import GeoPoint, haversine_km
+from repro.geo.coords import GeoPoint
 from repro.netsim.latency import InternetModel
 from repro.por.file_format import EncodedFile
 from repro.storage.contract import ServeResult, SimulatedHDDStorage
@@ -70,16 +69,9 @@ class CloudProvider:
     the file lives.  ``set_strategy`` installs adversarial behaviour.
     """
 
-    def __init__(
-        self,
-        name: str,
-        *,
-        internet: InternetModel | None = None,
-        rng: DeterministicRNG | None = None,
-    ) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.internet = internet or InternetModel()
-        self._rng = rng
+        self.internet = InternetModel()
         self._datacentres: dict[str, DataCentre] = {}
         self._home: dict[bytes, str] = {}
         self._strategy = None  # None = honest
@@ -191,8 +183,3 @@ class CloudProvider:
         if self._strategy is not None:
             return self._strategy.handle_request(self, file_id, index)
         return self.home_of(file_id).lookup(file_id, index)
-
-    def internet_rtt_ms(self, a: DataCentre, b: DataCentre) -> float:
-        """Provider-internal Internet RTT between two sites."""
-        distance_km = haversine_km(a.location, b.location)
-        return self.internet.rtt_ms(distance_km, rng=self._rng)

@@ -57,11 +57,6 @@ class ReplicationVerdict:
     distinct_replicas: int
     insufficient_separation: list[tuple[str, str]] = field(default_factory=list)
 
-    @property
-    def all_sites_ok(self) -> bool:
-        """Every contracted site passed its audit."""
-        return len(self.accepted_sites) == len(self.outcomes)
-
     def meets(self, required_replicas: int) -> bool:
         """Does the round witness at least this many distinct replicas?"""
         return self.distinct_replicas >= required_replicas

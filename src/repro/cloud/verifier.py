@@ -193,11 +193,7 @@ class VerifierDevice:
         return rng.sample_indices(request.n_segments, request.k)
 
     def run_audit(
-        self,
-        request: AuditRequest,
-        provider: CloudProvider,
-        *,
-        clock: SimClock | None = None,
+        self, request: AuditRequest, provider: CloudProvider
     ) -> SignedTranscript:
         """Run the timed phase and return the signed transcript R.
 
@@ -207,14 +203,8 @@ class VerifierDevice:
         segment (disk and/or relay time), the response crosses the LAN
         back; ``Delta-t_j`` is the whole round trip as seen by the
         device clock.
-
-        ``clock`` injects the clock the timed rounds run on.  It
-        defaults to the device's own clock (the single-session shape);
-        the fleet's event engine passes the per-datacentre lane clock
-        instead, so one site's disk time never advances another
-        site's timeline.
         """
-        clock = clock if clock is not None else self.clock
+        clock = self.clock
         # Fork on the request nonce: every audit must draw a fresh,
         # unpredictable challenge set (a fixed set would let the
         # provider prefetch exactly the challenged segments).

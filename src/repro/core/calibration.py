@@ -54,43 +54,30 @@ class TimingBudget:
 
 
 def calibrate_rtt_max(
-    disk: HDDSpec = WD_2500JD,
-    *,
-    segment_bytes: int = 512,
-    lan_rtt_ms: float = 3.0,
-    margin_ms: float = 0.0,
+    disk: HDDSpec = WD_2500JD, *, margin_ms: float = 0.0
 ) -> TimingBudget:
     """Build the timing budget from contract-time measurements.
 
-    Defaults reproduce the paper: WD 2500JD at 512-byte reads and a
-    3 ms LAN budget -> Delta-t_max = 16.1055 ms ("must be less than
+    The paper's 512-byte reads and 3 ms LAN budget; the default disk
+    reproduces its Delta-t_max = 16.1055 ms ("must be less than
     Delta-t_max ~= 16 ms").
     """
-    check_positive("lan_rtt_ms", lan_rtt_ms)
     check_positive("margin_ms", margin_ms, strict=False)
-    if segment_bytes <= 0:
-        raise ConfigurationError(
-            f"segment_bytes must be positive, got {segment_bytes}"
-        )
-    lookup = HDDModel(disk).lookup_ms(segment_bytes)
-    return TimingBudget(
-        lan_rtt_ms=lan_rtt_ms, lookup_ms=lookup, margin_ms=margin_ms
-    )
+    lookup = HDDModel(disk).lookup_ms(512)
+    return TimingBudget(lan_rtt_ms=3.0, lookup_ms=lookup, margin_ms=margin_ms)
 
 
 def relay_distance_bound_km(
     rtt_max_ms: float | None = None,
     *,
-    adversary_disk: HDDSpec = IBM_36Z15,
     segment_bytes: int = 512,
-    internet_speed_km_per_ms: float = INTERNET_SPEED_KM_PER_MS,
     paper_convention: bool = False,
 ) -> float:
     """Maximum distance a relaying adversary can hide.
 
     With ``paper_convention=False`` (default, the tight accounting):
-    the adversary pays its own disk time, so flight slack is
-    ``rtt_max - lookup(adversary_disk)`` and
+    the adversary pays its own disk time on the paper's fast IBM 36Z15,
+    so flight slack is ``rtt_max - lookup(IBM 36Z15)`` and
 
         d = internet_speed * slack / 2.
 
@@ -99,9 +86,9 @@ def relay_distance_bound_km(
     flight budget -- 4/9 * 300 km/ms * 5.406 ms / 2 = 360.4 km.
     (``rtt_max_ms`` is ignored in that mode, as in the paper.)
     """
-    lookup = HDDModel(adversary_disk).lookup_ms(segment_bytes)
+    lookup = HDDModel(IBM_36Z15).lookup_ms(segment_bytes)
     if paper_convention:
-        return internet_speed_km_per_ms * lookup / 2.0
+        return INTERNET_SPEED_KM_PER_MS * lookup / 2.0
     if rtt_max_ms is None:
         raise ConfigurationError(
             "rtt_max_ms is required unless paper_convention=True"
@@ -109,7 +96,7 @@ def relay_distance_bound_km(
     if rtt_max_ms < 0:
         raise ConfigurationError(f"rtt_max must be >= 0, got {rtt_max_ms}")
     slack = max(0.0, rtt_max_ms - lookup)
-    return internet_speed_km_per_ms * slack / 2.0
+    return INTERNET_SPEED_KM_PER_MS * slack / 2.0
 
 
 def margin_headroom_km(

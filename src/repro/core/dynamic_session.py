@@ -145,14 +145,12 @@ def dynamic_rtt_budget(
     disk: HDDSpec = WD_2500JD,
     lan: LANModel | None = None,
     lan_distance_km: float = 0.05,
-    lan_rtt_budget_ms: float = 3.0,
-    margin_ms: float = 0.0,
 ) -> TimingBudget:
     """Calibrate Delta-t_max for dynamic rounds.
 
     Unlike the static scheme, the response payload includes a Merkle
     path of ~32 bytes per tree level, so the serialisation term scales
-    with log2(n_blocks).
+    with log2(n_blocks).  The LAN budget is the paper's 3 ms.
     """
     if n_blocks <= 0:
         raise ConfigurationError(f"n_blocks must be positive, got {n_blocks}")
@@ -164,9 +162,9 @@ def dynamic_rtt_budget(
         lan_distance_km, 0
     )
     return TimingBudget(
-        lan_rtt_ms=lan_rtt_budget_ms + serialisation,
+        lan_rtt_ms=3.0 + serialisation,
         lookup_ms=lookup,
-        margin_ms=margin_ms,
+        margin_ms=0.0,
     )
 
 
@@ -179,7 +177,6 @@ class DynamicGeoProofSession:
         datacentre_location: GeoPoint,
         region: Region,
         block_bytes: int = 4096,
-        disk: HDDSpec = WD_2500JD,
         seed: str = "dynamic-geoproof",
     ) -> None:
         if block_bytes <= 0:
@@ -189,7 +186,7 @@ class DynamicGeoProofSession:
         self.location = datacentre_location
         self.region = region
         self.block_bytes = block_bytes
-        self.disk = HDDModel(disk)
+        self.disk = HDDModel(WD_2500JD)
         self.clock = SimClock()
         self.lan = LANModel()
         self.lan_distance_km = 0.05
@@ -242,7 +239,7 @@ class DynamicGeoProofSession:
         if self.client is None or self.server is None:
             raise ConfigurationError("outsource() must run first")
 
-    def rtt_budget(self, *, margin_ms: float = 0.0) -> TimingBudget:
+    def rtt_budget(self) -> TimingBudget:
         """The calibrated per-round budget for the current file."""
         self._require_file()
         return dynamic_rtt_budget(
@@ -251,10 +248,9 @@ class DynamicGeoProofSession:
             disk=self.disk.spec,
             lan=self.lan,
             lan_distance_km=self.lan_distance_km,
-            margin_ms=margin_ms,
         )
 
-    def run_audit(self, k: int, *, margin_ms: float = 0.0) -> tuple[DynamicTranscript, DynamicVerdict]:
+    def run_audit(self, k: int) -> tuple[DynamicTranscript, DynamicVerdict]:
         """One full dynamic GeoProof audit: timed rounds + verification."""
         self._require_file()
         nonce = self._nonce_rng.random_bytes(16)
@@ -304,11 +300,11 @@ class DynamicGeoProofSession:
             position=transcript.position,
             signature=signature,
         )
-        verdict = self.verify(transcript, margin_ms=margin_ms)
+        verdict = self.verify(transcript)
         return transcript, verdict
 
     def verify(
-        self, transcript: DynamicTranscript, *, margin_ms: float = 0.0
+        self, transcript: DynamicTranscript
     ) -> DynamicVerdict:
         """The TPA's four checks over a dynamic transcript."""
         self._require_file()
@@ -324,7 +320,7 @@ class DynamicGeoProofSession:
             if not self.client.verify(round_.proof)
             or round_.proof.index != round_.index
         )
-        budget = self.rtt_budget(margin_ms=margin_ms)
+        budget = self.rtt_budget()
         max_rtt_ms = transcript.max_rtt_ms
         timing_ok = max_rtt_ms <= budget.rtt_max_ms
         proofs_ok = not bad

@@ -188,10 +188,16 @@ class SignedTranscript:
 
     @property
     def max_rtt_ms(self) -> float:
-        """The paper's Delta-t' = max_j Delta-t_j."""
+        """The paper's Delta-t' = max_j Delta-t_j; NaN if any round is NaN.
+
+        ``max()`` alone would keep a finite first round over a later
+        NaN, and a NaN compares below every budget.
+        """
         if not self.rounds:
             raise ConfigurationError("transcript has no rounds")
-        return max(round_.rtt_ms for round_ in self.rounds)
+        rtts = [round_.rtt_ms for round_ in self.rounds]
+        total = sum(rtts)
+        return max(rtts) if total == total else total
 
     @property
     def mean_rtt_ms(self) -> float:

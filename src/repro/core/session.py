@@ -155,7 +155,7 @@ class GeoProofSession:
             segment_bytes=params.segment_bytes + params.tag_bytes,
             min_rounds=min_rounds,
         )
-        provider = CloudProvider("provider", rng=rng.fork("provider"))
+        provider = CloudProvider("provider")
         provider.add_datacentre(DataCentre("home", datacentre_location))
         verifier = VerifierDevice(
             b"verifier-1",

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.crypto.rng import DeterministicRNG
 from repro.errors import ConfigurationError
 from repro.geo.coords import GeoPoint, haversine_km
 from repro.netsim.latency import InternetModel, INTERNET_SPEED_KM_PER_MS
@@ -55,11 +54,6 @@ class TriangulationResult:
     violated_landmarks: tuple[str, ...]
     max_excess_km: float
 
-    @property
-    def n_landmarks(self) -> int:
-        """Number of landmarks that measured the device."""
-        return len(self.observations)
-
 
 class LandmarkTriangulator:
     """Trusted landmarks that bound the verifier's position by RTT.
@@ -68,36 +62,23 @@ class LandmarkTriangulator:
     ----------
     landmarks:
         Known positions of the trusted auditor hosts.
-    internet:
-        Latency model for landmark -> verifier paths.
-    overhead_ms:
-        RTT spent on non-propagation costs (access links, stacks);
-        subtracted before converting to distance.  *Under*-estimating
-        it only loosens bounds (safe); over-estimating could produce
-        false spoofing alarms, so the default is conservative.
+
+    Landmark -> verifier paths follow the calibrated Internet model.
+    ``overhead_ms`` is the RTT spent on non-propagation costs (access
+    links, stacks), subtracted before converting to distance: the
+    model's distance-independent floor.  *Under*-estimating it only
+    loosens bounds (safe); over-estimating could produce false
+    spoofing alarms.
     """
 
-    def __init__(
-        self,
-        landmarks: dict[str, GeoPoint],
-        *,
-        internet: InternetModel | None = None,
-        overhead_ms: float | None = None,
-    ) -> None:
+    def __init__(self, landmarks: dict[str, GeoPoint]) -> None:
         if len(landmarks) < 2:
             raise ConfigurationError(
                 f"triangulation needs >= 2 landmarks, got {len(landmarks)}"
             )
         self.landmarks = dict(landmarks)
-        self.internet = internet or InternetModel()
-        # Default overhead: the model's distance-independent floor.
-        self.overhead_ms = (
-            overhead_ms if overhead_ms is not None else self.internet.base_rtt_ms
-        )
-        if self.overhead_ms < 0:
-            raise ConfigurationError(
-                f"overhead must be >= 0, got {self.overhead_ms}"
-            )
+        self.internet = InternetModel()
+        self.overhead_ms = self.internet.base_rtt_ms
 
     def rtt_to_bound_km(self, rtt_ms: float) -> float:
         """Convert an observed RTT into a one-sided distance bound."""
@@ -111,7 +92,6 @@ class LandmarkTriangulator:
         true_position: GeoPoint,
         *,
         adversary_added_delay_ms: float = 0.0,
-        rng: DeterministicRNG | None = None,
     ) -> list[LandmarkObservation]:
         """Ping the device from every landmark.
 
@@ -125,10 +105,7 @@ class LandmarkTriangulator:
         observations = []
         for name, landmark in self.landmarks.items():
             distance_km = haversine_km(landmark, true_position)
-            rtt_ms = (
-                self.internet.rtt_ms(distance_km, rng=rng)
-                + adversary_added_delay_ms
-            )
+            rtt_ms = self.internet.rtt_ms(distance_km) + adversary_added_delay_ms
             observations.append(
                 LandmarkObservation(
                     landmark=landmark,
@@ -168,13 +145,10 @@ class LandmarkTriangulator:
         true_position: GeoPoint,
         *,
         adversary_added_delay_ms: float = 0.0,
-        rng: DeterministicRNG | None = None,
     ) -> TriangulationResult:
         """Measure and check in one step (the TPA's workflow)."""
         observations = self.measure(
-            true_position,
-            adversary_added_delay_ms=adversary_added_delay_ms,
-            rng=rng,
+            true_position, adversary_added_delay_ms=adversary_added_delay_ms
         )
         return self.check_claim(claimed_position, observations)
 
@@ -182,26 +156,22 @@ class LandmarkTriangulator:
 def spoof_detection_radius_km(
     triangulator: LandmarkTriangulator,
     true_position: GeoPoint,
-    *,
-    bearing_deg: float = 90.0,
-    max_km: float = 20_000.0,
-    step_km: float = 50.0,
 ) -> float:
-    """Smallest spoof displacement (along a bearing) that gets caught.
+    """Smallest spoof displacement (due east) that gets caught.
 
-    Sweeps fake positions increasingly far from the true one and
-    returns the first displacement the landmark bounds reject --
-    the effective spoofing headroom the adversary retains despite
-    triangulation (bounded by the landmarks' geometric spread and the
-    overhead slack).
+    Sweeps fake positions in 50 km steps out to 20 000 km from the
+    true one and returns the first displacement the landmark bounds
+    reject -- the effective spoofing headroom the adversary retains
+    despite triangulation (bounded by the landmarks' geometric spread
+    and the overhead slack).
     """
     from repro.geo.coords import destination_point
 
     observations = triangulator.measure(true_position)
-    displacement = step_km
-    while displacement <= max_km:
-        fake = destination_point(true_position, bearing_deg, displacement)
+    displacement = 50.0
+    while displacement <= 20_000.0:
+        fake = destination_point(true_position, 90.0, displacement)
         if not triangulator.check_claim(fake, observations).consistent:
             return displacement
-        displacement += step_km
+        displacement += 50.0
     return float("inf")

@@ -43,7 +43,7 @@ import math
 from repro.core.messages import AuditRequest, SignedTranscript, batch_root_message
 from repro.crypto.mac import mac_verify, mac_verify_many
 from repro.crypto.schnorr import SchnorrPublicKey, schnorr_verify, schnorr_verify_many
-from repro.errors import ProtocolError, VerificationError
+from repro.errors import ProtocolError
 from repro.por.merkle import MerkleTree
 from repro.util.serialization import (
     decode_float,
@@ -232,9 +232,11 @@ def verify_transcript(
             bad_macs.append(round_.index)
     macs_ok = not bad_macs
 
-    # Step 4: max round time within the calibrated budget.
+    # Step 4: max round time within the calibrated budget, and finite.
     max_rtt_ms_observed = transcript.max_rtt_ms
-    timing_ok = max_rtt_ms_observed <= rtt_max_ms
+    timing_ok = (
+        math.isfinite(max_rtt_ms_observed) and max_rtt_ms_observed <= rtt_max_ms
+    )
 
     return GeoProofVerdict(
         accepted=signature_ok
@@ -378,7 +380,10 @@ def verify_transcripts(
             if not tag_ok
         ]
         max_rtt_ms_observed = transcript.max_rtt_ms
-        timing_ok = max_rtt_ms_observed <= job.rtt_max_ms
+        timing_ok = (
+            math.isfinite(max_rtt_ms_observed)
+            and max_rtt_ms_observed <= job.rtt_max_ms
+        )
         signature_ok = signature_oks[position]
         macs_ok = not bad_macs
         out.append(
@@ -399,12 +404,3 @@ def verify_transcripts(
             )
         )
     return out
-
-
-def require_accepted(verdict: GeoProofVerdict) -> None:
-    """Raise :class:`VerificationError` naming the failed checks."""
-    if not verdict.accepted:
-        raise VerificationError(
-            f"GeoProof audit rejected: {', '.join(verdict.failure_reasons)}",
-            reason=verdict.failure_reasons[0] if verdict.failure_reasons else "unknown",
-        )

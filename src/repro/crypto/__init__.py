@@ -27,7 +27,7 @@ scratch on top of :mod:`hashlib`'s SHA-256:
 from repro.crypto.aes import AES, aes_ctr_decrypt, aes_ctr_encrypt
 from repro.crypto.kdf import hkdf, hkdf_expand, hkdf_extract
 from repro.crypto.mac import mac_tag, mac_tag_many, mac_verify, mac_verify_many
-from repro.crypto.prf import prf, prf_int, prf_many, prf_stream
+from repro.crypto.prf import prf, prf_many, prf_stream
 from repro.crypto.prp import BlockPermutation, FeistelPRP
 from repro.crypto.rng import DeterministicRNG
 from repro.crypto.schnorr import (
@@ -52,7 +52,6 @@ __all__ = [
     "mac_verify",
     "mac_verify_many",
     "prf",
-    "prf_int",
     "prf_many",
     "prf_stream",
     "FeistelPRP",

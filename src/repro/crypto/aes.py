@@ -53,7 +53,7 @@ def _gf_mul(a: int, b: int) -> int:
     return result
 
 
-def _build_sbox() -> tuple[bytes, bytes]:
+def _build_sbox() -> bytes:
     # Multiplicative inverses via exponentiation: a^254 = a^(-1) in GF(2^8).
     def inv(a: int) -> int:
         if a == 0:
@@ -74,22 +74,15 @@ def _build_sbox() -> tuple[bytes, bytes]:
             x = ((x << 1) | (x >> 7)) & 0xFF
             y ^= x
         sbox[value] = y ^ 0x63
-    inv_sbox = bytearray(256)
-    for i, s in enumerate(sbox):
-        inv_sbox[s] = i
-    return bytes(sbox), bytes(inv_sbox)
+    return bytes(sbox)
 
 
-_SBOX, _INV_SBOX = _build_sbox()
+_SBOX = _build_sbox()
 _RCON = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36, 0x6C, 0xD8, 0xAB, 0x4D]
 
-# Precomputed multiplication tables for MixColumns / InvMixColumns.
+# Precomputed multiplication tables for MixColumns.
 _MUL2 = bytes(_gf_mul(x, 2) for x in range(256))
 _MUL3 = bytes(_gf_mul(x, 3) for x in range(256))
-_MUL9 = bytes(_gf_mul(x, 9) for x in range(256))
-_MUL11 = bytes(_gf_mul(x, 11) for x in range(256))
-_MUL13 = bytes(_gf_mul(x, 13) for x in range(256))
-_MUL14 = bytes(_gf_mul(x, 14) for x in range(256))
 
 
 class AES:
@@ -100,8 +93,8 @@ class AES:
     key:
         16, 24 or 32 bytes (AES-128/192/256).
 
-    The instance exposes :meth:`encrypt_block` / :meth:`decrypt_block`
-    on exactly 16 bytes.  Use :func:`aes_ctr_encrypt` for bulk data.
+    The instance exposes :meth:`encrypt_block` on exactly 16 bytes
+    (CTR mode never decrypts a block).  Use :func:`aes_ctr_encrypt` for bulk data.
     """
 
     BLOCK_SIZE = 16
@@ -151,24 +144,11 @@ class AES:
             state[i] = _SBOX[state[i]]
 
     @staticmethod
-    def _inv_sub_bytes(state: list[int]) -> None:
-        for i in range(16):
-            state[i] = _INV_SBOX[state[i]]
-
-    @staticmethod
     def _shift_rows(state: list[int]) -> None:
         # state is column-major: state[4*c + r] is row r, column c.
         for r in range(1, 4):
             row = [state[4 * c + r] for c in range(4)]
             row = row[r:] + row[:r]
-            for c in range(4):
-                state[4 * c + r] = row[c]
-
-    @staticmethod
-    def _inv_shift_rows(state: list[int]) -> None:
-        for r in range(1, 4):
-            row = [state[4 * c + r] for c in range(4)]
-            row = row[-r:] + row[:-r]
             for c in range(4):
                 state[4 * c + r] = row[c]
 
@@ -180,15 +160,6 @@ class AES:
             state[4 * c + 1] = a0 ^ _MUL2[a1] ^ _MUL3[a2] ^ a3
             state[4 * c + 2] = a0 ^ a1 ^ _MUL2[a2] ^ _MUL3[a3]
             state[4 * c + 3] = _MUL3[a0] ^ a1 ^ a2 ^ _MUL2[a3]
-
-    @staticmethod
-    def _inv_mix_columns(state: list[int]) -> None:
-        for c in range(4):
-            a0, a1, a2, a3 = state[4 * c : 4 * c + 4]
-            state[4 * c + 0] = _MUL14[a0] ^ _MUL11[a1] ^ _MUL13[a2] ^ _MUL9[a3]
-            state[4 * c + 1] = _MUL9[a0] ^ _MUL14[a1] ^ _MUL11[a2] ^ _MUL13[a3]
-            state[4 * c + 2] = _MUL13[a0] ^ _MUL9[a1] ^ _MUL14[a2] ^ _MUL11[a3]
-            state[4 * c + 3] = _MUL11[a0] ^ _MUL13[a1] ^ _MUL9[a2] ^ _MUL14[a3]
 
     # -- public block API ----------------------------------------------
 
@@ -208,24 +179,6 @@ class AES:
         self._sub_bytes(state)
         self._shift_rows(state)
         self._add_round_key(state, self._round_keys[self._rounds])
-        return bytes(state)
-
-    def decrypt_block(self, ciphertext: bytes) -> bytes:
-        """Decrypt exactly one 16-byte block."""
-        if len(ciphertext) != 16:
-            raise InvalidKeyError(
-                f"AES block must be 16 bytes, got {len(ciphertext)}"
-            )
-        state = list(ciphertext)
-        self._add_round_key(state, self._round_keys[self._rounds])
-        for r in range(self._rounds - 1, 0, -1):
-            self._inv_shift_rows(state)
-            self._inv_sub_bytes(state)
-            self._add_round_key(state, self._round_keys[r])
-            self._inv_mix_columns(state)
-        self._inv_shift_rows(state)
-        self._inv_sub_bytes(state)
-        self._add_round_key(state, self._round_keys[0])
         return bytes(state)
 
 

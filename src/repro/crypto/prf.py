@@ -93,33 +93,3 @@ def prf_stream(key: bytes, label: bytes, message: bytes, n_bytes: int) -> bytes:
         ),
     )
     return b"".join(blocks)[:n_bytes]
-
-
-def prf_int(key: bytes, label: bytes, message: bytes, upper: int) -> int:
-    """Return a pseudorandom integer uniform in ``[0, upper)``.
-
-    Uses rejection sampling over :func:`prf`/:func:`prf_stream` chunks
-    sized to cover ``upper``'s full bit length, so the result is
-    exactly uniform (no modulo bias) for arbitrarily large bounds.
-    """
-    if upper <= 0:
-        raise ConfigurationError(f"upper must be positive, got {upper}")
-    if upper == 1:
-        return 0
-    n_bits = upper.bit_length()
-    n_bytes = ceil_div(n_bits, 8)
-    mask = (1 << n_bits) - 1
-    counter = 0
-    while True:
-        chunk_message = message + b"|rej|" + counter.to_bytes(4, "big")
-        if n_bytes <= DIGEST_SIZE:
-            chunk = prf(key, label, chunk_message)[:n_bytes]
-        else:
-            # One digest cannot cover upper's bit length: without the
-            # counter-mode expansion the mask would reach past the
-            # sampled bytes and values >= 2^256 could never be drawn.
-            chunk = prf_stream(key, label, chunk_message, n_bytes)
-        candidate = int.from_bytes(chunk, "big") & mask
-        if candidate < upper:
-            return candidate
-        counter += 1

@@ -78,20 +78,16 @@ class FeistelPRP:
         PRF key.
     half_bits:
         Width of each Feistel half in bits (>= 1).
-    rounds:
-        Number of Feistel rounds (>= 4 for Luby-Rackoff security).
+
+    It runs six rounds, above the four Luby-Rackoff security needs.
     """
 
-    def __init__(self, key: bytes, half_bits: int, *, rounds: int = 6) -> None:
+    def __init__(self, key: bytes, half_bits: int) -> None:
         if half_bits < 1:
             raise ConfigurationError(f"half_bits must be >= 1, got {half_bits}")
-        if rounds < 4:
-            raise ConfigurationError(
-                f"rounds must be >= 4 for Luby-Rackoff security, got {rounds}"
-            )
         self._key = key
         self._half_bits = half_bits
-        self._rounds = rounds
+        self._rounds = 6
         self._mask = (1 << half_bits) - 1
         self._half_bytes = ceil_div(half_bits, 8)
         self._half_size = 1 << half_bits
@@ -252,14 +248,14 @@ class BlockPermutation:
     frontier over batch Feistel sweeps (see the module docstring).
     """
 
-    def __init__(self, key: bytes, n: int, *, rounds: int = 6) -> None:
+    def __init__(self, key: bytes, n: int) -> None:
         if n < 1:
             raise ConfigurationError(f"permutation size must be >= 1, got {n}")
         self._n = n
         half_bits = max(1, ceil_div(max(n - 1, 1).bit_length(), 2))
         while (1 << (2 * half_bits)) < n:
             half_bits += 1
-        self._prp = FeistelPRP(key, half_bits, rounds=rounds)
+        self._prp = FeistelPRP(key, half_bits)
         self._table: tuple[int, ...] | None = None
         self._inverse_table: tuple[int, ...] | None = None
 

@@ -243,11 +243,3 @@ class DeterministicRNG:
         u2 = self.uniform(0.0, 1.0)
         magnitude = math.sqrt(-2.0 * math.log(1.0 - u1))
         return mean + stddev * magnitude * math.cos(2.0 * math.pi * u2)
-
-    def bernoulli(self, probability: float) -> bool:
-        """True with the given probability."""
-        if not 0.0 <= probability <= 1.0:
-            raise ConfigurationError(
-                f"probability must be in [0, 1], got {probability}"
-            )
-        return self.uniform(0.0, 1.0) < probability

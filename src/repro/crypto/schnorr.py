@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from repro.errors import ConfigurationError, SignatureError
+from repro.errors import ConfigurationError
 
 # Window width (bits) for fixed-base tables and the multi-exponentiation
 # digit buckets.  4 bits = base-16 digits: 15 precomputed multiples per
@@ -606,11 +606,3 @@ def schnorr_verify_many(
     if items:
         _verify_bisect(public, items, results)
     return results
-
-
-def require_valid_signature(
-    public: SchnorrPublicKey, message: bytes, signature: tuple[int, int]
-) -> None:
-    """Raise :class:`SignatureError` unless the signature verifies."""
-    if not schnorr_verify(public, message, signature):
-        raise SignatureError("Schnorr signature verification failed")

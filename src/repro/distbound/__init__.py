@@ -38,11 +38,9 @@ from repro.distbound.base import (
 from repro.distbound.brands_chaum import BrandsChaumProver, BrandsChaumVerifier
 from repro.distbound.hancke_kuhn import HanckeKuhnProver, HanckeKuhnVerifier
 from repro.distbound.noisy import (
-    NoisyChannelModel,
     adversary_acceptance,
     choose_threshold,
     honest_acceptance,
-    tolerant_verdict,
 )
 from repro.distbound.reid import ReidProver, ReidVerifier
 
@@ -63,9 +61,7 @@ __all__ = [
     "hancke_kuhn_false_accept",
     "brands_chaum_false_accept",
     "rounds_for_security",
-    "NoisyChannelModel",
     "honest_acceptance",
     "adversary_acceptance",
     "choose_threshold",
-    "tolerant_verdict",
 ]

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.crypto.rng import DeterministicRNG
 from repro.errors import ConfigurationError
 from repro.netsim.clock import SimClock
 from repro.netsim.latency import LatencyModel, SPEED_OF_LIGHT_KM_PER_MS
@@ -104,8 +103,6 @@ class TimedChannel:
         clock: SimClock,
         latency_model: LatencyModel,
         distance_km: float,
-        *,
-        rng: DeterministicRNG | None = None,
     ) -> None:
         if distance_km < 0:
             raise ConfigurationError(
@@ -114,19 +111,19 @@ class TimedChannel:
         self.clock = clock
         self.latency_model = latency_model
         self.distance_km = distance_km
-        self._rng = rng
 
     def exchange(
         self,
         respond,  # Callable[[int], tuple[int, float]]: bit -> (bit, processing_ms)
         challenge_bit: int,
-        *,
-        payload_bytes: int = 1,
     ) -> tuple[int, float]:
-        """Run one timed round; returns (response_bit, measured_rtt_ms)."""
+        """Run one timed round of one-byte messages.
+
+        Returns ``(response_bit, measured_rtt_ms)``.
+        """
         start = self.clock.now_ms()
         self.clock.advance(
-            self.latency_model.one_way_ms(self.distance_km, payload_bytes, self._rng)
+            self.latency_model.one_way_ms(self.distance_km, 1)
         )
         response_bit, processing_ms = respond(challenge_bit)
         if processing_ms < 0:
@@ -135,7 +132,7 @@ class TimedChannel:
             )
         self.clock.advance(processing_ms)
         self.clock.advance(
-            self.latency_model.one_way_ms(self.distance_km, payload_bytes, self._rng)
+            self.latency_model.one_way_ms(self.distance_km, 1)
         )
         return response_bit, self.clock.now_ms() - start
 
@@ -165,8 +162,6 @@ def verdict(
     transcript: Transcript,
     expected_bit,  # Callable[[int, int], int]: (round, challenge) -> bit
     rtt_max_ms: float,
-    *,
-    propagation_speed_km_per_ms: float = SPEED_OF_LIGHT_KM_PER_MS,
 ) -> DistanceBoundingResult:
     """Apply the standard accept rule to a finished transcript."""
     if rtt_max_ms <= 0:
@@ -191,8 +186,6 @@ def verdict(
         n_bit_errors=n_bit_errors,
         n_timing_violations=n_timing_violations,
         max_rtt_ms=max_rtt_ms_observed,
-        implied_distance_km=rtt_to_distance_km(
-            max_rtt_ms_observed, propagation_speed_km_per_ms
-        ),
+        implied_distance_km=rtt_to_distance_km(max_rtt_ms_observed),
         transcript=transcript,
     )

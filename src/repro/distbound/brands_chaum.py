@@ -34,7 +34,7 @@ from repro.distbound.base import (
     verdict,
 )
 from repro.errors import ConfigurationError
-from repro.util.bitops import bit_at, bits_to_bytes, ceil_div
+from repro.util.bitops import bit_at, ceil_div
 
 
 def _commit(message: bytes, opening: bytes) -> bytes:
@@ -45,16 +45,9 @@ def _commit(message: bytes, opening: bytes) -> bytes:
 class BrandsChaumProver:
     """The prover: commits, answers XOR bits, signs the transcript."""
 
-    def __init__(
-        self,
-        identity: bytes,
-        keypair: SchnorrKeyPair,
-        *,
-        processing_ms: float = 0.0,
-    ) -> None:
+    def __init__(self, identity: bytes, keypair: SchnorrKeyPair) -> None:
         self.identity = identity
         self.keypair = keypair
-        self.processing_ms = processing_ms
         self._bits: bytes | None = None
         self._opening: bytes | None = None
         self._round = 0
@@ -77,7 +70,7 @@ class BrandsChaumProver:
         bit = challenge_bit ^ bit_at(self._bits, self._round)
         self._rounds_log.append((challenge_bit, bit))
         self._round += 1
-        return bit, self.processing_ms
+        return bit, 0.0
 
     def finish_session(self) -> tuple[bytes, bytes, tuple[int, int]]:
         """Open the commitment and sign the round log."""

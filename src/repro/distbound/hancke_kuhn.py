@@ -49,16 +49,9 @@ def derive_registers(
 class HanckeKuhnProver:
     """The prover P: holds the shared secret, answers register bits."""
 
-    def __init__(
-        self,
-        identity: bytes,
-        shared_secret: bytes,
-        *,
-        processing_ms: float = 0.0,
-    ) -> None:
+    def __init__(self, identity: bytes, shared_secret: bytes) -> None:
         self.identity = identity
         self._secret = shared_secret
-        self.processing_ms = processing_ms
         self._left: bytes | None = None
         self._right: bytes | None = None
         self._round = 0
@@ -79,7 +72,7 @@ class HanckeKuhnProver:
         register = self._left if challenge_bit == 0 else self._right
         bit = bit_at(register, self._round)
         self._round += 1
-        return bit, self.processing_ms
+        return bit, 0.0
 
 
 class HanckeKuhnVerifier:

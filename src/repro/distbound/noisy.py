@@ -15,20 +15,14 @@ Tolerance trades security for robustness, quantifiably:
 
 :func:`choose_threshold` picks the smallest ``t`` meeting a target
 false-reject rate, and :func:`adversary_acceptance` quantifies what
-that choice concedes; :class:`NoisyChannelModel` wraps any latency
-model with bit-flip noise so the protocols in this package can run
-over it unchanged.
+that choice concedes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from repro.crypto.rng import DeterministicRNG
-from repro.distbound.base import DistanceBoundingResult, Transcript, rtt_to_distance_km
 from repro.errors import ConfigurationError
-from repro.netsim.latency import LatencyModel
 from repro.util.validation import check_probability
 
 
@@ -94,98 +88,3 @@ def choose_threshold(
         if 1.0 - honest_acceptance(n_rounds, threshold, bit_error_rate) <= target_false_reject:
             return threshold
     return n_rounds
-
-
-@dataclass
-class NoisyChannelModel(LatencyModel):
-    """Wrap a latency model with a per-traversal bit-flip probability.
-
-    The flip probability is consumed by :func:`noisy_exchange`; latency
-    behaviour delegates to the wrapped model unchanged.
-    """
-
-    inner: LatencyModel
-    bit_error_rate: float = 0.0
-
-    def __post_init__(self) -> None:
-        check_probability("bit_error_rate", self.bit_error_rate)
-
-    def one_way_ms(self, distance_km, payload_bytes=0, rng=None):
-        return self.inner.one_way_ms(distance_km, payload_bytes, rng)
-
-
-def run_noisy_timed_phase(
-    channel,
-    noise: NoisyChannelModel,
-    challenges: list[int],
-    respond,
-    transcript: Transcript,
-    rng: DeterministicRNG,
-) -> None:
-    """The timed phase with independent bit flips each direction.
-
-    A flipped *challenge* makes the honest prover answer the wrong
-    register; a flipped *response* corrupts a correct answer.  Both
-    manifest to the verifier as response-bit errors.
-    """
-    for i, challenge_bit in enumerate(challenges):
-        if challenge_bit not in (0, 1):
-            raise ConfigurationError(f"challenge bit {challenge_bit!r} not 0/1")
-        delivered = challenge_bit
-        if rng.bernoulli(noise.bit_error_rate):
-            delivered ^= 1
-        response_bit, rtt_ms = channel.exchange(respond, delivered)
-        if rng.bernoulli(noise.bit_error_rate):
-            response_bit ^= 1
-        from repro.distbound.base import RoundRecord
-
-        transcript.rounds.append(
-            RoundRecord(
-                round_index=i,
-                challenge_bit=challenge_bit,
-                response_bit=response_bit,
-                rtt_ms=rtt_ms,
-            )
-        )
-
-
-def tolerant_verdict(
-    transcript: Transcript,
-    expected_bit,
-    rtt_max_ms: float,
-    *,
-    threshold: int,
-) -> DistanceBoundingResult:
-    """Accept rule with an error budget: <= threshold wrong bits.
-
-    Timing stays strict -- every round must meet the bound; noise adds
-    bit errors, not honest latency, so tolerating slow rounds would
-    concede exactly the relay headroom GeoProof exists to deny.
-    """
-    if rtt_max_ms <= 0:
-        raise ConfigurationError(f"rtt_max must be > 0, got {rtt_max_ms}")
-    if threshold < 0:
-        raise ConfigurationError(f"threshold must be >= 0, got {threshold}")
-    n_bit_errors = 0
-    n_timing_violations = 0
-    for record in transcript.rounds:
-        if record.response_bit != expected_bit(
-            record.round_index, record.challenge_bit
-        ):
-            n_bit_errors += 1
-        if record.rtt_ms > rtt_max_ms:
-            n_timing_violations += 1
-    bits_ok = n_bit_errors <= threshold
-    timing_ok = n_timing_violations == 0
-    max_rtt_ms_observed = transcript.max_rtt_ms
-    return DistanceBoundingResult(
-        accepted=bits_ok and timing_ok,
-        bits_ok=bits_ok,
-        timing_ok=timing_ok,
-        n_rounds=transcript.n_rounds,
-        n_bit_errors=n_bit_errors,
-        n_timing_violations=n_timing_violations,
-        max_rtt_ms=max_rtt_ms_observed,
-        implied_distance_km=rtt_to_distance_km(max_rtt_ms_observed),
-        transcript=transcript,
-    )

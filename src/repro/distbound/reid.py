@@ -73,16 +73,9 @@ def derive_session_registers(
 class ReidProver:
     """The prover: derives (k, c) and answers register bits."""
 
-    def __init__(
-        self,
-        identity: bytes,
-        shared_secret: bytes,
-        *,
-        processing_ms: float = 0.0,
-    ) -> None:
+    def __init__(self, identity: bytes, shared_secret: bytes) -> None:
         self.identity = identity
         self._secret = shared_secret
-        self.processing_ms = processing_ms
         self._key_register: bytes | None = None
         self._cipher_register: bytes | None = None
         self._round = 0
@@ -114,7 +107,7 @@ class ReidProver:
         )
         bit = bit_at(register, self._round)
         self._round += 1
-        return bit, self.processing_ms
+        return bit, 0.0
 
 
 class ReidVerifier:

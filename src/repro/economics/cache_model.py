@@ -12,21 +12,17 @@ over an audit's ``k`` rounds, is the paper's detection bound
 ``1 - (cache/file)^k``.
 
 :class:`LRUHitModel` packages the closed forms (steady-state and
-prewarmed hit rate, cold-start warm-up via the coupon-collector
-expectation, exact without-replacement escape probability, the paper
-bound) and :func:`simulate_hit_rate` drives a real
+prewarmed hit rate, exact without-replacement escape probability, the
+paper bound) and :func:`simulate_hit_rate` drives a real
 :class:`~repro.storage.cache.LRUCache` with the same uniform draws so
 tests and the CI bench can hold the algebra to the simulation within
-tolerance.  Multi-file tenants fold in by summing segment counts: the
-cache is one pool, the challenge stream is uniform over the union
-(:meth:`LRUHitModel.for_files`).
+tolerance.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 from repro.crypto.rng import DeterministicRNG
 from repro.errors import ConfigurationError
@@ -68,25 +64,6 @@ class LRUHitModel:
                 f"n_segments must be positive, got {self.n_segments}"
             )
 
-    @classmethod
-    def for_files(
-        cls,
-        cache_bytes: int,
-        entry_bytes: int,
-        segments_per_file: Iterable[int],
-    ) -> "LRUHitModel":
-        """The shared-cache model for a multi-file tenant.
-
-        One RAM pool, challenges uniform over the union of the files'
-        segments: the hit rate depends only on the *total* population,
-        so the model is the single-file one at ``sum(segments)``.
-        """
-        return cls(
-            cache_bytes=cache_bytes,
-            entry_bytes=entry_bytes,
-            n_segments=sum(segments_per_file),
-        )
-
     # -- capacity -------------------------------------------------------
 
     @property
@@ -115,50 +92,6 @@ class LRUHitModel:
         each draw hits with exactly that fraction of the population.
         """
         return self.cached_entries / self.n_segments
-
-    @staticmethod
-    def expected_distinct(population: int, n_draws: int) -> float:
-        """Expected distinct values after uniform draws (coupon collector).
-
-        ``n * (1 - (1 - 1/n)^t)`` -- how fast an *unwarmed* cache
-        fills from challenge traffic alone.
-        """
-        if population <= 0:
-            raise ConfigurationError(
-                f"population must be positive, got {population}"
-            )
-        if n_draws < 0:
-            raise ConfigurationError(
-                f"n_draws must be >= 0, got {n_draws}"
-            )
-        if n_draws == 0:
-            return 0.0
-        if population == 1:
-            return 1.0
-        return population * -math.expm1(
-            n_draws * math.log1p(-1.0 / population)
-        )
-
-    def cold_hit_rate(self, n_draws: int) -> float:
-        """Expected hit rate over the first ``n_draws`` from a cold cache.
-
-        Draw ``t`` hits with probability ``min(E[distinct after t],
-        capacity) / n``; the mean over the window is what a
-        *non-prewarming* relayer earns while its cache learns from
-        audit traffic.  Approaches :attr:`hit_rate` as the window
-        grows.
-        """
-        if n_draws <= 0:
-            raise ConfigurationError(
-                f"n_draws must be positive, got {n_draws}"
-            )
-        cap = self.cached_entries
-        total = 0.0
-        for t in range(n_draws):
-            total += min(
-                self.expected_distinct(self.n_segments, t), cap
-            ) / self.n_segments
-        return total / n_draws
 
     # -- audit outcomes -------------------------------------------------
 
@@ -221,14 +154,13 @@ def simulate_hit_rate(
     n_audits: int,
     k_rounds: int,
     seed: str = "cache-sim",
-    prewarm: bool = True,
 ) -> float:
     """Measured hit rate of a real LRU under uniform PRF challenges.
 
     Drives an actual :class:`~repro.storage.cache.LRUCache` with
     ``n_audits`` audits of ``k_rounds`` distinct uniform indices each
-    (the verifier's exact drawing discipline), optionally prewarming
-    to capacity first, and returns the cache's measured
+    (the verifier's exact drawing discipline), prewarmed to capacity
+    first, and returns the cache's measured
     :attr:`~repro.storage.cache.LRUCache.hit_rate`.  The
     cross-validation half of :class:`LRUHitModel`: tests and the CI
     bench assert the closed form tracks this within tolerance.
@@ -248,9 +180,8 @@ def simulate_hit_rate(
     )
     cache = LRUCache(cache_bytes)
     blob = bytes(entry_bytes)
-    if prewarm:
-        for index in range(model.cached_entries):
-            cache.put(index, blob)
+    for index in range(model.cached_entries):
+        cache.put(index, blob)
     rng = DeterministicRNG(seed)
     for audit in range(n_audits):
         challenge = rng.fork(f"audit-{audit}").sample_indices(

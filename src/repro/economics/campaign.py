@@ -556,46 +556,24 @@ class AdversaryCampaign:
             ),
         )
 
-    def sweep(
-        self,
-        *,
-        cache_fractions: tuple[float, ...] | None = None,
-        engines: tuple[str, ...] = ("slot", "event"),
-    ) -> list[CampaignCell]:
-        """The full campaign grid: engines x cache sizes.
+    def sweep(self) -> list[CampaignCell]:
+        """The full campaign grid: both engines x cache sizes.
 
-        Only ``prefetch-relay`` sweeps the cache axis (default
-        :data:`DEFAULT_SWEEP_FRACTIONS`); ``relay`` and ``deletion``
+        Only ``prefetch-relay`` sweeps the cache axis
+        (:data:`DEFAULT_SWEEP_FRACTIONS`); ``relay`` and ``deletion``
         take no cache, so those campaigns run one zero-cache cell per
-        engine and an explicit non-zero sweep request is rejected.
+        engine.
         """
-        if self.attack != "prefetch-relay":
-            if cache_fractions is not None and any(
-                fraction != 0.0 for fraction in cache_fractions
-            ):
-                raise ConfigurationError(
-                    f"the {self.attack!r} attack takes no cache; "
-                    f"cache_fractions must be omitted or all-zero, got "
-                    f"{tuple(cache_fractions)}"
-                )
-            return [
-                self.run_cell(cache_fraction=0.0, engine=engine)
-                for engine in engines
-            ]
         fractions = (
-            tuple(cache_fractions)
-            if cache_fractions is not None
-            else DEFAULT_SWEEP_FRACTIONS
+            DEFAULT_SWEEP_FRACTIONS if self.attack == "prefetch-relay" else (0.0,)
         )
         return [
             self.run_cell(cache_fraction=fraction, engine=engine)
-            for engine in engines
+            for engine in ("slot", "event")
             for fraction in fractions
         ]
 
-    def slot_event_streams_match(
-        self, *, cache_fraction: float = 0.5
-    ) -> bool:
+    def slot_event_streams_match(self) -> bool:
         """The equivalence anchor, with the adversary injected.
 
         Builds the *single-site* version of the scenario twice (one
@@ -605,9 +583,9 @@ class AdversaryCampaign:
         (timestamps rebased to each run's start).  This is the
         PR 3/PR 4 anchor extended to adversarial fleets: concurrency
         must not change *what* is detected, only when lanes overlap.
+        A ``prefetch-relay`` adversary caches half the file.
         """
-        if self.attack != "prefetch-relay":
-            cache_fraction = 0.0
+        cache_fraction = 0.5 if self.attack == "prefetch-relay" else 0.0
         streams = []
         for engine in ("slot", "event"):
             single = AdversaryCampaign(

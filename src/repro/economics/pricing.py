@@ -308,37 +308,28 @@ def price_tenant(
     k_rounds: int,
     n_files: int = 1,
     rtt_max_ms: float | None = None,
-    cache_fractions: tuple[float, ...] = DEFAULT_CACHE_FRACTIONS,
-    headroom: float = 0.10,
-    margin: float = 0.25,
-    floor_audits_per_month: float = 1.0,
 ) -> TenantQuote:
     """Price one tenant's defence.
 
-    Finds the minimum deterrent audit rate over the cache sweep, adds
-    ``headroom`` (the threshold itself only makes the attacker's
-    profit *zero*), floors it at ``floor_audits_per_month``, prices
+    Finds the minimum deterrent audit rate over the default cache
+    sweep, adds 10 % headroom (the threshold itself only makes the
+    attacker's profit *zero*), floors it at one audit a month, prices
     the verifier-side cost of sustaining that cadence
-    (:meth:`CostModel.audit_usd`), and marks the result up by
-    ``margin``.  ``rtt_max_ms`` (the tenant's SLA budget) adds the
+    (:meth:`CostModel.audit_usd`), and marks the result up by a 25 %
+    margin.  ``rtt_max_ms`` (the tenant's SLA budget) adds the
     timing-radius margin via
     :func:`~repro.core.calibration.relay_distance_bound_km`.
     """
-    check_positive("headroom", headroom, strict=False)
-    check_positive("margin", margin, strict=False)
-    check_positive(
-        "floor_audits_per_month", floor_audits_per_month, strict=False
-    )
     min_rate, worst_model = min_deterrent_audit_rate(
         cost_model=cost_model,
         entry_bytes=entry_bytes,
         n_segments=n_segments,
         k_rounds=k_rounds,
         file_bytes=file_bytes,
-        cache_fractions=cache_fractions,
+        cache_fractions=DEFAULT_CACHE_FRACTIONS,
     )
     if math.isfinite(min_rate):
-        quoted = max(min_rate * (1.0 + headroom), floor_audits_per_month)
+        quoted = max(min_rate * 1.10, 1.0)
     else:
         quoted = math.inf
     audit_cost = (
@@ -359,7 +350,7 @@ def price_tenant(
         min_audits_per_month=min_rate,
         audits_per_month=quoted,
         audit_cost_usd_per_month=audit_cost,
-        price_usd_per_month=audit_cost * (1.0 + margin),
+        price_usd_per_month=audit_cost * 1.25,
         break_even_cache_bytes=cost_model.break_even_cache_bytes(
             file_bytes
         ),

@@ -127,13 +127,6 @@ class EconomicsReport:
             if cell.engine == engine and cell.economics is not None
         ]
 
-    def quote_for(self, tenant: str) -> TenantQuote | None:
-        """Look up one tenant's defence quote."""
-        for quote in self.quotes:
-            if quote.tenant == tenant:
-                return quote
-        return None
-
     # -- machine-readable export ----------------------------------------
 
     def to_dict(self) -> dict:

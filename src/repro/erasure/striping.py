@@ -67,11 +67,6 @@ class StripeLayout:
         """Parity blocks per chunk (n - k)."""
         return self.total_blocks - self.data_blocks
 
-    @property
-    def expansion_factor(self) -> float:
-        """Size multiplier introduced by the code (n / k ~= 1.143)."""
-        return self.total_blocks / self.data_blocks
-
     def validate(self) -> None:
         """Check the geometry is a valid RS configuration."""
         if self.block_bytes < 1:
@@ -321,22 +316,4 @@ class BlockStriper:
         out: list[bytes] = []
         for start in range(0, len(blocks), k):
             out.extend(self.encode_chunk(blocks[start : start + k]))
-        return out
-
-    def decode_blocks(
-        self, blocks: list[bytes], n_data_blocks: int
-    ) -> list[bytes]:
-        """Decode a whole file's encoded block list back to data blocks."""
-        if len(blocks) != self.encoded_length(n_data_blocks):
-            raise ConfigurationError(
-                f"expected {self.encoded_length(n_data_blocks)} encoded blocks, "
-                f"got {len(blocks)}"
-            )
-        out: list[bytes] = []
-        remaining = n_data_blocks
-        for start in range(0, len(blocks), self.layout.total_blocks):
-            chunk = blocks[start : start + self.layout.total_blocks]
-            take = min(remaining, self.layout.data_blocks)
-            out.extend(self.decode_chunk(chunk, n_data=take))
-            remaining -= take
         return out

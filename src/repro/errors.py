@@ -26,10 +26,6 @@ class InvalidKeyError(CryptoError):
     """A key had the wrong length or structure."""
 
 
-class SignatureError(CryptoError):
-    """A digital signature failed to verify."""
-
-
 class DecodingError(ReproError):
     """Base class for erasure-coding failures."""
 
@@ -72,23 +68,9 @@ class VerificationError(ProtocolError):
         self.reason = reason
 
 
-class TimingViolationError(VerificationError):
-    """A distance-bounding round exceeded the allowed round-trip time."""
-
-    def __init__(self, message: str) -> None:
-        super().__init__(message, reason="timing")
-
-
-class GeoFenceViolationError(VerificationError):
-    """A reported position fell outside the SLA geographic region."""
-
-    def __init__(self, message: str) -> None:
-        super().__init__(message, reason="gps")
-
-
 class SimulationError(ReproError):
     """Base class for errors in the discrete-event simulator."""
 
 
 class ClockError(SimulationError):
-    """Simulated time moved backwards or a timer was misused."""
+    """Simulated time was asked to step backwards or by a non-finite amount."""

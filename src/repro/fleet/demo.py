@@ -47,6 +47,10 @@ PROVIDER_SITES = [
 #: Where a relaying violator actually keeps the data.
 RELAY_SITE = "singapore"
 
+#: The violator's declared corruption tolerance, which is also the
+#: share of its segments a corrupting violator damages.
+_VIOLATOR_EPSILON = 0.10
+
 
 def build_demo_fleet(
     *,
@@ -55,8 +59,6 @@ def build_demo_fleet(
     strategy: AuditStrategy | None = None,
     seed: str = "fleet-demo",
     violation: str | None = "corrupt",
-    violation_epsilon: float = 0.10,
-    honest_epsilon: float = 0.02,
     file_bytes: int = 2_000,
     interval_hours: float = 6.0,
     slot_minutes: float = 30.0,
@@ -66,7 +68,6 @@ def build_demo_fleet(
     lane_queue_limit: int = 4,
     replicas: int = 1,
     spindles: int | None = None,
-    sites_per_provider: int | None = None,
 ) -> AuditFleet:
     """Build the reference fleet: one tenant per provider, files dealt
     evenly, the last provider optionally misbehaving.
@@ -74,12 +75,12 @@ def build_demo_fleet(
     Files are registered honest-providers-first so the violator's
     files sit at the *back* of the registration order -- the worst
     case for naive rotation and exactly the case risk-weighted
-    scheduling is built for (the violator's tenant declares the higher
-    ``violation_epsilon`` risk tolerance).
+    scheduling is built for (the violator's tenant declares a 10 %
+    risk tolerance, the honest tenants 2 %).
 
     ``replicas`` places that many audited copies of every file across
-    each provider's sites (each provider is onboarded with at least
-    that many sites; override with ``sites_per_provider``) and
+    each provider's sites (each provider is onboarded with that many
+    sites) and
     ``spindles`` backs each provider's sites with only that many
     storage arrays -- together the replicated-placement / shared-
     spindle knobs the contention scenarios turn.
@@ -96,11 +97,7 @@ def build_demo_fleet(
         )
     if violation not in (None, "corrupt", "relay"):
         raise ConfigurationError(f"unknown violation mode {violation!r}")
-    n_sites = (
-        sites_per_provider
-        if sites_per_provider is not None
-        else max(1, replicas)
-    )
+    n_sites = max(1, replicas)
     if not 1 <= n_sites <= len(PROVIDER_SITES):
         raise ConfigurationError(
             f"sites per provider must be in 1..{len(PROVIDER_SITES)}, "
@@ -143,9 +140,7 @@ def build_demo_fleet(
                 datacentre=site,
                 file_id=f"{name}-file-{j + 1}".encode(),
                 data=data_rng.fork(f"{name}-{j}").random_bytes(file_bytes),
-                epsilon=(
-                    violation_epsilon if name == violator else honest_epsilon
-                ),
+                epsilon=_VIOLATOR_EPSILON if name == violator else 0.02,
                 replicas=replicas,
             )
     if violator is not None:
@@ -154,7 +149,7 @@ def build_demo_fleet(
             violator,
             PROVIDER_SITES[n_providers - 1],
             mode=violation,
-            epsilon=violation_epsilon,
+            epsilon=_VIOLATOR_EPSILON,
             seed=seed,
         )
     return fleet
@@ -250,13 +245,8 @@ CONTENTION_SITES = ["brisbane", "sydney", "melbourne", "adelaide"]
 def build_contention_fleet(
     *,
     strategy: AuditStrategy | None = None,
-    seed: str = "contention",
-    n_sites: int = 4,
     spindles: int | None = 2,
     hot_files: int = 8,
-    cold_files_per_site: int = 1,
-    rotted_files: int = 2,
-    rot_fraction: float = 1.0,
     replicas: int | None = None,
     slot_minutes: float = 0.005,
     batch_size: int = 2,
@@ -268,12 +258,12 @@ def build_contention_fleet(
 ) -> tuple[AuditFleet, list[bytes]]:
     """The shared-spindle contention scenario (see module docstring).
 
-    One provider, ``n_sites`` audit lanes on ``spindles`` storage
-    arrays (``None`` = dedicated).  The first site is the *hot* lane:
-    ``hot_files`` files homed there, every one replicated across all
-    sites (``replicas`` defaults to ``n_sites``), registered ahead of
-    one cold file per remaining site.  The **last** ``rotted_files``
-    hot files are bit-rotted at rest on every copy -- so a fair sweep
+    One provider, four audit lanes (:data:`CONTENTION_SITES`) on
+    ``spindles`` storage arrays (``None`` = dedicated).  The first site
+    is the *hot* lane: ``hot_files`` files homed there, every one
+    replicated across all sites (``replicas`` defaults to all four),
+    registered ahead of one cold file per remaining site.  The **last
+    two** hot files are bit-rotted at rest on every copy -- so a fair sweep
     of the hot lane reaches them last, while an idle sibling lane that
     steals the hot lane's backlog reaches them sooner.  Slots are
     deliberately shorter than a batch so the hot lane saturates its
@@ -282,17 +272,14 @@ def build_contention_fleet(
     Returns ``(fleet, rotted_file_ids)``; measure time-to-detection as
     the worst detection hour across the returned ids.
     """
-    if not 2 <= n_sites <= len(CONTENTION_SITES):
+    if hot_files < 2:
         raise ConfigurationError(
-            f"n_sites must be in 2..{len(CONTENTION_SITES)}, got {n_sites}"
+            f"hot_files must be >= 2 (the last two rot), got {hot_files}"
         )
-    if not 0 <= rotted_files <= hot_files:
-        raise ConfigurationError(
-            f"rotted_files must be in 0..{hot_files}, got {rotted_files}"
-        )
-    n_replicas = replicas if replicas is not None else n_sites
+    sites = CONTENTION_SITES
+    n_replicas = replicas if replicas is not None else len(sites)
     fleet = AuditFleet(
-        seed=seed,
+        seed="contention",
         strategy=strategy,
         slot_minutes=slot_minutes,
         batch_size=batch_size,
@@ -301,13 +288,12 @@ def build_contention_fleet(
         engine=engine,
         lane_queue_limit=lane_queue_limit,
     )
-    sites = CONTENTION_SITES[:n_sites]
     provider = fleet.add_provider(
         "acme",
         [(s, city(s)) for s in sites],
         spindles=spindles,
     )
-    data_rng = DeterministicRNG(f"{seed}-data")
+    data_rng = DeterministicRNG("contention-data")
     hot = sites[0]
     for j in range(hot_files):
         fleet.register(
@@ -320,21 +306,15 @@ def build_contention_fleet(
             replicas=n_replicas,
         )
     for site in sites[1:]:
-        for j in range(cold_files_per_site):
-            fleet.register(
-                tenant=f"{site}-tenant",
-                provider="acme",
-                datacentre=site,
-                file_id=f"{site}-{j + 1}".encode(),
-                data=data_rng.fork(f"{site}-{j}").random_bytes(file_bytes),
-                epsilon=0.02,
-            )
-    rotted_ids = [
-        f"hot-{hot_files - offset}".encode()
-        for offset in range(rotted_files)
-    ]
-    for file_id in rotted_ids:
-        rot_at_rest(
-            provider, file_id, fraction=rot_fraction, seed=f"{seed}-rot"
+        fleet.register(
+            tenant=f"{site}-tenant",
+            provider="acme",
+            datacentre=site,
+            file_id=f"{site}-1".encode(),
+            data=data_rng.fork(f"{site}-0").random_bytes(file_bytes),
+            epsilon=0.02,
         )
+    rotted_ids = [f"hot-{hot_files - offset}".encode() for offset in range(2)]
+    for file_id in rotted_ids:
+        rot_at_rest(provider, file_id, fraction=1.0, seed="contention-rot")
     return fleet, sorted(rotted_ids)

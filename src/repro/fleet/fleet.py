@@ -94,12 +94,7 @@ from dataclasses import dataclass
 
 from repro import obs
 from repro.cloud.provider import CloudProvider, DataCentre
-from repro.cloud.replication import (
-    NearestCopyStrategy,
-    ReplicaSite,
-    ReplicationAuditor,
-    ReplicationVerdict,
-)
+from repro.cloud.replication import NearestCopyStrategy, ReplicaSite
 from repro.cloud.sla import SLAPolicy
 from repro.cloud.tpa import AuditOutcome, PendingAudit, ThirdPartyAuditor
 from repro.cloud.verifier import VerifierDevice
@@ -114,7 +109,7 @@ from repro.netsim.lanes import Lane
 from repro.netsim.resources import SpindleQueue
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Span
-from repro.por.parameters import PORParams, TEST_PARAMS
+from repro.por.parameters import TEST_PARAMS
 from repro.storage.hdd import WD_2500JD
 from repro.storage.server import StorageServer
 from repro.util.validation import check_positive
@@ -187,7 +182,6 @@ class AuditFleet:
         self,
         *,
         seed: str = "audit-fleet",
-        params: PORParams | None = None,
         strategy: AuditStrategy | None = None,
         slot_minutes: float = 30.0,
         batch_size: int = 4,
@@ -215,7 +209,7 @@ class AuditFleet:
                 f"lane_queue_limit must be >= 1, got {lane_queue_limit}"
             )
         self.clock = SimClock()
-        self.params = params or TEST_PARAMS
+        self.params = TEST_PARAMS
         self.strategy = strategy or RoundRobinStrategy()
         self.slot_minutes = slot_minutes
         self.batch_size = batch_size
@@ -269,7 +263,7 @@ class AuditFleet:
                 f"spindles must be in 1..{len(datacentres)} "
                 f"(one per site at most), got {spindles}"
             )
-        provider = CloudProvider(name, rng=self._rng.fork(f"provider-{name}"))
+        provider = CloudProvider(name)
         shared: list[StorageServer] = []
         if spindles is not None:
             shared = [
@@ -331,9 +325,7 @@ class AuditFleet:
         data: bytes,
         interval_hours: float | None = None,
         epsilon: float = 0.05,
-        k_rounds: int | None = None,
         replicas: int = 1,
-        replica_datacentres: list[str] | None = None,
     ) -> OutsourcedFile:
         """Outsource a tenant file and enqueue it for recurring audits.
 
@@ -345,12 +337,12 @@ class AuditFleet:
         scheduling), ``interval_hours`` their contracted audit cadence
         (feeds deadline scheduling).
 
+        Every audit of the file runs the fleet's ``default_k_rounds``.
+
         ``replicas`` places audited copies at that many of the
         provider's sites in total: the contracted home plus the next
-        sites in the provider's onboarding order (or the explicit
-        ``replica_datacentres``).  An audit may run at any replica
-        site (work-stealing migration, or a full
-        :meth:`audit_replicas` round) under that site's verifier
+        sites in the provider's onboarding order.  An audit may run at any replica
+        site (work-stealing migration) under that site's verifier
         and a site-centred SLA, paired as a
         :class:`~repro.cloud.replication.ReplicaSite` when the audit
         needs one.  The audit *cadence* stays per file -- one
@@ -371,10 +363,8 @@ class AuditFleet:
         # the returned CloudProvider) and so has no verifier appliance;
         # otherwise the error would only surface mid-run.
         deployment.verifier_for(datacentre)
-        replica_names = self._resolve_replica_sites(
-            deployment, datacentre, replicas, replica_datacentres
-        )
-        k = k_rounds if k_rounds is not None else self.default_k_rounds
+        replica_names = self._resolve_replica_sites(deployment, datacentre, replicas)
+        k = self.default_k_rounds
         # Refuse a round count the encoded file cannot serve here,
         # before anything is uploaded, not mid-run.
         n_segments = self.params.segments_for(len(data))
@@ -426,31 +416,20 @@ class AuditFleet:
         deployment: ProviderDeployment,
         home: str,
         replicas: int,
-        explicit: list[str] | None,
     ) -> list[str]:
         """The non-home sites a registration places replicas at."""
         names = deployment.provider.datacentre_names()
-        if explicit is not None:
-            chosen = list(explicit)
-        else:
-            if not 1 <= replicas <= len(names):
-                raise ConfigurationError(
-                    f"replicas must be in 1..{len(names)} (the provider's "
-                    f"site count), got {replicas}"
-                )
-            # Home first, then the next onboarded sites, wrapping.
-            start = names.index(home)
-            chosen = [
-                names[(start + offset) % len(names)]
-                for offset in range(1, replicas)
-            ]
-        seen: set[str] = set()
+        if not 1 <= replicas <= len(names):
+            raise ConfigurationError(
+                f"replicas must be in 1..{len(names)} (the provider's "
+                f"site count), got {replicas}"
+            )
+        # Home first, then the next onboarded sites, wrapping.
+        start = names.index(home)
+        chosen = [
+            names[(start + offset) % len(names)] for offset in range(1, replicas)
+        ]
         for name in chosen:
-            if name == home or name in seen:
-                raise ConfigurationError(
-                    f"duplicate replica placement at {name!r}"
-                )
-            seen.add(name)
             deployment.verifier_for(name)  # fail fast, as for the home
         return chosen
 
@@ -492,46 +471,6 @@ class AuditFleet:
                 deployment.provider.datacentre(name), task.k_rounds
             ),
         )
-
-    def replica_sites(
-        self, provider: str, file_id: bytes
-    ) -> dict[str, ReplicaSite]:
-        """A registered file's replica sites (empty when unreplicated).
-
-        Each pairs that site's verifier with a site-centred SLA, built
-        from the task's placement on every call.
-        """
-        self.record(provider, file_id)  # validates registration
-        task = self._tasks[(provider, file_id)]
-        return {
-            name: self._replica_site(task, name)
-            for name in task.replica_datacentres
-        }
-
-    def audit_replicas(
-        self, provider: str, file_id: bytes, *, k: int | None = None
-    ) -> ReplicationVerdict:
-        """One replication round over a file's home and replica sites.
-
-        Bridges the fleet's replicated placement to
-        :meth:`~repro.cloud.replication.ReplicationAuditor.audit_round`:
-        the home site and every replica site are audited with their
-        fleet verifiers and site-centred SLAs, so one round counts the
-        provably distinct copies the provider actually keeps
-        (``ReplicaSite.timing_radius_km`` drives the pairwise
-        separation filter).  The round runs on the fleet clock with
-        the provider's servers bound to it, so its lookups queue on,
-        and are counted by, the spindles that serve them, as a batch's
-        do.  ``k=None`` means the file's SLA minimum.
-        """
-        self.record(provider, file_id)  # validates registration
-        task = self._tasks[(provider, file_id)]
-        deployment = self.deployment(provider)
-        auditor = ReplicationAuditor(deployment.tpa)
-        for name in (task.datacentre, *task.replica_datacentres):
-            auditor.add_site(self._replica_site(task, name))
-        with self._service_context(provider, self.clock):
-            return auditor.audit_round(file_id, deployment.provider, k=k)
 
     @contextmanager
     def _service_context(self, provider: str, clock: SimClock):

@@ -348,14 +348,13 @@ class FleetReport:
 
     # -- machine-readable export ----------------------------------------
 
-    def to_dict(self, *, include_events: bool = True) -> dict:
+    def to_dict(self) -> dict:
         """The whole report as JSON-serialisable plain data.
 
         This is the ``fleet --json`` payload: summary aggregates plus
         the per-lane, per-spindle, per-tenant and violation tables,
-        and (unless ``include_events=False``) the full merged audit
-        stream.  File ids are decoded with replacement so arbitrary
-        byte ids cannot break serialisation.
+        and the full merged audit stream.  File ids are decoded with
+        replacement so arbitrary byte ids cannot break serialisation.
         """
         payload = {
             "strategy": self.strategy,
@@ -438,27 +437,26 @@ class FleetReport:
                 for v in self.violations
             ],
         }
-        if include_events:
-            payload["events"] = [
-                {
-                    "slot": e.slot,
-                    "tenant": e.tenant,
-                    "provider": e.provider,
-                    "file_id": _file_label(e.file_id),
-                    "datacentre": e.datacentre,
-                    "executed_at": e.executed_at,
-                    "stolen": e.stolen,
-                    "at_ms": e.at_ms,
-                    "accepted": e.accepted,
-                    "max_rtt_ms": e.max_rtt_ms,
-                    "rtt_max_ms": e.rtt_max_ms,
-                    "spindle_wait_ms": e.spindle_wait_ms,
-                    "contention_timeout": e.contention_timeout,
-                    "failure_reasons": list(e.failure_reasons),
-                    "overran_horizon": e.overran_horizon,
-                }
-                for e in self.events
-            ]
+        payload["events"] = [
+            {
+                "slot": e.slot,
+                "tenant": e.tenant,
+                "provider": e.provider,
+                "file_id": _file_label(e.file_id),
+                "datacentre": e.datacentre,
+                "executed_at": e.executed_at,
+                "stolen": e.stolen,
+                "at_ms": e.at_ms,
+                "accepted": e.accepted,
+                "max_rtt_ms": e.max_rtt_ms,
+                "rtt_max_ms": e.rtt_max_ms,
+                "spindle_wait_ms": e.spindle_wait_ms,
+                "contention_timeout": e.contention_timeout,
+                "failure_reasons": list(e.failure_reasons),
+                "overran_horizon": e.overran_horizon,
+            }
+            for e in self.events
+        ]
         return payload
 
     # -- rendering ------------------------------------------------------

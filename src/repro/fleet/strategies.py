@@ -395,8 +395,8 @@ class WorkStealingStrategy(AuditStrategy):
     headroom it appends *stolen* work to the local ranking: tasks
     homed at sibling lanes of the same provider that are
 
-    * **saturated** -- at least ``steal_threshold`` dispatches parked
-      in their bounded queue, and strictly deeper than this lane's
+    * **saturated** -- at least one dispatch parked in their bounded
+      queue, and strictly deeper than this lane's
       (so two backlogged lanes never trade work back and forth), and
     * **replicated here** -- the file has an audited replica at this
       lane's site, so the audit can run through this site's verifier
@@ -414,18 +414,8 @@ class WorkStealingStrategy(AuditStrategy):
 
     name = "work-stealing"
 
-    def __init__(
-        self,
-        base: AuditStrategy | None = None,
-        *,
-        steal_threshold: int = 1,
-    ) -> None:
-        if steal_threshold < 1:
-            raise ConfigurationError(
-                f"steal_threshold must be >= 1, got {steal_threshold}"
-            )
+    def __init__(self, base: AuditStrategy | None = None) -> None:
         self.base = base if base is not None else RoundRobinStrategy()
-        self.steal_threshold = steal_threshold
 
     def rank(
         self, tasks: Sequence[AuditTask], now_ms: float
@@ -458,7 +448,7 @@ class WorkStealingStrategy(AuditStrategy):
         for load in fleet.loads:
             if load.site == lane.site:
                 continue
-            if load.queue_depth < self.steal_threshold:
+            if load.queue_depth < 1:
                 continue
             if load.queue_depth <= lane.queue_depth:
                 continue

@@ -1,9 +1,9 @@
 """Geography substrate: coordinates, geofences, datasets, GPS.
 
 * :mod:`repro.geo.coords` -- WGS-84 points, haversine great-circle
-  distance, bearings and destination points.
-* :mod:`repro.geo.regions` -- geographic regions (circles, bounding
-  boxes, polygons) used to express SLA location constraints.
+  distance and destination points.
+* :mod:`repro.geo.regions` -- geographic regions (circles and
+  polygons) used to express SLA location constraints.
 * :mod:`repro.geo.datasets` -- the coordinate datasets the benchmarks
   need: Australian cities and university hosts (Table III), QUT campus
   machine placements (Table II), and a set of world data-centre sites.
@@ -12,7 +12,7 @@
   spoof the GPS signal").
 """
 
-from repro.geo.coords import EARTH_RADIUS_KM, GeoPoint, destination_point, haversine_km, initial_bearing
+from repro.geo.coords import EARTH_RADIUS_KM, GeoPoint, destination_point, haversine_km
 from repro.geo.datasets import (
     AUSTRALIA_HOSTS,
     BRISBANE_ADSL_HOST,
@@ -21,25 +21,16 @@ from repro.geo.datasets import (
     city,
 )
 from repro.geo.gps import GPSReceiver, GPSSpoofer
-from repro.geo.regions import (
-    BoundingBox,
-    CircularRegion,
-    PolygonRegion,
-    Region,
-    UnionRegion,
-)
+from repro.geo.regions import CircularRegion, PolygonRegion, Region
 
 __all__ = [
     "GeoPoint",
     "haversine_km",
-    "initial_bearing",
     "destination_point",
     "EARTH_RADIUS_KM",
     "Region",
     "CircularRegion",
-    "BoundingBox",
     "PolygonRegion",
-    "UnionRegion",
     "AUSTRALIA_HOSTS",
     "BRISBANE_ADSL_HOST",
     "QUT_LAN_MACHINES",

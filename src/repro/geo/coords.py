@@ -55,15 +55,6 @@ def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
     return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(h)))
 
 
-def initial_bearing(a: GeoPoint, b: GeoPoint) -> float:
-    """Initial great-circle bearing from ``a`` to ``b`` in degrees [0, 360)."""
-    phi1, phi2 = math.radians(a.latitude), math.radians(b.latitude)
-    dlambda = math.radians(b.longitude - a.longitude)
-    y = math.sin(dlambda) * math.cos(phi2)
-    x = math.cos(phi1) * math.sin(phi2) - math.sin(phi1) * math.cos(phi2) * math.cos(dlambda)
-    return (math.degrees(math.atan2(y, x)) + 360.0) % 360.0
-
-
 def destination_point(origin: GeoPoint, bearing_deg: float, distance_km: float) -> GeoPoint:
     """Point reached travelling ``distance_km`` along ``bearing_deg``.
 
@@ -87,19 +78,3 @@ def destination_point(origin: GeoPoint, bearing_deg: float, distance_km: float) 
     longitude = math.degrees(lambda2)
     longitude = (longitude + 540.0) % 360.0 - 180.0
     return GeoPoint(math.degrees(phi2), longitude)
-
-
-def midpoint(a: GeoPoint, b: GeoPoint) -> GeoPoint:
-    """Great-circle midpoint of two points."""
-    phi1, phi2 = math.radians(a.latitude), math.radians(b.latitude)
-    lambda1 = math.radians(a.longitude)
-    dlambda = math.radians(b.longitude - a.longitude)
-    bx = math.cos(phi2) * math.cos(dlambda)
-    by = math.cos(phi2) * math.sin(dlambda)
-    phi3 = math.atan2(
-        math.sin(phi1) + math.sin(phi2),
-        math.sqrt((math.cos(phi1) + bx) ** 2 + by**2),
-    )
-    lambda3 = lambda1 + math.atan2(by, math.cos(phi1) + bx)
-    longitude = (math.degrees(lambda3) + 540.0) % 360.0 - 180.0
-    return GeoPoint(math.degrees(phi3), longitude)

@@ -6,20 +6,18 @@ manipulated by the provider ... GPS satellite simulators can spoof the
 GPS signal by producing a fake satellite radio signal that is much
 stronger than the normal GPS signal."
 
-:class:`GPSReceiver` reports its true position plus optional receiver
-noise.  :class:`GPSSpoofer` overrides the reported fix, modelling a
-provider running a satellite simulator next to the verifier; the TPA's
-countermeasure (landmark triangulation of V) lives in
-:mod:`repro.geoloc` and is exercised in the security benchmarks.
+:class:`GPSReceiver` reports its true position.  :class:`GPSSpoofer`
+overrides the reported fix, modelling a provider running a satellite
+simulator next to the verifier; the TPA's countermeasure (landmark
+triangulation of V) lives in :mod:`repro.geoloc` and is exercised in
+the security benchmarks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.crypto.rng import DeterministicRNG
-from repro.errors import ConfigurationError
-from repro.geo.coords import GeoPoint, destination_point
+from repro.geo.coords import GeoPoint
 
 
 @dataclass
@@ -38,10 +36,6 @@ class GPSSpoofer:
         self.fake_position = fake_position
         self.active = True
 
-    def toggle(self, active: bool) -> None:
-        """Turn the spoofing transmitter on or off."""
-        self.active = active
-
 
 class GPSReceiver:
     """A GPS receiver attached to the verifier device.
@@ -50,27 +44,15 @@ class GPSReceiver:
     ----------
     true_position:
         Where the device physically is.
-    accuracy_m:
-        1-sigma horizontal error of an honest fix (default 5 m,
-        typical for an open-sky consumer receiver).
-    rng:
-        Noise source; omit for exact (noise-free) fixes.
+
+    Fixes are exact; each reports the 5 m 1-sigma accuracy of an
+    open-sky consumer receiver.
     """
 
-    def __init__(
-        self,
-        true_position: GeoPoint,
-        *,
-        accuracy_m: float = 5.0,
-        rng: DeterministicRNG | None = None,
-    ) -> None:
-        if accuracy_m < 0:
-            raise ConfigurationError(
-                f"accuracy must be >= 0, got {accuracy_m}"
-            )
+    accuracy_m = 5.0
+
+    def __init__(self, true_position: GeoPoint) -> None:
         self.true_position = true_position
-        self.accuracy_m = accuracy_m
-        self._rng = rng
         self._spoofer: GPSSpoofer | None = None
 
     def attach_spoofer(self, spoofer: GPSSpoofer) -> None:
@@ -89,12 +71,6 @@ class GPSReceiver:
                 accuracy_m=self.accuracy_m,
                 spoofed=True,
             )
-        position = self.true_position
-        if self._rng is not None and self.accuracy_m > 0:
-            error_km = abs(self._rng.gauss(0.0, self.accuracy_m)) / 1000.0
-            bearing = self._rng.uniform(0.0, 360.0)
-            position = destination_point(self.true_position, bearing, error_km)
-            position = GeoPoint(
-                position.latitude, position.longitude, self.true_position.label
-            )
-        return GPSFix(position=position, accuracy_m=self.accuracy_m, spoofed=False)
+        return GPSFix(
+            position=self.true_position, accuracy_m=self.accuracy_m, spoofed=False
+        )

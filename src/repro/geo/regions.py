@@ -52,38 +52,6 @@ class CircularRegion(Region):
         return f"within {self.radius_km:.0f} km of {self.centre}"
 
 
-@dataclass(frozen=True)
-class BoundingBox(Region):
-    """A latitude/longitude box (min/max corners)."""
-
-    min_latitude: float
-    max_latitude: float
-    min_longitude: float
-    max_longitude: float
-
-    def __post_init__(self) -> None:
-        if self.min_latitude > self.max_latitude:
-            raise ConfigurationError("min_latitude > max_latitude")
-        if self.min_longitude > self.max_longitude:
-            raise ConfigurationError(
-                "min_longitude > max_longitude (wrap-around boxes are not supported)"
-            )
-
-    def contains(self, point: GeoPoint) -> bool:
-        """True iff the point lies inside the box (edges inclusive)."""
-        return (
-            self.min_latitude <= point.latitude <= self.max_latitude
-            and self.min_longitude <= point.longitude <= self.max_longitude
-        )
-
-    def describe(self) -> str:
-        """Human-readable summary of the box."""
-        return (
-            f"box lat[{self.min_latitude}, {self.max_latitude}] "
-            f"lon[{self.min_longitude}, {self.max_longitude}]"
-        )
-
-
 class PolygonRegion(Region):
     """A simple (non-self-intersecting) polygon via ray casting.
 
@@ -118,29 +86,6 @@ class PolygonRegion(Region):
         """Human-readable summary of the polygon."""
         name = self.label or "polygon"
         return f"{name} ({len(self.vertices)} vertices)"
-
-
-class UnionRegion(Region):
-    """The union of several regions.
-
-    Real SLA clauses are often disjunctive -- "any EU data centre
-    region" is a union of circles around listed sites.
-    """
-
-    def __init__(self, members: list[Region], label: str = "") -> None:
-        if not members:
-            raise ConfigurationError("union needs at least one member region")
-        self.members = list(members)
-        self.label = label
-
-    def contains(self, point: GeoPoint) -> bool:
-        """True iff any member region contains the point."""
-        return any(member.contains(point) for member in self.members)
-
-    def describe(self) -> str:
-        """Human-readable disjunction of the member descriptions."""
-        name = self.label or "union"
-        return f"{name}: " + " OR ".join(m.describe() for m in self.members)
 
 
 #: A coarse polygon outline of mainland Australia (SLA granularity).

@@ -27,28 +27,18 @@ class GeoPing(GeolocationScheme):
 
     name = "geoping"
 
-    def __init__(
-        self,
-        topology: NetworkTopology,
-        landmark_names: list[str],
-        *,
-        candidate_names: list[str] | None = None,
-        n_probes: int = 3,
-    ) -> None:
+    def __init__(self, topology: NetworkTopology, landmark_names: list[str]) -> None:
         super().__init__(topology, landmark_names)
-        # Candidate sites default to the landmarks (classic GeoPing:
-        # "the location of the nearest landmark").
-        self.candidates = list(candidate_names or landmark_names)
-        self.n_probes = n_probes
+        # Candidate sites are the landmarks (classic GeoPing: "the
+        # location of the nearest landmark").
+        self.candidates = list(landmark_names)
         self._delay_map: dict[str, list[float]] = {}
         for candidate in self.candidates:
             self._delay_map[candidate] = self._probe_vector(candidate)
 
     def _probe_vector(self, node: str) -> list[float]:
         return [
-            ping(
-                self.topology, landmark, node, n_probes=self.n_probes
-            ).rtt_avg_ms
+            ping(self.topology, landmark, node, n_probes=3).rtt_avg_ms
             for landmark in self.landmarks
         ]
 

@@ -28,41 +28,31 @@ class OctantLike(GeolocationScheme):
     """Ring-intersection geolocation with positive/negative constraints."""
 
     name = "octant"
+    #: Envelope speeds: fibre for the positive ring, a conservative
+    #: quarter of it for the negative one.
+    positive_speed = FIBRE_SPEED_KM_PER_MS
+    negative_speed = FIBRE_SPEED_KM_PER_MS / 4.0
 
     def __init__(
         self,
         topology: NetworkTopology,
         landmark_names: list[str],
         *,
-        positive_speed_km_per_ms: float = FIBRE_SPEED_KM_PER_MS,
-        negative_speed_km_per_ms: float = FIBRE_SPEED_KM_PER_MS / 4.0,
-        overhead_ms: float = 0.0,
         grid_step_km: float = 50.0,
-        n_probes: int = 3,
     ) -> None:
         super().__init__(topology, landmark_names)
-        if positive_speed_km_per_ms <= negative_speed_km_per_ms:
-            raise ConfigurationError(
-                "positive envelope speed must exceed negative envelope speed"
-            )
         if grid_step_km <= 0:
             raise ConfigurationError(
                 f"grid_step_km must be positive, got {grid_step_km}"
             )
-        self.positive_speed = positive_speed_km_per_ms
-        self.negative_speed = negative_speed_km_per_ms
-        self.overhead_ms = overhead_ms
         self.grid_step_km = grid_step_km
-        self.n_probes = n_probes
 
     def _constraints(self, target: str) -> list[tuple[GeoPoint, float, float]]:
         """Per-landmark (position, r_min_km, r_max_km) rings."""
         rings = []
         for landmark in self.landmarks:
-            rtt_ms = ping(
-                self.topology, landmark, target, n_probes=self.n_probes
-            ).rtt_avg_ms
-            effective = max(0.0, rtt_ms - self.overhead_ms)
+            rtt_ms = ping(self.topology, landmark, target, n_probes=3).rtt_avg_ms
+            effective = max(0.0, rtt_ms)
             r_max = self.positive_speed * effective / 2.0
             r_min = self.negative_speed * effective / 2.0 * 0.0
             # Octant's negative information is an inner ring when the

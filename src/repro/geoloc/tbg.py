@@ -28,15 +28,9 @@ class TopologyBasedGeolocation(GeolocationScheme):
 
     name = "tbg"
 
-    def __init__(
-        self,
-        topology: NetworkTopology,
-        landmark_names: list[str],
-        *,
-        speed_km_per_ms: float = FIBRE_SPEED_KM_PER_MS,
-    ) -> None:
+    def __init__(self, topology: NetworkTopology, landmark_names: list[str]) -> None:
         super().__init__(topology, landmark_names)
-        self.speed = speed_km_per_ms
+        self.speed = FIBRE_SPEED_KM_PER_MS
         # "Landmarks issue traceroute probes to each other": learn which
         # routers appear on landmark-landmark paths; each router's
         # position is interpolated along the path, and the sighting
@@ -65,10 +59,6 @@ class TopologyBasedGeolocation(GeolocationScheme):
                 + fraction * (position_b.longitude - position_a.longitude),
             )
             self._estimate_quality_km[router] = endpoint_separation
-
-    def router_estimate(self, router: str) -> GeoPoint | None:
-        """Position estimate for a router seen on landmark paths."""
-        return self._router_estimates.get(router)
 
     def locate(self, target: str) -> GeolocationEstimate:
         """Weighted centroid of last-hop constraints."""

@@ -3,23 +3,14 @@
 The scalar :mod:`repro.gf.gf256` multiplies two field elements with
 three table lookups: ``EXP[LOG[a] + LOG[b]]`` (the EXP table is doubled
 so the sum never needs a ``mod 255``).  The vectorized kernels here are
-the same arithmetic lifted to whole numpy arrays:
-
-* **exp/log gather** -- :func:`gf_mul_vec` gathers ``LOG`` at every
-  element of both operands (one fancy-index read each), adds the log
-  arrays elementwise, gathers ``EXP`` at the sums, and finally masks
-  the positions where either operand was zero (zero has no logarithm;
-  the scalar code special-cases it with a branch, the vector code with
-  a boolean mask).  One multiply therefore costs three gathers + one
-  add across the whole array instead of a Python-level loop.
-* **product table** -- for matrix kernels the log-add is folded away
-  entirely: ``_MUL_TABLE`` is the full 256x256 product table (64 KiB,
-  built once at import from the exp/log tables, zero rows/columns
-  included so no mask is needed).  :func:`gf_matmul` computes a GF(256)
-  matrix product ``A (m,k) @ B (k,w)`` one output row at a time as a
-  single 2-D gather ``_MUL_TABLE[A[i][:, None], B]`` (shape ``(k, w)``)
-  followed by ``np.bitwise_xor.reduce`` down the ``k`` axis -- XOR is
-  field addition, so the reduction *is* the dot product.
+the same arithmetic lifted to whole numpy arrays.  The exp/log-add is
+folded away entirely: ``_MUL_TABLE`` is the full 256x256 product table
+(64 KiB, built once at import by one broadcast exp/log gather, zero
+rows/columns included so no mask is needed).  :func:`gf_matmul`
+computes a GF(256) matrix product ``A (m,k) @ B (k,w)`` one output row
+at a time as a single 2-D gather ``_MUL_TABLE[A[i][:, None], B]``
+(shape ``(k, w)``) followed by ``np.bitwise_xor.reduce`` down the ``k``
+axis -- XOR is field addition, so the reduction *is* the dot product.
 
 This is the kernel under the batch Reed-Solomon encoder: the
 systematic RS(255, 223) parity of all 16 interleaved byte-columns of
@@ -111,22 +102,6 @@ def as_gf_array(data: GFArray, *, name: str = "array") -> GFArray:
     return arr.astype(_np.uint8)
 
 
-def gf_mul_vec(a: GFArray, b: GFArray) -> GFArray:
-    """Elementwise GF(256) product of two broadcastable arrays.
-
-    The vector form of ``GF256.mul``: gather logs, add, gather the
-    antilog, mask positions where either operand is zero.  Returns a
-    uint8 array of the broadcast shape.
-    """
-    a = as_gf_array(a, name="a")
-    b = as_gf_array(b, name="b")
-    out = _EXP_NP[_LOG_NP[a] + _LOG_NP[b]]
-    zero = (a == 0) | (b == 0)
-    if zero.any():
-        out = _np.where(zero, _np.uint8(0), out)
-    return out
-
-
 def gf_matmul(a: GFArray, b: GFArray) -> GFArray:
     """GF(256) matrix product ``a @ b`` via product-table gathers.
 
@@ -152,13 +127,3 @@ def gf_matmul(a: GFArray, b: GFArray) -> GFArray:
     for i in range(m):
         out[i] = _np.bitwise_xor.reduce(_MUL_TABLE[a[i][:, None], b], axis=0)
     return out
-
-
-def gf_matvec(matrix: GFArray, vector: GFArray) -> GFArray:
-    """GF(256) matrix-vector product ``matrix @ vector`` (1-D result)."""
-    vec = as_gf_array(vector, name="vector")
-    if vec.ndim != 1:
-        raise ConfigurationError(
-            f"gf_matvec needs a 1-D vector, got {vec.ndim}-D"
-        )
-    return gf_matmul(matrix, vec[:, None])[:, 0]

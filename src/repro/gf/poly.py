@@ -160,12 +160,3 @@ class Poly:
             for i, c in enumerate(self.coeffs)
         ][1:]
         return Poly(out)
-
-    def find_roots(self, limit: int = 256) -> list[int]:
-        """Return all roots in GF(2^8) by exhaustive scan (Chien search).
-
-        ``limit`` restricts the scan to the first ``limit`` field
-        elements, which suffices when roots are known to be inverses of
-        locators X_j = alpha^(position) with position < n.
-        """
-        return [x for x in range(limit) if self.eval(x) == 0]

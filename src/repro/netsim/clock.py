@@ -6,19 +6,29 @@ All timing in the reproduction is *simulated*: protocol components call
 the paper's verifier starts/stops its timing clock.  Using simulated
 rather than wall-clock time makes every experiment deterministic and
 lets a laptop reproduce millisecond-scale claims exactly.
+
+Every entry point takes only finite, non-negative steps.  A provider's
+reply feeds its ``elapsed_ms`` straight into :meth:`SimClock.advance`,
+so a NaN or infinite step must fail there: once the clock read NaN,
+every later round's RTT would be NaN too, and ``max()`` over a
+transcript keeps a finite first round over later NaNs.
 """
 
 from __future__ import annotations
 
+import math
+
 from repro.errors import ClockError
+
+_INF = math.inf
 
 
 class SimClock:
     """Simulated time in milliseconds since simulation start."""
 
     def __init__(self, start_ms: float = 0.0) -> None:
-        if start_ms < 0:
-            raise ClockError(f"start time must be >= 0, got {start_ms}")
+        if not 0.0 <= start_ms < _INF:
+            raise ClockError(f"start time must be finite and >= 0, got {start_ms}")
         self._now_ms = float(start_ms)
 
     def now_ms(self) -> float:
@@ -28,42 +38,19 @@ class SimClock:
     def advance(self, delta_ms: float) -> float:
         """Move time forward by ``delta_ms``; returns the new time.
 
-        Negative advances raise -- simulated time is monotonic.
+        Negative and non-finite advances raise -- simulated time is
+        monotonic and finite.
         """
-        if delta_ms < 0:
+        if not 0.0 <= delta_ms < _INF:
             raise ClockError(f"cannot advance clock by {delta_ms} ms")
         self._now_ms += delta_ms
         return self._now_ms
 
     def advance_to(self, timestamp_ms: float) -> float:
         """Jump forward to an absolute time (used by the event loop)."""
-        if timestamp_ms < self._now_ms:
+        if not self._now_ms <= timestamp_ms < _INF:
             raise ClockError(
-                f"cannot move clock backwards: {timestamp_ms} < {self._now_ms}"
+                f"cannot move clock from {self._now_ms} to {timestamp_ms}"
             )
         self._now_ms = timestamp_ms
         return self._now_ms
-
-    class _Stopwatch:
-        """Context manager measuring elapsed simulated time."""
-
-        def __init__(self, clock: "SimClock") -> None:
-            self._clock = clock
-            self.start_ms = 0.0
-            self.elapsed_ms = 0.0
-
-        def __enter__(self) -> "SimClock._Stopwatch":
-            self.start_ms = self._clock.now_ms()
-            return self
-
-        def __exit__(self, *exc_info: object) -> None:
-            self.elapsed_ms = self._clock.now_ms() - self.start_ms
-
-    def stopwatch(self) -> "SimClock._Stopwatch":
-        """Measure simulated time across a block::
-
-            with clock.stopwatch() as lap:
-                channel.transfer(...)
-            rtt = lap.elapsed_ms
-        """
-        return SimClock._Stopwatch(self)

@@ -34,26 +34,6 @@ class EventScheduler:
         self.clock = clock or SimClock()
         self._queue: list[_ScheduledEvent] = []
         self._sequence = itertools.count()
-        self._processed = 0
-
-    @property
-    def n_pending(self) -> int:
-        """Live events still queued (cancelled tombstones excluded)."""
-        return sum(1 for e in self._queue if not e.cancelled)
-
-    @property
-    def n_cancelled(self) -> int:
-        """Cancelled tombstones still sitting in the queue.
-
-        Tombstones are only reclaimed when dispatch pops past them, so
-        this count drops back to zero as the loop advances.
-        """
-        return sum(1 for e in self._queue if e.cancelled)
-
-    @property
-    def n_processed(self) -> int:
-        """Events executed so far."""
-        return self._processed
 
     def schedule_at(
         self, timestamp_ms: float, action: Callable[[], None], *, label: str = ""
@@ -132,13 +112,12 @@ class EventScheduler:
             self.clock.advance_to(event.timestamp_ms)
             event.action()
             executed += 1
-            self._processed += 1
         if executed >= max_events and self._queue:
             raise SimulationError(f"run_until exceeded {max_events} events")
         if end_ms != float("inf") and end_ms > self.clock.now_ms():
             self.clock.advance_to(end_ms)
         return executed
 
-    def run_all(self, *, max_events: int = 1_000_000) -> int:
+    def run_all(self) -> int:
         """Dispatch until the queue is empty."""
-        return self.run_until(float("inf"), max_events=max_events)
+        return self.run_until(float("inf"))

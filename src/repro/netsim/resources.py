@@ -60,11 +60,6 @@ class ServiceGrant:
     #: Service duration the grant covers.
     service_ms: float
 
-    @property
-    def done_ms(self) -> float:
-        """When the granted service completes."""
-        return self.start_ms + self.service_ms
-
 
 class SpindleQueue:
     """A single-server FIFO queue over a shared spindle's timeline.

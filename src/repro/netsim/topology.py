@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.crypto.rng import DeterministicRNG
 from repro.errors import ConfigurationError, SimulationError
 from repro.geo.coords import GeoPoint, haversine_km
 from repro.netsim.latency import FIBRE_SPEED_KM_PER_MS
@@ -40,14 +39,12 @@ class Link:
     """A bidirectional link with a fixed latency budget.
 
     ``latency_ms`` is the one-way link latency (propagation over the
-    geographic distance plus router forwarding); ``jitter_ms`` adds an
-    exponential term per traversal when sampling with an RNG.
+    geographic distance plus router forwarding).
     """
 
     a: str
     b: str
     latency_ms: float
-    jitter_ms: float = 0.0
 
 
 class NetworkTopology:
@@ -74,7 +71,6 @@ class NetworkTopology:
         b: str,
         *,
         latency_ms: float | None = None,
-        jitter_ms: float = 0.0,
         inflation: float = 1.0,
     ) -> Link:
         """Link two nodes.
@@ -93,8 +89,8 @@ class NetworkTopology:
             latency_ms = inflation * distance_km / FIBRE_SPEED_KM_PER_MS
         if latency_ms < 0:
             raise ConfigurationError(f"latency must be >= 0, got {latency_ms}")
-        link = Link(a=a, b=b, latency_ms=latency_ms, jitter_ms=jitter_ms)
-        self._graph.add_edge(a, b, latency_ms=latency_ms, jitter_ms=jitter_ms)
+        link = Link(a=a, b=b, latency_ms=latency_ms)
+        self._graph.add_edge(a, b, latency_ms=latency_ms)
         return link
 
     # -- queries ------------------------------------------------------------
@@ -104,15 +100,6 @@ class NetworkTopology:
         if name not in self._nodes:
             raise ConfigurationError(f"unknown node {name!r}")
         return self._nodes[name]
-
-    def nodes_of_kind(self, kind: str) -> list[Node]:
-        """All nodes with the given role tag."""
-        return [n for n in self._nodes.values() if n.kind == kind]
-
-    @property
-    def n_nodes(self) -> int:
-        """Number of nodes."""
-        return len(self._nodes)
 
     def shortest_path(self, source: str, destination: str) -> list[str]:
         """Minimum-latency path (Dijkstra on link latencies)."""
@@ -130,10 +117,8 @@ class NetworkTopology:
                 f"no path from {source!r} to {destination!r}"
             ) from exc
 
-    def path_latency_ms(
-        self, path: list[str], rng: DeterministicRNG | None = None
-    ) -> float:
-        """One-way latency along a node path (with optional jitter)."""
+    def path_latency_ms(self, path: list[str]) -> float:
+        """One-way latency along a node path."""
         if len(path) < 2:
             return 0.0
         total = 0.0
@@ -142,49 +127,13 @@ class NetworkTopology:
             if data is None:
                 raise SimulationError(f"no link {a!r} -- {b!r}")
             total += data["latency_ms"]
-            if rng is not None and data["jitter_ms"] > 0:
-                total += rng.expovariate(1.0 / data["jitter_ms"])
         return total
 
-    def one_way_ms(
-        self, source: str, destination: str, rng: DeterministicRNG | None = None
-    ) -> float:
+    def one_way_ms(self, source: str, destination: str) -> float:
         """Shortest-path one-way latency between two nodes."""
-        return self.path_latency_ms(self.shortest_path(source, destination), rng)
+        return self.path_latency_ms(self.shortest_path(source, destination))
 
-    def rtt_ms(
-        self, source: str, destination: str, rng: DeterministicRNG | None = None
-    ) -> float:
-        """Round-trip latency (two independent traversals)."""
+    def rtt_ms(self, source: str, destination: str) -> float:
+        """Round-trip latency (two traversals of the shortest path)."""
         path = self.shortest_path(source, destination)
-        return self.path_latency_ms(path, rng) + self.path_latency_ms(path, rng)
-
-
-def build_geographic_topology(
-    sites: dict[str, GeoPoint],
-    *,
-    backbone: list[tuple[str, str]] | None = None,
-    inflation: float = 1.4,
-    per_link_jitter_ms: float = 0.1,
-) -> NetworkTopology:
-    """Build a topology from named sites.
-
-    With ``backbone=None`` every pair of sites is connected directly
-    (a full mesh at inflated-fibre latency); otherwise only the listed
-    pairs are linked and traffic routes through intermediate sites --
-    which is what makes TBG-style topology measurements meaningful.
-    """
-    topology = NetworkTopology()
-    for name, position in sites.items():
-        topology.add_node(Node(name=name, position=position, kind="router"))
-    pairs = backbone
-    if pairs is None:
-        names = list(sites)
-        pairs = [
-            (names[i], names[j])
-            for i in range(len(names))
-            for j in range(i + 1, len(names))
-        ]
-    for a, b in pairs:
-        topology.add_link(a, b, inflation=inflation, jitter_ms=per_link_jitter_ms)
-    return topology
+        return self.path_latency_ms(path) + self.path_latency_ms(path)

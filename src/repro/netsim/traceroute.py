@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.crypto.rng import DeterministicRNG
 from repro.netsim.topology import NetworkTopology
 
 
@@ -42,12 +41,9 @@ def ping(
     destination: str,
     *,
     n_probes: int = 4,
-    rng: DeterministicRNG | None = None,
 ) -> PingResult:
-    """RTT statistics over ``n_probes`` independent probes."""
-    samples = [
-        topology.rtt_ms(source, destination, rng) for _ in range(max(1, n_probes))
-    ]
+    """RTT statistics over ``n_probes`` probes."""
+    samples = [topology.rtt_ms(source, destination) for _ in range(max(1, n_probes))]
     return PingResult(
         source=source,
         destination=destination,
@@ -62,8 +58,6 @@ def traceroute(
     topology: NetworkTopology,
     source: str,
     destination: str,
-    *,
-    rng: DeterministicRNG | None = None,
 ) -> list[TracerouteHop]:
     """Per-hop cumulative RTTs along the shortest path.
 
@@ -74,8 +68,6 @@ def traceroute(
     hops: list[TracerouteHop] = []
     for i in range(1, len(path)):
         prefix = path[: i + 1]
-        rtt_ms = topology.path_latency_ms(prefix, rng) + topology.path_latency_ms(
-            prefix, rng
-        )
+        rtt_ms = 2 * topology.path_latency_ms(prefix)
         hops.append(TracerouteHop(hop=i, node=path[i], rtt_ms=rtt_ms))
     return hops

@@ -50,7 +50,6 @@ from repro.obs.metrics import (
     Histogram,
     HistogramValue,
     MetricsRegistry,
-    iter_quantiles,
 )
 from repro.obs.tracing import Span, Tracer
 
@@ -63,7 +62,6 @@ __all__ = [
     "MetricsRegistry",
     "Span",
     "Tracer",
-    "iter_quantiles",
     "metrics",
     "set_enabled",
     "tracer",

@@ -34,7 +34,7 @@ variable through the code.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Any, Iterator, Mapping, Sequence, Union
 
 from repro.errors import ConfigurationError
 
@@ -45,7 +45,6 @@ __all__ = [
     "Histogram",
     "HistogramValue",
     "MetricsRegistry",
-    "iter_quantiles",
 ]
 
 
@@ -168,11 +167,6 @@ class HistogramValue:
             return 0.0
         return self._sum / self._count
 
-    @property
-    def upper_bounds(self) -> tuple[float, ...]:
-        """The finite bucket upper bounds (``le`` values)."""
-        return self._upper_bounds
-
     def cumulative_buckets(self) -> Iterator[tuple[float, int]]:
         """Yield ``(le, cumulative_count)`` pairs, ending with +Inf."""
         running = 0
@@ -268,10 +262,6 @@ class Gauge:
     def inc(self, amount: float = 1.0) -> None:
         """Adjust the current value upward."""
         self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        """Adjust the current value downward."""
-        self._value -= amount
 
     @property
     def value(self) -> float:
@@ -397,10 +387,6 @@ class _Family:
         for key in sorted(self._children):
             yield key, self._children[key]
 
-    @property
-    def series_count(self) -> int:
-        return len(self._children)
-
     def _add(self, other: _Family) -> None:
         """Sum a same-shaped family into this one, series by series."""
         self.require_shape(other.kind, other.labelnames, other._buckets)
@@ -503,13 +489,6 @@ class MetricsRegistry:
                 total._add(family)
         return merged
 
-    @property
-    def series_count(self) -> int:
-        """Total labeled children across every family."""
-        return sum(
-            family.series_count for family in self._merged().values()
-        )
-
     # -- exposition -----------------------------------------------------
 
     @staticmethod
@@ -595,12 +574,3 @@ class MetricsRegistry:
                 }
             )
         return {"enabled": self._enabled, "families": families}
-
-
-def iter_quantiles(
-    hist: HistogramValue, quantiles: Iterable[float]
-) -> dict[str, float]:
-    """Convenience: ``{"p50": ..., "p99": ...}`` for a histogram."""
-    return {
-        f"p{int(q * 100)}": hist.quantile(q) for q in quantiles
-    }

@@ -107,22 +107,16 @@ def equal_detection_parameters(
     return queries_for_detection(epsilon, target_detection)
 
 
-def compare_schemes(
-    file_bytes: int,
-    *,
-    epsilon: float = 0.005,
-    target_detection: float = 0.713,
-    n_sentinels: int | None = None,
-    params: PORParams | None = None,
-) -> list[SchemeCosts]:
+def compare_schemes(file_bytes: int) -> list[SchemeCosts]:
     """Both cost cards at equal per-audit detection probability.
 
-    ``n_sentinels`` defaults to one year of daily audits' worth.
+    The paper's working point: catch 0.5 % corruption with probability
+    0.713 per audit, with one year of daily audits' worth of sentinels,
+    under the paper's POR parameters.
     """
-    params = params or PORParams()
-    q = equal_detection_parameters(epsilon, target_detection)
-    if n_sentinels is None:
-        n_sentinels = q * 365
+    params = PORParams()
+    q = equal_detection_parameters(0.005, 0.713)
+    n_sentinels = q * 365
     return [
         mac_por_costs(file_bytes, q, params),
         sentinel_por_costs(file_bytes, q, n_sentinels, params),

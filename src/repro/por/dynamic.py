@@ -77,10 +77,12 @@ class DynamicPORServer:
 class DynamicPOR:
     """Client side: O(1) state (MAC key + Merkle root + block count)."""
 
-    def __init__(self, mac_key: bytes, file_id: bytes, *, tag_bits: int = 128) -> None:
+    #: Width of every block tag in bits.
+    tag_bits = 128
+
+    def __init__(self, mac_key: bytes, file_id: bytes) -> None:
         self.mac_key = mac_key
         self.file_id = file_id
-        self.tag_bits = tag_bits
         self.root: bytes | None = None
         self.n_blocks = 0
 

@@ -75,10 +75,6 @@ class MacPORServer:
         )
         return PORResponse(segments=segments)
 
-    def respond_one(self, index: int) -> Segment:
-        """Answer a single index (the per-round operation GeoProof times)."""
-        return self.encoded_file.segment(index)
-
 
 class MacPORClient:
     """The verifying side: issues challenges and checks responses.
@@ -105,18 +101,14 @@ class MacPORClient:
         self.n_segments = n_segments
         self.params = params or PORParams()
 
-    def make_challenge(
-        self, k: int, rng: DeterministicRNG, *, nonce: bytes | None = None
-    ) -> PORChallenge:
-        """Draw ``k`` distinct random segment indices."""
+    def make_challenge(self, k: int, rng: DeterministicRNG) -> PORChallenge:
+        """Draw ``k`` distinct random segment indices and a fresh nonce."""
         if not 0 < k <= self.n_segments:
             raise ConfigurationError(
                 f"k must be in 1..{self.n_segments}, got {k}"
             )
         indices = tuple(rng.sample_indices(self.n_segments, k))
-        if nonce is None:
-            nonce = rng.random_bytes(16)
-        return PORChallenge(indices=indices, nonce=nonce)
+        return PORChallenge(indices=indices, nonce=rng.random_bytes(16))
 
     def verify_segment(self, index: int, segment: Segment) -> bool:
         """Check a single segment's tag against its claimed index."""

@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 from typing import Sequence
 
-from repro.errors import ConfigurationError, VerificationError
+from repro.errors import ConfigurationError
 
 _LEAF_PREFIX = b"\x00"
 _NODE_PREFIX = b"\x01"
@@ -123,11 +123,3 @@ class MerkleTree:
             else:
                 current = _hash_node(sibling, current)
         return current == root
-
-    @staticmethod
-    def require_valid_proof(
-        root: bytes, leaf: bytes, index: int, path: Sequence[tuple[bytes, bool]]
-    ) -> None:
-        """Raise :class:`VerificationError` if the path does not verify."""
-        if not MerkleTree.verify_proof(root, leaf, index, path):
-            raise VerificationError("Merkle proof failed", reason="merkle")

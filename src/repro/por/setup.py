@@ -157,34 +157,31 @@ def setup_file(
 def extract_file(
     encoded: EncodedFile,
     keys: PORKeys,
-    *,
-    verify_tags: bool = True,
 ) -> bytes:
     """Invert the setup pipeline and return the original file bytes.
 
-    With ``verify_tags`` (default) every segment's MAC is checked first
-    and segments with bad tags are treated as *erasures* for the
-    Reed-Solomon decoder -- this is exactly the retrievability
-    mechanism: tampering either trips a tag (becoming an erasure the
-    code heals) or is small enough for the code to correct blind.
+    Every segment's MAC is checked first and segments with bad tags
+    are treated as *erasures* for the Reed-Solomon decoder -- this is
+    exactly the retrievability mechanism: tampering either trips a tag
+    (becoming an erasure the code heals) or is small enough for the
+    code to correct blind.
     """
     params = encoded.params
     block_bytes = params.block_bytes
     v = params.segment_blocks
 
     bad_segments: set[int] = set()
-    if verify_tags:
-        results = mac_verify_many(
-            keys.mac_key,
-            [segment.payload for segment in encoded.segments],
-            [segment.tag for segment in encoded.segments],
-            encoded.file_id,
-            indices=[segment.index for segment in encoded.segments],
-            tag_bits=params.tag_bits,
-        )
-        for segment, ok in zip(encoded.segments, results):
-            if not ok:
-                bad_segments.add(segment.index)
+    results = mac_verify_many(
+        keys.mac_key,
+        [segment.payload for segment in encoded.segments],
+        [segment.tag for segment in encoded.segments],
+        encoded.file_id,
+        indices=[segment.index for segment in encoded.segments],
+        tag_bits=params.tag_bits,
+    )
+    for segment, ok in zip(encoded.segments, results):
+        if not ok:
+            bad_segments.add(segment.index)
 
     permuted_blocks = encoded.blocks()
     n_encoded = BlockStriper(params.stripe_layout).encoded_length(

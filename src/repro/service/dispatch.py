@@ -35,6 +35,7 @@ the asyncio loop the daemon mounts it on.
 from __future__ import annotations
 
 import asyncio
+import logging
 from collections import deque
 from dataclasses import dataclass
 from typing import Protocol, Sequence
@@ -50,6 +51,8 @@ from repro.util.wallclock import wall_seconds
 
 #: Queue sentinel: stop after draining what is already buffered.
 SHUTDOWN = object()
+
+_log = logging.getLogger(__name__)
 
 #: Orders-per-flush histogram bounds (flush_batch rarely exceeds 256).
 FLUSH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
@@ -199,15 +202,26 @@ class AuditDispatcher:
         :class:`ErrorReply` carrying the error's text, and only that
         order: every other order gets the verdict the scalar reference
         audit gives it.
+
+        Anything else the flush raises (a backend bug, say) is
+        contained here: the traceback is logged once and every order
+        of the flush is answered with an :class:`ErrorReply` naming the
+        exception type, so the daemon keeps serving.
         """
-        entries = self.tpa.audit_deferred_many(
-            [(order.file_id, order.k or None) for order in orders],
-            self.verifier,
-            self.provider,
-        )
-        outcomes = iter(self.tpa.flush_verdicts(
-            [entry for entry in entries if not isinstance(entry, ReproError)]
-        ))
+        try:
+            entries = self.tpa.audit_deferred_many(
+                [(order.file_id, order.k or None) for order in orders],
+                self.verifier,
+                self.provider,
+            )
+            outcomes = iter(self.tpa.flush_verdicts(
+                [entry for entry in entries if not isinstance(entry, ReproError)]
+            ))
+        except Exception as exc:
+            _log.exception("audit flush of %d orders failed", len(orders))
+            reason = f"flush failed: {type(exc).__name__}"
+            self.stats.count_flush(len(orders), len(orders))
+            return [ErrorReply(order.order_id, reason) for order in orders]
         replies: list[VerdictReply | ErrorReply] = []
         n_errors = 0
         for order, entry in zip(orders, entries):

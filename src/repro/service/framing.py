@@ -68,8 +68,3 @@ class FrameParser:
         if offset:
             del buffer[:offset]
         return frames
-
-    @property
-    def pending_bytes(self) -> int:
-        """Bytes buffered towards an incomplete frame."""
-        return len(self._buffer)

@@ -171,14 +171,6 @@ class ProviderRegistry:
         if self._primary is None:
             self._primary = name
 
-    def set_primary(self, name: str) -> None:
-        """Route :meth:`handle_request` through this backend's chain.
-
-        Only picks the chain; resolving it stays with the first serve.
-        """
-        self.get(name)  # validates
-        self._primary = name
-
     @property
     def primary(self) -> str:
         if self._primary is None:

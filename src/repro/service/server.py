@@ -45,6 +45,10 @@ _CLOSE = object()
 #: One socket read's worth of bytes; frames are parsed per chunk.
 _READ_BYTES = 1 << 16
 
+#: Bound on submissions waiting for the dispatcher; a full queue makes
+#: readers wait, which pushes back on the sockets.
+_QUEUE_LIMIT = 1024
+
 
 class _Connection:
     """One tenant socket: a reader task, a writer task, a reply queue."""
@@ -161,12 +165,7 @@ class AuditDaemon:
         port: int = 0,
         flush_batch: int = 64,
         flush_ms: float = 5.0,
-        queue_limit: int = 1024,
     ) -> None:
-        if queue_limit < 1:
-            raise ConfigurationError(
-                f"queue_limit must be >= 1, got {queue_limit}"
-            )
         self.host = host
         self.port = port
         self.dispatcher = AuditDispatcher(
@@ -176,7 +175,6 @@ class AuditDaemon:
             flush_batch=flush_batch,
             flush_ms=flush_ms,
         )
-        self._queue_limit = queue_limit
         self._server: asyncio.AbstractServer | None = None
         self._submissions: asyncio.Queue | None = None
         self._dispatch_task: asyncio.Task | None = None
@@ -235,7 +233,7 @@ class AuditDaemon:
         # The submission queue is the backpressure boundary: when the
         # dispatcher falls behind, reader tasks block on put() and TCP
         # flow control pushes back on the tenants.
-        self._submissions = asyncio.Queue(maxsize=self._queue_limit)
+        self._submissions = asyncio.Queue(maxsize=_QUEUE_LIMIT)
         self._dispatch_task = asyncio.create_task(
             self.dispatcher.run(self._submissions), name="geoproof-dispatch"
         )
@@ -286,11 +284,3 @@ class AuditDaemon:
             await asyncio.gather(*list(self._tasks), return_exceptions=True)
         self._tasks.clear()
         self._connections.clear()
-
-    async def serve_until(self, stop_event: asyncio.Event) -> None:
-        """Run until ``stop_event`` fires, then shut down cleanly."""
-        await self.start()
-        try:
-            await stop_event.wait()
-        finally:
-            await self.stop()

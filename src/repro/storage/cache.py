@@ -31,16 +31,6 @@ class LRUCache:
         self.misses = 0
 
     @property
-    def used_bytes(self) -> int:
-        """Bytes currently cached."""
-        return self._used_bytes
-
-    @property
-    def n_entries(self) -> int:
-        """Number of cached objects."""
-        return len(self._entries)
-
-    @property
     def hit_rate(self) -> float:
         """Fraction of lookups served from cache (0 when unused)."""
         total = self.hits + self.misses

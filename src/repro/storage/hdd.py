@@ -140,10 +140,6 @@ class HDDModel:
         rotate = rng.uniform(0.0, self.spec.full_rotation_ms)
         return seek + rotate + self.transfer_ms(n_bytes)
 
-    def sequential_read_ms(self, n_bytes: int) -> float:
-        """A sequential read: one positioning cost, then streaming."""
-        return self.lookup_ms(0) + self.transfer_ms(n_bytes)
-
 
 def fastest_disk() -> HDDSpec:
     """The catalogue disk with the lowest average look-up (IBM 36Z15).
@@ -153,8 +149,3 @@ def fastest_disk() -> HDDSpec:
     look up time".
     """
     return min(DISK_CATALOGUE, key=lambda spec: HDDModel(spec).lookup_ms())
-
-
-def typical_disk() -> HDDSpec:
-    """The paper's "average HDD" assumption for honest providers."""
-    return WD_2500JD

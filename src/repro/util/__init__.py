@@ -13,10 +13,7 @@ only) so that any subsystem can import them without cycles:
 
 from repro.util.bitops import (
     bit_at,
-    bits_to_bytes,
-    bytes_to_bits,
     ceil_div,
-    rotl32,
     split_in_half,
     xor_bytes,
 )
@@ -32,15 +29,11 @@ from repro.util.validation import (
     check_positive,
     check_probability,
     check_range,
-    check_type,
 )
 
 __all__ = [
     "bit_at",
-    "bits_to_bytes",
-    "bytes_to_bits",
     "ceil_div",
-    "rotl32",
     "split_in_half",
     "xor_bytes",
     "decode_bytes_list",
@@ -52,5 +45,4 @@ __all__ = [
     "check_positive",
     "check_probability",
     "check_range",
-    "check_type",
 ]

@@ -40,53 +40,6 @@ def xor_bytes(a: bytes, b: bytes) -> bytes:
     return bytes(x ^ y for x, y in zip(a, b))
 
 
-def rotl32(value: int, amount: int) -> int:
-    """Rotate a 32-bit word left by ``amount`` bits."""
-    amount %= 32
-    value &= 0xFFFFFFFF
-    return ((value << amount) | (value >> (32 - amount))) & 0xFFFFFFFF
-
-
-def bytes_to_bits(data: bytes, n_bits: int | None = None) -> list[int]:
-    """Expand a byte string into a list of bits, most-significant first.
-
-    ``n_bits`` optionally truncates the output to the first ``n_bits``
-    bits (it must not exceed ``8 * len(data)``).
-
-    >>> bytes_to_bits(b"\\xa0", 4)
-    [1, 0, 1, 0]
-    """
-    total = 8 * len(data)
-    if n_bits is None:
-        n_bits = total
-    if not 0 <= n_bits <= total:
-        raise ConfigurationError(
-            f"n_bits={n_bits} out of range for {len(data)} bytes"
-        )
-    bits: list[int] = []
-    for byte in data:
-        for shift in range(7, -1, -1):
-            bits.append((byte >> shift) & 1)
-            if len(bits) == n_bits:
-                return bits
-    return bits
-
-
-def bits_to_bytes(bits: list[int]) -> bytes:
-    """Pack a list of bits (MSB first) into bytes, zero-padding the tail.
-
-    >>> bits_to_bytes([1, 0, 1, 0])
-    b'\\xa0'
-    """
-    out = bytearray(ceil_div(len(bits), 8))
-    for i, bit in enumerate(bits):
-        if bit not in (0, 1):
-            raise ConfigurationError(f"bit at index {i} is {bit!r}, not 0/1")
-        if bit:
-            out[i // 8] |= 1 << (7 - (i % 8))
-    return bytes(out)
-
-
 def bit_at(data: bytes, index: int) -> int:
     """Return bit ``index`` of ``data`` (MSB-first across the string).
 

@@ -103,20 +103,3 @@ def decode_float(data: bytes, offset: int = 0) -> tuple[float, int]:
     if offset + 8 > len(data):
         raise ProtocolError("truncated float")
     return struct.unpack_from(">d", data, offset)[0], offset + 8
-
-
-def encode_float_list(values: list[float]) -> bytes:
-    """Encode a list of floats (count, then each 8-byte double)."""
-    parts = [encode_uint(len(values))]
-    parts.extend(encode_float(v) for v in values)
-    return b"".join(parts)
-
-
-def decode_float_list(data: bytes, offset: int = 0) -> tuple[list[float], int]:
-    """Decode a list produced by :func:`encode_float_list`."""
-    count, offset = decode_uint(data, offset)
-    values: list[float] = []
-    for _ in range(count):
-        value, offset = decode_float(data, offset)
-        values.append(value)
-    return values, offset

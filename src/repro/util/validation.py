@@ -7,7 +7,6 @@ construction time rather than deep inside a protocol run.
 
 from __future__ import annotations
 
-from typing import Any
 
 from repro.errors import ConfigurationError
 
@@ -20,40 +19,12 @@ def check_positive(name: str, value: float, *, strict: bool = True) -> None:
         raise ConfigurationError(f"{name} must be >= 0, got {value}")
 
 
-def check_range(
-    name: str,
-    value: float,
-    low: float,
-    high: float,
-    *,
-    inclusive: bool = True,
-) -> None:
-    """Require ``low <= value <= high`` (or strict bounds)."""
-    if inclusive:
-        if not low <= value <= high:
-            raise ConfigurationError(
-                f"{name} must be in [{low}, {high}], got {value}"
-            )
-    else:
-        if not low < value < high:
-            raise ConfigurationError(
-                f"{name} must be in ({low}, {high}), got {value}"
-            )
+def check_range(name: str, value: float, low: float, high: float) -> None:
+    """Require ``low <= value <= high``."""
+    if not low <= value <= high:
+        raise ConfigurationError(f"{name} must be in [{low}, {high}], got {value}")
 
 
 def check_probability(name: str, value: float) -> None:
     """Require a probability in [0, 1]."""
     check_range(name, value, 0.0, 1.0)
-
-
-def check_type(name: str, value: Any, expected: type | tuple[type, ...]) -> None:
-    """Require ``isinstance(value, expected)``."""
-    if not isinstance(value, expected):
-        expected_names = (
-            expected.__name__
-            if isinstance(expected, type)
-            else " | ".join(t.__name__ for t in expected)
-        )
-        raise ConfigurationError(
-            f"{name} must be {expected_names}, got {type(value).__name__}"
-        )

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.reporting import format_comparison, format_series, format_table
+from repro.analysis.reporting import format_table
 from repro.errors import ConfigurationError
 
 
@@ -41,21 +41,3 @@ class TestFormatTable:
         lines = text.splitlines()
         # All rows equal width per column -> same total length.
         assert len(lines[2]) == len(lines[3]) or lines[3].endswith(("1", "2"))
-
-
-class TestFormatSeries:
-    def test_two_columns(self):
-        text = format_series("distance", "latency", [(100, 20.0), (200, 30.0)])
-        assert "distance" in text and "latency" in text
-        assert "30.000" in text
-
-
-class TestFormatComparison:
-    def test_reports_delta(self):
-        line = format_comparison("lookup", 13.1055, 13.1055, unit="ms")
-        assert "paper 13.105 ms" in line  # f-string half-even rounding
-        assert "+0.0%" in line
-
-    def test_relative_error(self):
-        line = format_comparison("bound", 360.0, 396.0)
-        assert "+10.0%" in line

@@ -49,11 +49,9 @@ class TestPlanSchedule:
         assert schedule.hours_to_confidence == pytest.approx(96.0)
 
     def test_daily_cost(self):
-        schedule = plan_schedule(
-            epsilon=0.01, k_rounds=100, interval_hours=12.0, round_cost_ms=16.0
-        )
-        # Two audits/day x 100 rounds x 16 ms = 3200 ms of verifier time.
-        assert schedule.daily_audit_time_ms == pytest.approx(3200.0)
+        schedule = plan_schedule(epsilon=0.01, k_rounds=100, interval_hours=12.0)
+        # Two audits/day x 100 rounds x 16.1 ms = 3220 ms of verifier time.
+        assert schedule.daily_audit_time_ms == pytest.approx(3220.0)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -86,7 +84,6 @@ class TestCheapestSchedule:
                 epsilon=0.0001,
                 interval_hours=24.0,
                 max_detection_latency_hours=24.0,
-                k_candidates=[5, 10],
             )
 
     def test_tighter_deadline_needs_bigger_k(self):

@@ -55,10 +55,6 @@ class TestRelayAttack:
         outcome = session.audit(file_id, k=10)
         assert not outcome.verdict.accepted
 
-    def test_forwarding_overhead_validated(self):
-        with pytest.raises(Exception):
-            RelayAttack("a", "b", forwarding_overhead_ms=-1.0)
-
 
 class TestPrefetchRelayAttack:
     def test_full_prefetch_defeats_timing(self):
@@ -114,10 +110,8 @@ class TestPrefetchRelayAttack:
         assert spindle.n_requests == n
         assert spindle.busy_ms > 0
         assert attack.prewarmed_bytes > 0
-        stats = attack.cache_stats()
-        assert stats["prewarmed_bytes"] == attack.prewarmed_bytes
-        assert stats["n_entries"] == n
-        assert stats["prewarm_cost_usd"] == 0.0  # no cost model passed
+        assert len(attack.cache._entries) == n
+        assert attack.prewarm_cost_usd == 0.0  # no cost model passed
 
     def test_prewarm_priced_by_cost_model(self):
         class PerByte:

@@ -104,10 +104,3 @@ class TestStrategy:
     def test_clearing_strategy_restores_honesty(self, provider):
         provider.set_strategy(None)
         assert provider.handle_request(b"prov-file", 0).served_by == "bne"
-
-    def test_internet_rtt_between_sites(self, provider):
-        bne = provider.datacentre("bne")
-        syd = provider.datacentre("syd")
-        rtt = provider.internet_rtt_ms(bne, syd)
-        # Brisbane-Sydney ~730 km: base 16 + propagation ~11 + hops.
-        assert 20.0 < rtt < 50.0

@@ -75,7 +75,6 @@ def scalar_audit(
     k: int | None = None,
     rtt_max_ms: float | None = None,
     region=None,
-    clock=None,
 ):
     """The scalar reference audit the TPA's batch path is pinned to.
 
@@ -92,10 +91,9 @@ def scalar_audit(
 
     record = tpa.record(file_id)
     request = tpa.make_request(file_id, k)
-    timing_clock = clock if clock is not None else verifier.clock
-    started_ms = timing_clock.now_ms()
-    transcript = verifier.run_audit(request, provider, clock=clock)
-    finished_ms = timing_clock.now_ms()
+    started_ms = verifier.clock.now_ms()
+    transcript = verifier.run_audit(request, provider)
+    finished_ms = verifier.clock.now_ms()
     verdict = verify_transcript(
         transcript,
         request,

@@ -5,7 +5,7 @@ import pytest
 from repro.core.session import GeoProofSession
 from repro.errors import ConfigurationError
 from repro.geo.coords import GeoPoint
-from repro.geo.regions import BoundingBox
+from repro.geo.regions import PolygonRegion
 from repro.por.parameters import TEST_PARAMS
 from repro.por.setup import extract_file, setup_file
 from tests.conftest import build_session
@@ -20,7 +20,10 @@ class TestBuild:
         assert session.sla.region.contains(brisbane)
 
     def test_custom_region(self, brisbane):
-        box = BoundingBox(-40.0, -10.0, 110.0, 155.0)
+        box = PolygonRegion(
+            [GeoPoint(-40.0, 110.0), GeoPoint(-40.0, 155.0),
+             GeoPoint(-10.0, 155.0), GeoPoint(-10.0, 110.0)]
+        )
         session = GeoProofSession.build(datacentre_location=brisbane, region=box)
         assert session.sla.region is box
 

@@ -6,7 +6,6 @@ from repro.core.triangulation import (
     LandmarkTriangulator,
     spoof_detection_radius_km,
 )
-from repro.crypto.rng import DeterministicRNG
 from repro.errors import ConfigurationError
 from repro.geo.coords import GeoPoint, destination_point
 from repro.geo.datasets import city
@@ -27,12 +26,6 @@ class TestConstruction:
     def test_needs_two_landmarks(self):
         with pytest.raises(ConfigurationError):
             LandmarkTriangulator({"only": city("sydney")})
-
-    def test_negative_overhead_rejected(self):
-        with pytest.raises(ConfigurationError):
-            LandmarkTriangulator(
-                {"a": city("sydney"), "b": city("perth")}, overhead_ms=-1.0
-            )
 
 
 class TestBoundArithmetic:
@@ -55,14 +48,7 @@ class TestHonestDevice:
         result = triangulator.verify_device(brisbane, brisbane)
         assert result.consistent
         assert result.violated_landmarks == ()
-        assert result.n_landmarks == 3
-
-    def test_consistent_under_jitter(self, triangulator):
-        brisbane = city("brisbane")
-        rng = DeterministicRNG("tri-jitter")
-        for _ in range(20):
-            result = triangulator.verify_device(brisbane, brisbane, rng=rng)
-            assert result.consistent  # jitter only inflates bounds
+        assert len(result.observations) == 3
 
     def test_bounds_cover_true_distances(self, triangulator):
         brisbane = city("brisbane")

@@ -5,9 +5,8 @@ import dataclasses
 import pytest
 
 from repro.core.messages import AuditRequest
-from repro.core.verification import require_accepted, verify_transcript
+from repro.core.verification import verify_transcript
 from repro.crypto.schnorr import SchnorrKeyPair, TEST_GROUP
-from repro.errors import VerificationError
 from repro.geo.coords import GeoPoint
 from repro.geo.regions import CircularRegion
 from repro.por.file_format import Segment
@@ -50,10 +49,6 @@ class TestHonestPath:
         assert verdict.signature_ok and verdict.position_ok
         assert verdict.macs_ok and verdict.timing_ok and verdict.challenge_ok
         assert verdict.failure_reasons == []
-
-    def test_require_accepted_silent(self, audited):
-        session, outcome, record = audited
-        require_accepted(reverify(session, outcome, record))
 
 
 class TestStep1Signature:
@@ -157,9 +152,3 @@ class TestRequestConsistency:
         truncated = dataclasses.replace(transcript, rounds=transcript.rounds[:-1])
         verdict = reverify(session, outcome, record, transcript=truncated)
         assert not verdict.challenge_ok
-
-    def test_require_accepted_raises_with_reason(self, audited):
-        session, outcome, record = audited
-        verdict = reverify(session, outcome, record, rtt_max_ms=1.0)
-        with pytest.raises(VerificationError, match="timing"):
-            require_accepted(verdict)

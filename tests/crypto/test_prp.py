@@ -24,10 +24,6 @@ class TestFeistelPRP:
     def test_domain_size(self):
         assert FeistelPRP(b"k", 4).domain_size == 256
 
-    def test_rejects_few_rounds(self):
-        with pytest.raises(ConfigurationError):
-            FeistelPRP(b"k", 4, rounds=3)
-
     def test_bijective_on_small_domain(self):
         prp = FeistelPRP(b"key", 4)
         images = sorted(prp.forward(x) for x in range(256))

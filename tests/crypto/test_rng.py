@@ -179,15 +179,6 @@ class TestContinuousSampling:
         assert 9.8 < mean < 10.2
         assert 3.0 < var < 5.0
 
-    def test_bernoulli_rate(self):
-        rng = DeterministicRNG("seed")
-        hits = sum(rng.bernoulli(0.3) for _ in range(3000))
-        assert 800 < hits < 1000
-
-    def test_bernoulli_validates(self):
-        with pytest.raises(ConfigurationError):
-            DeterministicRNG("s").bernoulli(1.5)
-
     def test_expovariate_validates(self):
         with pytest.raises(ConfigurationError):
             DeterministicRNG("s").expovariate(0.0)

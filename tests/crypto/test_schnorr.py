@@ -8,11 +8,10 @@ from repro.crypto.schnorr import (
     SchnorrKeyPair,
     TEST_GROUP,
     _generate_group,
-    require_valid_signature,
     schnorr_sign,
     schnorr_verify,
 )
-from repro.errors import ConfigurationError, SignatureError
+from repro.errors import ConfigurationError
 
 
 @pytest.fixture(scope="module")
@@ -103,7 +102,3 @@ class TestSignVerify:
         assert schnorr_sign(keypair.private, b"m1") != schnorr_sign(
             keypair.private, b"m2"
         )
-
-    def test_require_valid_raises(self, keypair):
-        with pytest.raises(SignatureError):
-            require_valid_signature(keypair.public, b"m", (1, 1))

@@ -1,46 +1,37 @@
-"""Payload-size effects on the timed channel.
+"""Payload-size effects on a LAN round trip.
 
 GeoProof's rounds carry real segments (660-bit static, kB-scale
-dynamic), not single bits; the channel's serialisation term must show
-up in the measured RTT or the budget calibration would be fiction.
+dynamic), not single bits; the LAN model's serialisation term must show
+up in the round-trip time or the budget calibration would be fiction.
 """
 
 import pytest
 
-from repro.distbound.base import TimedChannel
-from repro.netsim.clock import SimClock
 from repro.netsim.latency import LANModel
 
 
 class TestPayloadTiming:
-    def make_channel(self, bandwidth_mbps=100.0):
-        lan = LANModel(
+    def make_lan(self, bandwidth_mbps=100.0):
+        return LANModel(
             n_switches=0,
             switch_delay_ms=0.0,
             jitter_ms=0.0,
             bandwidth_mbps=bandwidth_mbps,
         )
-        return TimedChannel(SimClock(), lan, 1.0)
 
     def test_bigger_payload_slower_round(self):
-        channel = self.make_channel()
-        _, small_rtt = channel.exchange(lambda c: (c, 0.0), 0, payload_bytes=64)
-        _, large_rtt = channel.exchange(lambda c: (c, 0.0), 0, payload_bytes=8192)
-        assert large_rtt > small_rtt
+        lan = self.make_lan()
+        assert lan.rtt_ms(1.0, 8192) > lan.rtt_ms(1.0, 64)
 
     def test_serialisation_term_exact(self):
         # 100 Mb/s: 1250 bytes = 0.1 ms per direction.
-        channel = self.make_channel(bandwidth_mbps=100.0)
-        _, base = channel.exchange(lambda c: (c, 0.0), 0, payload_bytes=0)
-        _, loaded = channel.exchange(lambda c: (c, 0.0), 0, payload_bytes=1250)
-        assert loaded - base == pytest.approx(0.2, abs=1e-9)
+        lan = self.make_lan(bandwidth_mbps=100.0)
+        assert lan.rtt_ms(1.0, 1250) - lan.rtt_ms(1.0, 0) == pytest.approx(0.2, abs=1e-9)
 
     def test_faster_link_cheaper_payload(self):
-        slow = self.make_channel(bandwidth_mbps=100.0)
-        fast = self.make_channel(bandwidth_mbps=10_000.0)
-        _, slow_rtt = slow.exchange(lambda c: (c, 0.0), 0, payload_bytes=4096)
-        _, fast_rtt = fast.exchange(lambda c: (c, 0.0), 0, payload_bytes=4096)
-        assert fast_rtt < slow_rtt
+        slow = self.make_lan(bandwidth_mbps=100.0)
+        fast = self.make_lan(bandwidth_mbps=10_000.0)
+        assert fast.rtt_ms(1.0, 4096) < slow.rtt_ms(1.0, 4096)
 
     def test_payload_term_motivates_segment_size_choice(self):
         """The paper's v = 5 (660-bit) segments cost ~13 us on gigabit

@@ -2,23 +2,12 @@
 
 import pytest
 
-from repro.crypto.rng import DeterministicRNG
-from repro.distbound.base import TimedChannel, Transcript
-from repro.distbound.hancke_kuhn import HanckeKuhnProver, derive_registers
 from repro.distbound.noisy import (
-    NoisyChannelModel,
     adversary_acceptance,
     choose_threshold,
     honest_acceptance,
-    run_noisy_timed_phase,
-    tolerant_verdict,
 )
 from repro.errors import ConfigurationError
-from repro.netsim.clock import SimClock
-from repro.netsim.latency import RFChannelModel
-from repro.util.bitops import bit_at
-
-SECRET = b"noisy-shared-secret-0123456789"
 
 
 class TestAcceptanceFormulas:
@@ -75,76 +64,3 @@ class TestChooseThreshold:
         cost_96 = adversary_acceptance(96, threshold_96)
         assert cost_96 < 0.01  # extra rounds buy the security back
         assert honest_acceptance(96, threshold_96, 0.05) >= 0.99
-
-
-class TestNoisyProtocolRuns:
-    def run_noisy_hk(self, bit_error_rate, threshold, seed="noisy-run", n_rounds=32):
-        rng = DeterministicRNG(seed)
-        verifier_nonce = rng.random_bytes(16)
-        prover_nonce = rng.random_bytes(16)
-        prover = HanckeKuhnProver(b"P", SECRET)
-        prover.begin_session(verifier_nonce, prover_nonce, n_rounds)
-        left, right = derive_registers(
-            SECRET, verifier_nonce, prover_nonce, n_rounds
-        )
-        noise = NoisyChannelModel(RFChannelModel(), bit_error_rate)
-        channel = TimedChannel(SimClock(), noise, 1.0)
-        transcript = Transcript(
-            protocol="hancke-kuhn-noisy",
-            verifier_id=b"V",
-            prover_id=b"P",
-            verifier_nonce=verifier_nonce,
-            prover_nonce=prover_nonce,
-        )
-        challenges = [rng.randbits(1) for _ in range(n_rounds)]
-        run_noisy_timed_phase(
-            channel, noise, challenges, prover.respond, transcript, rng.fork("noise")
-        )
-
-        def expected(round_index, challenge_bit):
-            register = left if challenge_bit == 0 else right
-            return bit_at(register, round_index)
-
-        return tolerant_verdict(transcript, expected, 0.1, threshold=threshold)
-
-    def test_clean_channel_strict_verdict(self):
-        result = self.run_noisy_hk(0.0, 0)
-        assert result.accepted
-        assert result.n_bit_errors == 0
-
-    def test_noisy_channel_strict_verdict_rejects(self):
-        rejections = sum(
-            1
-            for trial in range(20)
-            if not self.run_noisy_hk(0.08, 0, seed=f"strict-{trial}").accepted
-        )
-        assert rejections > 10  # 8 % BER almost always flips something
-
-    def test_noisy_channel_tolerant_verdict_accepts(self):
-        threshold = choose_threshold(32, 0.08, target_false_reject=0.02)
-        acceptances = sum(
-            1
-            for trial in range(20)
-            if self.run_noisy_hk(0.08, threshold, seed=f"tol-{trial}").accepted
-        )
-        assert acceptances >= 17
-
-    def test_timing_never_tolerated(self):
-        # Even with a huge bit budget, a slow round is fatal.
-        rng = DeterministicRNG("slow")
-        noise = NoisyChannelModel(RFChannelModel(), 0.0)
-        channel = TimedChannel(SimClock(), noise, 200.0)  # far away
-        prover = HanckeKuhnProver(b"P", SECRET)
-        prover.begin_session(b"n1", b"n2", 8)
-        left, right = derive_registers(SECRET, b"n1", b"n2", 8)
-        transcript = Transcript("hk", b"V", b"P", b"n1", b"n2")
-        run_noisy_timed_phase(
-            channel, noise, [0] * 8, prover.respond, transcript, rng
-        )
-
-        def expected(i, c):
-            return bit_at(left if c == 0 else right, i)
-
-        result = tolerant_verdict(transcript, expected, 0.1, threshold=8)
-        assert not result.accepted
-        assert result.bits_ok and not result.timing_ok

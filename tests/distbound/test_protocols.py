@@ -48,8 +48,13 @@ class TestHanckeKuhn:
     def test_slow_prover_hardware_rejected(self, rng):
         # 0.05 ms processing per round exceeds a 0.05 ms budget with any
         # flight time at all.
+        class SlowProver(HanckeKuhnProver):
+            def respond(self, challenge_bit):
+                bit, _ = super().respond(challenge_bit)
+                return bit, 0.05
+
         verifier = HanckeKuhnVerifier(b"V", SECRET, n_rounds=8, rtt_max_ms=0.05)
-        prover = HanckeKuhnProver(b"P", SECRET, processing_ms=0.05)
+        prover = SlowProver(b"P", SECRET)
         result = verifier.run(prover, rf_channel(1.0), rng)
         assert not result.timing_ok
 

@@ -7,8 +7,6 @@ exact challenge-drawing discipline, and the exact escape probability
 must respect the paper's with-replacement bound.
 """
 
-import math
-
 import pytest
 
 from repro.economics.cache_model import LRUHitModel, simulate_hit_rate
@@ -57,11 +55,6 @@ class TestModelAlgebra:
         assert model.hit_rate == 1.0
         assert model.prewarm_bytes == 40 * ENTRY
 
-    def test_for_files_sums_populations(self):
-        merged = LRUHitModel.for_files(ENTRY * 30, ENTRY, [10, 20, 30])
-        assert merged.n_segments == 60
-        assert merged.hit_rate == pytest.approx(0.5)
-
     def test_escape_zero_when_cache_smaller_than_k(self):
         model = LRUHitModel(
             cache_bytes=ENTRY * 3, entry_bytes=ENTRY, n_segments=100
@@ -109,31 +102,6 @@ class TestModelAlgebra:
             model.paper_bound(-1)
 
 
-class TestColdStart:
-    def test_expected_distinct_coupon_collector(self):
-        # After n draws from n, roughly (1 - 1/e) n distinct.
-        expected = LRUHitModel.expected_distinct(100, 100)
-        assert expected == pytest.approx(100 * (1 - math.e**-1), rel=0.01)
-        assert LRUHitModel.expected_distinct(100, 0) == 0.0
-        assert LRUHitModel.expected_distinct(1, 5) == 1.0
-
-    def test_cold_hit_rate_below_steady_state(self):
-        model = LRUHitModel(
-            cache_bytes=ENTRY * 64, entry_bytes=ENTRY, n_segments=128
-        )
-        cold = model.cold_hit_rate(50)
-        assert 0.0 < cold < model.hit_rate
-
-    def test_cold_hit_rate_approaches_steady_state(self):
-        model = LRUHitModel(
-            cache_bytes=ENTRY * 16, entry_bytes=ENTRY, n_segments=64
-        )
-        # With a long window the warm tail dominates the cold head.
-        assert model.cold_hit_rate(5000) == pytest.approx(
-            model.hit_rate, abs=0.02
-        )
-
-
 class TestAnalyticTracksSimulation:
     """The satellite sweep: closed form vs the real LRUCache."""
 
@@ -165,24 +133,6 @@ class TestAnalyticTracksSimulation:
                 seed="extremes",
             )
             assert simulated == expected
-
-    def test_cold_start_tracks_cold_model(self):
-        model = LRUHitModel(
-            cache_bytes=ENTRY * 32, entry_bytes=ENTRY, n_segments=64
-        )
-        n_audits, k = 100, 6
-        simulated = simulate_hit_rate(
-            cache_bytes=ENTRY * 32,
-            entry_bytes=ENTRY,
-            n_segments=64,
-            n_audits=n_audits,
-            k_rounds=k,
-            seed="cold-start",
-            prewarm=False,
-        )
-        assert simulated == pytest.approx(
-            model.cold_hit_rate(n_audits * k), abs=0.06
-        )
 
     def test_zero_capacity_cache_never_hits(self):
         assert (

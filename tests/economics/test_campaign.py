@@ -57,10 +57,6 @@ class TestConfiguration:
         from repro.economics import build_economics_report
 
         with pytest.raises(ConfigurationError, match="no cache"):
-            quick_campaign(attack="relay").sweep(
-                cache_fractions=(0.0, 0.5)
-            )
-        with pytest.raises(ConfigurationError, match="no cache"):
             build_economics_report(
                 quick_campaign(attack="deletion"),
                 cache_fractions=(0.5,),
@@ -114,7 +110,7 @@ class TestInjection:
         # ...and the prewarm was metered, bytes and dollars.
         assert strategy.prewarmed_bytes > 0
         assert strategy.prewarm_cost_usd > 0
-        assert strategy.cache.n_entries > 0
+        assert len(strategy.cache._entries) > 0
 
     def test_prewarm_split_is_proportional(self):
         campaign = quick_campaign()
@@ -220,11 +216,8 @@ class TestSweeps:
 
     def test_prefetch_sweep_covers_engines_by_fractions(self):
         campaign = quick_campaign(hours=12.0)
-        fractions = (0.0, 0.5, 1.0)
-        cells = campaign.sweep(
-            cache_fractions=fractions, engines=("slot", "event")
-        )
-        assert len(cells) == 6
+        cells = campaign.sweep()
+        assert len(cells) == 10  # 2 engines x 5 cache fractions
         assert all(cell.bound_met for cell in cells)
         # Monotone physics along each engine's sweep: more cache,
         # higher hit rate, later (or never) detection.

@@ -234,10 +234,9 @@ class TestTenantQuote:
                 storage_usd_per_gb_month=0.01,
                 remote_storage_usd_per_gb_month=0.01,
             ),
-            floor_audits_per_month=2.0,
         )
         assert quote.min_audits_per_month == 0.0
-        assert quote.audits_per_month == 2.0
+        assert quote.audits_per_month == 1.0
 
     def test_undeterrable_quote_is_flagged(self):
         quote = self.quote(

@@ -59,8 +59,7 @@ class TestAggregates:
             "tenant-2",
             "tenant-3",
         ]
-        assert report.quote_for("tenant-2").provider == "provider-2"
-        assert report.quote_for("nobody") is None
+        assert report.quotes[1].provider == "provider-2"
         for quote in report.quotes:
             assert quote.deterrable
             assert quote.timing_radius_km is not None

@@ -328,23 +328,29 @@ class TestRegistration:
         Before, registration succeeded and ``run()`` aborted the whole
         campaign on the first audit of the file.
         """
-        fleet = AuditFleet(seed="too-many-rounds")
-        fleet.add_provider("p", [("bne", city("brisbane"))])
         data = DeterministicRNG("rounds-data").random_bytes(2_000)
-        n_segments = fleet.params.segments_for(len(data))
-        for k_rounds in (0, n_segments + 1, 10_000):
+
+        def fleet_at(k_rounds):
+            fleet = AuditFleet(seed="too-many-rounds", default_k_rounds=k_rounds)
+            fleet.add_provider("p", [("bne", city("brisbane"))])
+            return fleet
+
+        n_segments = fleet_at(1).params.segments_for(len(data))
+        for k_rounds in (n_segments + 1, 10_000):
+            fleet = fleet_at(k_rounds)
             with pytest.raises(ConfigurationError, match="k_rounds"):
                 fleet.register(
                     tenant="t", provider="p", datacentre="bne",
-                    file_id=b"f", data=data, k_rounds=k_rounds,
+                    file_id=b"f", data=data,
                 )
-        assert fleet.n_files == 0
-        store = fleet.provider("p").datacentre("bne").server.store
-        assert not store.exists(b"f")
+            assert fleet.n_files == 0
+            store = fleet.provider("p").datacentre("bne").server.store
+            assert not store.exists(b"f")
         # The largest servable round count registers and runs.
+        fleet = fleet_at(n_segments)
         record = fleet.register(
             tenant="t", provider="p", datacentre="bne",
-            file_id=b"f", data=data, k_rounds=n_segments,
+            file_id=b"f", data=data,
         )
         assert record.n_segments == n_segments
         report = fleet.run(hours=1.0)

@@ -4,13 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
-from repro.geo.coords import (
-    GeoPoint,
-    destination_point,
-    haversine_km,
-    initial_bearing,
-    midpoint,
-)
+from repro.geo.coords import GeoPoint, destination_point, haversine_km
 
 latitudes = st.floats(-89.0, 89.0)
 longitudes = st.floats(-179.0, 179.0)
@@ -54,15 +48,6 @@ class TestHaversine:
         a, b = GeoPoint(0.0, 0.0), GeoPoint(0.0, 180.0)
         assert haversine_km(a, b) == pytest.approx(3.14159265 * 6371.0088, rel=1e-3)
 
-    @given(latitudes, longitudes, latitudes, longitudes)
-    @settings(max_examples=50)
-    def test_triangle_inequality_via_midpoint(self, lat1, lon1, lat2, lon2):
-        a, b = GeoPoint(lat1, lon1), GeoPoint(lat2, lon2)
-        m = midpoint(a, b)
-        direct = haversine_km(a, b)
-        via = haversine_km(a, m) + haversine_km(m, b)
-        assert via <= direct + 1e-6 or via == pytest.approx(direct, rel=1e-6)
-
 
 class TestDestinationPoint:
     @given(latitudes, longitudes, st.floats(0, 360), st.floats(0, 5000))
@@ -81,17 +66,3 @@ class TestDestinationPoint:
     def test_rejects_negative_distance(self):
         with pytest.raises(ConfigurationError):
             destination_point(GeoPoint(0, 0), 0, -1)
-
-
-class TestBearing:
-    def test_due_east(self):
-        bearing = initial_bearing(GeoPoint(0, 0), GeoPoint(0, 10))
-        assert bearing == pytest.approx(90.0, abs=0.1)
-
-    def test_due_south(self):
-        bearing = initial_bearing(GeoPoint(10, 0), GeoPoint(0, 0))
-        assert bearing == pytest.approx(180.0, abs=0.1)
-
-    def test_range(self):
-        bearing = initial_bearing(GeoPoint(10, 20), GeoPoint(-5, -40))
-        assert 0.0 <= bearing < 360.0

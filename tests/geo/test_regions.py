@@ -6,7 +6,6 @@ from repro.errors import ConfigurationError
 from repro.geo.coords import GeoPoint, destination_point
 from repro.geo.regions import (
     AUSTRALIA_OUTLINE,
-    BoundingBox,
     CircularRegion,
     PolygonRegion,
 )
@@ -31,23 +30,6 @@ class TestCircularRegion:
 
     def test_describe(self):
         assert "km" in CircularRegion(GeoPoint(0, 0), 50).describe()
-
-
-class TestBoundingBox:
-    BOX = BoundingBox(-40.0, -10.0, 110.0, 155.0)  # roughly Australia
-
-    def test_contains(self):
-        assert self.BOX.contains(GeoPoint(-27.47, 153.03))  # Brisbane
-
-    def test_excludes(self):
-        assert not self.BOX.contains(GeoPoint(1.35, 103.82))  # Singapore
-
-    def test_edges_inclusive(self):
-        assert self.BOX.contains(GeoPoint(-40.0, 110.0))
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            BoundingBox(10.0, -10.0, 0.0, 1.0)
 
 
 class TestPolygonRegion:

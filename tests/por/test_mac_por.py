@@ -46,8 +46,8 @@ class TestChallenge:
 
     def test_wire_bytes_cover_indices_and_nonce(self, por_pair, rng):
         client, _, _ = por_pair
-        a = client.make_challenge(5, rng, nonce=b"n" * 16)
-        b = PORChallenge(indices=a.indices, nonce=b"m" * 16)
+        a = client.make_challenge(5, rng)
+        b = PORChallenge(indices=a.indices, nonce=bytes(x ^ 1 for x in a.nonce))
         assert a.wire_bytes() != b.wire_bytes()
 
 
@@ -63,10 +63,6 @@ class TestHonestServer:
         client, server, _ = por_pair
         challenge = client.make_challenge(10, rng)
         client.require_valid(challenge, server.respond(challenge))
-
-    def test_respond_one(self, por_pair):
-        _, server, encoded = por_pair
-        assert server.respond_one(3) == encoded.segments[3]
 
     def test_missing_segment_raises(self, por_pair, rng):
         client, server, encoded = por_pair

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import ConfigurationError, VerificationError
+from repro.errors import ConfigurationError
 from repro.por.merkle import MerkleTree
 
 
@@ -54,11 +54,6 @@ class TestProofs:
         tree = MerkleTree([b"a"])
         with pytest.raises(ConfigurationError):
             tree.proof(1)
-
-    def test_require_valid_raises(self):
-        tree = MerkleTree([b"a", b"b"])
-        with pytest.raises(VerificationError):
-            MerkleTree.require_valid_proof(tree.root, b"x", 0, tree.proof(0))
 
     def test_leaf_node_domain_separation(self):
         # A leaf equal to an interior-node preimage must not verify as

@@ -101,10 +101,6 @@ class TestExtraction:
         with pytest.raises(ReproError):
             extract_file(encoded, other)
 
-    def test_skip_tag_verification(self, keys, sample_data):
-        encoded = setup_file(sample_data, keys, b"fid", TEST_PARAMS)
-        assert extract_file(encoded, keys, verify_tags=False) == sample_data
-
 
 class TestPaperParams:
     def test_roundtrip_with_paper_parameters(self, keys):

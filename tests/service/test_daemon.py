@@ -6,7 +6,9 @@ loop must be empty of foreign tasks after ``daemon.stop()``.
 """
 
 import asyncio
+import logging
 import struct
+from collections import Counter
 
 import pytest
 
@@ -347,6 +349,74 @@ class TestStats:
         assert stats["n_orders"] == 1
         # ...and a later one-shot probe sees at least as much.
         assert probe["n_orders"] >= 1
+
+
+class BuggyBackend:
+    """The session's provider, except that ``file-1`` hits a backend bug."""
+
+    def __init__(self, provider):
+        self._provider = provider
+
+    def __getattr__(self, name):
+        return getattr(self._provider, name)
+
+    def handle_request(self, file_id, index):
+        if file_id == b"file-1":
+            raise TypeError("backend bug")
+        return self._provider.handle_request(file_id, index)
+
+
+class CountingClient(AuditClient):
+    """Counts the replies the daemon sends for each order id."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.replies = Counter()
+
+    def _on_reply(self, reply):
+        self.replies[reply.order_id] += 1
+        super()._on_reply(reply)
+
+
+class TestBackendBug:
+    def test_flush_exception_answers_its_orders_and_serving_continues(
+        self, caplog
+    ):
+        """A non-ReproError from the backend fails its flush, not the daemon.
+
+        Before, the dispatch task died with the ``TypeError``: the
+        ``file-1`` order and every later one timed out and ``stop()``
+        re-raised the error.
+        """
+        session, file_ids = build_session()
+
+        async def run():
+            daemon = AuditDaemon(
+                tpa=session.tpa,
+                verifier=session.verifier,
+                provider=BuggyBackend(session.provider),
+                flush_batch=16,
+                flush_ms=2.0,
+            )
+            await daemon.start()
+            async with CountingClient("127.0.0.1", daemon.port) as client:
+                first = await asyncio.wait_for(client.audit(file_ids[0], k=4), 3)
+                with pytest.raises(AuditServiceError, match="TypeError"):
+                    await asyncio.wait_for(client.audit(file_ids[1], k=4), 3)
+                later = await asyncio.wait_for(client.audit(file_ids[0], k=4), 3)
+                replies = dict(client.replies)
+            await daemon.stop()
+            return first, later, replies, daemon.stats, leaked_tasks()
+
+        with caplog.at_level(logging.ERROR, logger="repro.service.dispatch"):
+            first, later, replies, stats, leaked = asyncio.run(run())
+        assert first.accepted and later.accepted
+        assert replies == {1: 1, 2: 1, 3: 1}
+        # The failed flush held one order; its error is counted once.
+        assert (stats.n_orders, stats.n_errors, stats.n_flushes) == (3, 1, 3)
+        assert leaked == []
+        (record,) = caplog.records
+        assert record.exc_info[0] is TypeError
 
 
 class TestSoak:

@@ -21,19 +21,23 @@ class TestEncodeFrame:
             encode_frame(b"x" * (MAX_FRAME_BYTES + 1))
 
 
+def drained(parser):
+    """No bytes are left over: a fresh empty frame parses on its own."""
+    return parser.feed(encode_frame(b"")) == [b""]
+
+
 class TestFrameParser:
     def test_single_frame_single_feed(self):
         parser = FrameParser()
         assert parser.feed(encode_frame(b"hello")) == [b"hello"]
-        assert parser.pending_bytes == 0
+        assert drained(parser)
 
     def test_partial_frame_waits(self):
         parser = FrameParser()
         frame = encode_frame(b"hello")
         assert parser.feed(frame[:3]) == []
-        assert parser.pending_bytes == 3
         assert parser.feed(frame[3:]) == [b"hello"]
-        assert parser.pending_bytes == 0
+        assert drained(parser)
 
     def test_concatenated_frames_split(self):
         parser = FrameParser()
@@ -63,4 +67,4 @@ class TestFrameParser:
             out.extend(parser.feed(stream[position : position + step]))
             position += step
         assert out == bodies
-        assert parser.pending_bytes == 0
+        assert drained(parser)

@@ -101,8 +101,6 @@ class TestRegistration:
         registry, *_ = build_registry()
         with pytest.raises(ConfigurationError):
             registry.get("nope")
-        with pytest.raises(ConfigurationError):
-            registry.set_primary("nope")
 
     def test_empty_registry_has_no_primary(self):
         with pytest.raises(ConfigurationError):
@@ -218,8 +216,8 @@ class TestAuditLoopCompatibility:
 
     def test_handle_request_uses_primary_chain(self):
         registry, primary, _, _ = build_registry()
-        registry.set_primary("fallback")
-        assert registry.handle_request(FILE, 0).served_by == "fallback"
+        assert registry.handle_request(FILE, 0).served_by == "primary"
+        assert primary.requests == 1
 
 
 class TestClockReads:

@@ -6,6 +6,17 @@ from repro.errors import ConfigurationError
 from repro.storage.cache import LRUCache
 
 
+def used_bytes(cache):
+    """Bytes held, checked against the running total ``put`` evicts by."""
+    held = sum(map(len, cache._entries.values()))
+    assert cache._used_bytes == held
+    return held
+
+
+def n_entries(cache):
+    return len(cache._entries)
+
+
 class TestBasicOperations:
     def test_miss_then_hit(self):
         cache = LRUCache(100)
@@ -29,8 +40,8 @@ class TestBasicOperations:
         cache = LRUCache(100)
         cache.put("k", b"12345")
         cache.put("k", b"12")
-        assert cache.used_bytes == 2
-        assert cache.n_entries == 1
+        assert used_bytes(cache) == 2
+        assert n_entries(cache) == 1
 
 
 class TestAdversarialEdges:
@@ -40,15 +51,15 @@ class TestAdversarialEdges:
         cache = LRUCache(4)
         cache.put("big", b"12345")
         assert cache.get("big") is None
-        assert cache.n_entries == 0
-        assert cache.used_bytes == 0
+        assert n_entries(cache) == 0
+        assert used_bytes(cache) == 0
 
     def test_oversized_entry_does_not_evict_existing(self):
         cache = LRUCache(4)
         cache.put("keep", b"1234")
         cache.put("big", b"12345")  # rejected, must not disturb "keep"
         assert cache.get("keep") == b"1234"
-        assert cache.used_bytes == 4
+        assert used_bytes(cache) == 4
 
     def test_oversized_put_evicts_stale_entry(self):
         # Regression pin: putting a value larger than capacity used to
@@ -58,15 +69,15 @@ class TestAdversarialEdges:
         cache.put("k", b"old")
         cache.put("k", b"too-big")  # rejected -- but "old" must go too
         assert cache.get("k") is None
-        assert cache.n_entries == 0
-        assert cache.used_bytes == 0
+        assert n_entries(cache) == 0
+        assert used_bytes(cache) == 0
 
     def test_oversized_put_at_zero_capacity_evicts_stale_empty(self):
         cache = LRUCache(0)
         cache.put("k", b"")         # the only value a 0-byte budget fits
         cache.put("k", b"x")        # rejected, must not resurrect b""
         assert cache.get("k") is None
-        assert cache.n_entries == 0
+        assert n_entries(cache) == 0
 
     def test_zero_capacity_hit_rate_accounting(self):
         cache = LRUCache(0)
@@ -85,8 +96,8 @@ class TestAdversarialEdges:
         cache.get("empty")
         cache.get("ghost")
         cache.clear()
-        assert cache.n_entries == 0
-        assert cache.used_bytes == 0
+        assert n_entries(cache) == 0
+        assert used_bytes(cache) == 0
         assert (cache.hits, cache.misses) == (0, 0)
         assert cache.hit_rate == 0.0
 
@@ -94,13 +105,13 @@ class TestAdversarialEdges:
         cache = LRUCache(4)
         cache.put("fit", b"1234")
         assert cache.get("fit") == b"1234"
-        assert cache.used_bytes == 4
+        assert used_bytes(cache) == 4
 
     def test_zero_capacity_caches_nothing(self):
         cache = LRUCache(0)
         cache.put("k", b"v")
         assert cache.get("k") is None
-        assert cache.n_entries == 0
+        assert n_entries(cache) == 0
         # Only the empty value fits a zero-byte budget.
         cache.put("empty", b"")
         assert cache.get("empty") == b""
@@ -158,8 +169,8 @@ class TestAdversarialEdges:
         cache.get("x")
         cache.clear()
         assert cache.hit_rate == 0.0
-        assert cache.used_bytes == 0
-        assert cache.n_entries == 0
+        assert used_bytes(cache) == 0
+        assert n_entries(cache) == 0
         assert cache.get("a") is None
 
 
@@ -178,18 +189,18 @@ class TestEviction:
         cache = LRUCache(10)
         for i in range(10):
             cache.put(i, bytes(3))
-        assert cache.used_bytes <= 10
+        assert used_bytes(cache) <= 10
 
     def test_oversize_object_not_cached(self):
         cache = LRUCache(4)
         cache.put("big", b"12345")
         assert cache.get("big") is None
-        assert cache.used_bytes == 0
+        assert used_bytes(cache) == 0
 
     def test_zero_capacity(self):
         cache = LRUCache(0)
         cache.put("k", b"")
-        assert cache.used_bytes == 0
+        assert used_bytes(cache) == 0
 
     def test_rejects_negative_capacity(self):
         with pytest.raises(ConfigurationError):
@@ -203,7 +214,7 @@ class TestClear:
         cache.get("k")
         cache.get("x")
         cache.clear()
-        assert cache.n_entries == 0
-        assert cache.used_bytes == 0
+        assert n_entries(cache) == 0
+        assert used_bytes(cache) == 0
         assert cache.hits == 0
         assert cache.misses == 0

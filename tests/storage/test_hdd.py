@@ -14,7 +14,6 @@ from repro.storage.hdd import (
     IBM_73LZX,
     WD_2500JD,
     fastest_disk,
-    typical_disk,
 )
 
 
@@ -36,7 +35,6 @@ class TestCatalogue:
 
     def test_helpers(self):
         assert fastest_disk() is IBM_36Z15
-        assert typical_disk() is WD_2500JD
 
 
 class TestPaperArithmetic:
@@ -70,12 +68,6 @@ class TestModel:
     def test_rejects_negative_bytes(self):
         with pytest.raises(ConfigurationError):
             HDDModel(WD_2500JD).transfer_ms(-1)
-
-    def test_sequential_read_cheaper_per_byte(self):
-        model = HDDModel(WD_2500JD)
-        random_cost = 10 * model.lookup_ms(4096)
-        sequential_cost = model.sequential_read_ms(10 * 4096)
-        assert sequential_cost < random_cost
 
     def test_stochastic_lookup_mean_near_average(self):
         model = HDDModel(WD_2500JD)

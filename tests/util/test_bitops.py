@@ -4,15 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import ConfigurationError
-from repro.util.bitops import (
-    bit_at,
-    bits_to_bytes,
-    bytes_to_bits,
-    ceil_div,
-    rotl32,
-    split_in_half,
-    xor_bytes,
-)
+from repro.util.bitops import bit_at, ceil_div, split_in_half, xor_bytes
 
 
 class TestCeilDiv:
@@ -58,47 +50,6 @@ class TestXorBytes:
         assert xor_bytes(xor_bytes(data, mask), mask) == data
 
 
-class TestRotl32:
-    def test_by_zero(self):
-        assert rotl32(0x12345678, 0) == 0x12345678
-
-    def test_by_eight(self):
-        assert rotl32(0x12345678, 8) == 0x34567812
-
-    def test_wraps_modulo_32(self):
-        assert rotl32(0x12345678, 32) == 0x12345678
-
-    def test_masks_to_32_bits(self):
-        assert rotl32(0xFFFFFFFF, 1) == 0xFFFFFFFF
-
-
-class TestBitConversions:
-    def test_bytes_to_bits_msb_first(self):
-        assert bytes_to_bits(b"\xa0") == [1, 0, 1, 0, 0, 0, 0, 0]
-
-    def test_truncation(self):
-        assert bytes_to_bits(b"\xa0", 4) == [1, 0, 1, 0]
-
-    def test_truncation_bounds(self):
-        with pytest.raises(ConfigurationError):
-            bytes_to_bits(b"\xa0", 9)
-
-    def test_bits_to_bytes_pads_tail(self):
-        assert bits_to_bytes([1, 0, 1, 0]) == b"\xa0"
-
-    def test_bits_to_bytes_rejects_non_bits(self):
-        with pytest.raises(ConfigurationError):
-            bits_to_bytes([1, 2])
-
-    @given(st.binary(min_size=1, max_size=32))
-    def test_roundtrip(self, data):
-        assert bits_to_bytes(bytes_to_bits(data)) == data
-
-    @given(st.lists(st.integers(0, 1), min_size=1, max_size=200))
-    def test_roundtrip_bits(self, bits):
-        assert bytes_to_bits(bits_to_bytes(bits), len(bits)) == bits
-
-
 class TestBitAt:
     def test_first_bit(self):
         assert bit_at(b"\x80", 0) == 1
@@ -116,7 +67,9 @@ class TestBitAt:
     @given(st.binary(min_size=1, max_size=16), st.data())
     def test_agrees_with_bytes_to_bits(self, data, draw):
         index = draw.draw(st.integers(0, 8 * len(data) - 1))
-        assert bit_at(data, index) == bytes_to_bits(data)[index]
+        # MSB-first: bit 0 is the top bit of byte 0.
+        expected = format(int.from_bytes(data, "big"), f"0{8 * len(data)}b")[index]
+        assert bit_at(data, index) == int(expected)
 
 
 class TestSplitInHalf:

@@ -7,13 +7,11 @@ from repro.errors import ProtocolError
 from repro.util.serialization import (
     decode_bytes_list,
     decode_float,
-    decode_float_list,
     decode_length_prefixed,
     decode_uint,
     decode_uint_list,
     encode_bytes_list,
     encode_float,
-    encode_float_list,
     encode_length_prefixed,
     encode_uint,
     encode_uint_list,
@@ -76,11 +74,6 @@ class TestLists:
         decoded, _ = decode_bytes_list(encode_bytes_list(items))
         assert decoded == items
 
-    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=30))
-    def test_float_list_roundtrip(self, values):
-        decoded, _ = decode_float_list(encode_float_list(values))
-        assert decoded == values
-
     def test_concatenated_structures_decode_in_sequence(self):
         blob = encode_uint(7) + encode_bytes_list([b"x", b"yz"]) + encode_float(1.5)
         value, offset = decode_uint(blob, 0)
@@ -117,11 +110,14 @@ class TestOffsetRoundTrips:
         stream = (
             encode_uint_list(uints)
             + encode_bytes_list(blobs)
-            + encode_float_list(floats)
+            + b"".join(map(encode_float, floats))
         )
         decoded_uints, offset = decode_uint_list(stream)
         decoded_blobs, offset = decode_bytes_list(stream, offset)
-        decoded_floats, offset = decode_float_list(stream, offset)
+        decoded_floats = []
+        for _ in floats:
+            value, offset = decode_float(stream, offset)
+            decoded_floats.append(value)
         assert decoded_uints == uints
         assert decoded_blobs == blobs
         assert decoded_floats == floats

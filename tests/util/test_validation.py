@@ -7,7 +7,6 @@ from repro.util.validation import (
     check_positive,
     check_probability,
     check_range,
-    check_type,
 )
 
 
@@ -32,10 +31,6 @@ class TestCheckRange:
         check_range("x", 0.0, 0.0, 1.0)
         check_range("x", 1.0, 0.0, 1.0)
 
-    def test_exclusive_bounds(self):
-        with pytest.raises(ConfigurationError):
-            check_range("x", 0.0, 0.0, 1.0, inclusive=False)
-
     def test_rejects_outside(self):
         with pytest.raises(ConfigurationError, match=r"\[0.0, 1.0\]"):
             check_range("x", 1.5, 0.0, 1.0)
@@ -48,15 +43,3 @@ class TestCheckProbability:
     def test_rejects_above_one(self):
         with pytest.raises(ConfigurationError):
             check_probability("p", 1.01)
-
-
-class TestCheckType:
-    def test_accepts_match(self):
-        check_type("x", 5, int)
-
-    def test_accepts_tuple_of_types(self):
-        check_type("x", "s", (int, str))
-
-    def test_rejects_mismatch_naming_parameter(self):
-        with pytest.raises(ConfigurationError, match="x must be int"):
-            check_type("x", "s", int)
