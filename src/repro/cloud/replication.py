@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from repro.cloud.provider import CloudProvider
+from repro.cloud.provider import CloudProvider, DataCentre
 from repro.cloud.sla import SLAPolicy
 from repro.cloud.tpa import AuditOutcome, ThirdPartyAuditor
 from repro.cloud.verifier import VerifierDevice
@@ -71,12 +71,21 @@ class NearestCopyStrategy:
     paying Internet flight time and failing that site's timing budget.
     The strategy is pinned to the verifier location of the site being
     audited (set by :meth:`ReplicationAuditor.audit_round`).
+
+    Each file's nearest holder and flight distance are found on its
+    first request and kept for the life of the instance.  Both callers
+    build one instance per audit (``AuditFleet._stage_audit``) or per
+    site per round (:meth:`ReplicationAuditor.audit_round`), so the
+    memo never outlives the placement it read.
     """
 
     def __init__(self, requester_location) -> None:
         self.requester_location = requester_location
+        self._nearest: dict[bytes, tuple[DataCentre, float]] = {}
 
-    def handle_request(self, provider: CloudProvider, file_id: bytes, index: int):
+    def _find_nearest(
+        self, provider: CloudProvider, file_id: bytes
+    ) -> tuple[DataCentre, float]:
         holders = [
             provider.datacentre(name)
             for name in provider.datacentre_names()
@@ -88,8 +97,16 @@ class NearestCopyStrategy:
             holders,
             key=lambda dc: haversine_km(dc.location, self.requester_location),
         )
+        return nearest, haversine_km(nearest.location, self.requester_location)
+
+    def handle_request(self, provider: CloudProvider, file_id: bytes, index: int):
+        found = self._nearest.get(file_id)
+        if found is None:
+            found = self._nearest[file_id] = self._find_nearest(
+                provider, file_id
+            )
+        nearest, flight_km = found
         result = nearest.lookup(file_id, index)
-        flight_km = haversine_km(nearest.location, self.requester_location)
         if flight_km > 1.0:
             # Serving from a remote copy pays Internet flight time on
             # top of the remote disk.
@@ -130,7 +147,9 @@ class ReplicationAuditor:
         Each site's audit uses that site's verifier; the provider's
         serving policy decides which physical copy answers.  A site
         whose audit fails (timing or otherwise) contributes no replica
-        evidence.
+        evidence.  An honest provider serves each site from the copy
+        nearest its verifier (:class:`NearestCopyStrategy`); an
+        installed adversary strategy is never overridden.
         """
         if not self._sites:
             raise ConfigurationError("no replica sites registered")
@@ -139,11 +158,12 @@ class ReplicationAuditor:
         previous_strategy = provider.strategy
         try:
             for name, site in self._sites.items():
-                # A rational provider serves this site's audit from the
-                # nearest copy it actually kept.
-                provider.set_strategy(
-                    NearestCopyStrategy(site.verifier.location)
-                )
+                if previous_strategy is None:
+                    # A rational provider serves this site's audit from
+                    # the nearest copy it actually kept.
+                    provider.set_strategy(
+                        NearestCopyStrategy(site.verifier.location)
+                    )
                 outcome = self.tpa.audit(
                     file_id,
                     site.verifier,

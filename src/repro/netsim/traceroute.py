@@ -42,8 +42,12 @@ def ping(
     *,
     n_probes: int = 4,
 ) -> PingResult:
-    """RTT statistics over ``n_probes`` probes."""
-    samples = [topology.rtt_ms(source, destination) for _ in range(max(1, n_probes))]
+    """RTT statistics over ``n_probes`` probes.
+
+    Probes are deterministic (``rtt_ms`` walks the same shortest path
+    every time), so the path is found once and every probe reads it.
+    """
+    samples = [topology.rtt_ms(source, destination)] * max(1, n_probes)
     return PingResult(
         source=source,
         destination=destination,

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.cloud import replication
+from repro.cloud.adversary import CorruptionAttack
 from repro.cloud.provider import CloudProvider, DataCentre
 from repro.cloud.replication import (
     NearestCopyStrategy,
@@ -13,6 +15,7 @@ from repro.cloud.tpa import ThirdPartyAuditor
 from repro.cloud.verifier import VerifierDevice
 from repro.crypto.rng import DeterministicRNG
 from repro.errors import ConfigurationError
+from repro.geo.coords import haversine_km
 from repro.geo.datasets import city
 from repro.geo.regions import CircularRegion
 from repro.netsim.clock import SimClock
@@ -95,6 +98,63 @@ class TestSkimpedReplication:
         assert not singapore.timing_ok
         # The data itself verified fine -- it is just far away.
         assert singapore.macs_ok
+
+
+class TestInstalledAdversary:
+    """A round audits the provider as it is, adversary included."""
+
+    def test_round_does_not_mask_an_installed_adversary(self):
+        provider, auditor = build_deployment(replicate_to=["perth", "singapore"])
+        attack = CorruptionAttack("sydney", 0.5, DeterministicRNG("c"))
+        provider.set_strategy(attack)
+        sydney = auditor.sites()[0]
+        direct = auditor.tpa.audit(
+            b"f",
+            sydney.verifier,
+            provider,
+            k=12,
+            rtt_max_ms=sydney.sla.rtt_max_ms,
+            region=sydney.sla.region,
+        )
+        assert "mac" in direct.verdict.failure_reasons
+        verdict = auditor.audit_round(b"f", provider, k=12)
+        assert verdict.accepted_sites == []
+        assert verdict.distinct_replicas == 0
+        assert all(
+            not outcome.verdict.macs_ok for outcome in verdict.outcomes.values()
+        )
+        assert provider.strategy is attack
+
+    def test_honest_round_restores_no_strategy(self):
+        provider, auditor = build_deployment(replicate_to=["perth"])
+        auditor.audit_round(b"f", provider, k=4)
+        assert provider.strategy is None
+
+
+class TestNearestCopyMemo:
+    def test_nearest_copy_found_once_per_file(self, monkeypatch):
+        """One audit's lookups find the nearest holder once, not per round."""
+        provider, auditor = build_deployment(replicate_to=["perth"])
+        calls = []
+
+        def counting_haversine(a, b):
+            calls.append((a, b))
+            return haversine_km(a, b)
+
+        monkeypatch.setattr(replication, "haversine_km", counting_haversine)
+        singapore = city("singapore")
+        strategy = NearestCopyStrategy(singapore)
+        served = [
+            strategy.handle_request(provider, b"f", index) for index in range(12)
+        ]
+        # Two holders ranked plus one flight distance, for 12 lookups.
+        assert len(calls) == 3
+        fresh = [
+            NearestCopyStrategy(singapore).handle_request(provider, b"f", index)
+            for index in range(12)
+        ]
+        assert [r.served_by for r in served] == [r.served_by for r in fresh]
+        assert served[0].served_by == "perth"
 
 
 class TestSeparationFilter:

@@ -59,6 +59,27 @@ class TestOctant:
         assert estimate.radius_km >= 0.0
 
 
+class TestProbeEstimatesPinned:
+    """Exact estimates of the two ping-driven schemes on the AU backbone."""
+
+    def test_geoping_estimate(self, au_topology):
+        estimate = GeoPing(au_topology, LANDMARKS).locate(TARGET)
+        position = estimate.position
+        assert (position.latitude, position.longitude) == (-33.87, 151.21)
+        assert estimate.radius_km == 0.0
+
+    def test_octant_estimate(self, au_topology):
+        estimate = OctantLike(au_topology, LANDMARKS, grid_step_km=40.0).locate(
+            TARGET
+        )
+        position = estimate.position
+        assert (position.latitude, position.longitude) == (
+            -33.85292524668512,
+            151.21000000000006,
+        )
+        assert estimate.radius_km == 361.89862856481716
+
+
 class TestTBG:
     def test_beats_wild_guess(self, au_topology):
         scheme = TopologyBasedGeolocation(au_topology, LANDMARKS)

@@ -27,6 +27,20 @@ class TestPing:
     def test_probe_floor(self, chain):
         assert ping(chain, "n0", "n1", n_probes=0).n_probes == 1
 
+    def test_one_path_search_per_ping(self, chain, monkeypatch):
+        searches = []
+        shortest_path = chain.shortest_path
+
+        def counting(source, destination):
+            searches.append((source, destination))
+            return shortest_path(source, destination)
+
+        monkeypatch.setattr(chain, "shortest_path", counting)
+        result = ping(chain, "n0", "n3", n_probes=8)
+        assert searches == [("n0", "n3")]
+        assert result.n_probes == 8
+        assert result.rtt_min_ms == result.rtt_avg_ms == result.rtt_max_ms == 12.0
+
 
 class TestTraceroute:
     def test_hop_sequence(self, chain):
