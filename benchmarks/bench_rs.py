@@ -172,7 +172,7 @@ def equivalence_sweep() -> bool:
     scalar_tags = [
         mac_tag(b"key", p, i, b"fid") for i, p in enumerate(payloads)
     ]
-    return batch == scalar_tags
+    return batch == scalar_tags  # repro: lint-ok[CRY001] -- equivalence gate comparing two locally computed tag lists; no adversarial input, timing is irrelevant
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -307,10 +307,9 @@ def _cmd_economics(args: argparse.Namespace) -> int:
 
 def _cmd_lint(args: argparse.Namespace) -> int:
     import json
-    import os
 
     from repro.errors import ConfigurationError
-    from repro.lint import Baseline, get_rule, run_lint, update_baseline
+    from repro.lint import get_rule, run_lint
 
     try:
         if args.explain is not None:
@@ -321,24 +320,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             return 0
         paths = tuple(args.paths) or ("src", "benchmarks", "examples")
         rule_ids = tuple(args.rules) if args.rules else None
-        baseline_path = (
-            args.baseline if args.baseline is not None else "lint_baseline.json"
-        )
-        if args.update_baseline:
-            refreshed = update_baseline(paths, baseline_path, rule_ids=rule_ids)
-            print(f"wrote {baseline_path} ({len(refreshed.entries)} entries)")
-            return 0
-        # The default baseline is optional (a clean tree needs none); an
-        # explicitly named one must exist, or the run silently loses its
-        # exemptions.
-        baseline = None
-        if os.path.exists(baseline_path):
-            baseline = Baseline.load(baseline_path)
-        elif args.baseline is not None:
-            raise ConfigurationError(
-                f"baseline file not found: {baseline_path}"
-            )
-        report = run_lint(paths, rule_ids=rule_ids, baseline=baseline)
+        report = run_lint(paths, rule_ids=rule_ids)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -729,18 +711,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="RULE",
         help="restrict to these rule ids or families (e.g. SIM CRY001)",
-    )
-    lint.add_argument(
-        "--baseline",
-        metavar="PATH",
-        default=None,
-        help="baseline of accepted findings "
-        "(default: lint_baseline.json when present)",
-    )
-    lint.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline from current findings and exit 0",
     )
     lint.add_argument(
         "--json",

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from repro.cloud.provider import CloudProvider
 from repro.crypto.rng import DeterministicRNG
+from repro.errors import BlockNotFoundError
 from repro.geo.coords import haversine_km
 from repro.por.file_format import Segment
 from repro.storage.cache import LRUCache
@@ -314,9 +315,12 @@ class DeletionAttack:
         if index not in deleted:
             return datacentre.lookup(file_id, index)
         n = datacentre.server.store.n_segments(file_id)
-        substitute_index = next(
-            i for i in range(n) if i not in deleted
-        )
+        substitute_index = next((i for i in range(n) if i not in deleted), None)
+        if substitute_index is None:
+            raise BlockNotFoundError(
+                f"every segment of file {file_id!r} is deleted at "
+                f"{self.datacentre_name!r}: nothing left to substitute"
+            )
         result = datacentre.lookup(file_id, substitute_index)
         forged = Segment(
             index=index,

@@ -212,11 +212,3 @@ class GeoProofSession:
             k=k,
             rtt_max_ms=rtt_max_ms,
         )
-
-    def audit_many(
-        self, file_id: bytes, n_audits: int, **kwargs
-    ) -> list[AuditOutcome]:
-        """Run repeated audits (the cumulative-detection experiment)."""
-        if n_audits <= 0:
-            raise ConfigurationError(f"n_audits must be positive, got {n_audits}")
-        return [self.audit(file_id, **kwargs) for _ in range(n_audits)]

@@ -43,8 +43,8 @@ scalar path:
 
 :meth:`BlockPermutation.permute_list` / ``unpermute_list`` build (and
 cache) the full permutation array through this engine; the scalar
-``forward``/``inverse`` remain available and consult the cached table
-when one exists.
+``forward`` remains available and consults the cached table when one
+exists.
 """
 
 from __future__ import annotations
@@ -174,15 +174,6 @@ class FeistelPRP:
             left, right = right, left ^ self._round_function(r, right)
         return (left << self._half_bits) | right
 
-    def inverse(self, value: int) -> int:
-        """Apply the inverse permutation."""
-        self._check_domain(value)
-        left = value >> self._half_bits
-        right = value & self._mask
-        for r in range(self._rounds - 1, -1, -1):
-            left, right = right ^ self._round_function(r, left), left
-        return (left << self._half_bits) | right
-
     # -- batch API ----------------------------------------------------------
 
     def forward_many(self, values: Sequence[int]) -> list[int]:
@@ -209,7 +200,7 @@ class FeistelPRP:
         ]
 
     def inverse_many(self, values: Sequence[int]) -> list[int]:
-        """Batch counterpart of :meth:`inverse`; see :meth:`forward_many`."""
+        """Apply the inverse permutation; see :meth:`forward_many`."""
         if not values:
             return []
         self._check_domain(min(values))
@@ -278,18 +269,6 @@ class BlockPermutation:
             value = self._prp.forward(value)
         return value
 
-    def inverse(self, index: int) -> int:
-        """Invert :meth:`forward`."""
-        self._check(index)
-        if self._n == 1:
-            return 0
-        if self._inverse_table is not None:
-            return self._inverse_table[index]
-        value = self._prp.inverse(index)
-        while value >= self._n:
-            value = self._prp.inverse(value)
-        return value
-
     # -- batch API ----------------------------------------------------------
 
     def forward_many(self, indices: Sequence[int]) -> list[int]:
@@ -309,7 +288,7 @@ class BlockPermutation:
         return self._walk_many(indices, self._prp.forward_many)
 
     def inverse_many(self, indices: Sequence[int]) -> list[int]:
-        """Batch counterpart of :meth:`inverse`."""
+        """Invert :meth:`forward_many`."""
         if not indices:
             return []
         self._check(min(indices))
@@ -349,8 +328,8 @@ class BlockPermutation:
         """The full ``index -> forward(index)`` array, built once.
 
         The table (and its inverse) is cached on the instance, so the
-        scalar :meth:`forward`/:meth:`inverse` and all list operations
-        become O(1) lookups after the first call.
+        scalar :meth:`forward`, :meth:`inverse_many` and all list
+        operations become O(1) lookups after the first call.
         """
         if self._table is None:
             table = tuple(self._walk_many(range(self._n), self._prp.forward_many)) \

@@ -12,12 +12,10 @@ from __future__ import annotations
 
 import hmac
 import math
-from typing import Sequence, TypeVar
+from typing import Sequence
 
 from repro.crypto.prf import prf, prf_base, prf_many
 from repro.errors import ConfigurationError
-
-T = TypeVar("T")
 
 #: The PRF message of a stream's block 0: ``b"drbg-gen"``, the PRF's
 #: separator byte and ``uint64(0)``.
@@ -151,12 +149,6 @@ class DeterministicRNG:
             if candidate < upper:
                 return candidate
 
-    def randint(self, low: int, high: int) -> int:
-        """Uniform integer in ``[low, high]`` inclusive."""
-        if high < low:
-            raise ConfigurationError(f"empty range [{low}, {high}]")
-        return low + self.randrange(high - low + 1)
-
     def sample_indices(self, population: int, k: int) -> list[int]:
         """Sample ``k`` distinct indices from ``[0, population)``.
 
@@ -204,18 +196,6 @@ class DeterministicRNG:
         self._buffer = buffer[offset:]
         return out
 
-    def shuffle(self, items: list[T]) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randrange(i + 1)
-            items[i], items[j] = items[j], items[i]
-
-    def choice(self, items: list[T]) -> T:
-        """Uniformly choose one element of a non-empty sequence."""
-        if not items:
-            raise ConfigurationError("cannot choose from an empty sequence")
-        return items[self.randrange(len(items))]
-
     # -- continuous sampling ----------------------------------------------
 
     def uniform(self, low: float, high: float) -> float:
@@ -234,12 +214,3 @@ class DeterministicRNG:
         u = self.uniform(0.0, 1.0)
         # u == 0 would give log(0); nudge into (0, 1].
         return -math.log(1.0 - u) / rate
-
-    def gauss(self, mean: float, stddev: float) -> float:
-        """Normal variate via Box-Muller (one draw per call)."""
-        if stddev < 0:
-            raise ConfigurationError(f"stddev must be >= 0, got {stddev}")
-        u1 = self.uniform(0.0, 1.0)
-        u2 = self.uniform(0.0, 1.0)
-        magnitude = math.sqrt(-2.0 * math.log(1.0 - u1))
-        return mean + stddev * magnitude * math.cos(2.0 * math.pi * u2)

@@ -422,7 +422,8 @@ class AdversaryCampaign:
     ) -> tuple[AuditFleet, VictimGeometry]:
         """A fresh fleet plus its measured geometry, pre-injection.
 
-        The staging half of :meth:`run_cell`, exposed so callers
+        The staging half of a cell (:meth:`run_on` is the other),
+        split so callers
         (:func:`~repro.economics.report.build_economics_report`) can
         read honest-state facts -- tenant quote inputs, the victim
         geometry -- off a cell's own fleet instead of paying an extra
@@ -430,20 +431,6 @@ class AdversaryCampaign:
         """
         fleet = self.build_fleet(engine)
         return fleet, self.measure_geometry(fleet)
-
-    def run_cell(
-        self, *, cache_fraction: float = 0.0, engine: str = "slot"
-    ) -> CampaignCell:
-        """Build, attack, audit and account one sweep cell.
-
-        ``cache_fraction`` sizes the front cache as a fraction of the
-        victim's segment population (whole entries, so the analytic
-        and simulated capacities agree exactly); only the
-        ``prefetch-relay`` attack takes a cache, so it must be zero
-        for the others.
-        """
-        fleet, geometry = self.prepare_cell(engine)
-        return self.run_on(fleet, geometry, cache_fraction=cache_fraction)
 
     def run_on(
         self,
@@ -455,6 +442,11 @@ class AdversaryCampaign:
         """Attack, audit and account a cell on an already-built fleet.
 
         The fleet runs on the engine it was built with.
+        ``cache_fraction`` sizes the front cache as a fraction of the
+        victim's segment population (whole entries, so the analytic
+        and simulated capacities agree exactly); only the
+        ``prefetch-relay`` attack takes a cache, so it must be zero
+        for the others.
         """
         if not 0.0 <= cache_fraction <= 1.0:
             raise ConfigurationError(
@@ -555,23 +547,6 @@ class AdversaryCampaign:
                 else None
             ),
         )
-
-    def sweep(self) -> list[CampaignCell]:
-        """The full campaign grid: both engines x cache sizes.
-
-        Only ``prefetch-relay`` sweeps the cache axis
-        (:data:`DEFAULT_SWEEP_FRACTIONS`); ``relay`` and ``deletion``
-        take no cache, so those campaigns run one zero-cache cell per
-        engine.
-        """
-        fractions = (
-            DEFAULT_SWEEP_FRACTIONS if self.attack == "prefetch-relay" else (0.0,)
-        )
-        return [
-            self.run_cell(cache_fraction=fraction, engine=engine)
-            for engine in ("slot", "event")
-            for fraction in fractions
-        ]
 
     def slot_event_streams_match(self) -> bool:
         """The equivalence anchor, with the adversary injected.

@@ -100,12 +100,6 @@ class Poly:
                     out[i + j] ^= EXP_TABLE[log_a + LOG_TABLE[b]]
         return Poly(out)
 
-    def scale(self, scalar: int) -> "Poly":
-        """Multiply every coefficient by a field scalar."""
-        if scalar == 0:
-            return Poly.zero()
-        return Poly([mul_fast(c, scalar) for c in self.coeffs])
-
     def shift(self, amount: int) -> "Poly":
         """Multiply by ``x^amount``."""
         if amount < 0:

@@ -11,27 +11,26 @@ conventions machine-checked:
     report = run_lint(("src", "benchmarks", "examples"))
     assert report.ok
 
-or, from the command line (exit 1 on findings, 2 on bad usage)::
+or, from the command line (exit 1 on findings or unused pragmas, 2 on
+bad usage)::
 
     python -m repro.cli lint src benchmarks examples
+    python -m repro.cli lint src/repro/crypto --rules CRY --json -
     python -m repro.cli lint --explain SIM001
-    python -m repro.cli lint src --update-baseline
 
-Vetted exemptions are inline pragmas (``repro: lint-ok`` comments
-naming the rule id, with a ``-- why`` justification) or entries in the committed baseline file (``lint_baseline.json``
--- see :mod:`repro.lint.baseline` for the add/expire semantics).  The
-rules themselves live in :mod:`repro.lint.rules`; each knows *why* its
-invariant exists and says so via ``--explain``.
+A vetted exemption is an inline pragma, a ``repro: lint-ok`` comment
+naming the rule id with a ``-- why`` justification, on the line it
+exempts; a pragma that exempts nothing fails the run (see
+:mod:`repro.lint.suppress`).  The rules themselves live in
+:mod:`repro.lint.rules`; each knows *why* its invariant exists and says
+so via ``--explain``.
 """
 
-from repro.lint.baseline import Baseline, BaselineEntry
-from repro.lint.engine import LintReport, discover_files, run_lint, update_baseline
+from repro.lint.engine import LintReport, discover_files, run_lint
 from repro.lint.findings import Finding
 from repro.lint.registry import RULES, Rule, get_rule, resolve_rules
 
 __all__ = [
-    "Baseline",
-    "BaselineEntry",
     "Finding",
     "LintReport",
     "RULES",
@@ -40,5 +39,4 @@ __all__ = [
     "get_rule",
     "resolve_rules",
     "run_lint",
-    "update_baseline",
 ]

@@ -1,24 +1,22 @@
-"""The lint engine: discover files, walk ASTs, apply exemptions.
+"""The lint engine: discover files, walk ASTs, apply pragmas.
 
 One :func:`run_lint` call scans a set of files/directories, runs every
 selected rule over each file's AST in a single traversal, then filters
-the raw findings through inline pragmas (:mod:`repro.lint.suppress`)
-and the committed baseline (:mod:`repro.lint.baseline`).  The result is
-a :class:`LintReport` that renders for humans, serializes for the CI
-artifact, and decides the exit code (``ok``: no findings *and* no
-stale baseline entries).
+the raw findings through the file's inline pragmas
+(:mod:`repro.lint.suppress`), the only way to exempt a finding.  The
+result is a :class:`LintReport` that renders for humans, serializes for
+the CI artifact, and decides the exit code (``ok``: no findings *and*
+no unused pragmas).
 """
 
 from __future__ import annotations
 
 import ast
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import repro.lint.rules  # noqa: F401  -- populates the registry
 from repro.errors import ConfigurationError
-from repro.lint.baseline import Baseline, BaselineEntry
 from repro.lint.findings import Finding
 from repro.lint.registry import (
     RULES,
@@ -39,38 +37,36 @@ class LintReport:
     n_files: int
     rules: tuple[str, ...]
     n_suppressed: int = 0
-    n_baselined: int = 0
-    stale_baseline: list[BaselineEntry] = field(default_factory=list)
+    #: Pragmas that suppressed nothing although every rule they name ran.
+    unused_pragmas: list[Pragma] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return not self.findings and not self.stale_baseline
+        return not self.findings and not self.unused_pragmas
 
     def to_dict(self) -> dict[str, object]:
         return {
-            "version": 1,
+            "version": 2,
             "ok": self.ok,
             "n_files": self.n_files,
             "rules": list(self.rules),
             "findings": [finding.to_dict() for finding in self.findings],
             "n_suppressed": self.n_suppressed,
-            "n_baselined": self.n_baselined,
-            "stale_baseline": [entry.to_dict() for entry in self.stale_baseline],
+            "unused_pragmas": [pragma.to_dict() for pragma in self.unused_pragmas],
         }
 
     def render(self) -> str:
         lines = [finding.render() for finding in self.findings]
-        for entry in self.stale_baseline:
-            lines.append(
-                f"{entry.path}: stale baseline entry for {entry.rule} "
-                f"({entry.snippet!r} no longer flagged); remove it or run "
-                f"--update-baseline"
-            )
+        lines.extend(
+            f"{pragma.path}:{pragma.line}: unused "
+            f"lint-ok[{', '.join(pragma.rules)}] pragma: it suppresses no "
+            f"finding; remove it"
+            for pragma in self.unused_pragmas
+        )
         lines.append(
             f"{len(self.findings)} finding(s) across {self.n_files} file(s) "
             f"({self.n_suppressed} pragma-suppressed, "
-            f"{self.n_baselined} baselined, "
-            f"{len(self.stale_baseline)} stale baseline entr(y/ies))"
+            f"{len(self.unused_pragmas)} unused pragma(s))"
         )
         return "\n".join(lines)
 
@@ -102,7 +98,7 @@ def discover_files(paths: tuple[str, ...]) -> list[Path]:
 
 
 def _relpath(path: Path) -> str:
-    """Path as recorded in findings/baselines: cwd-relative, POSIX."""
+    """Path as recorded in findings and pragmas: cwd-relative, POSIX."""
     try:
         rel = path.resolve().relative_to(Path.cwd())
     except ValueError:
@@ -112,8 +108,13 @@ def _relpath(path: Path) -> str:
 
 def lint_file(
     path: Path, rules: dict[str, Rule]
-) -> tuple[list[Finding], int]:
-    """Lint one file; returns (kept findings, n pragma-suppressed)."""
+) -> tuple[list[Finding], int, list[Pragma]]:
+    """Lint one file; returns (kept findings, n suppressed, unused pragmas).
+
+    A pragma counts as unused only when every rule it names is among
+    ``rules``: a ``--rules CRY`` run cannot tell whether a SIM pragma
+    is still needed, so it does not judge one.
+    """
     relpath = _relpath(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -148,76 +149,43 @@ def lint_file(
         for rule in dispatch.get(type(node), ()):
             findings.extend(rule.visit(node, ctx))
     pragmas = scan_pragmas(
-        lines,
+        text,
         known_rules=set(RULES),
         known_families=known_families(),
         relpath=relpath,
     )
-    kept, suppressed = _apply_pragmas(findings, pragmas)
-    kept.sort(key=lambda f: (f.line, f.col, f.rule))
-    return kept, suppressed
-
-
-def _apply_pragmas(
-    findings: list[Finding], pragmas: list[Pragma]
-) -> tuple[list[Finding], int]:
     kept: list[Finding] = []
-    suppressed = 0
+    used: set[Pragma] = set()
     for finding in findings:
-        if any(
-            pragma.covers(finding.line) and pragma.matches(finding.rule)
+        covering = [
+            pragma
             for pragma in pragmas
-        ):
-            suppressed += 1
+            if pragma.covers(finding.line) and pragma.matches(finding.rule)
+        ]
+        if covering:
+            used.update(covering)
         else:
             kept.append(finding)
-    return kept, suppressed
+    kept.sort(key=lambda f: (f.line, f.col, f.rule))
+    unused = [
+        pragma
+        for pragma in pragmas
+        if pragma not in used
+        and all(rule_id in rules for rule_id in RULES if pragma.matches(rule_id))
+    ]
+    return kept, len(findings) - len(kept), unused
 
 
 def run_lint(
-    paths: tuple[str, ...],
-    *,
-    rule_ids: tuple[str, ...] | None = None,
-    baseline: Baseline | None = None,
+    paths: tuple[str, ...], *, rule_ids: tuple[str, ...] | None = None
 ) -> LintReport:
-    """Lint ``paths`` with the selected rules under ``baseline``."""
+    """Lint ``paths`` with the selected rules (``None``: every rule)."""
     rules = resolve_rules(rule_ids)
     files = discover_files(paths)
-    findings: list[Finding] = []
-    n_suppressed = 0
-    scanned: set[str] = set()
+    report = LintReport(findings=[], n_files=len(files), rules=tuple(sorted(rules)))
     for path in files:
-        scanned.add(_relpath(path))
-        kept, suppressed = lint_file(path, rules)
-        findings.extend(kept)
-        n_suppressed += suppressed
-    report = LintReport(
-        findings=findings,
-        n_files=len(files),
-        rules=tuple(sorted(rules)),
-        n_suppressed=n_suppressed,
-    )
-    if baseline is not None:
-        kept, baselined, stale = baseline.apply(
-            findings, scanned_paths=scanned, active_rules=set(rules)
-        )
-        report.findings = kept
-        report.n_baselined = len(baselined)
-        report.stale_baseline = stale
+        kept, suppressed, unused = lint_file(path, rules)
+        report.findings.extend(kept)
+        report.n_suppressed += suppressed
+        report.unused_pragmas.extend(unused)
     return report
-
-
-def update_baseline(
-    paths: tuple[str, ...],
-    baseline_path: str | Path,
-    *,
-    rule_ids: tuple[str, ...] | None = None,
-) -> Baseline:
-    """Rewrite the baseline from the current post-pragma findings."""
-    previous = (
-        Baseline.load(baseline_path) if os.path.exists(baseline_path) else None
-    )
-    report = run_lint(paths, rule_ids=rule_ids, baseline=None)
-    refreshed = Baseline.from_findings(report.findings, previous)
-    refreshed.save(baseline_path)
-    return refreshed

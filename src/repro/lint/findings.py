@@ -1,9 +1,8 @@
 """Finding records emitted by the invariant checker.
 
 A :class:`Finding` pins one rule violation to one source location and
-carries the stripped source line (``snippet``) so baseline matching can
-survive unrelated line-number drift: two findings are "the same" when
-rule, path and snippet agree, regardless of where the line moved.
+carries the stripped source line (``snippet``) so a report reads on its
+own, without the file at hand.
 """
 
 from __future__ import annotations
@@ -21,13 +20,8 @@ class Finding:
     line: int
     col: int
     message: str
-    #: The stripped source line, used as the drift-tolerant baseline key.
+    #: The stripped source line.
     snippet: str
-
-    @property
-    def baseline_key(self) -> tuple[str, str, str]:
-        """Identity used for baseline matching (line numbers excluded)."""
-        return (self.rule, self.path, self.snippet)
 
     def to_dict(self) -> dict[str, object]:
         return {

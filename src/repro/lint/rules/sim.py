@@ -96,7 +96,7 @@ class WallClockRule(Rule):
         "verify_seconds flush cost, and the repro.obs wall-domain "
         "spans/latency histograms) all funnel through "
         "util/wallclock.py, whose single time.perf_counter() read "
-        "carries the tree's one lint-ok pragma.  The repro.service "
+        "carries the one lint-ok pragma in src/.  The repro.service "
         "package is allowlisted wholesale: the daemon's flush "
         "deadlines and health-probe timers are real-time serving "
         "concerns, not simulated quantities (see docs/INVARIANTS.md)."

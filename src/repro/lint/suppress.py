@@ -1,9 +1,8 @@
 """Inline pragma suppressions: ``repro: lint-ok`` comments.
 
 A suppression is a comment of the form ``# repro: lint-ok[SIM001] --
-justification`` (this docstring avoids spelling out the generic
-placeholder form because the scanner is line-based and validates every
-pragma-shaped line it sees, docstrings included).
+justification``.  Only comment tokens are read, so a docstring or a
+string literal that spells out the form is not a pragma.
 
 A pragma silences findings for the named rule(s) on its own physical
 line; a pragma on a *standalone* comment line also covers the line
@@ -12,14 +11,19 @@ Rule names may be exact ids (``SIM001``) or a bare family (``SIM``).
 The text after the closing bracket is the human justification; the
 engine carries it into reports so every exemption stays reviewable.
 
-Pragmas naming unknown rules are configuration errors rather than
-silent no-ops -- a typo'd pragma that "works" is worse than a failing
-lint run.
+Pragmas are the only way to exempt a finding, and both ways one can
+rot fail the run: a pragma naming an unknown rule is a configuration
+error (a typo'd pragma that "works" is worse than a failing lint run),
+and a pragma that suppresses nothing is reported as unused once every
+rule it names has run (the engine decides that; see
+:func:`repro.lint.engine.lint_file`).
 """
 
 from __future__ import annotations
 
+import io
 import re
+import tokenize
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
@@ -34,6 +38,7 @@ _PRAGMA_RE = re.compile(
 class Pragma:
     """One parsed suppression comment."""
 
+    path: str
     line: int
     rules: tuple[str, ...]
     justification: str
@@ -47,39 +52,54 @@ class Pragma:
         family = rule_id.rstrip("0123456789")
         return any(token in (rule_id, family) for token in self.rules)
 
+    def to_dict(self) -> dict[str, object]:
+        return {
+            "path": self.path,
+            "line": self.line,
+            "rules": list(self.rules),
+            "justification": self.justification,
+        }
+
 
 def scan_pragmas(
-    lines: tuple[str, ...],
+    text: str,
     *,
     known_rules: set[str],
     known_families: set[str],
     relpath: str,
 ) -> list[Pragma]:
-    """Parse every ``lint-ok`` pragma in a file, validating rule names."""
+    """Parse every ``lint-ok`` comment in a file, validating rule names."""
+    if "lint-ok" not in text:
+        return []
+    lines = text.splitlines()
     pragmas: list[Pragma] = []
-    for lineno, raw in enumerate(lines, start=1):
-        match = _PRAGMA_RE.search(raw)
+    for token in tokenize.generate_tokens(io.StringIO(text).readline):
+        if token.type != tokenize.COMMENT:
+            continue
+        match = _PRAGMA_RE.search(token.string)
         if match is None:
             continue
+        lineno, col = token.start
         tokens = tuple(
-            token.strip() for token in match.group("rules").split(",") if token.strip()
+            name.strip() for name in match.group("rules").split(",") if name.strip()
         )
         if not tokens:
             raise ConfigurationError(
                 f"{relpath}:{lineno}: empty lint-ok pragma"
             )
-        for token in tokens:
-            if token not in known_rules and token not in known_families:
+        for name in tokens:
+            if name not in known_rules and name not in known_families:
                 raise ConfigurationError(
                     f"{relpath}:{lineno}: lint-ok names unknown rule "
-                    f"{token!r}; known rules: {', '.join(sorted(known_rules))}"
+                    f"{name!r}; known rules: {', '.join(sorted(known_rules))}"
                 )
         pragmas.append(
             Pragma(
+                path=relpath,
                 line=lineno,
                 rules=tokens,
                 justification=(match.group("why") or "").strip(),
-                standalone=raw.strip().startswith("#"),
+                standalone=not lines[lineno - 1][:col].strip(),
             )
         )
     return pragmas

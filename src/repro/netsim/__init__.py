@@ -34,7 +34,7 @@ from repro.netsim.latency import (
     LatencyModel,
     RFChannelModel,
 )
-from repro.netsim.resources import ServiceGrant, SpindleQueue
+from repro.netsim.resources import SpindleQueue
 from repro.netsim.topology import Link, NetworkTopology, Node
 from repro.netsim.traceroute import ping, traceroute
 
@@ -43,7 +43,6 @@ __all__ = [
     "EventScheduler",
     "Lane",
     "LaneClock",
-    "ServiceGrant",
     "SpindleQueue",
     "LatencyModel",
     "LANModel",

@@ -24,7 +24,6 @@ class _ScheduledEvent:
     sequence: int
     action: Callable[[], None] = field(compare=False)
     label: str = field(compare=False, default="")
-    cancelled: bool = field(compare=False, default=False)
 
 
 class EventScheduler:
@@ -90,11 +89,6 @@ class EventScheduler:
 
         return cancel
 
-    @staticmethod
-    def cancel(event: _ScheduledEvent) -> None:
-        """Cancel a scheduled event (tombstoned, skipped at dispatch)."""
-        event.cancelled = True
-
     def run_until(self, end_ms: float, *, max_events: int = 1_000_000) -> int:
         """Dispatch events until the queue empties or time reaches ``end_ms``.
 
@@ -107,8 +101,6 @@ class EventScheduler:
             if event.timestamp_ms > end_ms:
                 break
             heapq.heappop(self._queue)
-            if event.cancelled:
-                continue
             self.clock.advance_to(event.timestamp_ms)
             event.action()
             executed += 1

@@ -37,28 +37,12 @@ queue wait that audits absorbed into their RTTs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro import obs
 from repro.errors import SimulationError
 from repro.obs.metrics import HistogramValue, MetricsRegistry
 
 #: Per-request queue-wait histogram bounds (simulated milliseconds).
 _WAIT_MS_BUCKETS = (0.1, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0)
-
-
-@dataclass(frozen=True)
-class ServiceGrant:
-    """One granted slice of a shared resource's timeline."""
-
-    #: When the request arrived at the queue (client-local time).
-    arrival_ms: float
-    #: When service actually began (``>= arrival_ms``).
-    start_ms: float
-    #: Time spent parked in the queue (``start - arrival``).
-    wait_ms: float
-    #: Service duration the grant covers.
-    service_ms: float
 
 
 class SpindleQueue:
@@ -115,13 +99,13 @@ class SpindleQueue:
         """Start a fresh peak-wait window (sums stay cumulative)."""
         self.peak_wait_ms = 0.0
 
-    def acquire(self, arrival_ms: float, service_ms: float) -> ServiceGrant:
-        """Grant ``service_ms`` of spindle time to a request.
+    def acquire(self, arrival_ms: float, service_ms: float) -> float:
+        """Grant ``service_ms`` of spindle time; returns the queue wait.
 
         Service starts at ``max(arrival_ms, frontier)`` and pushes the
-        frontier to its end; the returned grant carries the queue wait
-        the caller must add to its own clock (lookup cost = queue wait
-        + seek/rotate/transfer).
+        frontier to its end.  The returned wait is what the caller must
+        add to its own clock (lookup cost = queue wait +
+        seek/rotate/transfer).
         """
         if arrival_ms < 0:
             raise SimulationError(
@@ -139,9 +123,4 @@ class SpindleQueue:
         if wait > 0.0:
             self.n_waited += 1
             self.peak_wait_ms = max(self.peak_wait_ms, wait)
-        return ServiceGrant(
-            arrival_ms=arrival_ms,
-            start_ms=start,
-            wait_ms=wait,
-            service_ms=service_ms,
-        )
+        return wait

@@ -113,9 +113,9 @@ class StorageServer:
         spindle, clock = self.spindle, self._service_clock
         if spindle is None or clock is None:
             return ServeResult(segment, disk_ms, served_by)
-        grant = spindle.acquire(clock.now_ms(), disk_ms)
-        if grant.wait_ms > 0.0:
+        wait_ms = spindle.acquire(clock.now_ms(), disk_ms)
+        if wait_ms > 0.0:
             record = getattr(clock, "record_wait", None)
             if record is not None:
-                record(grant.wait_ms)
-        return ServeResult(segment, grant.wait_ms + disk_ms, served_by)
+                record(wait_ms)
+        return ServeResult(segment, wait_ms + disk_ms, served_by)

@@ -71,17 +71,11 @@ class TestAudit:
         with pytest.raises(ConfigurationError):
             session.audit(b"ghost")
 
-    def test_audit_many_accumulates(self):
+    def test_repeated_audits_accumulate(self):
         session, file_id, _ = build_session("sess-many")
-        outcomes = session.audit_many(file_id, 5, k=5)
-        assert len(outcomes) == 5
+        outcomes = [session.audit(file_id, k=5) for _ in range(5)]
         assert all(o.verdict.accepted for o in outcomes)
         assert len(session.tpa.audit_log) == 5
-
-    def test_audit_many_validates(self):
-        session, file_id, _ = build_session("sess-many-bad")
-        with pytest.raises(ConfigurationError):
-            session.audit_many(file_id, 0)
 
     def test_clock_monotone_across_audits(self):
         session, file_id, _ = build_session("sess-clock")

@@ -104,15 +104,6 @@ class TestIntegerSampling:
         value = DeterministicRNG(upper).randrange(upper)
         assert 0 <= value < upper
 
-    def test_randint_inclusive(self):
-        rng = DeterministicRNG("seed")
-        values = {rng.randint(3, 5) for _ in range(100)}
-        assert values == {3, 4, 5}
-
-    def test_randint_rejects_empty(self):
-        with pytest.raises(ConfigurationError):
-            DeterministicRNG("s").randint(5, 4)
-
     def test_sample_indices_distinct(self):
         rng = DeterministicRNG("seed")
         sample = rng.sample_indices(1000, 100)
@@ -142,19 +133,6 @@ class TestIntegerSampling:
         expected = 500 * 3 / 10
         assert all(0.7 * expected < c < 1.3 * expected for c in counts), counts
 
-    def test_shuffle_permutes(self):
-        rng = DeterministicRNG("seed")
-        items = list(range(100))
-        shuffled = items[:]
-        rng.shuffle(shuffled)
-        assert sorted(shuffled) == items
-        assert shuffled != items
-
-    def test_choice(self):
-        rng = DeterministicRNG("seed")
-        assert rng.choice([42]) == 42
-        with pytest.raises(ConfigurationError):
-            rng.choice([])
 
 
 class TestContinuousSampling:
@@ -170,14 +148,6 @@ class TestContinuousSampling:
         assert all(s >= 0 for s in samples)
         mean = sum(samples) / len(samples)
         assert 0.4 < mean < 0.6  # true mean 0.5
-
-    def test_gauss_moments(self):
-        rng = DeterministicRNG("seed")
-        samples = [rng.gauss(10.0, 2.0) for _ in range(3000)]
-        mean = sum(samples) / len(samples)
-        var = sum((s - mean) ** 2 for s in samples) / len(samples)
-        assert 9.8 < mean < 10.2
-        assert 3.0 < var < 5.0
 
     def test_expovariate_validates(self):
         with pytest.raises(ConfigurationError):

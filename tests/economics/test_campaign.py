@@ -8,6 +8,7 @@ checks stay fast.
 import pytest
 
 from repro.cloud.adversary import DeletionAttack, PrefetchRelayAttack
+from repro.economics import build_economics_report
 from repro.economics.campaign import (
     ATTACKS,
     AdversaryCampaign,
@@ -28,6 +29,12 @@ def quick_campaign(**overrides) -> AdversaryCampaign:
     return AdversaryCampaign(**kwargs)
 
 
+def run_cell(campaign, *, cache_fraction=0.0, engine="slot"):
+    """One cell, staged and run the way ``build_economics_report`` does."""
+    fleet, geometry = campaign.prepare_cell(engine)
+    return campaign.run_on(fleet, geometry, cache_fraction=cache_fraction)
+
+
 class TestConfiguration:
     def test_unknown_attack_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -39,7 +46,7 @@ class TestConfiguration:
 
     def test_bad_cache_fraction_rejected(self):
         with pytest.raises(ConfigurationError):
-            quick_campaign().run_cell(cache_fraction=2.0)
+            run_cell(quick_campaign(), cache_fraction=2.0)
 
     def test_cacheless_attacks_reject_nonzero_cache(self):
         # Regression pin: a relay/deletion cell with a non-zero cache
@@ -47,15 +54,11 @@ class TestConfiguration:
         # and RAM ledger for RAM that was never installed).
         for attack in ("relay", "deletion"):
             with pytest.raises(ConfigurationError, match="no cache"):
-                quick_campaign(attack=attack).run_cell(
-                    cache_fraction=0.5
-                )
+                run_cell(quick_campaign(attack=attack), cache_fraction=0.5)
 
     def test_cacheless_attacks_reject_explicit_sweep(self):
         # Regression pin: an explicit cache sweep for a cacheless
         # attack used to be silently replaced with one zero cell.
-        from repro.economics import build_economics_report
-
         with pytest.raises(ConfigurationError, match="no cache"):
             build_economics_report(
                 quick_campaign(attack="deletion"),
@@ -141,9 +144,7 @@ class TestInjection:
 
 class TestSingleCells:
     def test_empty_cache_detected_every_audit(self):
-        cell = quick_campaign().run_cell(
-            cache_fraction=0.0, engine="slot"
-        )
+        cell = run_cell(quick_campaign(), cache_fraction=0.0)
         assert cell.observed_detection_rate == 1.0
         assert cell.detection_bound == 1.0
         assert cell.all_files_detected
@@ -153,9 +154,7 @@ class TestSingleCells:
         assert cell.prewarmed_bytes == 0
 
     def test_full_cache_escapes_timing(self):
-        cell = quick_campaign().run_cell(
-            cache_fraction=1.0, engine="slot"
-        )
+        cell = run_cell(quick_campaign(), cache_fraction=1.0)
         assert cell.observed_detection_rate == 0.0
         assert cell.detection_bound == 0.0
         assert cell.simulated_hit_rate == 1.0
@@ -167,9 +166,7 @@ class TestSingleCells:
         assert not cell.economics.profitable
 
     def test_half_cache_tracks_model_and_bound(self):
-        cell = quick_campaign(hours=12.0).run_cell(
-            cache_fraction=0.5, engine="slot"
-        )
+        cell = run_cell(quick_campaign(hours=12.0), cache_fraction=0.5)
         assert cell.analytic_hit_rate == pytest.approx(0.5, abs=0.01)
         assert cell.hit_rate_error < 0.08
         assert cell.bound_met
@@ -177,9 +174,9 @@ class TestSingleCells:
         assert cell.tenant_detection_hours == cell.first_detection_hours
 
     def test_deletion_cell_detected_by_macs(self):
-        cell = quick_campaign(
-            attack="deletion", delete_fraction=0.5, hours=12.0
-        ).run_cell(engine="slot")
+        cell = run_cell(
+            quick_campaign(attack="deletion", delete_fraction=0.5, hours=12.0)
+        )
         assert cell.detection_bound is None  # timing bound n/a
         assert cell.detection_probability is None
         assert cell.bound_margin is None and cell.bound_met
@@ -192,7 +189,7 @@ class TestSingleCells:
         # used to export as float('nan'), producing invalid JSON.
         import json
 
-        cell = quick_campaign(attack="deletion").run_cell(engine="slot")
+        cell = run_cell(quick_campaign(attack="deletion"))
         payload = json.dumps(cell.to_dict(), allow_nan=False)
         assert json.loads(payload)["detection_probability"] is None
 
@@ -209,14 +206,13 @@ class TestSingleCells:
 @pytest.mark.slow
 class TestSweeps:
     def test_relay_campaign_is_one_cell_per_engine(self):
-        cells = quick_campaign(attack="relay").sweep()
+        cells = build_economics_report(quick_campaign(attack="relay")).cells
         assert [c.engine for c in cells] == ["slot", "event"]
         assert all(c.cache_bytes == 0 for c in cells)
         assert all(c.observed_detection_rate == 1.0 for c in cells)
 
     def test_prefetch_sweep_covers_engines_by_fractions(self):
-        campaign = quick_campaign(hours=12.0)
-        cells = campaign.sweep()
+        cells = build_economics_report(quick_campaign(hours=12.0)).cells
         assert len(cells) == 10  # 2 engines x 5 cache fractions
         assert all(cell.bound_met for cell in cells)
         # Monotone physics along each engine's sweep: more cache,
@@ -233,14 +229,14 @@ class TestSweeps:
         the victim lane audits immediately instead of waiting for the
         global loop to reach it."""
         campaign = quick_campaign(hours=12.0)
-        slot = campaign.run_cell(cache_fraction=0.0, engine="slot")
-        event = campaign.run_cell(cache_fraction=0.0, engine="event")
+        slot = run_cell(campaign, engine="slot")
+        event = run_cell(campaign, engine="event")
         assert event.first_detection_hours < slot.first_detection_hours
 
     def test_slot_event_equivalence_with_adversary(self):
         assert quick_campaign().slot_event_streams_match()
 
     def test_deterministic_cells(self):
-        a = quick_campaign().run_cell(cache_fraction=0.5, engine="slot")
-        b = quick_campaign().run_cell(cache_fraction=0.5, engine="slot")
+        a = run_cell(quick_campaign(), cache_fraction=0.5)
+        b = run_cell(quick_campaign(), cache_fraction=0.5)
         assert a == b

@@ -51,10 +51,6 @@ class TestArithmetic:
         product = Poly(a) * Poly(b)
         assert product.eval(x) == GF256.mul(Poly(a).eval(x), Poly(b).eval(x))
 
-    @given(coeff_lists, st.integers(0, 255))
-    def test_scale_matches_evaluation(self, a, s):
-        assert Poly(a).scale(s).eval(7) == GF256.mul(Poly(a).eval(7), s)
-
     def test_shift(self):
         assert Poly([1]).shift(2) == Poly.monomial(2)
 

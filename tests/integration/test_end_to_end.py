@@ -24,7 +24,7 @@ class TestHonestLifecycle:
     def test_outsource_audit_extract(self):
         """The full data-owner story: upload, audit repeatedly, recover."""
         session, file_id, data = build_session("e2e-honest")
-        outcomes = session.audit_many(file_id, 10, k=10)
+        outcomes = [session.audit(file_id, k=10) for _ in range(10)]
         assert all(o.verdict.accepted for o in outcomes)
         encoded = session.provider.home_of(file_id).server.store.file_meta(file_id)
         assert extract_file(encoded, session.files[file_id].keys) == data

@@ -24,14 +24,12 @@ SCRIPT = "benchmarks/bench_demo.py"
 def lint_tree(tmp_path):
     """Write ``{relpath: source}`` under tmp_path and lint the tree."""
 
-    def _lint(files, *, rule_ids=None, baseline=None):
+    def _lint(files, *, rule_ids=None):
         for rel, source in files.items():
             target = tmp_path / rel
             target.parent.mkdir(parents=True, exist_ok=True)
             target.write_text(textwrap.dedent(source), encoding="utf-8")
-        return run_lint(
-            (str(tmp_path),), rule_ids=rule_ids, baseline=baseline
-        )
+        return run_lint((str(tmp_path),), rule_ids=rule_ids)
 
     return _lint
 

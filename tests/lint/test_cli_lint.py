@@ -1,4 +1,4 @@
-"""The `repro lint` subcommand: exit codes, JSON, explain, baseline."""
+"""The `repro lint` subcommand: exit codes, JSON, explain, unused pragmas."""
 
 import json
 from pathlib import Path
@@ -15,6 +15,8 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 
 BAD = "import time\nstamp = time.time()\n"
 GOOD = "def tick(clock):\n    return clock.now_ms()\n"
+#: A pragma on a line no rule flags: it exempts nothing.
+IDLE_PRAGMA = GOOD + "total_ms = 1  # repro: lint-ok[SIM001] -- stale\n"
 
 
 def write_tree(tmp_path, source):
@@ -50,13 +52,15 @@ class TestExitCodes:
         assert main(["lint", str(tmp_path)]) == 2
         assert "syntax error" in capsys.readouterr().err
 
-    def test_missing_explicit_baseline_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "removed", [["--baseline", "lint_baseline.json"], ["--update-baseline"]]
+    )
+    def test_baseline_options_are_gone(self, tmp_path, removed, capsys):
         write_tree(tmp_path, GOOD)
-        code = main(
-            ["lint", str(tmp_path), "--baseline", str(tmp_path / "nope.json")]
-        )
-        assert code == 2
-        assert "baseline file not found" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["lint", str(tmp_path), *removed])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestJson:
@@ -71,9 +75,9 @@ class TestJson:
             "rules",
             "findings",
             "n_suppressed",
-            "n_baselined",
-            "stale_baseline",
+            "unused_pragmas",
         }
+        assert payload["version"] == 2
         assert payload["ok"] is False
         assert payload["n_files"] == 1
         (finding,) = payload["findings"]
@@ -106,31 +110,37 @@ class TestExplain:
         assert "unknown lint rule" in capsys.readouterr().err
 
 
-class TestBaselineFlow:
-    def test_update_then_lint_clean(self, tmp_path, capsys):
-        write_tree(tmp_path, BAD)
-        baseline = tmp_path / "baseline.json"
-        code = main(
-            ["lint", str(tmp_path), "--baseline", str(baseline),
-             "--update-baseline"]
-        )
-        assert code == 0
-        assert baseline.exists()
-        assert "wrote" in capsys.readouterr().out
-        assert (
-            main(["lint", str(tmp_path), "--baseline", str(baseline)]) == 0
-        )
+class TestUnusedPragmas:
+    def test_idle_pragma_fails_the_run(self, tmp_path, capsys):
+        write_tree(tmp_path, IDLE_PRAGMA)
+        assert main(["lint", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert f"{SRC}:3: unused lint-ok[SIM001] pragma" in out
+        assert "0 finding(s)" in out
+        assert "1 unused pragma(s)" in out
 
-    def test_stale_baseline_fails(self, tmp_path, capsys):
-        write_tree(tmp_path, BAD)
-        baseline = tmp_path / "baseline.json"
-        main(["lint", str(tmp_path), "--baseline", str(baseline),
-              "--update-baseline"])
-        write_tree(tmp_path, GOOD)  # violation fixed, entry now stale
-        code = main(["lint", str(tmp_path), "--baseline", str(baseline)])
-        assert code == 1
-        assert "stale" in capsys.readouterr().out
+    def test_idle_pragma_in_json(self, tmp_path, capsys):
+        write_tree(tmp_path, IDLE_PRAGMA)
+        assert main(["lint", str(tmp_path), "--json", "-"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["ok"] is False
+        assert payload["findings"] == []
+        (pragma,) = payload["unused_pragmas"]
+        assert pragma == {
+            "path": pragma["path"],
+            "line": 3,
+            "rules": ["SIM001"],
+            "justification": "stale",
+        }
+        assert pragma["path"].endswith(SRC)
 
+    def test_rules_that_skip_the_pragma_cannot_judge_it(self, tmp_path, capsys):
+        write_tree(tmp_path, IDLE_PRAGMA)
+        assert main(["lint", str(tmp_path), "--rules", "CRY"]) == 0
+        assert "0 unused pragma(s)" in capsys.readouterr().out
+
+
+class TestRuleSelection:
     def test_rules_subset_only_runs_those(self, tmp_path, capsys):
         write_tree(tmp_path, BAD + "timeout = 5\n")
         assert main(["lint", str(tmp_path), "--rules", "UNT"]) == 1
@@ -141,8 +151,10 @@ class TestBaselineFlow:
 
 class TestDogfood:
     def test_repo_tree_lints_clean(self, monkeypatch, capsys):
-        """The acceptance gate: the real tree has zero live findings."""
+        """The acceptance gate: the real tree has zero live findings,
+        and every pragma in it exempts a finding."""
         monkeypatch.chdir(REPO_ROOT)
         assert main(["lint"]) == 0
         out = capsys.readouterr().out
         assert "0 finding(s)" in out
+        assert "0 unused pragma(s)" in out

@@ -76,3 +76,49 @@ class TestPragmaValidation:
     def test_empty_pragma_is_configuration_error(self, lint_tree):
         with pytest.raises(ConfigurationError, match="empty"):
             lint_tree({SRC: "x = 1  # repro: lint-ok[ ] -- nothing\n"})
+
+
+class TestUnusedPragmas:
+    def test_pragma_on_a_clean_line_is_unused(self, lint_tree):
+        report = lint_tree(
+            {SRC: "ok_ms = 1  # repro: lint-ok[SIM001] -- nothing to exempt\n"}
+        )
+        assert report.findings == []
+        (pragma,) = report.unused_pragmas
+        assert (pragma.line, pragma.rules) == (1, ("SIM001",))
+        assert pragma.justification == "nothing to exempt"
+        assert not report.ok
+
+    def test_pragma_that_suppresses_is_used(self, lint_tree):
+        report = lint_tree(
+            {SRC: "import time\n"
+                  "# repro: lint-ok[SIM001] -- fixture\n"
+                  f"{BAD_LINE}\n"}
+        )
+        assert report.unused_pragmas == []
+        assert report.ok
+
+    def test_pragma_for_the_wrong_rule_is_unused(self, lint_tree):
+        report = lint_tree(
+            {SRC: "import time\n"
+                  f"{BAD_LINE}  # repro: lint-ok[CRY001] -- wrong rule\n"}
+        )
+        assert [f.rule for f in report.findings] == ["SIM001"]
+        assert [p.rules for p in report.unused_pragmas] == [("CRY001",)]
+
+    def test_pragma_is_judged_only_when_all_its_rules_ran(self, lint_tree):
+        files = {SRC: "ok_ms = 1  # repro: lint-ok[SIM, CRY001] -- fixture\n"}
+        for rule_ids in (("CRY",), ("SIM001", "CRY001"), ("SIM",)):
+            assert lint_tree(files, rule_ids=rule_ids).unused_pragmas == []
+        judged = lint_tree(files, rule_ids=("SIM", "CRY001"))
+        assert len(judged.unused_pragmas) == 1
+
+    def test_pragma_shaped_docstring_is_not_a_pragma(self, lint_tree):
+        report = lint_tree(
+            {SRC: '"""Write it as\n'
+                  "# repro: lint-ok[NOPE123] -- or\n"
+                  "# repro: lint-ok[SIM001] --\n"
+                  '"""\n'}
+        )
+        assert report.ok
+        assert report.unused_pragmas == []

@@ -3,44 +3,41 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.netsim.resources import ServiceGrant, SpindleQueue
+from repro.netsim.resources import SpindleQueue
 
 
 class TestAcquire:
     def test_idle_spindle_grants_immediately(self):
         spindle = SpindleQueue("s0")
-        grant = spindle.acquire(100.0, 13.0)
-        assert grant == ServiceGrant(
-            arrival_ms=100.0, start_ms=100.0, wait_ms=0.0, service_ms=13.0
-        )
+        assert spindle.acquire(100.0, 13.0) == 0.0
         assert spindle.free_at_ms == 113.0
 
     def test_busy_spindle_queues_the_request(self):
         spindle = SpindleQueue("s0")
         spindle.acquire(0.0, 50.0)
-        grant = spindle.acquire(10.0, 5.0)
-        assert grant.start_ms == 50.0
-        assert grant.wait_ms == 40.0
+        assert spindle.acquire(10.0, 5.0) == 40.0  # service starts at 50
         assert spindle.free_at_ms == 55.0
 
     def test_fifo_chain_is_back_to_back(self):
         spindle = SpindleQueue("s0")
-        grants = [spindle.acquire(0.0, 10.0) for _ in range(3)]
-        assert [g.start_ms for g in grants] == [0.0, 10.0, 20.0]
-        assert [g.wait_ms for g in grants] == [0.0, 10.0, 20.0]
+        waits = []
+        ends = []
+        for _ in range(3):
+            waits.append(spindle.acquire(0.0, 10.0))
+            ends.append(spindle.free_at_ms)
+        assert waits == [0.0, 10.0, 20.0]
+        assert ends == [10.0, 20.0, 30.0]
 
     def test_gap_leaves_spindle_idle_not_negative(self):
         """An arrival after the frontier never earns credit."""
         spindle = SpindleQueue("s0")
         spindle.acquire(0.0, 10.0)
-        grant = spindle.acquire(100.0, 10.0)
-        assert grant.wait_ms == 0.0
-        assert grant.start_ms == 100.0
+        assert spindle.acquire(100.0, 10.0) == 0.0
+        assert spindle.free_at_ms == 110.0  # service started at 100
 
     def test_zero_service_request_allowed(self):
         spindle = SpindleQueue("s0")
-        grant = spindle.acquire(5.0, 0.0)
-        assert grant.service_ms == 0.0
+        assert spindle.acquire(5.0, 0.0) == 0.0
         assert spindle.free_at_ms == 5.0
 
     def test_negative_inputs_rejected(self):

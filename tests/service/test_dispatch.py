@@ -10,6 +10,7 @@ preserved.
 
 import pytest
 
+from repro.cloud.adversary import DeletionAttack
 from repro.core.session import GeoProofSession
 from repro.crypto.rng import DeterministicRNG
 from repro.errors import ConfigurationError, StorageUnavailableError
@@ -58,6 +59,20 @@ class RefusesOneFile(InMemoryStorage):
         if file_id == self.refused:
             raise StorageUnavailableError(f"shard of {file_id!r} is down")
         return super().lookup(file_id, index)
+
+
+class DeletesOneFile:
+    """Serves every file honestly from home but one, all of whose
+    segments a :class:`DeletionAttack` has discarded."""
+
+    def __init__(self, doomed):
+        self.doomed = doomed
+        self.attack = DeletionAttack("home", 1.0, DeterministicRNG("doomed"))
+
+    def handle_request(self, provider, file_id, index):
+        if file_id == self.doomed:
+            return self.attack.handle_request(provider, file_id, index)
+        return provider.datacentre("home").lookup(file_id, index)
 
 
 def registry_refusing(session, file_ids, refused):
@@ -172,6 +187,25 @@ class TestScalarEquivalence:
         assert [reply.order_id for reply in replies] == [1, 2, 3, 4, 5]
         assert "is down" in replies[2].message
         assert [getattr(reply, "verdict", None) for reply in replies] == scalar
+        assert dispatcher.stats.n_errors == 1
+
+    def test_nothing_left_to_substitute_fails_only_its_order(self):
+        """A provider that deleted every segment of the middle file
+        has no segment left to pass off: that order errors alone."""
+        session, file_ids = build_session()
+        session.provider.set_strategy(DeletesOneFile(file_ids[1]))
+        dispatcher = build_dispatcher(session)
+        replies = dispatcher.process_batch(
+            [AuditOrder(i + 1, file_id, 3) for i, file_id in enumerate(file_ids)]
+        )
+        assert [type(reply) for reply in replies] == [
+            VerdictReply, ErrorReply, VerdictReply
+        ]
+        assert replies[1].message == (
+            "every segment of file b'file-1' is deleted at 'home': "
+            "nothing left to substitute"
+        )
+        assert replies[0].verdict.accepted and replies[2].verdict.accepted
         assert dispatcher.stats.n_errors == 1
 
     def test_k_zero_means_sla_min_rounds(self):

@@ -8,9 +8,12 @@ keyword-only option with a default on those, that no program reaches:
 * a name is reached by a ``Name`` or ``Attribute`` node, or by a string
   constant equal to it (perfbench patches by name, e.g.
   ``add(ThirdPartyAuditor, "audit_deferred", ...)``), or by the lint
-  ``@register`` decorator on a class.  Import lines, ``__all__`` lists,
-  docstrings and references inside the name's own definition are not
-  uses, so a package re-export is not a caller;
+  ``@register`` decorator on a class.  A method (any class member) is
+  reached only by an ``Attribute`` node or a string: a bare ``sweep``
+  names a module-level or local function, never a ``sweep`` method.
+  Import lines, ``__all__`` lists, docstrings and references inside
+  the name's own definition are not uses, so a package re-export is
+  not a caller;
 * an option is reached when a program call to a callee of that name
   passes it by keyword, or when a ``dict(...)`` call or a ``{...}``
   passed as a keyword argument carries it (perfbench spreads
@@ -54,6 +57,10 @@ class Definition:
     @property
     def public(self) -> bool:
         return not self.name.startswith("_")
+
+    @property
+    def member(self) -> bool:
+        return self.parent is not None and self.parent.is_class
 
 
 Stack = tuple[Definition, ...]
@@ -168,11 +175,11 @@ class _Walker(ast.NodeVisitor):
             return
         self.generic_visit(node)
 
-    def _use(self, name: str) -> None:
-        self.found.uses.setdefault(name, []).append(tuple(self.stack))
+    def _use(self, name: str, bare: bool = False) -> None:
+        self.found.uses.setdefault(name, []).append((tuple(self.stack), bare))
 
     def visit_Name(self, node: ast.Name) -> None:
-        self._use(node.id)
+        self._use(node.id, bare=True)
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
         self._use(node.attr)
@@ -199,7 +206,7 @@ class _Walker(ast.NodeVisitor):
 @dataclass
 class _Found:
     definitions: list[Definition]
-    uses: dict[str, list[Stack]]
+    uses: dict[str, list[tuple[Stack, bool]]]
     calls: dict[str, list[tuple[frozenset[str], Stack]]]
     spread: list[tuple[frozenset[str], Stack]]
 
@@ -238,7 +245,12 @@ def scan(
     # are not reported; dunders are reached by the language itself.
     tracked = [d for d in found.definitions if not _is_dunder(d.name)]
     outside = {
-        d: [s for s in found.uses.get(d.name, ()) if d not in s] for d in tracked
+        d: [
+            stack
+            for stack, bare in found.uses.get(d.name, ())
+            if d not in stack and not (bare and d.member)
+        ]
+        for d in tracked
     }
     dead: set[Definition] = set()
 
@@ -388,12 +400,20 @@ _TREE = {
         "@register\n"
         "class Rule:\n"
         "    pass\n"
+        "class Campaign:\n"
+        "    def sweep(self):\n"
+        "        return 5\n"
+        "    def run(self):\n"
+        "        return 6\n"
     ),
     "perfbench/patch.py": (
         "import repro.mod as mod\n"
         "KWARGS = dict(size=2)\n"
         "mod.build(**KWARGS)\n"
         'getattr(mod, "by_string")\n'
+        "def sweep():\n"
+        "    return mod.Campaign().run()\n"
+        "sweep()\n"
     ),
 }
 
@@ -413,6 +433,7 @@ class TestScanner:
 
     def test_flags_what_no_program_reaches(self, tree):
         assert scan(tree)[0] == [
+            "repro.mod.Campaign.sweep",
             "repro.mod.build(colour=)",
             "repro.mod.dead_caller",
             "repro.mod.only_from_dead",
@@ -426,6 +447,12 @@ class TestScanner:
         assert "repro.mod.by_string" not in unreached
         assert "repro.mod.Rule" not in unreached
         assert "repro.mod.build(size=)" not in unreached
+
+    def test_bare_name_does_not_reach_a_method(self, tree):
+        """A program's own ``sweep()`` is not a call of ``Campaign.sweep``."""
+        unreached, _ = scan(tree)
+        assert "repro.mod.Campaign.sweep" in unreached
+        assert "repro.mod.Campaign.run" not in unreached
 
     def test_allow_list_holds_only_the_unreached(self, tree, allowed):
         assert check(tree, allowed) == []
