@@ -168,7 +168,6 @@ def measure_throughput(n_orders: int, *, obs_enabled: bool = False) -> dict:
             verifier=session.verifier,
             provider=backend,
             flush_batch=128,
-            flush_ms=5.0,
         )
         file_id = file_ids[0]
 
@@ -338,7 +337,6 @@ def measure_equivalence(scenario_name: str, build) -> dict:
         verifier=daemon_session.verifier,
         provider=daemon_session.provider,
         flush_batch=32,
-        flush_ms=2.0,
     )
 
     async def run():

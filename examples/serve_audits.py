@@ -106,7 +106,6 @@ async def main() -> None:
         verifier=session.verifier,
         provider=registry,
         flush_batch=16,
-        flush_ms=2.0,
     )
     await daemon.start()
     print(f"daemon serving on {daemon.host}:{daemon.port}")

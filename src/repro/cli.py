@@ -371,7 +371,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             host=args.host,
             port=args.port,
             flush_batch=args.flush_batch,
-            flush_ms=args.flush_ms,
         )
     except (ReproError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -734,7 +733,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=0, help="0 = pick a free port"
     )
     serve.add_argument("--flush-batch", type=int, default=64)
-    serve.add_argument("--flush-ms", type=float, default=5.0)
     serve.add_argument(
         "--files", type=int, default=3, help="demo files to outsource"
     )

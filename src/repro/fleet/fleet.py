@@ -100,7 +100,7 @@ from repro.cloud.tpa import AuditOutcome, PendingAudit, ThirdPartyAuditor
 from repro.cloud.verifier import VerifierDevice
 from repro.core.session import OutsourcedFile, outsource_file
 from repro.crypto.rng import DeterministicRNG
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, StorageError
 from repro.geo.coords import GeoPoint
 from repro.geo.regions import CircularRegion
 from repro.netsim.clock import SimClock
@@ -142,6 +142,19 @@ REGION_RADIUS_KM = 100.0
 #: Simulated cost of one batch dispatch: the TPA waking a site's
 #: verifier appliance before it streams the batch's requests.
 DISPATCH_OVERHEAD_MS = 40.0
+
+
+@dataclass(frozen=True, slots=True)
+class _Unserved:
+    """A staged audit the provider could not serve: no round completed.
+
+    ``finished_ms`` is the clock reading when staging failed and
+    ``rtt_max_ms`` the timing budget the audit ran against.
+    """
+
+    finished_ms: float
+    rtt_max_ms: float
+
 
 #: The per-lane counters :class:`_LaneAccounting` keeps, in
 #: :meth:`_LaneAccounting.charge` order: (name, help).
@@ -567,7 +580,7 @@ class AuditFleet:
         task: AuditTask,
         clock: SimClock,
         at_site: str | None,
-    ) -> PendingAudit:
+    ) -> PendingAudit | _Unserved:
         """Run one task's timed protocol phase; return the pending run.
 
         ``clock`` is the clock the timed phase runs on -- the fleet
@@ -587,6 +600,12 @@ class AuditFleet:
         are served from the copy nearest the auditing verifier
         (:class:`~repro.cloud.replication.NearestCopyStrategy`) -- an
         installed adversary strategy is never overridden.
+
+        A provider that cannot serve the audit at all (a
+        :class:`~repro.errors.StorageError`: every copy of a segment
+        deleted, say) completes no round, so there is no run to seal:
+        the audit comes back as :class:`_Unserved`, rejected at the
+        clock reading where it failed.
         """
         deployment = self.deployment(task.provider_name)
         site_name = task.datacentre if at_site is None else at_site
@@ -608,7 +627,7 @@ class AuditFleet:
         if serve_local:
             provider.set_strategy(NearestCopyStrategy(verifier.location))
         try:
-            pending = deployment.tpa.audit_deferred(
+            staged: PendingAudit | _Unserved = deployment.tpa.audit_deferred(
                 task.file_id,
                 verifier,
                 provider,
@@ -617,11 +636,15 @@ class AuditFleet:
                 region=region,
                 clock=clock,
             )
+        except StorageError:
+            if rtt_max_ms is None:
+                rtt_max_ms = deployment.tpa.record(task.file_id).sla.rtt_max_ms
+            staged = _Unserved(clock.now_ms(), rtt_max_ms)
         finally:
             if serve_local:
                 provider.set_strategy(None)
         task.last_audit_ms = clock.now_ms()
-        return pending
+        return staged
 
     def _execute_batch(
         self,
@@ -649,7 +672,7 @@ class AuditFleet:
         clock.advance(DISPATCH_OVERHEAD_MS)
         n_stolen = 0
         spindle_waits: list[float] = []
-        pending: list[PendingAudit] = []
+        staged: list[PendingAudit | _Unserved] = []
         # The batch's disk time and queue wait are what the contracted
         # site's spindle sums gain while the batch stages.
         spindle = accounting.site_spindle(site)
@@ -659,7 +682,7 @@ class AuditFleet:
                 stolen = task.site != site
                 n_stolen += stolen
                 wait_mark = accounting.provider_wait_ms(site[0])
-                pending.append(self._stage_audit(
+                staged.append(self._stage_audit(
                     task, clock, at_site=site[1] if stolen else None
                 ))
                 spindle_waits.append(
@@ -673,16 +696,20 @@ class AuditFleet:
         # seal included, is the verify-phase cost the lane accounting
         # attributes; simulated time is untouched.
         verify_start = wall_seconds()
-        outcomes = self.deployment(site[0]).tpa.flush_verdicts(pending)
+        outcomes = iter(self.deployment(site[0]).tpa.flush_verdicts(
+            [entry for entry in staged if isinstance(entry, PendingAudit)]
+        ))
         verify_seconds = wall_seconds() - verify_start
         events = [
             self._event_for(
-                slot, task, outcome, start_ms, horizon_ms,
+                slot, task,
+                entry if isinstance(entry, _Unserved) else next(outcomes),
+                start_ms, horizon_ms,
                 executed_at=site[1],
                 spindle_wait_ms=spindle_wait_ms,
             )
-            for task, outcome, spindle_wait_ms in zip(
-                batch, outcomes, spindle_waits
+            for task, entry, spindle_wait_ms in zip(
+                batch, staged, spindle_waits
             )
         ]
         accounting.charge(
@@ -882,7 +909,7 @@ class AuditFleet:
         self,
         slot: int,
         task: AuditTask,
-        outcome: AuditOutcome,
+        outcome: AuditOutcome | _Unserved,
         start_ms: float,
         horizon_ms: float,
         *,
@@ -904,10 +931,18 @@ class AuditFleet:
         verification consumes no simulated time, so this is exactly
         the clock reading at which the pre-batching code recorded the
         event -- which is what lets the engines defer verdicts to a
-        per-batch flush without moving a single event.
+        per-batch flush without moving a single event.  An unserved
+        audit is rejected for ``unserved`` with no measured RTT.
         """
-        verdict = outcome.verdict
         finished_ms = outcome.finished_ms
+        if isinstance(outcome, _Unserved):
+            accepted, max_rtt_ms = False, 0.0
+            rtt_max_ms, reasons = outcome.rtt_max_ms, ("unserved",)
+        else:
+            verdict = outcome.verdict
+            accepted, max_rtt_ms = verdict.accepted, verdict.max_rtt_ms
+            rtt_max_ms = verdict.rtt_max_ms
+            reasons = tuple(verdict.failure_reasons)
         return AuditEvent(
             slot=slot,
             tenant=task.tenant,
@@ -915,10 +950,10 @@ class AuditFleet:
             file_id=task.file_id,
             datacentre=task.datacentre,
             at_ms=finished_ms - start_ms,
-            accepted=verdict.accepted,
-            max_rtt_ms=verdict.max_rtt_ms,
-            rtt_max_ms=verdict.rtt_max_ms,
-            failure_reasons=tuple(verdict.failure_reasons),
+            accepted=accepted,
+            max_rtt_ms=max_rtt_ms,
+            rtt_max_ms=rtt_max_ms,
+            failure_reasons=reasons,
             overran_horizon=finished_ms > horizon_ms,
             executed_at=executed_at,
             spindle_wait_ms=spindle_wait_ms,

@@ -62,12 +62,12 @@ _GLOBAL_RANDOM_FNS = frozenset(
 
 
 #: Packages inside src/ that legitimately read the host clock.  The
-#: service plane is *deployment* code, not simulation: its flush
-#: deadlines and circuit-breaker probe timers schedule real work on a
-#: real event loop, and clocks are injectable (``now_fn``) where tests
-#: need determinism.  Allowlisted here -- explicitly, not via per-line
-#: pragmas -- so the exemption is one greppable decision with its
-#: rationale in docs/INVARIANTS.md.
+#: service plane is *deployment* code, not simulation: its per-chunk
+#: latency stamps and circuit-breaker probe timer measure real time
+#: on a real event loop, and clocks are injectable (``now_fn``) where
+#: tests need determinism.  Allowlisted here -- explicitly, not via
+#: per-line pragmas -- so the exemption is one greppable decision with
+#: its rationale in docs/INVARIANTS.md.
 _WALL_CLOCK_ALLOWED_PACKAGES = ("repro.service",)
 
 
@@ -97,8 +97,8 @@ class WallClockRule(Rule):
         "spans/latency histograms) all funnel through "
         "util/wallclock.py, whose single time.perf_counter() read "
         "carries the one lint-ok pragma in src/.  The repro.service "
-        "package is allowlisted wholesale: the daemon's flush "
-        "deadlines and health-probe timers are real-time serving "
+        "package is allowlisted wholesale: the daemon's latency "
+        "stamps and health-probe timers are real-time serving "
         "concerns, not simulated quantities (see docs/INVARIANTS.md)."
     )
     node_types: ClassVar[tuple[type[ast.AST], ...]] = (ast.Call,)

@@ -66,15 +66,12 @@ class EventScheduler:
         *,
         label: str = "",
         first_delay_ms: float | None = None,
-    ) -> Callable[[], None]:
-        """Run ``action`` every ``interval_ms``; returns a cancel function."""
+    ) -> None:
+        """Run ``action`` every ``interval_ms`` for as long as events run."""
         if interval_ms <= 0:
             raise SimulationError(f"interval must be > 0, got {interval_ms}")
-        state = {"stopped": False}
 
         def tick() -> None:
-            if state["stopped"]:
-                return
             action()
             self.schedule_after(interval_ms, tick, label=label)
 
@@ -83,11 +80,6 @@ class EventScheduler:
             tick,
             label=label,
         )
-
-        def cancel() -> None:
-            state["stopped"] = True
-
-        return cancel
 
     def run_until(self, end_ms: float, *, max_events: int = 1_000_000) -> int:
         """Dispatch events until the queue empties or time reaches ``end_ms``.

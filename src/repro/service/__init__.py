@@ -13,14 +13,16 @@ concurrently:
   :class:`~repro.storage.contract.StorageProvider` registry with
   circuit-breaker health tracking and failover chains;
 * :mod:`repro.service.dispatch` -- the pipelined audit plane: a shared
-  queue of in-flight orders flushed through the TPA's batched
-  protocol + verify path at B requests or T ms, whichever first;
+  queue of in-flight orders; whenever the dispatcher is idle it
+  flushes what is queued, up to B orders, through the TPA's batched
+  protocol + verify path (group commit, no deadline);
 * :mod:`repro.service.server` / :mod:`repro.service.client` -- the
   asyncio daemon and a pipelining tenant client.
 
 Unlike the simulation packages, this package legitimately reads the
-host's wall clock (flush deadlines, health probe timers are real-time
-concerns); see the SIM001 allowlist note in ``docs/INVARIANTS.md``.
+host's wall clock (per-chunk latency stamps and health probe timers
+are real-time concerns); see the SIM001 allowlist note in
+``docs/INVARIANTS.md``.
 """
 
 from repro.service.client import (

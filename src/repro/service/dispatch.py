@@ -1,11 +1,14 @@
-"""The pipelined audit plane: size-or-deadline batching over the TPA.
+"""The pipelined audit plane: group commit over the TPA.
 
-Orders from every connection land on one shared queue; the dispatcher
-collects them into a batch and flushes when either trigger fires:
-
-* **size** -- ``flush_batch`` orders are waiting, or
-* **deadline** -- ``flush_ms`` of wall time passed since the batch
-  opened (a lone order is never parked indefinitely).
+Orders from every connection land on one shared queue.  Whenever the
+dispatcher is idle it waits for one queue item, takes whatever else is
+already queued -- up to ``flush_batch`` orders -- and flushes at once.
+Nothing waits for a batch to fill: a lone order on an idle daemon is
+answered straight away.  Under load batches still fill: the event
+loop is blocked while a flush runs, so the orders that arrive
+meanwhile are all read and queued the next time the dispatcher waits.
+``flush_batch`` caps one flush, and so the size of its signed tree and
+how long other connections wait behind it.
 
 One flush is one call into the TPA's one protocol body and one into
 its one verdict body -- the same bodies a one-shot
@@ -75,9 +78,13 @@ LATENCY_MS_BUCKETS = (
 
 
 class ReplySink(Protocol):
-    """Where a connection's replies go (the daemon's connection object)."""
+    """Where a connection's replies go (the daemon's connection object).
 
-    def send_bytes(self, data: bytes) -> None: ...
+    ``data`` holds the encoded reply frames of ``n_replies`` of the
+    connection's orders: one call per connection per flush.
+    """
+
+    def send_replies(self, data: bytes, n_replies: int) -> None: ...
 
 
 @dataclass(frozen=True, slots=True)
@@ -175,19 +182,15 @@ class AuditDispatcher:
         verifier: VerifierDevice,
         provider,
         flush_batch: int = 64,
-        flush_ms: float = 5.0,
     ) -> None:
         if flush_batch < 1:
             raise ConfigurationError(
                 f"flush_batch must be >= 1, got {flush_batch}"
             )
-        if flush_ms <= 0:
-            raise ConfigurationError(f"flush_ms must be > 0, got {flush_ms}")
         self.tpa = tpa
         self.verifier = verifier
         self.provider = provider
         self.flush_batch = flush_batch
-        self.flush_ms = flush_ms
         self.stats = DispatchStats()
 
     # -- synchronous core ----------------------------------------------
@@ -240,9 +243,9 @@ class AuditDispatcher:
 
         Queue items are *lists* of :class:`Submitted` (one list per
         TCP chunk a reader parsed), so queue traffic is amortized the
-        same way frame parsing is.
+        same way frame parsing is.  Each flush takes what is queued
+        when it starts (group commit): no timer, no waiting for more.
         """
-        loop = asyncio.get_running_loop()
         carry: deque[Submitted] = deque()
         stopping = False
         while True:
@@ -254,20 +257,11 @@ class AuditDispatcher:
                     stopping = True
                     continue
                 carry.extend(item)
-            deadline_s = loop.time() + self.flush_ms / 1000.0
             while not stopping and len(carry) < self.flush_batch:
                 try:
                     item = queue.get_nowait()
                 except asyncio.QueueEmpty:
-                    remaining_s = deadline_s - loop.time()
-                    if remaining_s <= 0:
-                        break
-                    try:
-                        item = await asyncio.wait_for(
-                            queue.get(), remaining_s
-                        )
-                    except asyncio.TimeoutError:
-                        break
+                    break
                 if item is SHUTDOWN:
                     stopping = True
                     break
@@ -301,4 +295,4 @@ class AuditDispatcher:
                 by_sink[key] = (entry.sink, [])
             by_sink[key][1].append(encode_frame(reply.to_wire()))
         for sink, frames in by_sink.values():
-            sink.send_bytes(b"".join(frames))
+            sink.send_replies(b"".join(frames), len(frames))

@@ -12,6 +12,11 @@ Fail-closed input handling: a malformed frame or order gets one
 :class:`~repro.service.wire.ErrorReply` and the connection is dropped
 -- the daemon itself never dies on tenant input (pinned by test).
 
+A connection closes once its reader has finished (EOF, a disconnect
+or a protocol error) *and* every order it submitted has been answered,
+so a tenant that half-closes after its last order still gets every
+reply.
+
 Clean shutdown (:meth:`AuditDaemon.stop`) stops accepting, lets the
 dispatcher drain every submitted order, flushes every connection's
 replies, then closes sockets and awaits every task it spawned -- a
@@ -64,11 +69,21 @@ class _Connection:
         self._writer = writer
         self._replies: asyncio.Queue = asyncio.Queue()
         self._closing = False
+        self._reading = True
+        #: Orders submitted to the dispatcher and not yet answered.
+        self._owed = 0
 
     def send_bytes(self, data: bytes) -> None:
-        """Queue encoded reply frames (dispatcher -> writer task)."""
+        """Queue encoded reply frames for the writer task."""
         if not self._closing:
             self._replies.put_nowait(data)
+
+    def send_replies(self, data: bytes, n_replies: int) -> None:
+        """Queue the dispatcher's replies to ``n_replies`` of our orders."""
+        self.send_bytes(data)
+        self._owed -= n_replies
+        if not self._reading and not self._owed:
+            self._daemon._close(self)
 
     def begin_close(self) -> None:
         """Stop accepting replies and let the writer flush out."""
@@ -114,11 +129,16 @@ class _Connection:
                     )
                     break
                 if submitted:
+                    self._owed += len(submitted)
                     await self._daemon._submissions.put(submitted)
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:
-            self._daemon._reader_done(self)
+            # Close now only if no reply is still owed; otherwise the
+            # delivery of the last one closes the connection.
+            self._reading = False
+            if not self._owed:
+                self._daemon._close(self)
 
     async def write_loop(self) -> None:
         """Drain the reply queue in bursts; one drain per burst."""
@@ -166,6 +186,13 @@ class AuditDaemon:
         flush_batch: int = 64,
         flush_ms: float = 5.0,
     ) -> None:
+        """``flush_batch`` caps the orders in one dispatcher flush.
+
+        ``flush_ms`` is accepted and ignored: the dispatcher flushes
+        what is queued as soon as it is idle, with no deadline.  The
+        keyword stays only until the repository benchmark stops
+        passing it.
+        """
         self.host = host
         self.port = port
         self.dispatcher = AuditDispatcher(
@@ -173,7 +200,6 @@ class AuditDaemon:
             verifier=verifier,
             provider=provider,
             flush_batch=flush_batch,
-            flush_ms=flush_ms,
         )
         self._server: asyncio.AbstractServer | None = None
         self._submissions: asyncio.Queue | None = None
@@ -255,10 +281,11 @@ class AuditDaemon:
             self._tasks.add(task)
             task.add_done_callback(self._tasks.discard)
 
-    def _reader_done(self, connection: _Connection) -> None:
-        """A connection stopped sending; flush replies then close it."""
+    def _close(self, connection: _Connection) -> None:
+        """Flush a connection's queued replies, then close it (once)."""
+        if self._connections.pop(id(connection), None) is None:
+            return
         connection.begin_close()
-        self._connections.pop(id(connection), None)
         task = asyncio.create_task(connection.close(), name="geoproof-close")
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
@@ -278,8 +305,7 @@ class AuditDaemon:
         self._dispatch_task = None
         # ...then flush and close the surviving connections.
         for connection in list(self._connections.values()):
-            connection.begin_close()
-            self._reader_done(connection)
+            self._close(connection)
         if self._tasks:
             await asyncio.gather(*list(self._tasks), return_exceptions=True)
         self._tasks.clear()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cloud.adversary import CorruptionAttack, RelayAttack
+from repro.cloud.adversary import CorruptionAttack, DeletionAttack, RelayAttack
 from repro.cloud.provider import DataCentre
 from repro.crypto.rng import DeterministicRNG
 from repro.errors import ConfigurationError
@@ -100,6 +100,82 @@ class TestEndToEnd:
             "Violations detected",
         ):
             assert heading in rendered
+
+
+class TestUnservedAudits:
+    """A provider that cannot serve an audit fails that audit, not the run.
+
+    Before, the ``BlockNotFoundError`` of a provider that had deleted
+    every segment escaped :meth:`AuditFleet.run` and lost the campaign.
+    """
+
+    @pytest.mark.parametrize("engine", ["slot", "event"])
+    def test_total_deletion_is_rejected_as_unserved(self, engine):
+        fleet = AuditFleet(
+            seed="unserved", slot_minutes=30.0, batch_size=4, engine=engine
+        )
+        fleet.add_provider("honest", [("brisbane", city("brisbane"))])
+        fleet.add_provider("wiper", [("melbourne", city("melbourne"))])
+        register_files(fleet, "alice", "honest", "brisbane", 2)
+        register_files(fleet, "carol", "wiper", "melbourne", 2)
+        fleet.provider("wiper").set_strategy(
+            DeletionAttack("melbourne", 1.0, DeterministicRNG("wipe"))
+        )
+        report = fleet.run(hours=12.0)
+
+        wiped = [e for e in report.events if e.provider == "wiper"]
+        assert {e.file_id for e in wiped} == {b"carol-0", b"carol-1"}
+        budget = fleet.deployment("wiper").tpa.record(b"carol-0").sla.rtt_max_ms
+        for event in wiped:
+            assert not event.accepted
+            assert event.failure_reasons == ("unserved",)
+            assert event.max_rtt_ms == 0.0
+            assert event.rtt_max_ms == budget
+        # Each unserved audit still counts as the file's last audit.
+        for task in fleet.tasks():
+            if task.provider_name == "wiper":
+                last = max(e.at_ms for e in wiped if e.file_id == task.file_id)
+                assert task.last_audit_ms == last
+        # The honest provider's audits, batched apart, are untouched.
+        honest = [e for e in report.events if e.provider == "honest"]
+        assert honest and all(e.accepted for e in honest)
+        assert dict(report.verdict_breakdown)["unserved"] == len(wiped)
+        assert {v.file_id for v in report.violations} == {
+            b"carol-0", b"carol-1"
+        }
+
+    def test_the_rest_of_the_batch_still_flushes(self):
+        fleet = AuditFleet(seed="unserved", slot_minutes=30.0, batch_size=4)
+        fleet.add_provider("wiper", [("melbourne", city("melbourne"))])
+        register_files(fleet, "carol", "wiper", "melbourne", 3)
+        fleet.provider("wiper").set_strategy(
+            DeletesOneFile("melbourne", b"carol-1")
+        )
+        report = fleet.run(hours=12.0)
+
+        by_slot = {}
+        for event in report.events:
+            by_slot.setdefault(event.slot, {})[event.file_id] = event
+        assert by_slot
+        for batch in by_slot.values():
+            assert set(batch) == {b"carol-0", b"carol-1", b"carol-2"}
+            assert batch[b"carol-1"].failure_reasons == ("unserved",)
+            assert batch[b"carol-0"].accepted and batch[b"carol-2"].accepted
+
+
+class DeletesOneFile:
+    """Serves every file honestly but one, all of whose segments a
+    :class:`DeletionAttack` has discarded."""
+
+    def __init__(self, site, doomed):
+        self.site = site
+        self.doomed = doomed
+        self.attack = DeletionAttack(site, 1.0, DeterministicRNG("doomed"))
+
+    def handle_request(self, provider, file_id, index):
+        if file_id == self.doomed:
+            return self.attack.handle_request(provider, file_id, index)
+        return provider.datacentre(self.site).lookup(file_id, index)
 
 
 class TestMechanics:

@@ -40,7 +40,7 @@ class TestSIM001WallClock:
         assert report.findings == []
 
     def test_service_package_allowlisted(self, lint_tree):
-        # repro.service is deployment code: flush deadlines and health
+        # repro.service is deployment code: latency stamps and health
         # probes legitimately read the host clock (docs/INVARIANTS.md).
         report = lint_tree(
             {

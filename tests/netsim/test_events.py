@@ -80,15 +80,6 @@ class TestRunUntil:
 
 
 class TestCancellation:
-    def test_periodic_until_cancelled(self):
-        scheduler = EventScheduler()
-        ticks = []
-        cancel = scheduler.schedule_periodic(10.0, lambda: ticks.append(scheduler.clock.now_ms()))
-        scheduler.run_until(35.0)
-        cancel()
-        scheduler.run_until(100.0)
-        assert ticks == [10.0, 20.0, 30.0]
-
     def test_periodic_first_delay(self):
         scheduler = EventScheduler()
         ticks = []

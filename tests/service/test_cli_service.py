@@ -40,7 +40,6 @@ class ServeThread:
             verifier=session.verifier,
             provider=session.provider,
             flush_batch=16,
-            flush_ms=2.0,
         )
         self._stop = None
         self._ready = threading.Event()
@@ -78,8 +77,14 @@ class TestParserWiring:
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve"])
         assert (args.host, args.port) == ("127.0.0.1", 0)
-        assert (args.flush_batch, args.flush_ms) == (64, 5.0)
+        assert args.flush_batch == 64
         assert args.json is False
+
+    def test_serve_has_no_flush_deadline(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["serve", "--flush-ms", "1"])
+        assert exc.value.code == 2
+        assert "--flush-ms" in capsys.readouterr().err
 
     def test_audit_client_requires_port(self):
         with pytest.raises(SystemExit):

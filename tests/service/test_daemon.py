@@ -49,7 +49,6 @@ def build_session(seed="daemon", n_files=3):
 
 def build_daemon(session, **kwargs):
     kwargs.setdefault("flush_batch", 16)
-    kwargs.setdefault("flush_ms", 2.0)
     return AuditDaemon(
         tpa=session.tpa,
         verifier=session.verifier,
@@ -260,6 +259,124 @@ class TestHostileInput:
         assert asyncio.run(run()) == []
 
 
+async def pause_dispatcher(daemon):
+    """Cancel the daemon's dispatch task: orders queue but nobody flushes."""
+    daemon._dispatch_task.cancel()
+    with pytest.raises(asyncio.CancelledError):
+        await daemon._dispatch_task
+
+
+def resume_dispatcher(daemon):
+    daemon._dispatch_task = asyncio.create_task(
+        daemon.dispatcher.run(daemon._submissions)
+    )
+
+
+async def read_frames(reader, n):
+    """Read until ``n`` whole frames have arrived; decode them."""
+    parser, bodies = FrameParser(), []
+    while len(bodies) < n:
+        data = await asyncio.wait_for(reader.read(1 << 16), timeout=5)
+        assert data, "connection closed early"
+        bodies.extend(parser.feed(data))
+    return [decode_reply(body) for body in bodies]
+
+
+async def order_ids_to_eof(reader):
+    raw = await asyncio.wait_for(reader.read(), timeout=5)
+    return [decode_reply(body).order_id for body in FrameParser().feed(raw)]
+
+
+class TestHalfClose:
+    """A tenant that half-closes still gets one reply per order.
+
+    Before, the reader's EOF closed the connection at once, so every
+    reply the dispatcher had not yet delivered was dropped.
+    """
+
+    def test_orders_then_eof_get_every_reply(self):
+        session, file_ids = build_session()
+        orders = [AuditOrder(i + 1, file_ids[i % 3], 3) for i in range(8)]
+
+        async def run():
+            daemon = build_daemon(session)
+            await daemon.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", daemon.port
+            )
+            writer.write(b"".join(encode_frame(o.to_wire()) for o in orders))
+            writer.write_eof()
+            order_ids = await order_ids_to_eof(reader)
+            writer.close()
+            await writer.wait_closed()
+            await daemon.stop()
+            return order_ids, daemon.stats.n_orders, leaked_tasks()
+
+        order_ids, n_orders, leaked = asyncio.run(run())
+        assert order_ids == list(range(1, 9))
+        assert n_orders == 8
+        assert leaked == []
+
+    def test_eof_before_the_dispatcher_answers(self):
+        session, file_ids = build_session()
+        orders = [AuditOrder(i + 1, file_ids[i % 3], 3) for i in range(4)]
+
+        async def run():
+            daemon = build_daemon(session)
+            await daemon.start()
+            await pause_dispatcher(daemon)
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", daemon.port
+            )
+            writer.write(b"".join(encode_frame(o.to_wire()) for o in orders))
+            writer.write_eof()
+            await asyncio.sleep(0.1)  # the daemon has read the EOF
+            resume_dispatcher(daemon)
+            order_ids = await order_ids_to_eof(reader)
+            writer.close()
+            await writer.wait_closed()
+            await daemon.stop()
+            return order_ids, leaked_tasks()
+
+        order_ids, leaked = asyncio.run(run())
+        assert order_ids == [1, 2, 3, 4]
+        assert leaked == []
+
+    def test_protocol_error_replies_at_once_and_closes_after_owed(self):
+        session, file_ids = build_session()
+        orders = [AuditOrder(i + 1, file_ids[i % 3], 3) for i in range(4)]
+
+        async def run():
+            daemon = build_daemon(session)
+            await daemon.start()
+            await pause_dispatcher(daemon)
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", daemon.port
+            )
+            writer.write(b"".join(encode_frame(o.to_wire()) for o in orders))
+            await writer.drain()
+            for _ in range(500):  # up to 5 s for the orders to queue
+                if not daemon._submissions.empty():
+                    break
+                await asyncio.sleep(0.01)
+            assert not daemon._submissions.empty()
+            writer.write(encode_frame(b"\xff garbage opcode"))
+            await writer.drain()
+            # The error goes out while the four orders are still owed.
+            (error,) = await read_frames(reader, 1)
+            resume_dispatcher(daemon)
+            order_ids = await order_ids_to_eof(reader)
+            writer.close()
+            await writer.wait_closed()
+            await daemon.stop()
+            return error, order_ids, leaked_tasks()
+
+        error, order_ids, leaked = asyncio.run(run())
+        assert isinstance(error, ErrorReply) and error.order_id == 0
+        assert order_ids == [1, 2, 3, 4]
+        assert leaked == []
+
+
 class TestStats:
     def test_stats_op_reports_live_dispatch_state(self):
         session, file_ids = build_session()
@@ -396,7 +513,6 @@ class TestBackendBug:
                 verifier=session.verifier,
                 provider=BuggyBackend(session.provider),
                 flush_batch=16,
-                flush_ms=2.0,
             )
             await daemon.start()
             async with CountingClient("127.0.0.1", daemon.port) as client:
@@ -480,7 +596,6 @@ class TestRegistryChains:
             verifier=session.verifier,
             provider=registry,
             flush_batch=16,
-            flush_ms=2.0,
         )
 
     def test_missing_fallback_fails_start(self):

@@ -8,6 +8,8 @@ an order whose backend fails failing alone, submission order
 preserved.
 """
 
+import asyncio
+
 import pytest
 
 from repro.cloud.adversary import DeletionAttack
@@ -16,8 +18,14 @@ from repro.crypto.rng import DeterministicRNG
 from repro.errors import ConfigurationError, StorageUnavailableError
 from repro.geo.coords import GeoPoint
 from repro.por.parameters import TEST_PARAMS
-from repro.service import AuditOrder, ErrorReply, VerdictReply
-from repro.service.dispatch import AuditDispatcher
+from repro.service import (
+    AuditOrder,
+    ErrorReply,
+    FrameParser,
+    VerdictReply,
+    decode_reply,
+)
+from repro.service.dispatch import SHUTDOWN, AuditDispatcher, Submitted
 from repro.service.registry import ProviderRegistry
 from repro.storage.contract import InMemoryStorage
 from tests.conftest import scalar_audit
@@ -255,5 +263,91 @@ class TestReplies:
         session, _ = build_session()
         with pytest.raises(ConfigurationError):
             build_dispatcher(session, flush_batch=0)
-        with pytest.raises(ConfigurationError):
-            build_dispatcher(session, flush_ms=0.0)
+
+
+class RecordingSink:
+    """A connection stand-in: the order ids of each delivery it gets."""
+
+    def __init__(self):
+        self.deliveries = []
+
+    def send_replies(self, data, n_replies):
+        order_ids = [
+            decode_reply(body).order_id for body in FrameParser().feed(data)
+        ]
+        assert len(order_ids) == n_replies
+        self.deliveries.append(order_ids)
+
+
+def chunk(sink, first_id, n, file_id):
+    """One reader chunk: ``n`` orders from ``sink``, ids from ``first_id``."""
+    return [
+        Submitted(AuditOrder(first_id + i, file_id, 3), sink)
+        for i in range(n)
+    ]
+
+
+class TestGroupCommit:
+    """``run`` flushes what is queued as soon as it is idle: no timer."""
+
+    def test_lone_order_on_an_idle_dispatcher_flushes_at_once(self):
+        session, file_ids = build_session()
+        dispatcher = build_dispatcher(session)
+        sink = RecordingSink()
+
+        async def run():
+            queue = asyncio.Queue()
+            task = asyncio.create_task(dispatcher.run(queue))
+            await asyncio.sleep(0)  # idle: waiting on the empty queue
+            queue.put_nowait(chunk(sink, 1, 1, file_ids[0]))
+            spins = 0
+            while not sink.deliveries and spins < 5:
+                await asyncio.sleep(0)  # one event-loop iteration
+                spins += 1
+            queue.put_nowait(SHUTDOWN)
+            await task
+            return spins
+
+        spins = asyncio.run(run())
+        assert sink.deliveries == [[1]]
+        assert spins == 1
+        assert dispatcher.stats.n_flushes == 1
+
+    def test_chunks_already_queued_flush_together(self):
+        session, file_ids = build_session()
+        dispatcher = build_dispatcher(session)
+        alice, bob = RecordingSink(), RecordingSink()
+
+        async def run():
+            queue = asyncio.Queue()
+            task = asyncio.create_task(dispatcher.run(queue))
+            await asyncio.sleep(0)
+            queue.put_nowait(chunk(alice, 1, 2, file_ids[0]))
+            queue.put_nowait(chunk(bob, 3, 3, file_ids[1]))
+            queue.put_nowait(chunk(alice, 6, 1, file_ids[2]))
+            queue.put_nowait(SHUTDOWN)
+            await task
+
+        asyncio.run(run())
+        # One flush of all six; one delivery per connection, in
+        # submission order.
+        assert dispatcher.stats.n_flushes == 1
+        assert dispatcher.stats.flush_sizes.max_value == 6
+        assert alice.deliveries == [[1, 2, 6]]
+        assert bob.deliveries == [[3, 4, 5]]
+
+    def test_flush_batch_caps_each_flush(self):
+        session, file_ids = build_session()
+        dispatcher = build_dispatcher(session, flush_batch=16)
+        sink = RecordingSink()
+
+        async def run():
+            queue = asyncio.Queue()
+            queue.put_nowait(chunk(sink, 1, 40, file_ids[0]))
+            queue.put_nowait(SHUTDOWN)
+            await dispatcher.run(queue)
+
+        asyncio.run(run())
+        assert [len(ids) for ids in sink.deliveries] == [16, 16, 8]
+        assert sum(sink.deliveries, []) == list(range(1, 41))
+        assert dispatcher.stats.n_flushes == 3

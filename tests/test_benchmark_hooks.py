@@ -10,7 +10,9 @@ push instead of in the full lane.  They load the benchmark modules
 from their files and change nothing under ``perfbench/``.
 """
 
+import ast
 import importlib.util
+import inspect
 import json
 import pathlib
 import sys
@@ -18,6 +20,7 @@ import sys
 import pytest
 
 from repro.fleet.strategies import RiskWeightedStrategy
+from repro.service import AuditDaemon
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -95,6 +98,23 @@ def test_every_deployment_builds(deploy):
     )
     deep = deploy.deep_session(0)
     assert deep.sla.min_rounds == deploy.DEEP_KS[0]
+
+
+def test_the_daemon_keywords_perfbench_passes_bind():
+    """``program.py`` builds its ``AuditDaemon`` by keyword; every one
+    must still bind, or each daemon workload fails to start."""
+    tree = ast.parse((PERFBENCH / "program.py").read_text())
+    calls = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "AuditDaemon"
+    ]
+    assert len(calls) == 1
+    keywords = {kw.arg: None for kw in calls[0].keywords}
+    assert None not in keywords  # no **kwargs to hide a name behind
+    inspect.signature(AuditDaemon).bind(**keywords)
 
 
 def test_fleet_replays_the_committed_reference(deploy):
