@@ -293,8 +293,8 @@ def compare_engines(
                         l.peak_queue_depth for l in report.lanes
                     ),
                     "concurrency_speedup": report.concurrency_speedup,
-                    # Real (wall-clock) seconds the TPAs spent in batch
-                    # verdict flushes -- the verify-phase cost the
+                    # Real (wall-clock) seconds the TPAs spent in the
+                    # verdict settles -- the verify-phase cost the
                     # batch verification plane amortizes (see
                     # bench_verify.py for the plane's own gates).
                     "verify_seconds": report.total_verify_seconds,

@@ -28,9 +28,10 @@ and one verdict body:
   outcome and counts it.
 
 So the device signs one tree per seal, and the TPA seals once per
-verifier per flush: a fleet batch staged audit by audit at one site,
-or a daemon flush of one ``audit_deferred_many`` call, carries one
-signed root.
+verifier per flush: a fleet site's settle (the runs its batches staged
+audit by audit, once :data:`~repro.fleet.fleet.RUNS_PER_SEAL` are
+queued), or a daemon flush of one ``audit_deferred_many`` call,
+carries one signed root.
 
 :meth:`ThirdPartyAuditor.audit_deferred_many` runs a batch of
 ``(file_id, k)`` orders and returns one entry per order: the

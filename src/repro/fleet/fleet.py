@@ -31,9 +31,8 @@ batch pays :data:`DISPATCH_OVERHEAD_MS` once where unbatched auditing
 would pay it per file.
 
 Two engines run that batch body (:meth:`AuditFleet._execute_batch`:
-stage every audit, flush the verdicts once, record events, charge the
-lane, record the span) and differ only in who decides when and where
-a batch runs:
+stage every audit, queue its run at the site, charge the lane, record
+the span) and differ only in who decides when and where a batch runs:
 
 * ``engine="event"`` -- the concurrent lane model above.
 * ``engine="slot"`` -- the serial loop: one batch per slot
@@ -45,6 +44,14 @@ a batch runs:
   speedup is measured against (``benchmarks/bench_fleet.py``) and as
   the semantics anchor: with a single data centre the two engines
   produce identical audit streams (pinned by test).
+
+Verdicts settle per site, not per batch.  A site's staged runs wait,
+unsigned, until :data:`RUNS_PER_SEAL` of them are queued; then one
+:meth:`~repro.cloud.tpa.ThirdPartyAuditor.flush_verdicts` call has the
+site's verifier seal them as one signed tree and checks them together.
+At the end of a run both engines settle every site still holding runs.
+No strategy reads a verdict and an event's timestamp is its run's
+finish time, known at staging, so the grouping moves no report byte.
 
 Shared spindles and replicated placement
 ----------------------------------------
@@ -143,6 +150,12 @@ REGION_RADIUS_KM = 100.0
 #: verifier appliance before it streams the batch's requests.
 DISPATCH_OVERHEAD_MS = 40.0
 
+#: Unsealed runs at which a site settles: one seal, one signed root and
+#: one exact Schnorr check per this many runs.  A site checks after each
+#: batch, so it holds at most ``RUNS_PER_SEAL + batch_size - 1`` runs.
+#: The same size as the audit daemon's default ``flush_batch``.
+RUNS_PER_SEAL = 64
+
 
 @dataclass(frozen=True, slots=True)
 class _Unserved:
@@ -156,8 +169,9 @@ class _Unserved:
     rtt_max_ms: float
 
 
-#: The per-lane counters :class:`_LaneAccounting` keeps, in
-#: :meth:`_LaneAccounting.charge` order: (name, help).
+#: The per-lane counters :class:`_LaneAccounting` keeps: (name, help).
+#: :meth:`_LaneAccounting.charge` adds to the first six per batch and
+#: :meth:`_LaneAccounting.settle` to the last per settle.
 _LANE_COUNTERS = (
     ("repro_fleet_batches_total", "Batches dispatched per fleet lane"),
     ("repro_fleet_audits_total", "Audits executed per fleet lane"),
@@ -166,7 +180,7 @@ _LANE_COUNTERS = (
     ("repro_fleet_site_wait_ms_total", "Contracted-site spindle-wait ms per lane"),
     ("repro_fleet_stolen_total",
      "Audits stolen into this lane from saturated siblings"),
-    ("repro_fleet_verify_seconds_total", "Wall-clock batch-verify cost per fleet lane"),
+    ("repro_fleet_verify_seconds_total", "Wall-clock verdict-settle cost per fleet lane"),
 )
 
 
@@ -586,9 +600,10 @@ class AuditFleet:
         ``clock`` is the clock the timed phase runs on -- the fleet
         clock in the slot engine, the executing lane's clock in the
         event engine (injected down through the TPA and verifier).
-        The returned run waits, unsigned, for its verdict until
-        :meth:`_execute_batch` passes the batch's runs to the provider
-        TPA's :meth:`~repro.cloud.tpa.ThirdPartyAuditor.flush_verdicts`,
+        The returned run waits, unsigned, in its site's queue until
+        :meth:`_LaneAccounting.settle` passes the queued runs to the
+        provider TPA's
+        :meth:`~repro.cloud.tpa.ThirdPartyAuditor.flush_verdicts`,
         which has the site's verifier seal them together.
 
         ``at_site`` runs the audit at one of the task's *replica*
@@ -654,25 +669,23 @@ class AuditFleet:
         clock: SimClock,
         *,
         slot: int,
-        start_ms: float,
-        horizon_ms: float,
-    ) -> list[AuditEvent]:
+    ) -> None:
         """Run one dispatched batch at ``site`` on ``clock``.
 
-        The batch body both engines share: stage every audit, pass the
-        batch's pending runs to one verdict flush, turn the outcomes
-        into events, charge the lane and record the batch span.  A
-        task whose home is not ``site`` is a work-stealing migration
-        and runs at the replica there.  ``slot`` labels the events
-        (global in the slot engine, lane-local in the event engine).
+        The batch body both engines share: stage every audit, record
+        each in ``accounting`` (which queues the served runs at the
+        site), settle the site once :data:`RUNS_PER_SEAL` runs are
+        queued, charge the lane and record the batch span.  A task
+        whose home is not ``site`` is a work-stealing migration and
+        runs at the replica there, so every queued run was measured by
+        the site's verifier.  ``slot`` labels the events (global in the
+        slot engine, lane-local in the event engine).
         """
         batch_start = clock.now_ms()
         # One dispatch pays for the whole batch: the TPA wakes the
         # site's verifier appliance once and streams every request.
         clock.advance(DISPATCH_OVERHEAD_MS)
         n_stolen = 0
-        spindle_waits: list[float] = []
-        staged: list[PendingAudit | _Unserved] = []
         # The batch's disk time and queue wait are what the contracted
         # site's spindle sums gain while the batch stages.
         spindle = accounting.site_spindle(site)
@@ -682,36 +695,17 @@ class AuditFleet:
                 stolen = task.site != site
                 n_stolen += stolen
                 wait_mark = accounting.provider_wait_ms(site[0])
-                staged.append(self._stage_audit(
+                staged = self._stage_audit(
                     task, clock, at_site=site[1] if stolen else None
-                ))
-                spindle_waits.append(
-                    accounting.provider_wait_ms(site[0]) - wait_mark
                 )
-        # One batched verdict flush per batch.  A batch only holds its
-        # lane's provider (the slot engine fills it from one site, and
-        # work stealing stays inside a provider), so one TPA settles
-        # it, and every audit ran at the site's verifier, so the flush
-        # seals the batch as one signed tree.  The wall time it takes,
-        # seal included, is the verify-phase cost the lane accounting
-        # attributes; simulated time is untouched.
-        verify_start = wall_seconds()
-        outcomes = iter(self.deployment(site[0]).tpa.flush_verdicts(
-            [entry for entry in staged if isinstance(entry, PendingAudit)]
-        ))
-        verify_seconds = wall_seconds() - verify_start
-        events = [
-            self._event_for(
-                slot, task,
-                entry if isinstance(entry, _Unserved) else next(outcomes),
-                start_ms, horizon_ms,
-                executed_at=site[1],
-                spindle_wait_ms=spindle_wait_ms,
-            )
-            for task, entry, spindle_wait_ms in zip(
-                batch, staged, spindle_waits
-            )
-        ]
+                accounting.record(
+                    site, slot, task, staged,
+                    spindle_wait_ms=(
+                        accounting.provider_wait_ms(site[0]) - wait_mark
+                    ),
+                )
+        if accounting.n_unsettled(site) >= RUNS_PER_SEAL:
+            accounting.settle(site)
         accounting.charge(
             site,
             n_audits=len(batch),
@@ -719,7 +713,6 @@ class AuditFleet:
             disk_ms=spindle.busy_ms - disk_mark,
             wait_ms=spindle.wait_ms - site_wait_mark,
             n_stolen=n_stolen,
-            verify_seconds=verify_seconds,
         )
         tracer = obs.tracer()
         if tracer.enabled:
@@ -731,7 +724,6 @@ class AuditFleet:
                 batch_start,
                 clock.now_ms(),
             ))
-        return events
 
     def next_batch(self, now_ms: float | None = None) -> list[AuditTask]:
         """The next slot's batch under the installed strategy.
@@ -781,8 +773,9 @@ class AuditFleet:
         slot_ms = self.slot_minutes * 60_000.0
         start_ms = self.clock.now_ms()
         horizon_ms = start_ms + hours * MS_PER_HOUR
-        events: list[AuditEvent] = []
-        accounting = _LaneAccounting(self)
+        accounting = _LaneAccounting(
+            self, start_ms=start_ms, horizon_ms=horizon_ms
+        )
         slot = 0
         while True:
             slot_start = start_ms + slot * slot_ms
@@ -793,11 +786,11 @@ class AuditFleet:
             if slot_start > self.clock.now_ms():
                 self.clock.advance_to(slot_start)
             batch = self.next_batch(self.clock.now_ms())
-            events.extend(self._execute_batch(
-                accounting, batch[0].site, batch, self.clock,
-                slot=slot, start_ms=start_ms, horizon_ms=horizon_ms,
-            ))
+            self._execute_batch(
+                accounting, batch[0].site, batch, self.clock, slot=slot
+            )
             slot += 1
+        events = accounting.settled_events()
         return self._build_report(
             strategy_name=self.strategy.name,
             simulated_hours=hours,
@@ -822,7 +815,9 @@ class AuditFleet:
         start_ms = self.clock.now_ms()
         horizon_ms = start_ms + hours * MS_PER_HOUR
         scheduler = EventScheduler(self.clock)
-        accounting = _LaneAccounting(self)
+        accounting = _LaneAccounting(
+            self, start_ms=start_ms, horizon_ms=horizon_ms
+        )
         sites = accounting.sites
         lanes = {
             site: Lane(
@@ -833,7 +828,6 @@ class AuditFleet:
             )
             for site in sites
         }
-        recorded: list[AuditEvent] = []
 
         def make_dispatch(site: tuple[str, str]):
             def dispatch(lane_clock) -> None:
@@ -849,11 +843,10 @@ class AuditFleet:
                 )[: self.batch_size]
                 if not batch:
                     return
-                recorded.extend(self._execute_batch(
+                self._execute_batch(
                     accounting, site, batch, lane_clock,
                     slot=accounting.n_batches_at(site),
-                    start_ms=start_ms, horizon_ms=horizon_ms,
-                ))
+                )
             return dispatch
 
         def make_tick(site: tuple[str, str]):
@@ -890,7 +883,8 @@ class AuditFleet:
         # Merge the per-lane streams into one fleet timeline: order by
         # completion time, dispatch order breaking ties.
         indexed = sorted(
-            enumerate(recorded), key=lambda pair: (pair[1].at_ms, pair[0])
+            enumerate(accounting.settled_events()),
+            key=lambda pair: (pair[1].at_ms, pair[0]),
         )
         return self._build_report(
             strategy_name=self.strategy.name,
@@ -904,60 +898,6 @@ class AuditFleet:
         )
 
     # -- report assembly -------------------------------------------------
-
-    def _event_for(
-        self,
-        slot: int,
-        task: AuditTask,
-        outcome: AuditOutcome | _Unserved,
-        start_ms: float,
-        horizon_ms: float,
-        *,
-        executed_at: str,
-        spindle_wait_ms: float = 0.0,
-    ) -> AuditEvent:
-        """Record one audit at its (possibly lane-local) finish time.
-
-        ``slot`` is the dispatching slot index -- global in the slot
-        engine, lane-local in the event engine (identical for a
-        single-site fleet).  ``executed_at`` is the lane that ran the
-        audit (differs from the task's home for stolen audits) and
-        ``spindle_wait_ms`` the shared-spindle queue wait its lookups
-        absorbed.  Audits whose batch legitimately started inside the
-        horizon but finished past it are flagged, not dropped, so both
-        engines treat overruns identically.
-
-        The timestamp is the outcome's own protocol finish time:
-        verification consumes no simulated time, so this is exactly
-        the clock reading at which the pre-batching code recorded the
-        event -- which is what lets the engines defer verdicts to a
-        per-batch flush without moving a single event.  An unserved
-        audit is rejected for ``unserved`` with no measured RTT.
-        """
-        finished_ms = outcome.finished_ms
-        if isinstance(outcome, _Unserved):
-            accepted, max_rtt_ms = False, 0.0
-            rtt_max_ms, reasons = outcome.rtt_max_ms, ("unserved",)
-        else:
-            verdict = outcome.verdict
-            accepted, max_rtt_ms = verdict.accepted, verdict.max_rtt_ms
-            rtt_max_ms = verdict.rtt_max_ms
-            reasons = tuple(verdict.failure_reasons)
-        return AuditEvent(
-            slot=slot,
-            tenant=task.tenant,
-            provider=task.provider_name,
-            file_id=task.file_id,
-            datacentre=task.datacentre,
-            at_ms=finished_ms - start_ms,
-            accepted=accepted,
-            max_rtt_ms=max_rtt_ms,
-            rtt_max_ms=rtt_max_ms,
-            failure_reasons=reasons,
-            overran_horizon=finished_ms > horizon_ms,
-            executed_at=executed_at,
-            spindle_wait_ms=spindle_wait_ms,
-        )
 
     def _build_report(
         self,
@@ -1052,10 +992,19 @@ class _LaneAccounting:
     Sites are enumerated in first-registration order -- the canonical
     lane order for reports and for scheduling ticks, so two runs of
     the same fleet agree on every tie-break.
+
+    It lives for one run, from ``start_ms`` to ``horizon_ms``, and owns
+    the run's events and each site's unsettled runs.  A run that raises
+    drops it, and with it every queued run's handle, so the verifiers
+    drop those runs' bodies too.
     """
 
-    def __init__(self, fleet: AuditFleet) -> None:
+    def __init__(
+        self, fleet: AuditFleet, *, start_ms: float, horizon_ms: float
+    ) -> None:
         self._fleet = fleet
+        self._start_ms = start_ms
+        self._horizon_ms = horizon_ms
         self.sites: list[tuple[str, str]] = []
         # Registration is closed during a run, so the per-site queue
         # index is built once here instead of re-filtering the whole
@@ -1067,6 +1016,15 @@ class _LaneAccounting:
                 self.sites.append(task.site)
                 self._tasks_by_site[task.site] = []
             self._tasks_by_site[task.site].append(task)
+        #: The run's events in staging order.  A served audit's entry
+        #: is ``None`` until its site settles.
+        self._events: list[AuditEvent | None] = []
+        #: Per site, the served audits not yet settled: (index into
+        #: the events, slot, task, pending run, spindle wait).
+        self._unsettled: dict[
+            tuple[str, str],
+            list[tuple[int, int, AuditTask, PendingAudit, float]],
+        ] = {site: [] for site in self.sites}
         #: This run's own registry: per-lane counters, the one copy of
         #: each lane's numbers (``stats()`` reads them back).
         self.metrics = MetricsRegistry()
@@ -1182,17 +1140,133 @@ class _LaneAccounting:
         disk_ms: float,
         wait_ms: float = 0.0,
         n_stolen: int = 0,
-        verify_seconds: float = 0.0,
     ) -> None:
         """Account one dispatched batch against its lane."""
-        batches, audits, busy, disk, wait, stolen, verify = self._counters[site]
+        batches, audits, busy, disk, wait, stolen, _ = self._counters[site]
         batches.inc()
         audits.inc(n_audits)
         busy.inc(busy_ms)
         disk.inc(disk_ms)
         wait.inc(wait_ms)
         stolen.inc(n_stolen)
-        verify.inc(verify_seconds)
+
+    def record(
+        self,
+        site: tuple[str, str],
+        slot: int,
+        task: AuditTask,
+        staged: PendingAudit | _Unserved,
+        *,
+        spindle_wait_ms: float,
+    ) -> None:
+        """Record one audit that a batch at ``site`` staged.
+
+        An unserved audit's event is built at once.  A served audit
+        keeps its place in the event order and queues its run at the
+        site until :meth:`settle`.
+        """
+        if isinstance(staged, _Unserved):
+            self._events.append(self._event_for(
+                site, slot, task, staged, spindle_wait_ms
+            ))
+            return
+        self._unsettled[site].append(
+            (len(self._events), slot, task, staged, spindle_wait_ms)
+        )
+        self._events.append(None)
+
+    def n_unsettled(self, site: tuple[str, str]) -> int:
+        """Runs queued at ``site`` and not yet sealed."""
+        return len(self._unsettled[site])
+
+    def settle(self, site: tuple[str, str]) -> None:
+        """Seal and verify every run queued at ``site`` in one flush.
+
+        A batch only holds its lane's provider (the slot engine fills
+        it from one site, and work stealing stays inside a provider)
+        and every audit ran at the site's verifier, so one
+        :meth:`~repro.cloud.tpa.ThirdPartyAuditor.flush_verdicts` call
+        seals the queue as one signed tree.  Each outcome becomes its
+        audit's event and is dropped.  The wall time the flush takes,
+        seal included, is charged to the lane's verify cost; simulated
+        time is untouched.
+        """
+        queued = self._unsettled[site]
+        if not queued:
+            return
+        started = wall_seconds()
+        outcomes = self._fleet.deployment(site[0]).tpa.flush_verdicts(
+            [entry[3] for entry in queued]
+        )
+        self._counters[site][-1].inc(wall_seconds() - started)
+        for (index, slot, task, _, spindle_wait_ms), outcome in zip(
+            queued, outcomes
+        ):
+            self._events[index] = self._event_for(
+                site, slot, task, outcome, spindle_wait_ms
+            )
+        queued.clear()
+
+    def settled_events(self) -> list[AuditEvent]:
+        """Settle every site still holding runs; the run's events.
+
+        Sites settle in :attr:`sites` order, and the events come back
+        in staging order.
+        """
+        for site in self.sites:
+            self.settle(site)
+        return self._events
+
+    def _event_for(
+        self,
+        site: tuple[str, str],
+        slot: int,
+        task: AuditTask,
+        outcome: AuditOutcome | _Unserved,
+        spindle_wait_ms: float,
+    ) -> AuditEvent:
+        """Record one audit at its (possibly lane-local) finish time.
+
+        ``slot`` is the dispatching slot index -- global in the slot
+        engine, lane-local in the event engine (identical for a
+        single-site fleet).  ``site`` is the lane that ran the audit
+        (its data centre differs from the task's home for stolen
+        audits) and ``spindle_wait_ms`` the shared-spindle queue wait
+        its lookups absorbed.  Audits whose batch legitimately started
+        inside the horizon but finished past it are flagged, not
+        dropped, so both engines treat overruns identically.
+
+        The timestamp is the outcome's own protocol finish time:
+        verification consumes no simulated time, so this is exactly
+        the clock reading at which the pre-batching code recorded the
+        event -- which is what lets the engines defer verdicts to a
+        per-site settle without moving a single event.  An unserved
+        audit is rejected for ``unserved`` with no measured RTT.
+        """
+        finished_ms = outcome.finished_ms
+        if isinstance(outcome, _Unserved):
+            accepted, max_rtt_ms = False, 0.0
+            rtt_max_ms, reasons = outcome.rtt_max_ms, ("unserved",)
+        else:
+            verdict = outcome.verdict
+            accepted, max_rtt_ms = verdict.accepted, verdict.max_rtt_ms
+            rtt_max_ms = verdict.rtt_max_ms
+            reasons = tuple(verdict.failure_reasons)
+        return AuditEvent(
+            slot=slot,
+            tenant=task.tenant,
+            provider=task.provider_name,
+            file_id=task.file_id,
+            datacentre=task.datacentre,
+            at_ms=finished_ms - self._start_ms,
+            accepted=accepted,
+            max_rtt_ms=max_rtt_ms,
+            rtt_max_ms=rtt_max_ms,
+            failure_reasons=reasons,
+            overran_horizon=finished_ms > self._horizon_ms,
+            executed_at=site[1],
+            spindle_wait_ms=spindle_wait_ms,
+        )
 
     def stats(
         self,
@@ -1202,11 +1276,11 @@ class _LaneAccounting:
     ) -> tuple[LaneStats, ...]:
         """Freeze the accounting into report rows.
 
-        Batch counts, busy time (the accumulated batch spans) and
-        verify cost come from the charges in both engines.  With
-        ``lanes`` (event engine) wait classification and queue stats
-        come from each :class:`Lane`; without (slot engine) the wait
-        is the contracted spindles' and queue depth is zero by
+        Batch counts and busy time (the accumulated batch spans) come
+        from the charges in both engines, verify cost from the
+        settles.  With ``lanes`` (event engine) wait classification and
+        queue stats come from each :class:`Lane`; without (slot engine)
+        the wait is the contracted spindles' and queue depth is zero by
         construction.
         """
         rows = []

@@ -115,9 +115,9 @@ class LaneStats:
     #: Audits this lane executed for files homed at sibling lanes
     #: (work-stealing migrations it absorbed).
     stolen_audits: int = 0
-    #: Real (wall-clock) seconds the lane's verdict flushes took: the
-    #: verifier's seal of each batch (one signature per batch) plus
-    #: the TPA's batch verification.  The one *measured*
+    #: Real (wall-clock) seconds the lane's verdict settles took: the
+    #: verifier's seal of the site's queued runs (one signature per
+    #: settle) plus the TPA's batch verification.  The one *measured*
     #: column in the report: it varies run to run like any wall-time
     #: quantity, so it is excluded from the dataclass equality the
     #: determinism and slot-vs-event anchors pin (``compare=False``)
@@ -276,7 +276,7 @@ class FleetReport:
         """Real seconds spent computing verdicts across all lanes.
 
         Wall-clock, not simulated (see :attr:`LaneStats.verify_seconds`):
-        the cost of the verdict flushes, each batch's seal included,
+        the cost of the verdict settles, each site's seals included,
         the quantity bench_verify's >=5x gate drives down.  Like every
         ``verify_seconds`` field it is left out of report equality and
         of perfbench's fleet digest.

@@ -10,8 +10,10 @@ for more bytes, so a reader task can never block inside the parser.
 Failing closed at this layer means bounding the declared body length:
 a garbage prefix decoding to gigabytes must not make the reader buffer
 until the host dies, so anything above :data:`MAX_FRAME_BYTES` raises
-:class:`~repro.errors.ProtocolError` immediately and the connection is
-dropped.
+:class:`FrameTooLargeError` immediately and the connection is dropped.
+The error carries the whole frames the same chunk completed ahead of
+the bad prefix, so a reader answers those whichever way TCP split the
+stream.
 """
 
 from __future__ import annotations
@@ -26,6 +28,18 @@ _LEN = struct.Struct(">I")
 #: verdict replies under a kilobyte; anything near this bound is a
 #: corrupt or hostile stream.
 MAX_FRAME_BYTES = 1 << 20
+
+
+class FrameTooLargeError(ProtocolError):
+    """A declared frame body longer than :data:`MAX_FRAME_BYTES`.
+
+    ``frames`` holds the frames the failing
+    :meth:`FrameParser.feed` call completed ahead of the bad prefix.
+    """
+
+    def __init__(self, message: str, *, frames: list[bytes]) -> None:
+        super().__init__(message)
+        self.frames = frames
 
 
 def encode_frame(body: bytes) -> bytes:
@@ -46,9 +60,11 @@ class FrameParser:
     def feed(self, data: bytes) -> list[bytes]:
         """Absorb a chunk; return every frame completed by it.
 
-        Raises :class:`~repro.errors.ProtocolError` as soon as a
-        declared length exceeds :data:`MAX_FRAME_BYTES` -- without
-        waiting for the (unbounded) body to arrive.
+        Raises :class:`FrameTooLargeError` as soon as a declared length
+        exceeds :data:`MAX_FRAME_BYTES` -- without waiting for the
+        (unbounded) body to arrive.  The error carries the frames
+        completed ahead of the bad prefix, which stays first in the
+        buffer, so every later call raises too.
         """
         self._buffer.extend(data)
         frames: list[bytes] = []
@@ -57,9 +73,11 @@ class FrameParser:
         while len(buffer) - offset >= 4:
             (length,) = _LEN.unpack_from(buffer, offset)
             if length > MAX_FRAME_BYTES:
-                raise ProtocolError(
+                del buffer[:offset]
+                raise FrameTooLargeError(
                     f"declared frame body of {length} bytes exceeds "
-                    f"{MAX_FRAME_BYTES}"
+                    f"{MAX_FRAME_BYTES}",
+                    frames=frames,
                 )
             if len(buffer) - offset - 4 < length:
                 break

@@ -10,7 +10,9 @@ flushes batches through the TPA's amortized protocol + verify plane.
 
 Fail-closed input handling: a malformed frame or order gets one
 :class:`~repro.service.wire.ErrorReply` and the connection is dropped
--- the daemon itself never dies on tenant input (pinned by test).
+-- the daemon itself never dies on tenant input (pinned by test).  The
+orders decoded ahead of the bad frame are still answered, whichever
+way TCP split the bytes.
 
 A connection closes once its reader has finished (EOF, a disconnect
 or a protocol error) *and* every order it submitted has been answered,
@@ -34,7 +36,7 @@ from repro.cloud.verifier import VerifierDevice
 from repro.errors import ConfigurationError, ProtocolError
 from repro.obs.metrics import MetricsRegistry
 from repro.service.dispatch import SHUTDOWN, AuditDispatcher, Submitted
-from repro.service.framing import FrameParser, encode_frame
+from repro.service.framing import FrameParser, FrameTooLargeError, encode_frame
 from repro.service.registry import ProviderRegistry
 from repro.service.wire import (
     ErrorReply,
@@ -106,9 +108,14 @@ class _Connection:
                 if not chunk:
                     break
                 received_s = wall_seconds()
+                error: ProtocolError | None = None
                 try:
-                    submitted = []
-                    for body in parser.feed(chunk):
+                    bodies = parser.feed(chunk)
+                except FrameTooLargeError as exc:
+                    bodies, error = exc.frames, exc
+                submitted = []
+                try:
+                    for body in bodies:
                         request = decode_request(body)
                         if isinstance(request, StatsRequest):
                             reply = StatsReply(
@@ -121,16 +128,21 @@ class _Connection:
                                 Submitted(request, self, received_s)
                             )
                 except ProtocolError as exc:
+                    error = exc
+                if error is not None:
                     # Fail closed: report once, then drop the
                     # connection -- resynchronising a corrupt stream
-                    # would mean guessing at frame boundaries.
+                    # would mean guessing at frame boundaries.  The
+                    # orders decoded ahead of the bad frame are still
+                    # served, as they would be from an earlier chunk.
                     self.send_bytes(
-                        encode_frame(ErrorReply(0, str(exc)).to_wire())
+                        encode_frame(ErrorReply(0, str(error)).to_wire())
                     )
-                    break
                 if submitted:
                     self._owed += len(submitted)
                     await self._daemon._submissions.put(submitted)
+                if error is not None:
+                    break
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:

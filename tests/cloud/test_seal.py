@@ -3,7 +3,7 @@
 ``VerifierDevice.run_audits`` signs nothing; it keeps each measured run
 under a handle until ``VerifierDevice.seal`` signs one hash tree over
 the runs it names.  The TPA seals once per verifier per verdict flush,
-so a fleet batch and a daemon flush each carry one signed root.  These
+so a fleet site's settle and a daemon flush each carry one signed root.  These
 tests pin what a seal may and may not do, and count the signatures
 through ``repro.cloud.verifier.schnorr_sign``, the name the repo
 benchmark traces.  Small files keep them in the fast lane.
@@ -90,11 +90,13 @@ def two_by_two_fleet():
 
 
 class TestOneSignaturePerFlush:
-    def test_fleet_signs_once_per_batch(self, signatures):
+    def test_fleet_signs_once_per_site_settle(self, signatures):
+        # Each of the 4 sites stages 96 runs: one settle at 64 queued
+        # runs, one for the other 32 at the end of the run.
         fleet = two_by_two_fleet()
         report = fleet.run(hours=12.0)
-        assert report.n_audits > report.n_batches > 0
-        assert len(signatures) == report.n_batches
+        assert [lane.n_audits for lane in report.lanes] == [96] * 4
+        assert len(signatures) == 8
         assert dict(report.verdict_breakdown) == {"accepted": report.n_audits}
 
     def test_daemon_flush_signs_once(self, session, signatures):

@@ -11,6 +11,7 @@ import struct
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.session import GeoProofSession
 from repro.crypto.rng import DeterministicRNG
@@ -26,7 +27,12 @@ from repro.service import (
     encode_frame,
     run_audit_client,
 )
-from repro.service.wire import AuditOrder, ErrorReply, decode_reply
+from repro.service.wire import (
+    AuditOrder,
+    ErrorReply,
+    VerdictReply,
+    decode_reply,
+)
 from repro.storage.contract import InMemoryStorage
 from tests.conftest import scalar_audit
 
@@ -374,6 +380,90 @@ class TestHalfClose:
         error, order_ids, leaked = asyncio.run(run())
         assert isinstance(error, ErrorReply) and error.order_id == 0
         assert order_ids == [1, 2, 3, 4]
+        assert leaked == []
+
+
+#: Bad frames that end a connection: an unknown opcode, and a length
+#: prefix declaring 2^30 bytes.
+BAD_FRAMES = {
+    "garbage": encode_frame(b"\xff garbage opcode"),
+    "oversize": struct.pack(">I", 1 << 30),
+}
+
+
+def replies_to_split_stream(session, stream, cut):
+    """Send ``stream`` as two writes split at ``cut``, the dispatcher
+    paused until the error reply is out; every reply, up to EOF."""
+
+    async def run():
+        daemon = build_daemon(session)
+        await daemon.start()
+        await pause_dispatcher(daemon)
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", daemon.port
+        )
+        for part in (stream[:cut], stream[cut:]):
+            writer.write(part)
+            await writer.drain()
+        # The error goes out once the bad frame is read, and every
+        # order ahead of it has been queued by then.
+        (error,) = await read_frames(reader, 1)
+        resume_dispatcher(daemon)
+        raw = await asyncio.wait_for(reader.read(), timeout=5)
+        writer.close()
+        await writer.wait_closed()
+        await daemon.stop()
+        rest = [decode_reply(body) for body in FrameParser().feed(raw)]
+        return [error] + rest, daemon.stats.n_orders, leaked_tasks()
+
+    return asyncio.run(run())
+
+
+class TestOrdersAheadOfABadFrame:
+    """Orders ahead of a bad frame are answered however TCP split them.
+
+    Before, orders that shared a chunk with the bad frame were dropped
+    unanswered, while the same orders in an earlier chunk were served.
+    """
+
+    @pytest.mark.parametrize("bad", sorted(BAD_FRAMES))
+    def test_same_chunk_orders_get_their_verdicts(self, bad):
+        session, file_ids = build_session(n_files=1)
+        orders = [AuditOrder(i + 1, file_ids[0], 3) for i in range(2)]
+        stream = b"".join(encode_frame(o.to_wire()) for o in orders)
+        stream += BAD_FRAMES[bad]
+        replies, n_orders, leaked = replies_to_split_stream(
+            session, stream, len(stream)
+        )
+        assert isinstance(replies[0], ErrorReply)
+        assert replies[0].order_id == 0
+        assert [reply.order_id for reply in replies[1:]] == [1, 2]
+        assert all(reply.verdict.accepted for reply in replies[1:])
+        assert n_orders == 2
+        assert leaked == []
+
+    @given(
+        n_orders=st.integers(1, 3),
+        bad=st.sampled_from(sorted(BAD_FRAMES)),
+        data=st.data(),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_every_split_gets_the_same_replies(self, n_orders, bad, data):
+        session, file_ids = build_session(n_files=1)
+        orders = [AuditOrder(i + 1, file_ids[0], 3) for i in range(n_orders)]
+        stream = b"".join(encode_frame(o.to_wire()) for o in orders)
+        stream += BAD_FRAMES[bad]
+        cut = data.draw(st.integers(0, len(stream)), label="cut")
+        replies, counted, leaked = replies_to_split_stream(
+            session, stream, cut
+        )
+        assert [type(reply) for reply in replies] == (
+            [ErrorReply] + [VerdictReply] * n_orders
+        )
+        assert [reply.order_id for reply in replies] == (
+            [0] + list(range(1, n_orders + 1))
+        )
+        assert counted == n_orders
         assert leaked == []
 
 

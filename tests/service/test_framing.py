@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ProtocolError
 from repro.service import MAX_FRAME_BYTES, FrameParser, encode_frame
+from repro.service.framing import FrameTooLargeError
 
 
 class TestEncodeFrame:
@@ -49,6 +50,18 @@ class TestFrameParser:
         prefix = struct.pack(">I", MAX_FRAME_BYTES + 1)
         with pytest.raises(ProtocolError):
             parser.feed(prefix)
+
+    def test_oversize_error_carries_the_frames_ahead_of_it(self):
+        parser = FrameParser()
+        prefix = struct.pack(">I", MAX_FRAME_BYTES + 1)
+        data = encode_frame(b"a") + encode_frame(b"bb") + prefix
+        with pytest.raises(FrameTooLargeError) as excinfo:
+            parser.feed(data)
+        assert excinfo.value.frames == [b"a", b"bb"]
+        # The bad prefix stays: the stream cannot resynchronise.
+        with pytest.raises(FrameTooLargeError) as excinfo:
+            parser.feed(encode_frame(b"c"))
+        assert excinfo.value.frames == []
 
     @given(
         bodies=st.lists(st.binary(max_size=200), max_size=10),

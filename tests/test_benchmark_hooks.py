@@ -117,8 +117,10 @@ def test_the_daemon_keywords_perfbench_passes_bind():
     inspect.signature(AuditDaemon).bind(**keywords)
 
 
-def test_fleet_replays_the_committed_reference(deploy):
+@pytest.mark.parametrize("seed", [0, 1])
+def test_fleet_replays_the_committed_reference(deploy, seed):
+    # Seed 1 is the seed every fleet-campaign measurement runs.
     reference = json.loads((PERFBENCH / "reference.json").read_text())
-    fleet = deploy.build_fleet(0, strategy=RiskWeightedStrategy())
+    fleet = deploy.build_fleet(seed, strategy=RiskWeightedStrategy())
     report = fleet.run(hours=deploy.FLEET_HOURS)
-    assert deploy.fleet_digest(report.to_dict()) == reference["fleet"]["0"]
+    assert deploy.fleet_digest(report.to_dict()) == reference["fleet"][str(seed)]
