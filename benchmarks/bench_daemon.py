@@ -114,10 +114,6 @@ def build_bench_session(seed: str, *, n_files: int = 1, min_rounds: int = 4):
         params=TEST_PARAMS,
         min_rounds=min_rounds,
         seed=seed,
-        # Ring-buffer the audit log: the sustained run would otherwise
-        # accumulate 40k transcript-bearing outcomes and the allocator
-        # churn alone costs ~15% of throughput by the end.
-        tpa_max_log=1_024,
     )
     session.verifier.keypair = SchnorrKeyPair.generate(
         BENCH_GROUP, seed=f"{seed}-verifier".encode()

@@ -4,7 +4,7 @@
 Models the regulatory workload from the paper's introduction (privacy
 laws requiring data to remain in-country): a TPA audits an Australian
 health-records file on a schedule, a corruption incident begins
-part-way through, and the audit log yields the compliance report --
+part-way through, and the TPA's counters yield the compliance report --
 acceptance rate, failure taxonomy, and the closed-form security
 analysis a data owner would attach to the SLA.
 

@@ -41,6 +41,7 @@ from repro.analysis.experiments import (
     table3_internet_latency,
 )
 from repro.analysis.reporting import format_table
+from repro.errors import ReproError
 
 
 def _enable_metrics(metrics_json: str | None) -> None:
@@ -191,28 +192,22 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     _enable_metrics(args.metrics_json)
     # Engine/lane validation is the fleet's own (repro.errors), so the
     # CLI, library and bench reject bad configs with the same message.
-    try:
-        if args.lanes < 1:
-            raise ConfigurationError(
-                f"--lanes must be >= 1, got {args.lanes}"
-            )
-        fleet = build_demo_fleet(
-            n_files=args.files,
-            n_providers=args.providers,
-            strategy=make_strategy(args.strategy),
-            seed=args.seed,
-            violation=violation,
-            slot_minutes=args.slot_minutes,
-            batch_size=args.batch,
-            engine=args.engine,
-            lane_queue_limit=args.lanes,
-            replicas=args.replicas,
-            spindles=args.spindles,
-        )
-        report = fleet.run(hours=args.hours)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.lanes < 1:
+        raise ConfigurationError(f"--lanes must be >= 1, got {args.lanes}")
+    fleet = build_demo_fleet(
+        n_files=args.files,
+        n_providers=args.providers,
+        strategy=make_strategy(args.strategy),
+        seed=args.seed,
+        violation=violation,
+        slot_minutes=args.slot_minutes,
+        batch_size=args.batch,
+        engine=args.engine,
+        lane_queue_limit=args.lanes,
+        replicas=args.replicas,
+        spindles=args.spindles,
+    )
+    report = fleet.run(hours=args.hours)
     _write_metrics_json(args.metrics_json)
     if args.json is not None:
         payload = json.dumps(report.to_dict(), indent=2) + "\n"
@@ -258,35 +253,30 @@ def _cmd_economics(args: argparse.Namespace) -> int:
     import json
 
     from repro.economics import AdversaryCampaign, build_economics_report
-    from repro.errors import ConfigurationError
 
     engines = (
         ("slot", "event") if args.engine == "both" else (args.engine,)
     )
     _enable_metrics(args.metrics_json)
-    try:
-        campaign = AdversaryCampaign(
-            attack=args.attack,
-            n_providers=args.providers,
-            n_files=args.files,
-            k_rounds=args.rounds,
-            hours=args.hours,
-            seed=args.seed,
-            delete_fraction=args.delete_fraction,
-        )
-        report = build_economics_report(
-            campaign,
-            engines=engines,
-            cache_fractions=(
-                tuple(args.cache_fractions)
-                if args.cache_fractions is not None
-                else None
-            ),
-            check_equivalence=not args.skip_equivalence,
-        )
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    campaign = AdversaryCampaign(
+        attack=args.attack,
+        n_providers=args.providers,
+        n_files=args.files,
+        k_rounds=args.rounds,
+        hours=args.hours,
+        seed=args.seed,
+        delete_fraction=args.delete_fraction,
+    )
+    report = build_economics_report(
+        campaign,
+        engines=engines,
+        cache_fractions=(
+            tuple(args.cache_fractions)
+            if args.cache_fractions is not None
+            else None
+        ),
+        check_equivalence=not args.skip_equivalence,
+    )
     _write_metrics_json(args.metrics_json)
     # The exit code is the acceptance check itself: observed detection
     # must meet the 1 - (cache/file)^k bound in every sweep cell, and
@@ -308,22 +298,17 @@ def _cmd_economics(args: argparse.Namespace) -> int:
 def _cmd_lint(args: argparse.Namespace) -> int:
     import json
 
-    from repro.errors import ConfigurationError
     from repro.lint import get_rule, run_lint
 
-    try:
-        if args.explain is not None:
-            rule = get_rule(args.explain)
-            print(f"{rule.id}: {rule.title}")
-            print()
-            print(rule.rationale)
-            return 0
-        paths = tuple(args.paths) or ("src", "benchmarks", "examples")
-        rule_ids = tuple(args.rules) if args.rules else None
-        report = run_lint(paths, rule_ids=rule_ids)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.explain is not None:
+        rule = get_rule(args.explain)
+        print(f"{rule.id}: {rule.title}")
+        print()
+        print(rule.rationale)
+        return 0
+    paths = tuple(args.paths) or ("src", "benchmarks", "examples")
+    rule_ids = tuple(args.rules) if args.rules else None
+    report = run_lint(paths, rule_ids=rule_ids)
     if args.json is not None:
         payload = json.dumps(report.to_dict(), indent=2) + "\n"
         if args.json == "-":
@@ -343,38 +328,33 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.core.session import GeoProofSession
     from repro.crypto.rng import DeterministicRNG
-    from repro.errors import ReproError
     from repro.geo.datasets import city
     from repro.por.parameters import TEST_PARAMS
     from repro.service import AuditDaemon
 
     _enable_metrics(args.metrics_json)
-    try:
-        session = GeoProofSession.build(
-            datacentre_location=city(args.home),
-            params=TEST_PARAMS,
-            min_rounds=args.rounds,
-            seed=args.seed,
+    session = GeoProofSession.build(
+        datacentre_location=city(args.home),
+        params=TEST_PARAMS,
+        min_rounds=args.rounds,
+        seed=args.seed,
+    )
+    data_rng = DeterministicRNG(f"{args.seed}-data")
+    file_ids = []
+    for i in range(args.files):
+        file_id = f"file-{i}".encode()
+        session.outsource(
+            file_id, data_rng.fork(str(i)).random_bytes(args.size)
         )
-        data_rng = DeterministicRNG(f"{args.seed}-data")
-        file_ids = []
-        for i in range(args.files):
-            file_id = f"file-{i}".encode()
-            session.outsource(
-                file_id, data_rng.fork(str(i)).random_bytes(args.size)
-            )
-            file_ids.append(file_id)
-        daemon = AuditDaemon(
-            tpa=session.tpa,
-            verifier=session.verifier,
-            provider=session.provider,
-            host=args.host,
-            port=args.port,
-            flush_batch=args.flush_batch,
-        )
-    except (ReproError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        file_ids.append(file_id)
+    daemon = AuditDaemon(
+        tpa=session.tpa,
+        verifier=session.verifier,
+        provider=session.provider,
+        host=args.host,
+        port=args.port,
+        flush_batch=args.flush_batch,
+    )
 
     async def run() -> None:
         # Explicit handlers, because a daemon launched with `&` from a
@@ -433,7 +413,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_audit_client(args: argparse.Namespace) -> int:
     import json
 
-    from repro.errors import ReproError
     from repro.service import run_audit_client
 
     plan = [
@@ -442,18 +421,12 @@ def _cmd_audit_client(args: argparse.Namespace) -> int:
         for file_id in args.file_ids
     ]
     daemon_stats = None
-    try:
-        if args.stats:
-            verdicts, daemon_stats = run_audit_client(
-                args.host, args.port, plan, stats=True
-            )
-        else:
-            verdicts = run_audit_client(args.host, args.port, plan)
-    except (ReproError, OSError) as exc:
-        # Connection refused, protocol violation, daemon-side error:
-        # the audit never completed, which is worse than a rejection.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.stats:
+        verdicts, daemon_stats = run_audit_client(
+            args.host, args.port, plan, stats=True
+        )
+    else:
+        verdicts = run_audit_client(args.host, args.port, plan)
     rows = [
         {
             "file": file_id.decode(),
@@ -494,14 +467,9 @@ def _cmd_audit_client(args: argparse.Namespace) -> int:
 def _cmd_stats(args: argparse.Namespace) -> int:
     import json
 
-    from repro.errors import ReproError
     from repro.service import fetch_daemon_stats
 
-    try:
-        payload = fetch_daemon_stats(args.host, args.port)
-    except (ReproError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    payload = fetch_daemon_stats(args.host, args.port)
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
 
@@ -814,10 +782,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    Every subcommand shares one error path.  A
+    :class:`~repro.errors.ReproError` (a bad setting, a refused audit,
+    a protocol violation) or an :class:`OSError` (a refused connection,
+    an unwritable path) prints ``error: <message>`` to stderr and exits
+    2, as argparse does for a malformed command line.  For
+    ``audit-client`` this means the audit never completed, which is
+    worse than a rejection (exit 1).
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ReproError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

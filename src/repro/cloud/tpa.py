@@ -6,12 +6,13 @@ knows the secret key used to verify the MAC tags associated to the
 data."
 
 The TPA issues :class:`~repro.core.messages.AuditRequest`s to the
-verifier device, verifies the signed transcripts it gets back, and
-keeps a bounded log of recent outcomes plus exact counters for
-compliance reporting.  The counters live in the auditor's own
-:class:`~repro.obs.metrics.MetricsRegistry` (:attr:`ThirdPartyAuditor.metrics`):
-verdicts, flush sizes and failure reasons are counted there once, and
-the reports read them back.
+verifier device, verifies the signed transcripts it gets back, hands
+each outcome back to whoever asked, and keeps exact counters for
+compliance reporting, not a history of outcomes.  The counters live in
+the auditor's own :class:`~repro.obs.metrics.MetricsRegistry`
+(:attr:`ThirdPartyAuditor.metrics`): verdicts, flush sizes and failure
+reasons are counted there once, and the reports read them back.  A
+caller that wants a history keeps its own.
 
 Every audit, whatever its entry point, runs through one protocol body
 and one verdict body:
@@ -24,8 +25,8 @@ and one verdict body:
   :meth:`~repro.cloud.verifier.VerifierDevice.seal` its runs in the
   flush, once per verifier, then verifies the transcripts in one
   :func:`~repro.core.verification.verify_transcripts` batch (shared MAC
-  key schedules, one Schnorr check per distinct batch root), logs each
-  outcome and counts it.
+  key schedules, one Schnorr check per distinct batch root) and counts
+  each outcome.
 
 So the device signs one tree per seal, and the TPA seals once per
 verifier per flush: a fleet site's settle (the runs its batches staged
@@ -52,7 +53,6 @@ byte-identical to the scalar reference oracles (``make_request``,
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -74,11 +74,6 @@ from repro.errors import ConfigurationError, ReproError
 from repro.geo.regions import Region
 from repro.obs.metrics import MetricsRegistry
 from repro.por.parameters import PORParams
-
-#: Outcomes :attr:`ThirdPartyAuditor.audit_log` keeps by default.  The
-#: log is always a ring: a daemon that audits for days holds the most
-#: recent outcomes, never its whole history.
-AUDIT_LOG_LIMIT = 1024
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,25 +133,18 @@ class PendingAudit:
 class ThirdPartyAuditor:
     """Drives GeoProof audits on behalf of data owners.
 
-    :attr:`audit_log` is a ring buffer of the ``max_log`` most recent
-    outcomes (default :data:`AUDIT_LOG_LIMIT`); a daemon or a
-    month-long fleet campaign would otherwise hold every transcript in
-    RAM.  There is no unbounded mode.  The aggregate reports --
-    :meth:`acceptance_rate` and :meth:`failures_by_reason` -- read the
-    counters in :attr:`metrics`, updated as outcomes are settled, so
-    they cover the *full* audit history even after the ring has
-    evicted the underlying outcomes.
+    Outcomes go back to the caller (:meth:`audit`,
+    :meth:`flush_verdicts`); the auditor keeps none of them, so its
+    memory does not grow with the audits it settles.  The aggregate
+    reports -- :meth:`acceptance_rate` and :meth:`failures_by_reason`
+    -- read the counters in :attr:`metrics`, updated as outcomes are
+    settled, so they cover the full audit history.
     """
 
-    def __init__(
-        self, name: str, rng: DeterministicRNG, *, max_log: int = AUDIT_LOG_LIMIT
-    ) -> None:
-        if max_log is None or max_log < 1:
-            raise ConfigurationError(f"max_log must be >= 1, got {max_log}")
+    def __init__(self, name: str, rng: DeterministicRNG) -> None:
         self.name = name
         self._rng = rng
         self._files: dict[bytes, FileRecord] = {}
-        self.audit_log: deque[AuditOutcome] = deque(maxlen=max_log)
         #: This auditor's own registry: the one copy of its counts.
         self.metrics = MetricsRegistry()
         verdicts = self.metrics.counter(
@@ -241,7 +229,7 @@ class ThirdPartyAuditor:
         rtt_max_ms: float | None = None,
         region=None,
     ) -> AuditOutcome:
-        """Run one full audit and log the outcome: a batch of one.
+        """Run one full audit and return its outcome: a batch of one.
 
         ``rtt_max_ms`` overrides the SLA-calibrated budget (used by the
         threshold-sweep benches) and ``region`` overrides the SLA's
@@ -312,12 +300,12 @@ class ThirdPartyAuditor:
         )
 
     def flush_verdicts(self, pending: Sequence[PendingAudit]) -> list[AuditOutcome]:
-        """Seal and verify these runs in one batch; log and return outcomes.
+        """Seal and verify these runs in one batch; return their outcomes.
 
         Each verifier seals its runs here, once per flush, so the runs
         one verifier measured share one signed root.  Outcomes come back
         in the order of ``pending`` and equal what :meth:`audit` would
-        have logged for the same protocol runs apart from each
+        have returned for the same protocol runs apart from each
         transcript's batch proof and signature (pinned by test) -- the
         grouping only changes how the signing and the MAC and Schnorr
         arithmetic are batched.  Each run settles once: passing one
@@ -387,7 +375,7 @@ class ThirdPartyAuditor:
         return entries
 
     def _settle(self, pending: Sequence[PendingAudit]) -> list[AuditOutcome]:
-        """Seal, then verify protocol runs in one batch; log and count each.
+        """Seal, then verify protocol runs in one batch; count each outcome.
 
         Each verifier in ``pending`` seals its runs once, in order of
         first appearance, so a flush carries one signed root per
@@ -436,7 +424,6 @@ class ThirdPartyAuditor:
                 started_ms=entry.run.started_ms,
                 finished_ms=entry.run.finished_ms,
             )
-            self.audit_log.append(outcome)
             n_accepted += verdict.accepted
             for reason in verdict.failure_reasons:
                 self._failures.labels(self.name, reason).inc()
@@ -448,18 +435,17 @@ class ThirdPartyAuditor:
     # -- reporting ------------------------------------------------------------
 
     def acceptance_rate(self) -> float:
-        """Fraction of all logged audits that were accepted.
+        """Fraction of all settled audits that were accepted.
 
-        Counted over the full audit history (exact even after ring
-        eviction).  By convention an empty log is
-        ``0.0`` -- a TPA that has never audited has proven nothing, so
+        Counted over the full audit history.  By convention a TPA that
+        has settled nothing reads ``0.0`` -- it has proven nothing, so
         reports must not read as a perfect record.
         """
         n_accepted = self._accepted.value
-        n_logged = n_accepted + self._rejected.value
-        if n_logged == 0:
+        n_settled = n_accepted + self._rejected.value
+        if n_settled == 0:
             return 0.0
-        return n_accepted / n_logged
+        return n_accepted / n_settled
 
     def failures_by_reason(self) -> dict[str, int]:
         """Histogram of failure reasons across the full audit history.

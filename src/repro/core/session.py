@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from repro.cloud.provider import CloudProvider, DataCentre
 from repro.cloud.sla import SLAPolicy
-from repro.cloud.tpa import AUDIT_LOG_LIMIT, AuditOutcome, ThirdPartyAuditor
+from repro.cloud.tpa import AuditOutcome, ThirdPartyAuditor
 from repro.cloud.verifier import VerifierDevice
 from repro.crypto.rng import DeterministicRNG
 from repro.errors import ConfigurationError
@@ -133,7 +133,7 @@ class GeoProofSession:
         params: PORParams | None = None,
         min_rounds: int = 50,
         seed: str = "geoproof-session",
-        tpa_max_log: int = AUDIT_LOG_LIMIT,
+        tpa_max_log: int | None = None,
     ) -> "GeoProofSession":
         """Build the standard single-site deployment.
 
@@ -142,9 +142,12 @@ class GeoProofSession:
         the LAN budget and the margin, which match it.  The SLA region
         defaults to a 100 km circle around the data centre; the
         segment-size term of the timing budget is taken from
-        ``params``.  ``tpa_max_log`` sizes the TPA's audit-log ring
-        (default :data:`~repro.cloud.tpa.AUDIT_LOG_LIMIT`), so memory
-        stays flat across millions of audits.
+        ``params``.
+
+        ``tpa_max_log`` is accepted and ignored: the TPA keeps counters,
+        not a history of outcomes, so there is nothing for it to size.
+        The keyword stays only until the repository benchmark stops
+        passing it.
         """
         params = params or PORParams()
         rng = DeterministicRNG(seed)
@@ -163,7 +166,7 @@ class GeoProofSession:
             clock=clock,
             rng=rng.fork("verifier"),
         )
-        tpa = ThirdPartyAuditor("tpa", rng.fork("tpa"), max_log=tpa_max_log)
+        tpa = ThirdPartyAuditor("tpa", rng.fork("tpa"))
         return cls(
             provider=provider,
             verifier=verifier,

@@ -437,26 +437,8 @@ def schnorr_sign(private: SchnorrPrivateKey, message: bytes) -> tuple[int, int]:
 def schnorr_sign_many(
     private: SchnorrPrivateKey, messages: Sequence[bytes]
 ) -> list[tuple[int, int]]:
-    """Sign every message, amortizing the fixed-base table and key bytes.
-
-    Bit-identical to calling :func:`schnorr_sign` per message (same
-    deterministic nonces), but hoists the per-call setup: the table
-    lookup, the serialized key prefix and the group locals.
-    """
-    group = private.group
-    q = group.q
-    x = private.x
-    table = group._g_table
-    prefix = b"schnorr-nonce" + x.to_bytes((q.bit_length() + 7) // 8, "big")
-    out: list[tuple[int, int]] = []
-    for message in messages:
-        k = 1 + int.from_bytes(hashlib.sha256(prefix + message).digest(), "big") % (
-            q - 1
-        )
-        commitment = table.pow(k)
-        e = _challenge_hash(group, commitment, message)
-        out.append((commitment, (k + x * e) % q))
-    return out
+    """Sign every message with :func:`schnorr_sign`, in order."""
+    return [schnorr_sign(private, message) for message in messages]
 
 
 def _holds_exactly(

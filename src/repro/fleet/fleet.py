@@ -73,8 +73,7 @@ being a free private constant per lane:
   (:class:`~repro.fleet.strategies.WorkStealingStrategy`) migrate an
   audit from a saturated home lane to an idle sibling lane holding a
   replica -- the audit then runs through the replica site's verifier
-  against the replica site's SLA region and budget, paired as a
-  :class:`~repro.cloud.replication.ReplicaSite` when it runs.
+  against the replica site's SLA region and budget.
 
 With ``replicas=1`` and dedicated spindles every queue wait is
 identically zero and nothing is stealable, so the audit stream is
@@ -101,7 +100,7 @@ from dataclasses import dataclass
 
 from repro import obs
 from repro.cloud.provider import CloudProvider, DataCentre
-from repro.cloud.replication import NearestCopyStrategy, ReplicaSite
+from repro.cloud.replication import NearestCopyStrategy
 from repro.cloud.sla import SLAPolicy
 from repro.cloud.tpa import AuditOutcome, PendingAudit, ThirdPartyAuditor
 from repro.cloud.verifier import VerifierDevice
@@ -370,9 +369,7 @@ class AuditFleet:
         provider's sites in total: the contracted home plus the next
         sites in the provider's onboarding order.  An audit may run at any replica
         site (work-stealing migration) under that site's verifier
-        and a site-centred SLA, paired as a
-        :class:`~repro.cloud.replication.ReplicaSite` when the audit
-        needs one.  The audit *cadence* stays per file -- one
+        and a site-centred SLA.  The audit *cadence* stays per file -- one
         :class:`AuditTask`, schedulable at home or any replica.
 
         The task, and so its cadence and tolerance checks, is built
@@ -488,17 +485,6 @@ class AuditFleet:
             if not provider.datacentre(name).exists(file_id):
                 provider.replicate_to(file_id, name)
 
-    def _replica_site(self, task: AuditTask, name: str) -> ReplicaSite:
-        """The site ``name``'s verifier and site-centred SLA for ``task``."""
-        deployment = self.deployment(task.provider_name)
-        return ReplicaSite(
-            name=name,
-            verifier=deployment.verifier_for(name),
-            sla=self._site_sla(
-                deployment.provider.datacentre(name), task.k_rounds
-            ),
-        )
-
     @contextmanager
     def _service_context(self, provider: str, clock: SimClock):
         """Bind ``clock`` as the requester clock of a provider's servers.
@@ -609,10 +595,10 @@ class AuditFleet:
         ``at_site`` runs the audit at one of the task's *replica*
         sites instead of its home (a work-stealing migration): that
         site's verifier asks the questions and a site-centred SLA
-        (the :class:`~repro.cloud.replication.ReplicaSite` built for
-        the audit) supplies the region and timing budget.  Either way,
-        when the provider is honest and the file replicated, requests
-        are served from the copy nearest the auditing verifier
+        (:meth:`_site_sla`) supplies the region and timing budget.
+        Either way, when the provider is honest and the file
+        replicated, requests are served from the copy nearest the
+        auditing verifier
         (:class:`~repro.cloud.replication.NearestCopyStrategy`) -- an
         installed adversary strategy is never overridden.
 
@@ -632,9 +618,11 @@ class AuditFleet:
                 raise ConfigurationError(
                     f"file {task.file_id!r} has no replica at {site_name!r}"
                 )
-            replica = self._replica_site(task, site_name)
-            rtt_max_ms = replica.sla.rtt_max_ms
-            region = replica.sla.region
+            sla = self._site_sla(
+                deployment.provider.datacentre(site_name), task.k_rounds
+            )
+            rtt_max_ms = sla.rtt_max_ms
+            region = sla.region
         provider = deployment.provider
         serve_local = (
             provider.strategy is None and bool(task.replica_datacentres)

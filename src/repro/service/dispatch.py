@@ -46,7 +46,7 @@ from typing import Protocol, Sequence
 from repro import obs
 from repro.cloud.tpa import ThirdPartyAuditor
 from repro.cloud.verifier import VerifierDevice
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ConfigurationError, ProtocolError, ReproError
 from repro.obs.metrics import HistogramValue, MetricsRegistry
 from repro.service.framing import encode_frame
 from repro.service.wire import AuditOrder, ErrorReply, VerdictReply
@@ -54,6 +54,9 @@ from repro.util.wallclock import wall_seconds
 
 #: Queue sentinel: stop after draining what is already buffered.
 SHUTDOWN = object()
+
+#: What an order gets instead of a reply too large for one frame.
+UNFRAMED_REPLY = "reply exceeds the frame limit"
 
 _log = logging.getLogger(__name__)
 
@@ -158,6 +161,10 @@ class DispatchStats:
         self._errors.inc(n_errors)
         self._flushes.inc()
         self.flush_sizes.observe(n_orders)
+
+    def count_unframed(self) -> None:
+        """Count a verdict answered with an ErrorReply at delivery."""
+        self._errors.inc()
 
     def to_dict(self) -> dict:
         """Stable JSON-ready form (the ``OP_STATS`` payload core)."""
@@ -283,6 +290,11 @@ class AuditDispatcher:
         This is where an order's life ends, so it is also where the
         frame-to-verdict latency is observed (one ``wall_seconds``
         read per flush, not per order).
+
+        A reply too large for one frame is answered with a short
+        :class:`ErrorReply` (:data:`UNFRAMED_REPLY`) and counted as an
+        error, so its order still gets exactly one reply: a verdict
+        lists every bad MAC index, and the tenant picks ``k``.
         """
         now_s = wall_seconds()
         by_sink: dict[int, tuple[ReplySink, list[bytes]]] = {}
@@ -293,6 +305,13 @@ class AuditDispatcher:
             key = id(entry.sink)
             if key not in by_sink:
                 by_sink[key] = (entry.sink, [])
-            by_sink[key][1].append(encode_frame(reply.to_wire()))
+            try:
+                frame = encode_frame(reply.to_wire())
+            except ProtocolError:
+                frame = encode_frame(
+                    ErrorReply(reply.order_id, UNFRAMED_REPLY).to_wire()
+                )
+                self.stats.count_unframed()
+            by_sink[key][1].append(frame)
         for sink, frames in by_sink.values():
             sink.send_replies(b"".join(frames), len(frames))

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from repro.core.messages import decode_exact
 from repro.core.verification import GeoProofVerdict
 from repro.errors import ProtocolError
+from repro.storage.contract import MAX_FILE_ID_BYTES
 from repro.util.serialization import (
     decode_length_prefixed,
     decode_uint,
@@ -51,7 +52,13 @@ OP_STATS_REPLY = 0x83
 
 @dataclass(frozen=True, slots=True)
 class AuditOrder:
-    """One tenant order: audit ``file_id`` with ``k`` rounds (0 = SLA)."""
+    """One tenant order: audit ``file_id`` with ``k`` rounds (0 = SLA).
+
+    A file id longer than the storage contract's
+    :data:`~repro.storage.contract.MAX_FILE_ID_BYTES` is refused here:
+    no backend stores one, and a refusal that quoted it could outgrow a
+    reply frame.
+    """
 
     order_id: int
     file_id: bytes
@@ -62,8 +69,11 @@ class AuditOrder:
             raise ProtocolError(f"order id out of range: {self.order_id}")
         if self.k < 0:
             raise ProtocolError(f"k must be >= 0, got {self.k}")
-        if not self.file_id:
-            raise ProtocolError("file id must be non-empty")
+        if not 0 < len(self.file_id) <= MAX_FILE_ID_BYTES:
+            raise ProtocolError(
+                f"file id must be 1..{MAX_FILE_ID_BYTES} bytes, "
+                f"got {len(self.file_id)}"
+            )
 
     def to_wire(self) -> bytes:
         return bytes([OP_AUDIT]) + (

@@ -7,16 +7,21 @@ construction time rather than deep inside a protocol run.
 
 from __future__ import annotations
 
+import math
 
 from repro.errors import ConfigurationError
 
 
 def check_positive(name: str, value: float, *, strict: bool = True) -> None:
-    """Require ``value > 0`` (or ``>= 0`` when ``strict`` is False)."""
-    if strict and not value > 0:
-        raise ConfigurationError(f"{name} must be > 0, got {value}")
-    if not strict and not value >= 0:
-        raise ConfigurationError(f"{name} must be >= 0, got {value}")
+    """Require a finite ``value > 0`` (or ``>= 0`` when ``strict`` is False).
+
+    Infinity is refused too: an infinite horizon never ends a run, and
+    an infinite budget or margin makes a check that cannot fail.
+    """
+    if strict and not 0 < value < math.inf:
+        raise ConfigurationError(f"{name} must be finite and > 0, got {value}")
+    if not strict and not 0 <= value < math.inf:
+        raise ConfigurationError(f"{name} must be finite and >= 0, got {value}")
 
 
 def check_range(name: str, value: float, low: float, high: float) -> None:

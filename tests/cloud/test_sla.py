@@ -1,5 +1,7 @@
 """SLA policy and its timing-budget arithmetic."""
 
+import math
+
 import pytest
 
 from repro.cloud.sla import SLAPolicy
@@ -43,3 +45,6 @@ class TestSLAPolicy:
             SLAPolicy(region=region, min_rounds=0)
         with pytest.raises(ConfigurationError):
             SLAPolicy(region=region, segment_bytes=0)
+        # An infinite margin would make a budget no round can miss.
+        with pytest.raises(ConfigurationError, match="margin_ms"):
+            SLAPolicy(region=region, margin_ms=math.inf)

@@ -1,16 +1,14 @@
 """The third-party auditor: registration, audits, reporting."""
 
-from collections import Counter, deque
-
 import pytest
 
-from repro.cloud.tpa import AUDIT_LOG_LIMIT, ThirdPartyAuditor
-from repro.core.session import GeoProofSession
-from repro.crypto.rng import DeterministicRNG
 from repro.errors import ConfigurationError
-from repro.geo.datasets import city
-from repro.por.parameters import TEST_PARAMS
-from tests.conftest import assert_equal_apart_from_proof, build_session, scalar_audit
+from tests.conftest import (
+    assert_equal_apart_from_proof,
+    build_session,
+    scalar_audit,
+    verdict_counts,
+)
 
 
 # Every test here pays a full POR setup in its fixtures: slow lane.
@@ -40,7 +38,8 @@ class TestAuditing:
         session, file_id, _ = build_session("tpa-honest")
         outcome = session.audit(file_id, k=10)
         assert outcome.verdict.accepted
-        assert list(session.tpa.audit_log) == [outcome]
+        assert (outcome.request.file_id, outcome.request.k) == (file_id, 10)
+        assert verdict_counts(session.tpa) == {"accepted": 1, "rejected": 0}
         assert outcome.duration_ms > 0
 
     def test_default_k_from_sla(self):
@@ -118,11 +117,14 @@ class TestDeferredVerification:
             )
             for _ in range(4)
         ]
-        assert list(deferred_session.tpa.audit_log) == []
+        # Nothing is counted until the flush settles the runs.
+        assert verdict_counts(deferred_session.tpa) == {
+            "accepted": 0, "rejected": 0
+        }
         flushed = deferred_session.tpa.flush_verdicts(pending)
         assert immediate == oracle
-        assert list(immediate_session.tpa.audit_log) == oracle
-        assert list(deferred_session.tpa.audit_log) == flushed
+        for session in (immediate_session, deferred_session):
+            assert verdict_counts(session.tpa) == {"accepted": 4, "rejected": 0}
         assert len({o.transcript.signature for o in flushed}) == 1
         assert_equal_apart_from_proof(
             flushed, oracle, deferred_session.verifier.public_key
@@ -130,8 +132,10 @@ class TestDeferredVerification:
 
     def test_flush_empty_is_noop(self):
         session, _, _ = build_session("tpa-noflush")
+        before = session.tpa.metrics.snapshot()
         assert session.tpa.flush_verdicts([]) == []
-        assert list(session.tpa.audit_log) == []
+        assert session.tpa.metrics.snapshot() == before
+        assert verdict_counts(session.tpa) == {"accepted": 0, "rejected": 0}
 
     def test_deferred_counts_failures(self):
         session, file_id, _ = build_session("tpa-defer-fail")
@@ -150,103 +154,6 @@ class TestDeferredVerification:
         session.tpa.flush_verdicts(pending)
         assert session.tpa.acceptance_rate() == pytest.approx(0.5)
         assert session.tpa.failures_by_reason().get("timing") == 1
-
-
-class TestBoundedAuditLog:
-    def test_ring_keeps_most_recent(self):
-        session, file_id, _ = build_session("tpa-ring")
-        bounded = ThirdPartyAuditor(
-            "ring", DeterministicRNG("ring"), max_log=2
-        )
-        record = session.tpa.record(file_id)
-        bounded.register_file(
-            file_id,
-            record.n_segments,
-            record.mac_key,
-            record.params,
-            record.sla,
-        )
-        outcomes = [
-            bounded.audit(file_id, session.verifier, session.provider, k=5)
-            for _ in range(5)
-        ]
-        assert list(bounded.audit_log) == outcomes[-2:]
-
-    def test_counters_exact_after_eviction(self):
-        session, file_id, _ = build_session("tpa-ring-count")
-        bounded = ThirdPartyAuditor(
-            "ring", DeterministicRNG("ring"), max_log=1
-        )
-        record = session.tpa.record(file_id)
-        bounded.register_file(
-            file_id,
-            record.n_segments,
-            record.mac_key,
-            record.params,
-            record.sla,
-        )
-        for _ in range(3):
-            bounded.audit(file_id, session.verifier, session.provider, k=5)
-        bounded.audit(
-            file_id,
-            session.verifier,
-            session.provider,
-            k=5,
-            rtt_max_ms=0.001,
-        )
-        # One outcome retained, four counted.
-        assert len(bounded.audit_log) == 1
-        assert bounded.acceptance_rate() == pytest.approx(0.75)
-        assert bounded.failures_by_reason().get("timing") == 1
-
-    def test_invalid_bound_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ThirdPartyAuditor("bad", DeterministicRNG("bad"), max_log=0)
-
-    def test_unbounded_log_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ThirdPartyAuditor("bad", DeterministicRNG("bad"), max_log=None)
-
-    def test_serve_session_log_is_bounded_by_default(self):
-        """A session built the way ``repro serve`` builds it (no log
-        bound passed) keeps only the newest AUDIT_LOG_LIMIT outcomes,
-        while the reports still count every audit it settled."""
-        session = GeoProofSession.build(
-            datacentre_location=city("brisbane"),
-            params=TEST_PARAMS,
-            min_rounds=10,
-            seed="serve",
-        )
-        data = DeterministicRNG("serve-data").fork("0").random_bytes(4_000)
-        session.outsource(b"file-0", data)
-        tpa = session.tpa
-        n_forced_rejects = 50
-        pending = tpa.audit_deferred_many(
-            [(b"file-0", None)] * AUDIT_LOG_LIMIT,
-            session.verifier,
-            session.provider,
-        )
-        pending += [
-            tpa.audit_deferred(
-                b"file-0", session.verifier, session.provider, rtt_max_ms=0.001
-            )
-            for _ in range(n_forced_rejects)
-        ]
-        outcomes = tpa.flush_verdicts(pending)
-        assert len(outcomes) == AUDIT_LOG_LIMIT + n_forced_rejects
-        assert isinstance(tpa.audit_log, deque)
-        assert len(tpa.audit_log) == AUDIT_LOG_LIMIT
-        assert list(tpa.audit_log) == outcomes[-AUDIT_LOG_LIMIT:]
-        n_accepted = sum(outcome.verdict.accepted for outcome in outcomes)
-        assert tpa.acceptance_rate() == n_accepted / len(outcomes)
-        assert tpa.failures_by_reason() == dict(
-            Counter(
-                reason
-                for outcome in outcomes
-                for reason in outcome.verdict.failure_reasons
-            )
-        )
-        assert tpa.failures_by_reason()["timing"] >= n_forced_rejects
 
 
 class TestReporting:

@@ -83,7 +83,7 @@ def scalar_audit(
     ``VerifierDevice.run_audit`` runs the timed rounds and signs, and
     ``verify_transcript`` checks MACs, signature, position and timing
     against the registered SLA (or the ``region`` / ``rtt_max_ms``
-    overrides).  Nothing is logged on ``tpa``; only its nonce stream
+    overrides).  Nothing is counted on ``tpa``; only its nonce stream
     advances, exactly as one ``tpa.audit`` call would advance it.
     """
     from repro.cloud.tpa import AuditOutcome
@@ -112,6 +112,17 @@ def scalar_audit(
         started_ms=started_ms,
         finished_ms=finished_ms,
     )
+
+
+def verdict_counts(tpa) -> dict[str, int]:
+    """The verdicts ``tpa`` has settled, by kind, off its metrics snapshot."""
+    for family in tpa.metrics.snapshot()["families"]:
+        if family["name"] == "repro_tpa_verdicts_total":
+            return {
+                series["labels"]["verdict"]: int(series["value"])
+                for series in family["series"]
+            }
+    return {}
 
 
 class FailsAtLookup:

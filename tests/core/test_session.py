@@ -8,7 +8,7 @@ from repro.geo.coords import GeoPoint
 from repro.geo.regions import PolygonRegion
 from repro.por.parameters import TEST_PARAMS
 from repro.por.setup import extract_file, setup_file
-from tests.conftest import build_session
+from tests.conftest import build_session, verdict_counts
 
 
 # Every test here pays a full POR setup in its fixtures: slow lane.
@@ -75,7 +75,7 @@ class TestAudit:
         session, file_id, _ = build_session("sess-many")
         outcomes = [session.audit(file_id, k=5) for _ in range(5)]
         assert all(o.verdict.accepted for o in outcomes)
-        assert len(session.tpa.audit_log) == 5
+        assert verdict_counts(session.tpa) == {"accepted": 5, "rejected": 0}
 
     def test_clock_monotone_across_audits(self):
         session, file_id, _ = build_session("sess-clock")

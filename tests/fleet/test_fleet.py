@@ -1,5 +1,7 @@
 """End-to-end fleet auditing: three providers, two of them misbehaving."""
 
+import math
+
 import pytest
 
 from repro.cloud.adversary import CorruptionAttack, DeletionAttack, RelayAttack
@@ -7,6 +9,7 @@ from repro.cloud.provider import DataCentre
 from repro.crypto.rng import DeterministicRNG
 from repro.errors import ConfigurationError
 from repro.fleet import AuditFleet, RoundRobinStrategy
+from repro.fleet.demo import build_demo_fleet
 from repro.fleet.fleet import DISPATCH_OVERHEAD_MS
 from repro.geo.datasets import city
 from repro.storage.hdd import IBM_36Z15
@@ -203,6 +206,15 @@ class TestMechanics:
         assert report.audits_per_simulated_hour == pytest.approx(
             report.n_audits / 6.0
         )
+
+    @pytest.mark.parametrize("engine", ["slot", "event"])
+    def test_infinite_horizon_refused_at_once(self, engine):
+        """Before, ``run`` accepted an infinite horizon, which the slot
+        loop never reaches: the run never returned."""
+        fleet = build_demo_fleet(n_files=3, engine=engine)
+        with pytest.raises(ConfigurationError, match="hours must be finite"):
+            fleet.run(hours=math.inf)
+        assert fleet.clock.now_ms() == 0.0
 
 
 class TestOverrunClamp:

@@ -11,7 +11,7 @@ Five pins:
   them, so the determinism anchors (slot-vs-event, same-seed replay)
   hold with the plane enabled;
 * the TPA's verdict counters count every verdict, one-shot audits
-  included, and agree with the TPA's own log;
+  included, and agree with the outcomes it returned;
 * every count is kept once, in its component's registry: the plane
   sums components (two with one name included) without merging their
   own reports, and a disabled plane keeps no component alive.
@@ -30,7 +30,7 @@ from repro.fleet.demo import build_demo_fleet
 from repro.obs import MetricsRegistry, Tracer
 from repro.service import AuditOrder
 from repro.service.dispatch import AuditDispatcher
-from tests.conftest import build_session
+from tests.conftest import build_session, verdict_counts
 
 
 def run_demo(*, engine="event", enabled=True, seed="obs-fleet"):
@@ -154,21 +154,21 @@ class TestTPAVerdictCounters:
         registry = MetricsRegistry(enabled=True)
         with obs.use_registry(registry):
             session, file_id, _ = build_session("obs-tpa", file_bytes=4000)
-            for _ in range(3):
-                session.audit(file_id, k=5)
-            session.audit(file_id, k=5, rtt_max_ms=0.001)  # forced reject
+            outcomes = [session.audit(file_id, k=5) for _ in range(3)]
+            # A forced reject.
+            outcomes.append(session.audit(file_id, k=5, rtt_max_ms=0.001))
         tpa = session.tpa
-        n_logged = len(tpa.audit_log)
-        n_accepted = sum(outcome.verdict.accepted for outcome in tpa.audit_log)
-        assert (n_logged, n_accepted) == (4, 3)
-        assert tpa.acceptance_rate() == n_accepted / n_logged
+        n_settled = len(outcomes)
+        n_accepted = sum(outcome.verdict.accepted for outcome in outcomes)
+        assert (n_settled, n_accepted) == (4, 3)
+        assert tpa.acceptance_rate() == n_accepted / n_settled
         assert family_series(registry, "repro_tpa_verdicts_total") == {
             (tpa.name, "accepted"): n_accepted,
-            (tpa.name, "rejected"): n_logged - n_accepted,
+            (tpa.name, "rejected"): n_settled - n_accepted,
         }
         flush_sizes = family_series(registry, "repro_tpa_flush_size")
-        assert flush_sizes[(tpa.name,)]["count"] == n_logged
-        assert flush_sizes[(tpa.name,)]["sum"] == n_logged
+        assert flush_sizes[(tpa.name,)]["count"] == n_settled
+        assert flush_sizes[(tpa.name,)]["sum"] == n_settled
 
 
 def dispatcher_for(session):
@@ -183,20 +183,20 @@ class TestOneSourcePerCount:
         registry = MetricsRegistry(enabled=True)
         with obs.use_registry(registry):
             session, file_id, _ = build_session("obs-reasons", file_bytes=4000)
-            for _ in range(3):
-                session.audit(file_id, k=5)
+            outcomes = [session.audit(file_id, k=5) for _ in range(3)]
             session.provider.set_strategy(
                 CorruptionAttack("home", 0.3, DeterministicRNG("obs-adv"))
             )
-            for _ in range(4):
-                session.audit(file_id, k=10)
-            for _ in range(2):
+            outcomes += [session.audit(file_id, k=10) for _ in range(4)]
+            outcomes += [
                 session.audit(file_id, k=10, rtt_max_ms=0.001)
+                for _ in range(2)
+            ]
         tpa = session.tpa
         reasons = tpa.failures_by_reason()
         assert reasons == dict(Counter(
             reason
-            for outcome in tpa.audit_log
+            for outcome in outcomes
             for reason in outcome.verdict.failure_reasons
         ))
         assert reasons["mac"] > 0 and reasons["timing"] >= 2
@@ -234,7 +234,9 @@ class TestOneSourcePerCount:
         assert [(d["n_orders"], d["n_errors"], d["n_flushes"]) for d in own] == [
             (3, 0, 1), (5, 1, 1)
         ]
-        assert [len(tpa.audit_log) for tpa in tpas] == [3, 4]
+        assert [verdict_counts(tpa) for tpa in tpas] == [
+            {"accepted": 3, "rejected": 0}, {"accepted": 4, "rejected": 0}
+        ]
         assert family_total(registry, "repro_dispatch_orders_total") == 8
         assert family_total(registry, "repro_dispatch_errors_total") == 1
         assert family_total(registry, "repro_dispatch_flushes_total") == 2

@@ -28,12 +28,14 @@ from repro.service import (
     run_audit_client,
 )
 from repro.service.wire import (
+    OP_AUDIT,
     AuditOrder,
     ErrorReply,
     VerdictReply,
     decode_reply,
 )
 from repro.storage.contract import InMemoryStorage
+from repro.util.serialization import encode_length_prefixed, encode_uint
 from tests.conftest import scalar_audit
 
 
@@ -243,6 +245,53 @@ class TestHostileInput:
         raw = asyncio.run(run())
         (body,) = FrameParser().feed(raw)
         assert isinstance(decode_reply(body), ErrorReply)
+
+    def test_file_id_past_the_storage_bound_spares_other_tenants(self):
+        """An order naming a 300 kB file id is a protocol error.
+
+        Before, the order reached the TPA, whose refusal repeats the id
+        at up to 4 characters a byte: its ErrorReply outgrew a frame,
+        the dispatch task died, the next tenant got no reply and
+        ``stop()`` re-raised.
+        """
+        session, file_ids = build_session(n_files=1)
+        hostile = encode_frame(
+            bytes([OP_AUDIT])
+            + encode_uint(1)
+            + encode_length_prefixed(b"\xff" * 300_000)
+            + encode_uint(0)
+        )
+
+        async def run():
+            daemon = build_daemon(session)
+            await daemon.start()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", daemon.port
+                )
+                writer.write(hostile)
+                await writer.drain()
+                # The daemon answers, then drops the connection.
+                raw = await asyncio.wait_for(reader.read(), timeout=3)
+                writer.close()
+                await writer.wait_closed()
+                async with AuditClient("127.0.0.1", daemon.port) as client:
+                    verdict = await asyncio.wait_for(
+                        client.audit(file_ids[0], k=3), timeout=3
+                    )
+            finally:
+                await asyncio.wait_for(daemon.stop(), timeout=5)
+            return raw, verdict, daemon.stats, leaked_tasks()
+
+        raw, verdict, stats, leaked = asyncio.run(run())
+        (body,) = FrameParser().feed(raw)
+        reply = decode_reply(body)
+        assert isinstance(reply, ErrorReply)
+        assert reply.order_id == 0
+        assert "file id must be 1..256 bytes" in reply.message
+        assert verdict.accepted
+        assert (stats.n_orders, stats.n_errors) == (1, 0)
+        assert leaked == []
 
     def test_truncated_frame_never_hangs_shutdown(self):
         session, _ = build_session(n_files=1)

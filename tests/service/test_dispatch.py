@@ -9,10 +9,12 @@ preserved.
 """
 
 import asyncio
+import gc
+import tracemalloc
 
 import pytest
 
-from repro.cloud.adversary import DeletionAttack
+from repro.cloud.adversary import CorruptionAttack, DeletionAttack
 from repro.core.session import GeoProofSession
 from repro.crypto.rng import DeterministicRNG
 from repro.errors import ConfigurationError, StorageUnavailableError
@@ -25,7 +27,13 @@ from repro.service import (
     VerdictReply,
     decode_reply,
 )
-from repro.service.dispatch import SHUTDOWN, AuditDispatcher, Submitted
+from repro.service import framing
+from repro.service.dispatch import (
+    SHUTDOWN,
+    UNFRAMED_REPLY,
+    AuditDispatcher,
+    Submitted,
+)
 from repro.service.registry import ProviderRegistry
 from repro.storage.contract import InMemoryStorage
 from tests.conftest import scalar_audit
@@ -79,6 +87,20 @@ class DeletesOneFile:
 
     def handle_request(self, provider, file_id, index):
         if file_id == self.doomed:
+            return self.attack.handle_request(provider, file_id, index)
+        return provider.datacentre("home").lookup(file_id, index)
+
+
+class CorruptsOneFile:
+    """Serves every file honestly from home but one, every segment of
+    which comes back corrupted, so each round fails its MAC."""
+
+    def __init__(self, corrupted):
+        self.corrupted = corrupted
+        self.attack = CorruptionAttack("home", 1.0, DeterministicRNG("rot"))
+
+    def handle_request(self, provider, file_id, index):
+        if file_id == self.corrupted:
             return self.attack.handle_request(provider, file_id, index)
         return provider.datacentre("home").lookup(file_id, index)
 
@@ -266,17 +288,18 @@ class TestReplies:
 
 
 class RecordingSink:
-    """A connection stand-in: the order ids of each delivery it gets."""
+    """A connection stand-in: the replies it gets, and the order ids of
+    each delivery."""
 
     def __init__(self):
         self.deliveries = []
+        self.replies = []
 
     def send_replies(self, data, n_replies):
-        order_ids = [
-            decode_reply(body).order_id for body in FrameParser().feed(data)
-        ]
-        assert len(order_ids) == n_replies
-        self.deliveries.append(order_ids)
+        replies = [decode_reply(body) for body in FrameParser().feed(data)]
+        assert len(replies) == n_replies
+        self.replies.extend(replies)
+        self.deliveries.append([reply.order_id for reply in replies])
 
 
 def chunk(sink, first_id, n, file_id):
@@ -351,3 +374,84 @@ class TestGroupCommit:
         assert [len(ids) for ids in sink.deliveries] == [16, 16, 8]
         assert sum(sink.deliveries, []) == list(range(1, 41))
         assert dispatcher.stats.n_flushes == 3
+
+
+class TestUnframedReplies:
+    def test_every_order_gets_one_reply_when_a_verdict_outgrows_a_frame(
+        self, monkeypatch
+    ):
+        """A verdict lists every bad MAC index, so a large ``k`` on a
+        corrupted file can outgrow a frame; here a small frame limit
+        stands in for that.  The order is answered with a short
+        ErrorReply and counted as an error; before, framing it raised
+        and the dispatch task died with the flush undelivered."""
+        session, file_ids = build_session()
+        session.provider.set_strategy(CorruptsOneFile(file_ids[1]))
+        dispatcher = build_dispatcher(session)
+        sink = RecordingSink()
+        orders = [
+            AuditOrder(1, file_ids[0], 3),
+            AuditOrder(2, b"ghost", 3),
+            AuditOrder(3, file_ids[1], 8),
+            AuditOrder(4, file_ids[2], 3),
+        ]
+        # Room for an honest verdict (41 bytes) and a short error, not
+        # for the eight bad indices of order 3.
+        monkeypatch.setattr(framing, "MAX_FRAME_BYTES", 64)
+
+        async def run():
+            queue = asyncio.Queue()
+            queue.put_nowait([Submitted(order, sink) for order in orders])
+            queue.put_nowait(SHUTDOWN)
+            await dispatcher.run(queue)
+
+        asyncio.run(run())
+        assert sink.deliveries == [[1, 2, 3, 4]]
+        assert [type(reply) for reply in sink.replies] == [
+            VerdictReply, ErrorReply, ErrorReply, VerdictReply
+        ]
+        assert sink.replies[1].message == "file b'ghost' not registered"
+        assert sink.replies[2].message == UNFRAMED_REPLY
+        assert sink.replies[0].verdict.accepted
+        assert sink.replies[3].verdict.accepted
+        assert (dispatcher.stats.n_orders, dispatcher.stats.n_errors) == (4, 2)
+
+
+class TestSteadyStateMemory:
+    """The TPA keeps counters, not outcomes, so serving stays flat."""
+
+    def test_second_run_of_orders_leaves_the_heap_flat(self):
+        """After a warm-up run has filled every table and cache, a
+        second run of the same number of orders keeps next to nothing:
+        its verdicts went back to the caller, and only counters moved.
+        A TPA that held each outcome (a transcript with its segments
+        and batch proof) would keep hundreds of kB here."""
+        session, file_ids = build_session("steady-state", n_files=2)
+        dispatcher = build_dispatcher(session)
+        n_orders = 256
+        # k=16 lets the warm-up challenge nearly all 455 segments of
+        # each file, so few are left to fill Segment.wire_bytes' memo.
+        orders = [
+            AuditOrder(i + 1, file_ids[i % 2], 16) for i in range(n_orders)
+        ]
+
+        def serve():
+            for start in range(0, n_orders, dispatcher.flush_batch):
+                replies = dispatcher.process_batch(
+                    orders[start:start + dispatcher.flush_batch]
+                )
+                assert all(reply.verdict.accepted for reply in replies)
+
+        serve()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            serve()
+            gc.collect()
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert dispatcher.stats.n_orders == 2 * n_orders
+        assert session.tpa.acceptance_rate() == 1.0
+        assert after - before < 32_000

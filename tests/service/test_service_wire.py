@@ -15,6 +15,8 @@ from repro.service import (
     decode_reply,
     decode_request,
 )
+from repro.storage.contract import MAX_FILE_ID_BYTES
+from repro.util.serialization import encode_length_prefixed, encode_uint
 
 orders = st.builds(
     AuditOrder,
@@ -106,19 +108,28 @@ class TestFailClosed:
         with pytest.raises(ProtocolError):
             AuditOrder(1, b"", 3)
         # hand-roll the same encoding with a zero-length file id
-        from repro.util.serialization import (
-            encode_length_prefixed,
-            encode_uint,
-        )
-
-        body = (
-            bytes([OP_AUDIT])
-            + encode_uint(1)
-            + encode_length_prefixed(b"")
-            + encode_uint(3)
-        )
         with pytest.raises(ProtocolError):
-            decode_request(body)
+            decode_request(order_body(b""))
+
+    def test_file_id_past_the_storage_bound_rejected_at_build_and_decode(self):
+        """No backend stores an id longer than the storage contract's
+        bound, so the envelope refuses one before it reaches the TPA."""
+        longest = b"\xff" * MAX_FILE_ID_BYTES
+        assert decode_request(order_body(longest)) == AuditOrder(1, longest, 3)
+        with pytest.raises(ProtocolError, match="file id must be 1..256 bytes"):
+            AuditOrder(1, longest + b"\xff", 3)
+        with pytest.raises(ProtocolError, match="got 300000"):
+            decode_request(order_body(b"\xff" * 300_000))
+
+
+def order_body(file_id: bytes) -> bytes:
+    """An order's body for ``file_id``, encoded without validating it."""
+    return (
+        bytes([OP_AUDIT])
+        + encode_uint(1)
+        + encode_length_prefixed(file_id)
+        + encode_uint(3)
+    )
 
 
 class TestStatsOp:

@@ -331,3 +331,35 @@ class TestAnalyse:
         assert code == 0
         assert "Delta-t_max" in out
         assert "relay distance bound" in out
+
+
+class TestOneErrorPath:
+    """Every subcommand reports a bad value the same way: exit 2 and an
+    ``error:`` line on stderr.  Before, ``table1``, ``fig6``, ``audit``
+    and ``analyse`` ended in a traceback (exit 1), ``analyse`` accepted
+    an infinite margin, and ``fleet`` an infinite horizon it never
+    reached.  ``table2`` and ``table3`` take no value that can fail."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table1", "--read-bytes", "-5"],
+            ["fig6", "--rounds", "0"],
+            ["audit", "--rounds", "0"],
+            ["audit", "--home", "nowhere"],
+            ["analyse", "--segments", "0"],
+            ["analyse", "--margin-ms", "inf"],
+            ["fleet", "--files", "3", "--hours", "inf"],
+            ["economics", "--files", "3", "--hours", "0"],
+            ["lint", "--rules", "NOPE"],
+            ["serve", "--home", "nowhere", "--max-seconds", "0.01"],
+            ["audit-client", "file-0", "--port", "1"],
+            ["stats", "--port", "1"],
+        ],
+        ids="_".join,
+    )
+    def test_bad_value_exits_2_with_an_error_line(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err

@@ -1,5 +1,7 @@
 """Unit tests for the validation helpers."""
 
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -24,6 +26,12 @@ class TestCheckPositive:
     def test_rejects_negative_when_not_strict(self):
         with pytest.raises(ConfigurationError):
             check_positive("x", -0.1, strict=False)
+
+    @pytest.mark.parametrize("strict", [True, False])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_rejects_non_finite(self, strict, value):
+        with pytest.raises(ConfigurationError, match="x must be finite"):
+            check_positive("x", value, strict=strict)
 
 
 class TestCheckRange:
